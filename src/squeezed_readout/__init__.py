@@ -20,10 +20,7 @@ from .dynamics import (
     coefficient_set,
     envelopes,
     first_integrals,
-    propagator,
-    rotated_coefficients,
     signal_coefficients,
-    steady_first_integrals,
 )
 from .errors import (
     NumericalError,
@@ -36,7 +33,6 @@ from .metrics import (
     contrast,
     erf,
     fidelity,
-    integrated_signal_mean,
     integrated_variance,
     measurement_mean,
     optimal_squeezing,
@@ -54,7 +50,6 @@ from .params import (
 from .probe import (
     ProbeState,
     QuadratureStats,
-    displacement_from_squeezed_coherent,
     input_covariance,
     input_means,
     mean_photon_number,
@@ -67,9 +62,7 @@ from .shots import (
     ClassificationResult,
     ShotBatch,
     classify,
-    empirical_fidelity,
     sample_shots,
-    with_empirical_fidelity,
 )
 from .sweeps import (
     FigureTable,
@@ -84,8 +77,6 @@ from .sweeps import (
     reproduce_figure2,
     reproduce_figure3,
     run_sweep,
-    write_figure_csv,
-    write_sweep_csv,
 )
 
 __version__ = "0.1.0"
@@ -117,8 +108,6 @@ __all__ = [
     "coefficient_set",
     "contrast",
     "critical_photon_check",
-    "displacement_from_squeezed_coherent",
-    "empirical_fidelity",
     "envelopes",
     "erf",
     "fidelity",
@@ -128,32 +117,25 @@ __all__ = [
     "induced_t1_inverse",
     "input_covariance",
     "input_means",
-    "integrated_signal_mean",
     "integrated_variance",
     "mean_photon_number",
     "measurement_mean",
     "optimal_squeezing",
     "optimal_time_estimate",
     "phase_matching_residual",
-    "propagator",
     "purcell_rate",
     "readout_point",
     "render_figure_csv",
     "render_sweep_csv",
     "reproduce_figure2",
     "reproduce_figure3",
-    "rotated_coefficients",
     "rotated_quadrature_covariance",
     "rotated_quadrature_variance",
     "run_sweep",
     "sample_shots",
     "signal_coefficients",
     "snr",
-    "steady_first_integrals",
     "t2_penalty",
     "total_t1",
-    "with_empirical_fidelity",
     "wrap_angle",
-    "write_figure_csv",
-    "write_sweep_csv",
 ]

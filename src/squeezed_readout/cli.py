@@ -17,7 +17,7 @@ import dataclasses
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .backaction import backaction_report, total_t1
 from .errors import NumericalError, ValidationError
@@ -30,11 +30,12 @@ from .metrics import (
 )
 from .params import SystemParams, UnitContext, from_experimental
 from .probe import ProbeState
-from .shots import classify, sample_shots, with_empirical_fidelity
+from .shots import classify, sample_shots
 from .sweeps import (
     FIG2_DEFAULT_R_VALUES,
     SweepFixed,
     SweepSpec,
+    _fmt,
     find_peak,
     render_figure_csv,
     render_sweep_csv,
@@ -76,43 +77,43 @@ _SCHEMA = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration ready for dispatch."""
+    """Validated configuration ready to run a subcommand.
+
+    The fields after ``snapshot`` are the _SCHEMA keys of the same name,
+    filled with their effective values; their defaults live in _SCHEMA.
+    """
 
     params: SystemParams
     probe: ProbeState
     phi: float
     units: UnitContext
-    t_us: float | None = None
-    seed: int = 12345
-    n_shots: int = 100000
-    out: str | None = None
-    nd_ratio_max: float = 0.1
-    use_backaction_t1: bool = False
-    threshold_policy: str = "midpoint"
-    fig2_r_values: tuple[float, ...] | None = None
-    sweep_variable: str | None = None
-    sweep_lo: float | None = None
-    sweep_hi: float | None = None
-    sweep_points: int = 400
-    sweep_metric: str = "snr"
-    snapshot: tuple[tuple[str, str], ...] = ()
-    options: dict = field(default_factory=dict)
+    snapshot: tuple[tuple[str, str], ...]
+    t_us: float | None
+    seed: int
+    n_shots: int
+    out: str | None
+    nd_ratio_max: float
+    use_backaction_t1: bool
+    threshold_policy: str
+    fig2_r_values: tuple[float, ...] | None
+    sweep_variable: str | None
+    sweep_lo: float | None
+    sweep_hi: float | None
+    sweep_points: int
+    sweep_metric: str
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
 
 
 def _convert(key: str, kind: str, text: str, lineno: int):
     try:
         if kind == "float":
-            return float(text)
+            return _finite(text)
         if kind == "int":
             return int(text, 10)
         if kind == "bool":
@@ -124,7 +125,7 @@ def _convert(key: str, kind: str, text: str, lineno: int):
             items = [piece.strip() for piece in text.split(",")]
             if not any(items):
                 raise ValueError
-            return tuple(float(piece) for piece in items if piece)
+            return tuple(_finite(piece) for piece in items if piece)
         return text
     except ValueError:
         raise ValidationError(
@@ -165,6 +166,7 @@ def _make_config(values: dict) -> RunConfig:
         for key, (_, default) in _SCHEMA.items()
         if values.get(key, default) is not _REQUIRED
     }
+    # delta_c is read only to reject a detuning the model does not cover
     if effective["delta_c"] != 0.0:
         raise ValidationError(
             "delta_c must be 0 (the model assumes zero probe-resonator detuning); "
@@ -217,20 +219,12 @@ def _make_config(values: dict) -> RunConfig:
         probe=probe,
         phi=effective["lo_phase_rad"],
         units=UnitContext(effective["chi_over_2pi_mhz"] * 1e6),
-        t_us=effective["t_us"],
-        seed=effective["seed"],
-        n_shots=effective["n_shots"],
-        out=effective["out"],
-        nd_ratio_max=effective["nd_ratio_max"],
-        use_backaction_t1=effective["use_backaction_t1"],
-        threshold_policy=effective["threshold_policy"],
-        fig2_r_values=effective["fig2_r_values"],
-        sweep_variable=effective["sweep_variable"],
-        sweep_lo=effective["sweep_lo"],
-        sweep_hi=effective["sweep_hi"],
-        sweep_points=effective["sweep_points"],
-        sweep_metric=effective["sweep_metric"],
         snapshot=snapshot,
+        **{
+            f.name: effective[f.name]
+            for f in dataclasses.fields(RunConfig)
+            if f.name in _SCHEMA
+        },
     )
 
 
@@ -243,16 +237,18 @@ def _snapshot_header(config: RunConfig) -> str:
     return "".join(f"# {key} = {value}\n" for key, value in config.snapshot)
 
 
+def _render_block(lines: list[tuple[str, object]]) -> str:
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in lines)
+
+
 def _emit_block(config: RunConfig, lines: list[tuple[str, object]]) -> None:
-    block = "".join(f"{key} = {_fmt(value)}\n" for key, value in lines)
+    block = _render_block(lines)
     sys.stdout.write(block)
     if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(_snapshot_header(config))
-            handle.write(block)
+        _write_text(config.out, _snapshot_header(config) + block)
 
 
-def _write_text(config: RunConfig, path: str, text: str) -> None:
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
 
@@ -383,9 +379,7 @@ def _cmd_shots(config: RunConfig) -> int:
     batch = sample_shots(
         config.n_shots, ti, config.probe, config.params, config.phi, config.seed
     )
-    result = with_empirical_fidelity(
-        classify(batch, config.threshold_policy), ti, t1_internal
-    )
+    result = classify(batch, config.threshold_policy, t1=t1_internal)
     analytic = readout_point(
         ti, config.probe, config.params, config.phi, t1_total=t1_internal
     )
@@ -393,9 +387,7 @@ def _cmd_shots(config: RunConfig) -> int:
         rows = ["state,outcome"]
         rows.extend(f"1,{value!r}" for value in batch.outcomes_plus.tolist())
         rows.extend(f"-1,{value!r}" for value in batch.outcomes_minus.tolist())
-        _write_text(
-            config, config.out, _snapshot_header(config) + "\n".join(rows) + "\n"
-        )
+        _write_text(config.out, _snapshot_header(config) + "\n".join(rows) + "\n")
     block = [
         ("subcommand", "shots"),
         ("t_us", config.t_us),
@@ -412,8 +404,7 @@ def _cmd_shots(config: RunConfig) -> int:
         ("analytic_fidelity", analytic.fidelity),
         ("t1_source", t1_source),
     ]
-    text = "".join(f"{key} = {_fmt(value)}\n" for key, value in block)
-    sys.stdout.write(text)
+    sys.stdout.write(_render_block(block))
     return 0
 
 
@@ -446,7 +437,7 @@ def _cmd_sweep(config: RunConfig) -> int:
     )
     csv_text = render_sweep_csv(run_sweep(spec))
     if config.out:
-        _write_text(config, config.out, csv_text)
+        _write_text(config.out, csv_text)
         sys.stdout.write(
             f"subcommand = sweep\nrows = {spec.points}\nwrote = {config.out}\n"
         )
@@ -462,27 +453,23 @@ def _figure_out_path(base: str, name: str, multiple: bool) -> str:
     return f"{stem}.{name}{ext or '.csv'}"
 
 
-def _cmd_figures(config: RunConfig) -> int:
+def _cmd_figures(config: RunConfig, which: str, variant: str) -> int:
     if config.params.vacuum_weight != 0.25:
         raise ValidationError(
             "figure tables are defined at the calibrated vacuum_weight = 0.25; "
             "use the sweep subcommand to explore other weights"
         )
-    which = config.options.get("which")
-    variant = config.options.get("variant", "both")
     if which == "fig3":
         tables = [reproduce_figure3()]
-    elif which == "fig2":
+    else:  # argparse admits only fig2 and fig3
         r_values = config.fig2_r_values or FIG2_DEFAULT_R_VALUES
         variants = ("panel_ab", "panel_cd") if variant == "both" else (variant,)
         tables = [reproduce_figure2(v, r_values=r_values) for v in variants]
-    else:
-        raise ValidationError(f"unknown figure {which!r}; expected fig2 or fig3")
     for table in tables:
         text = render_figure_csv(table)
         if config.out:
             path = _figure_out_path(config.out, table.name, len(tables) > 1)
-            _write_text(config, path, text)
+            _write_text(path, text)
             sys.stdout.write(f"wrote = {path}\n")
         else:
             sys.stdout.write(text)
@@ -496,16 +483,7 @@ _COMMANDS = {
     "shots": _cmd_shots,
     "backaction": _cmd_backaction,
     "optimize": _cmd_optimize,
-    "figures": _cmd_figures,
 }
-
-
-def dispatch(subcommand: str, config: RunConfig) -> int:
-    """Run one subcommand against a validated config; returns exit code 0."""
-    handler = _COMMANDS.get(subcommand)
-    if handler is None:
-        raise ValidationError(f"unknown subcommand {subcommand!r}")
-    return handler(config)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -568,7 +546,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read config: {exc}") from exc
         values = _parse_values(text)
     elif args.subcommand == "figures":
@@ -591,17 +569,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         values["vacuum_weight"] = 1.0
     if args.out is not None:
         values["out"] = args.out
-    config = _make_config(values)
-    options = {}
-    if args.subcommand == "figures":
-        options = {"which": args.which, "variant": args.variant}
-    return dataclasses.replace(config, options=options)
+    return _make_config(values)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return dispatch(args.subcommand, _config_from_args(args))
+        config = _config_from_args(args)
+        if args.subcommand == "figures":
+            return _cmd_figures(config, args.which, args.variant)
+        return _COMMANDS[args.subcommand](config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 from .params import SystemParams
 
@@ -86,41 +84,11 @@ def first_integrals(t: float, params: SystemParams) -> tuple[float, float]:
     return big_f, big_g
 
 
-def steady_first_integrals(params: SystemParams) -> tuple[float, float]:
-    """t → ∞ limits: F∞ = a/(a²+b²), G∞ = b/(a²+b²) with a = κ/2, b = χs."""
-    a = 0.5 * params.kappa
-    b = params.chi_s
-    d = a * a + b * b
-    return a / d, b / d
-
-
 def signal_coefficients(t: float, params: SystemParams) -> tuple[float, float]:
     """(A, B) = (t − κ∫₀ᵗF, κ∫₀ᵗG), the integrated-signal weights."""
     _check_time(t)
     _, _, int_f, int_g = _integrals(0.5 * params.kappa, params.chi_s, t)
     return t - params.kappa * int_f, params.kappa * int_g
-
-
-def rotated_coefficients(
-    a_coef: float, b_coef: float, delta_theta: float
-) -> tuple[float, float]:
-    """(B', A') after rotating the coefficient pair by delta_theta.
-
-    B' = B·cos Δθ + A·sin Δθ,  A' = −B·sin Δθ + A·cos Δθ.
-    The squared sum A'² + B'² is invariant.
-    """
-    c = math.cos(delta_theta)
-    s = math.sin(delta_theta)
-    return b_coef * c + a_coef * s, -b_coef * s + a_coef * c
-
-
-def propagator(t: float, params: SystemParams, sigma: int) -> np.ndarray:
-    """2x2 matrix e^{Mt} = f·I − σ·i·g·τ_y acting on (Q, P), σ = ±1."""
-    _check_time(t)
-    if sigma not in (1, -1):
-        raise ValidationError(f"sigma must be +1 or -1, got {sigma!r}")
-    f, g = envelopes(t, params)
-    return np.array([[f, -sigma * g], [sigma * g, f]])
 
 
 @dataclass(frozen=True)

@@ -43,20 +43,14 @@ def _check_sigma(sigma: int) -> None:
         raise ValidationError(f"sigma must be +1 or -1, got {sigma!r}")
 
 
+def _check_phi(phi: float) -> None:
+    if not math.isfinite(phi):
+        raise ValidationError(f"phi must be finite, got {phi!r}")
+
+
 def _internal(t: float, params: SystemParams) -> tuple[float, SystemParams]:
     """Rescale (t, params) to the χs = 1 convention."""
     return t * params.chi_s, params.as_internal()
-
-
-def integrated_signal_mean(
-    t: float, probe: ProbeState, params: SystemParams, sigma: int
-) -> float:
-    """Mean outcome A·⟨P⟩ − σ·B·⟨Q⟩ of the phi = π/2 homodyne measurement."""
-    _check_sigma(sigma)
-    ti, pi_ = _internal(t, params)
-    a_coef, b_coef = signal_coefficients(ti, pi_)
-    mq, mp = input_means(probe)
-    return a_coef * mp - sigma * b_coef * mq
 
 
 def measurement_mean(
@@ -64,6 +58,7 @@ def measurement_mean(
 ) -> float:
     """Mean outcome for a homodyne measurement at LO angle phi."""
     _check_sigma(sigma)
+    _check_phi(phi)
     ti, pi_ = _internal(t, params)
     a_coef, b_coef = signal_coefficients(ti, pi_)
     mq, mp = input_means(probe)
@@ -71,8 +66,11 @@ def measurement_mean(
     return a_coef * (mq * c + mp * s) + sigma * b_coef * (-mq * s + mp * c)
 
 
-def contrast(t: float, probe: ProbeState, params: SystemParams, phi: float) -> float:
-    """Separation |mean₊ − mean₋| = 2√2·α·|B|·|sin(θα − φ)|."""
+# contrast, integrated_variance and snr check phi once and then share
+# these unchecked bodies, so a bundle such as snr validates it only once.
+
+
+def _contrast(t: float, probe: ProbeState, params: SystemParams, phi: float) -> float:
     ti, pi_ = _internal(t, params)
     _, b_coef = signal_coefficients(ti, pi_)
     return 2.0 * SQRT2 * probe.alpha * abs(b_coef) * abs(
@@ -80,16 +78,9 @@ def contrast(t: float, probe: ProbeState, params: SystemParams, phi: float) -> f
     )
 
 
-def integrated_variance(
+def _variance(
     t: float, probe: ProbeState, params: SystemParams, phi: float, sigma: int
 ) -> float:
-    """Outcome variance for qubit eigenvalue sigma at LO angle phi.
-
-    Exact Gaussian propagation of the probe covariance through the
-    coefficients (A, σB), plus the resonator-vacuum term
-    u·(κ/2)(F² + G²), which is invariant under phi.
-    """
-    _check_sigma(sigma)
     ti, pi_ = _internal(t, params)
     coeff = coefficient_set(ti, pi_)
     a_coef, b_coef = coeff.a_coef, coeff.b_coef
@@ -105,77 +96,45 @@ def integrated_variance(
     )
 
 
+def contrast(t: float, probe: ProbeState, params: SystemParams, phi: float) -> float:
+    """Separation |mean₊ − mean₋| = 2√2·α·|B|·|sin(θα − φ)|."""
+    _check_phi(phi)
+    return _contrast(t, probe, params, phi)
+
+
+def integrated_variance(
+    t: float, probe: ProbeState, params: SystemParams, phi: float, sigma: int
+) -> float:
+    """Outcome variance for qubit eigenvalue sigma at LO angle phi.
+
+    Exact Gaussian propagation of the probe covariance through the
+    coefficients (A, σB), plus the resonator-vacuum term
+    u·(κ/2)(F² + G²), which is invariant under phi.
+    """
+    _check_sigma(sigma)
+    _check_phi(phi)
+    return _variance(t, probe, params, phi, sigma)
+
+
 def snr(t: float, probe: ProbeState, params: SystemParams, phi: float) -> float:
     """Contrast over the summed standard deviations of the two outcomes."""
+    _check_phi(phi)
     if t <= 0.0:
         raise UndefinedPointError(f"snr is undefined at t={t!r}; requires t > 0")
-    vp = integrated_variance(t, probe, params, phi, +1)
-    vm = integrated_variance(t, probe, params, phi, -1)
+    vp = _variance(t, probe, params, phi, +1)
+    vm = _variance(t, probe, params, phi, -1)
     if vp <= 0.0 or vm <= 0.0:
         raise NumericalError(
             f"outcome variances must be positive, got {vp!r} and {vm!r}"
         )
-    return contrast(t, probe, params, phi) / (math.sqrt(vp) + math.sqrt(vm))
-
-
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+    return _contrast(t, probe, params, phi) / (math.sqrt(vp) + math.sqrt(vm))
 
 
 def erf(x: float) -> float:
-    """Error function (2/√π)∫₀ˣe^{−s²}ds to 1e-12 absolute accuracy.
-
-    |x| ≤ 2 uses the positive-term series
-    erf(x) = (2/√π)·e^{−x²}·Σₙ (2x²)ⁿ·x/(2n+1)!!, which has no
-    cancellation; |x| > 2 evaluates the continued fraction for erfc,
-    erfc(x) = (e^{−x²}/√π)/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))),
-    by the modified Lentz algorithm, then extends oddly.
-    """
+    """Error function (2/√π)∫₀ˣe^{−s²}ds for finite x."""
     if not math.isfinite(x):
         raise ValidationError(f"erf requires finite input, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    ax = abs(x)
-    if ax <= 2.0:
-        two_x2 = 2.0 * ax * ax
-        term = ax
-        total = ax
-        n = 0
-        while True:
-            n += 1
-            term *= two_x2 / (2.0 * n + 1.0)
-            new_total = total + term
-            if new_total == total:
-                break
-            total = new_total
-            if n > 200:  # series at |x| <= 2 converges in < 40 terms
-                raise NumericalError(f"erf series failed to converge at x={x!r}")
-        result = _TWO_OVER_SQRT_PI * math.exp(-ax * ax) * total
-    else:
-        # Modified Lentz on b0 = x, a_n = n/2, b_n = x.
-        tiny = 1e-300
-        f = ax
-        c = ax
-        d = 0.0
-        for n in range(1, 300):
-            an = 0.5 * n
-            d = ax + an * d
-            if d == 0.0:
-                d = tiny
-            c = ax + an / c
-            if c == 0.0:
-                c = tiny
-            d = 1.0 / d
-            delta = c * d
-            f *= delta
-            if abs(delta - 1.0) < 1e-17:
-                break
-        else:
-            raise NumericalError(
-                f"erfc continued fraction failed to converge at x={x!r}"
-            )
-        erfc = math.exp(-ax * ax) / (math.sqrt(math.pi) * f)
-        result = 1.0 - erfc
-    return result if x > 0.0 else -result
+    return math.erf(x)
 
 
 def fidelity(t: float, snr_value: float, t1_total: float) -> float:
@@ -273,13 +232,13 @@ def readout_point(
         t1_internal = pi_.t1_intrinsic
     else:
         t1_internal = t1_total * params.chi_s
-    snr_value = snr(t, probe, params, phi)
+    snr_value = snr(t, probe, params, phi)  # checks phi for the whole bundle
     return ReadoutPoint(
         t=t,
         lo_phase=wrap_angle(phi),
-        contrast=contrast(t, probe, params, phi),
-        variance_plus=integrated_variance(t, probe, params, phi, +1),
-        variance_minus=integrated_variance(t, probe, params, phi, -1),
+        contrast=_contrast(t, probe, params, phi),
+        variance_plus=_variance(t, probe, params, phi, +1),
+        variance_minus=_variance(t, probe, params, phi, -1),
         snr=snr_value,
         fidelity=fidelity(ti, snr_value, t1_internal),
     )

@@ -9,7 +9,6 @@ sits at angle theta_xi/2 + π/2, so theta_xi = ±π squeezes P.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -114,21 +113,6 @@ def rotated_quadrature_covariance(probe: ProbeState, phi: float) -> float:
     frame is aligned with the squeezing ellipse axes.
     """
     return 0.5 * math.sinh(2.0 * probe.r) * math.sin(2.0 * phi - probe.theta_xi)
-
-
-def displacement_from_squeezed_coherent(
-    gamma: complex, r: float, theta_xi: float
-) -> complex:
-    """Displacement of D(α)S(ξ)|0⟩ equal to the squeezed coherent state S(ξ)D(γ)|0⟩.
-
-    α = γ·cosh r − γ*·sinh r·e^{iθξ}.  For real γ and θξ = π this reduces
-    to α = γ·e^{r}.
-    """
-    if not math.isfinite(r) or r < 0.0:
-        raise ValidationError(f"r must be nonnegative and finite, got {r!r}")
-    return gamma * math.cosh(r) - gamma.conjugate() * math.sinh(r) * cmath.exp(
-        1j * theta_xi
-    )
 
 
 def mean_photon_number(probe: ProbeState) -> float:

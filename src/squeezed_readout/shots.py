@@ -23,7 +23,7 @@ might be scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,17 +183,26 @@ def _likelihood_threshold(
     return min(candidates, key=lambda x: abs(x - midpoint))
 
 
-def classify(batch: ShotBatch, threshold_policy: str = "midpoint") -> ClassificationResult:
+def classify(
+    batch: ShotBatch, threshold_policy: str = "midpoint", t1: float | None = None
+) -> ClassificationResult:
     """Threshold the batch and report error fractions and empirical SNR.
 
     threshold_policy "midpoint" places the cut halfway between the two
     analytic means, matching the equal-variance fidelity convention;
     "likelihood" uses the equal-density point of the two analytic
     Gaussians, relevant when squeezing makes the variances unequal.
-    The empirical fidelity uses the batch's own t and intrinsic T1.
+    The empirical fidelity (1 − error₊ − error₋)·exp(−t/2T₁) uses the
+    batch's own t and T₁ = t1 in the unit of t, by default the intrinsic
+    T1 of the batch's params; it converges to the analytic
+    erf(SNR/√2)·exp(−t/2T₁) for equal-variance Gaussians as n grows.
     """
     if batch.n < 1 or batch.outcomes_plus.size == 0:
         raise ValidationError("cannot classify an empty batch")
+    if t1 is None:
+        t1 = batch.params.t1_intrinsic
+    if not math.isfinite(t1) or t1 <= 0.0:
+        raise ValidationError(f"t1 must be positive and finite, got {t1!r}")
     m_plus = measurement_mean(batch.t, batch.probe, batch.params, batch.phi, +1)
     m_minus = measurement_mean(batch.t, batch.probe, batch.params, batch.phi, -1)
     if threshold_policy == "midpoint":
@@ -230,9 +239,7 @@ def classify(batch: ShotBatch, threshold_policy: str = "midpoint") -> Classifica
         raise NumericalError("batch has zero spread; empirical SNR is undefined")
     empirical_snr = separation / (sd_plus + sd_minus)
 
-    internal = batch.params.as_internal()
-    ti = batch.t * batch.params.chi_s
-    survival = math.exp(-0.5 * ti / internal.t1_intrinsic)
+    survival = math.exp(-0.5 * batch.t / t1)
     return ClassificationResult(
         threshold=threshold,
         error_plus=error_plus,
@@ -241,22 +248,3 @@ def classify(batch: ShotBatch, threshold_policy: str = "midpoint") -> Classifica
         empirical_fidelity=(1.0 - error_plus - error_minus) * survival,
     )
 
-
-def empirical_fidelity(result: ClassificationResult, t: float, t1: float) -> float:
-    """(1 − error₊ − error₋)·exp(−t/2T₁) for an explicit t and T₁.
-
-    t and t1 must share one unit.  Converges to the analytic
-    erf(SNR/√2)·exp(−t/2T₁) for equal-variance Gaussians as n grows.
-    """
-    if not math.isfinite(t1) or t1 <= 0.0:
-        raise ValidationError(f"t1 must be positive and finite, got {t1!r}")
-    if not math.isfinite(t) or t < 0.0:
-        raise ValidationError(f"t must be nonnegative and finite, got {t!r}")
-    return (1.0 - result.error_plus - result.error_minus) * math.exp(-0.5 * t / t1)
-
-
-def with_empirical_fidelity(
-    result: ClassificationResult, t: float, t1: float
-) -> ClassificationResult:
-    """Copy of result with the fidelity recomputed for (t, t1)."""
-    return replace(result, empirical_fidelity=empirical_fidelity(result, t, t1))

@@ -314,8 +314,9 @@ def _params_meta(params: SystemParams, probe: ProbeState, phi: float) -> dict:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "True" if value else "False"
+    """One output field: floats by repr, booleans True/False, None as none."""
+    if value is None:
+        return "none"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -370,18 +371,8 @@ def render_sweep_csv(result: SweepResult) -> str:
     return _render_csv(meta, columns, rows)
 
 
-def write_sweep_csv(result: SweepResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_sweep_csv(result))
-
-
 def render_figure_csv(table: FigureTable) -> str:
     return _render_csv(table.meta, table.columns, table.rows)
-
-
-def write_figure_csv(table: FigureTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_figure_csv(table))
 
 
 def _figure_point(

@@ -1,15 +1,22 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and model identities for the test suite.
 
-Everything here recomputes model quantities through an independent
-route (adaptive quadrature, arbitrary precision) so the closed forms in
-the package are checked against something they were not derived from.
+The oracles recompute model quantities through an independent route
+(adaptive quadrature, arbitrary precision) so the closed forms in the
+package are checked against something they were not derived from.  The
+identities at the end (propagator, coefficient rotation, squeezed
+coherent displacement) are textbook relations the tests check the model
+against; the package itself does not need them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
+import numpy as np
 from scipy.integrate import quad
+
+from squeezed_readout import SystemParams, ValidationError, envelopes
 
 _QUAD_OPTS = {"epsabs": 1e-14, "epsrel": 1e-13, "limit": 200}
 
@@ -56,3 +63,39 @@ def mp_integrals(a: float, b: float, t: float, dps: int = 50):
 
 def rel_err(value: float, reference: float, floor: float = 1e-300) -> float:
     return abs(value - reference) / max(abs(reference), floor)
+
+
+def propagator(t: float, params: SystemParams, sigma: int) -> np.ndarray:
+    """2x2 matrix e^{Mt} = f·I − σ·i·g·τ_y acting on (Q, P), σ = ±1."""
+    f, g = envelopes(t, params)
+    if sigma not in (1, -1):
+        raise ValidationError(f"sigma must be +1 or -1, got {sigma!r}")
+    return np.array([[f, -sigma * g], [sigma * g, f]])
+
+
+def rotated_coefficients(
+    a_coef: float, b_coef: float, delta_theta: float
+) -> tuple[float, float]:
+    """(B', A') after rotating the coefficient pair by delta_theta.
+
+    B' = B·cos Δθ + A·sin Δθ,  A' = −B·sin Δθ + A·cos Δθ.
+    The squared sum A'² + B'² is invariant.
+    """
+    c = math.cos(delta_theta)
+    s = math.sin(delta_theta)
+    return b_coef * c + a_coef * s, -b_coef * s + a_coef * c
+
+
+def displacement_from_squeezed_coherent(
+    gamma: complex, r: float, theta_xi: float
+) -> complex:
+    """Displacement of D(α)S(ξ)|0⟩ equal to the squeezed coherent state S(ξ)D(γ)|0⟩.
+
+    α = γ·cosh r − γ*·sinh r·e^{iθξ}.  For real γ and θξ = π this reduces
+    to α = γ·e^{r}.
+    """
+    if not math.isfinite(r) or r < 0.0:
+        raise ValidationError(f"r must be nonnegative and finite, got {r!r}")
+    return gamma * math.cosh(r) - gamma.conjugate() * math.sinh(r) * cmath.exp(
+        1j * theta_xi
+    )

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import squeezed_readout
 from squeezed_readout import (
     ProbeState,
     ValidationError,
@@ -143,6 +148,42 @@ def test_error_exit_codes(config_path, tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
+    """The CLI as its own process, so a traceback would reach stderr."""
+    src = str(Path(squeezed_readout.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", "squeezed_readout.cli", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["lo_phase_rad = inf", "theta_alpha_rad = nan", "fig2_r_values = 0.0, -inf"],
+)
+def test_non_finite_config_float_is_a_config_error(tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(MATCHED_CONFIG + line + "\n", encoding="utf-8")
+    done = _run_cli(["snr", "--config", str(path)])
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "line 8:" in done.stderr
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(MATCHED_CONFIG.encode("utf-8") + b"# caf\xe9\n")
+    done = _run_cli(["snr", "--config", str(path)])
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: cannot read config: ")
+    assert done.stderr.count("\n") == 1
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["transmogrify"])
@@ -158,7 +199,7 @@ def test_backaction_subcommand(config_path, tmp_path, capsys):
     # kappa * (g/delta)^2 = 2e-4 in internal units
     assert float(block["gamma_purcell"]) == pytest.approx(2e-4, rel=1e-12)
     assert float(block["n_critical"]) == pytest.approx(2500.0, rel=1e-12)
-    assert block["nondemolition_ok"] == "true"
+    assert block["nondemolition_ok"] == "True"
     assert float(block["t1_total_internal"]) < 2827.4333882308138
 
 
@@ -171,7 +212,7 @@ def test_optimize_subcommand(config_path, capsys):
     assert float(block["r_peak_search"]) == pytest.approx(0.7432936542503789, abs=1e-5)
     assert float(block["snr_at_r_star"]) == pytest.approx(3.5809332939134766, rel=1e-9)
     assert float(block["t_opt_us"]) == pytest.approx(0.8768222934485936, rel=1e-12)
-    assert block["phase_matched"] == "true"
+    assert block["phase_matched"] == "True"
     assert float(block["residual_squeezing_phase"]) < 1e-12
 
 

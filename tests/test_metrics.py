@@ -16,7 +16,7 @@ from squeezed_readout import (
     first_integrals,
     from_experimental,
     input_covariance,
-    integrated_signal_mean,
+    input_means,
     integrated_variance,
     measurement_mean,
     optimal_squeezing,
@@ -43,13 +43,13 @@ FIDELITY_REF = 0.9995386643242705
 
 def test_mean_vanishes_without_displacement(t_matched, params_k2):
     probe = ProbeState(alpha=0.0, r=0.74)
-    assert integrated_signal_mean(t_matched, probe, params_k2, +1) == 0.0
-    assert integrated_signal_mean(t_matched, probe, params_k2, -1) == 0.0
+    assert measurement_mean(t_matched, probe, params_k2, 0.5 * math.pi, +1) == 0.0
+    assert measurement_mean(t_matched, probe, params_k2, 0.5 * math.pi, -1) == 0.0
 
 
 def test_mean_outcomes_at_matched_point(t_matched, probe_matched, params_k2):
-    plus = integrated_signal_mean(t_matched, probe_matched, params_k2, +1)
-    minus = integrated_signal_mean(t_matched, probe_matched, params_k2, -1)
+    plus = measurement_mean(t_matched, probe_matched, params_k2, 0.5 * math.pi, +1)
+    minus = measurement_mean(t_matched, probe_matched, params_k2, 0.5 * math.pi, -1)
     assert plus == pytest.approx(-MEAN_MINUS_REF, rel=1e-12)
     assert minus == pytest.approx(MEAN_MINUS_REF, rel=1e-12)
     # the separation is carried entirely by the B coefficient
@@ -59,13 +59,15 @@ def test_mean_outcomes_at_matched_point(t_matched, probe_matched, params_k2):
 
 def test_displacement_along_p_gives_no_separation(t_matched, params_k2):
     probe = ProbeState(alpha=10.0, theta_alpha=0.5 * math.pi, r=0.74, theta_xi=math.pi)
-    plus = integrated_signal_mean(t_matched, probe, params_k2, +1)
-    minus = integrated_signal_mean(t_matched, probe, params_k2, -1)
+    plus = measurement_mean(t_matched, probe, params_k2, 0.5 * math.pi, +1)
+    minus = measurement_mean(t_matched, probe, params_k2, 0.5 * math.pi, -1)
     assert plus == pytest.approx(minus, abs=1e-12)
     assert contrast(t_matched, probe, params_k2, 0.5 * math.pi) == 0.0
 
 
 def test_measurement_mean_reduces_to_integrated_signal_mean(t_matched, params_k2):
+    # at phi = pi/2 the mean is the integrated signal A<P> - sigma B<Q>
+    a_coef, b_coef = signal_coefficients(t_matched, params_k2)
     rng = np.random.default_rng(20)
     for _ in range(10):
         probe = ProbeState(
@@ -74,11 +76,12 @@ def test_measurement_mean_reduces_to_integrated_signal_mean(t_matched, params_k2
             r=float(rng.uniform(0.0, 1.5)),
             theta_xi=float(rng.uniform(-3.0, 3.0)),
         )
+        mq, mp = input_means(probe)
         for sigma in (+1, -1):
             assert measurement_mean(
                 t_matched, probe, params_k2, 0.5 * math.pi, sigma
             ) == pytest.approx(
-                integrated_signal_mean(t_matched, probe, params_k2, sigma),
+                a_coef * mp - sigma * b_coef * mq,
                 rel=1e-12,
                 abs=1e-14,
             )
@@ -260,7 +263,7 @@ def test_erf_against_stdlib():
 
 
 def test_erf_branch_seam_is_continuous():
-    # the series-to-continued-fraction handover at |x| = 2 must not jump
+    # erf must not jump around |x| = 2
     for x in (1.9999, 2.0, 2.0001):
         assert erf(x) == pytest.approx(float(mpmath.erf(x)), abs=1e-13)
 
@@ -396,6 +399,20 @@ def test_phase_matching_implies_combined_condition():
         assert matched, (res1, res2)
         combined = abs(math.remainder(2.0 * theta_alpha - theta_xi - math.pi, 2.0 * math.pi))
         assert combined < 1e-8
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_non_finite_phi_is_rejected(t_matched, probe_matched, params_k2, phi):
+    args = (t_matched, probe_matched, params_k2, phi)
+    for call in (
+        lambda: snr(*args),
+        lambda: contrast(*args),
+        lambda: readout_point(*args),
+        lambda: integrated_variance(*args, +1),
+        lambda: measurement_mean(*args, -1),
+    ):
+        with pytest.raises(ValidationError, match="phi"):
+            call()
 
 
 def test_readout_point_is_self_consistent(t_matched, probe_matched, params_k2):

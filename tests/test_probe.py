@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from helpers import displacement_from_squeezed_coherent
 
 from squeezed_readout import (
     ProbeState,
     QuadratureStats,
     ValidationError,
-    displacement_from_squeezed_coherent,
     input_covariance,
     input_means,
     mean_photon_number,

@@ -12,7 +12,6 @@ from squeezed_readout import (
     SystemParams,
     ValidationError,
     classify,
-    empirical_fidelity,
     fidelity,
     input_covariance,
     integrated_variance,
@@ -20,7 +19,6 @@ from squeezed_readout import (
     sample_shots,
     signal_coefficients,
     snr,
-    with_empirical_fidelity,
 )
 
 SEED = 987654321
@@ -108,16 +106,16 @@ def test_empirical_fidelity_bookkeeping(t_matched, probe_matched, params_k2):
     assert result.empirical_fidelity == pytest.approx(
         (1.0 - result.error_plus - result.error_minus) * survival, rel=1e-14
     )
-    assert empirical_fidelity(result, t_matched, params_k2.t1_intrinsic) == pytest.approx(
-        result.empirical_fidelity, rel=1e-14
-    )
-    no_decay = with_empirical_fidelity(result, t_matched, 1e9)
+    assert classify(
+        batch, t1=params_k2.t1_intrinsic
+    ).empirical_fidelity == pytest.approx(result.empirical_fidelity, rel=1e-14)
+    no_decay = classify(batch, t1=1e9)
     assert no_decay.empirical_fidelity == pytest.approx(
         1.0 - result.error_plus - result.error_minus, rel=1e-9
     )
     assert no_decay.threshold == result.threshold
     with pytest.raises(ValidationError):
-        empirical_fidelity(result, t_matched, 0.0)
+        classify(batch, t1=0.0)
 
 
 def test_likelihood_threshold_with_unequal_variances(t_matched, params_k2):

@@ -20,7 +20,6 @@ from squeezed_readout import (
     reproduce_figure3,
     run_sweep,
     snr,
-    write_sweep_csv,
 )
 
 SNR_MATCHED_REF = 3.580922280271772
@@ -202,7 +201,7 @@ def test_sweep_csv_round_trip(fixed, tmp_path):
     )
 
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(result, path)
+    path.write_text(render_sweep_csv(result), encoding="utf-8", newline="\n")
     assert path.read_text(encoding="utf-8") == text
 
 
