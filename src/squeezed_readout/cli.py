@@ -341,7 +341,7 @@ def _cmd_optimize(config: RunConfig) -> int:
     peak = find_peak("snr", "r", (0.0, 2.0), fixed)
     r_star = optimal_squeezing(ti, config.params)
     snr_at_r_star = None
-    if r_star is not None:
+    if r_star is not None and r_star >= 0.0:
         snr_at_r_star = snr(
             ti,
             dataclasses.replace(config.probe, r=r_star),

@@ -24,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .dynamics import coefficient_set, signal_coefficients
+from .dynamics import CoefficientSet, coefficient_set, signal_coefficients
 from .errors import NumericalError, UndefinedPointError, ValidationError
 from .params import SystemParams, wrap_angle
 from .probe import (
@@ -66,21 +66,30 @@ def measurement_mean(
     return a_coef * (mq * c + mp * s) + sigma * b_coef * (-mq * s + mp * c)
 
 
-# contrast, integrated_variance and snr check phi once and then share
-# these unchecked bodies, so a bundle such as snr validates it only once.
+METRICS = ("snr", "fidelity", "contrast", "variance")
 
 
-def _contrast(t: float, probe: ProbeState, params: SystemParams, phi: float) -> float:
-    ti, pi_ = _internal(t, params)
-    _, b_coef = signal_coefficients(ti, pi_)
-    return 2.0 * SQRT2 * probe.alpha * abs(b_coef) * abs(
-        math.sin(probe.theta_alpha - phi)
-    )
+@dataclass(frozen=True)
+class _Evaluation:
+    """Everything one operating point yields from one coefficient evaluation."""
+
+    coeff: CoefficientSet
+    contrast: float
+    variance_plus: float
+    variance_minus: float
+    value: float | None  # the requested metric; None for SNR and fidelity at t = 0
 
 
-def _variance(
-    t: float, probe: ProbeState, params: SystemParams, phi: float, sigma: int
-) -> float:
+def _evaluate(
+    metric: str, t: float, probe: ProbeState, params: SystemParams, phi: float
+) -> _Evaluation:
+    """Coefficients, contrast, both variances and one metric; phi unchecked.
+
+    Every figure of merit, sweep row, peak-search step and figure table
+    reads this one evaluation.
+    """
+    if metric not in METRICS:
+        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     ti, pi_ = _internal(t, params)
     coeff = coefficient_set(ti, pi_)
     a_coef, b_coef = coeff.a_coef, coeff.b_coef
@@ -88,18 +97,35 @@ def _variance(
     var_p_rot = rotated_quadrature_variance(probe, phi + 0.5 * math.pi)
     cov_rot = rotated_quadrature_covariance(probe, phi)
     vacuum = pi_.vacuum_weight * 0.5 * pi_.kappa * (coeff.big_f**2 + coeff.big_g**2)
-    return (
-        a_coef**2 * var_q_rot
-        + b_coef**2 * var_p_rot
-        + 2.0 * sigma * a_coef * b_coef * cov_rot
-        + vacuum
+    squeezed = a_coef**2 * var_q_rot + b_coef**2 * var_p_rot
+    cross = 2.0 * a_coef * b_coef * cov_rot
+    vp = squeezed + cross + vacuum
+    vm = squeezed - cross + vacuum
+    separation = 2.0 * SQRT2 * probe.alpha * abs(b_coef) * abs(
+        math.sin(probe.theta_alpha - phi)
     )
+    value = None
+    if metric == "contrast":
+        value = separation
+    elif metric == "variance":
+        # symmetrized over the qubit eigenvalue; the two halves differ
+        # only through the frame-residual covariance cross term
+        value = 0.5 * (vp + vm)
+    elif t > 0.0:
+        if vp <= 0.0 or vm <= 0.0:
+            raise NumericalError(
+                f"outcome variances must be positive, got {vp!r} and {vm!r}"
+            )
+        value = separation / (math.sqrt(vp) + math.sqrt(vm))
+        if metric == "fidelity":
+            value = fidelity(ti, value, pi_.t1_intrinsic)
+    return _Evaluation(coeff, separation, vp, vm, value)
 
 
 def contrast(t: float, probe: ProbeState, params: SystemParams, phi: float) -> float:
     """Separation |mean₊ − mean₋| = 2√2·α·|B|·|sin(θα − φ)|."""
     _check_phi(phi)
-    return _contrast(t, probe, params, phi)
+    return _evaluate("contrast", t, probe, params, phi).contrast
 
 
 def integrated_variance(
@@ -113,21 +139,22 @@ def integrated_variance(
     """
     _check_sigma(sigma)
     _check_phi(phi)
-    return _variance(t, probe, params, phi, sigma)
+    point = _evaluate("variance", t, probe, params, phi)
+    return point.variance_plus if sigma == 1 else point.variance_minus
+
+
+def _snr_evaluation(
+    t: float, probe: ProbeState, params: SystemParams, phi: float
+) -> _Evaluation:
+    _check_phi(phi)
+    if t <= 0.0:
+        raise UndefinedPointError(f"snr is undefined at t={t!r}; requires t > 0")
+    return _evaluate("snr", t, probe, params, phi)
 
 
 def snr(t: float, probe: ProbeState, params: SystemParams, phi: float) -> float:
     """Contrast over the summed standard deviations of the two outcomes."""
-    _check_phi(phi)
-    if t <= 0.0:
-        raise UndefinedPointError(f"snr is undefined at t={t!r}; requires t > 0")
-    vp = _variance(t, probe, params, phi, +1)
-    vm = _variance(t, probe, params, phi, -1)
-    if vp <= 0.0 or vm <= 0.0:
-        raise NumericalError(
-            f"outcome variances must be positive, got {vp!r} and {vm!r}"
-        )
-    return _contrast(t, probe, params, phi) / (math.sqrt(vp) + math.sqrt(vm))
+    return _snr_evaluation(t, probe, params, phi).value
 
 
 def erf(x: float) -> float:
@@ -227,18 +254,14 @@ def readout_point(
     t1_total overrides the relaxation time used in the fidelity factor
     (same unit as t); default is the intrinsic T1 from params.
     """
-    ti, pi_ = _internal(t, params)
-    if t1_total is None:
-        t1_internal = pi_.t1_intrinsic
-    else:
-        t1_internal = t1_total * params.chi_s
-    snr_value = snr(t, probe, params, phi)  # checks phi for the whole bundle
+    t1 = params.t1_intrinsic if t1_total is None else t1_total
+    point = _snr_evaluation(t, probe, params, phi)
     return ReadoutPoint(
         t=t,
         lo_phase=wrap_angle(phi),
-        contrast=_contrast(t, probe, params, phi),
-        variance_plus=_variance(t, probe, params, phi, +1),
-        variance_minus=_variance(t, probe, params, phi, -1),
-        snr=snr_value,
-        fidelity=fidelity(ti, snr_value, t1_internal),
+        contrast=point.contrast,
+        variance_plus=point.variance_plus,
+        variance_minus=point.variance_minus,
+        snr=point.value,
+        fidelity=fidelity(point.coeff.t, point.value, t1 * params.chi_s),
     )

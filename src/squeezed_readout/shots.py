@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import coefficient_set
 from .errors import NumericalError, ValidationError
-from .metrics import measurement_mean
+from .metrics import _evaluate, measurement_mean
 from .params import SystemParams
 from .probe import ProbeState, input_covariance
 
@@ -208,13 +208,9 @@ def classify(
     if threshold_policy == "midpoint":
         threshold = 0.5 * (m_plus + m_minus)
     elif threshold_policy == "likelihood":
-        from .metrics import integrated_variance
-
+        point = _evaluate("variance", batch.t, batch.probe, batch.params, batch.phi)
         threshold = _likelihood_threshold(
-            m_plus,
-            integrated_variance(batch.t, batch.probe, batch.params, batch.phi, +1),
-            m_minus,
-            integrated_variance(batch.t, batch.probe, batch.params, batch.phi, -1),
+            m_plus, point.variance_plus, m_minus, point.variance_minus
         )
     else:
         raise ValidationError(

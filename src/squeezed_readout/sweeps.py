@@ -17,14 +17,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .dynamics import coefficient_set
-from .errors import NumericalError, UndefinedPointError, ValidationError
-from .metrics import contrast, fidelity, integrated_variance, snr
+from .errors import NumericalError, ValidationError
+from .metrics import METRICS, _evaluate, readout_point
 from .params import SystemParams, UnitContext, from_experimental
 from .probe import ProbeState
 
 SWEEP_VARIABLES = ("t", "r", "delta_theta", "alpha", "kappa")
-SWEEP_METRICS = ("snr", "fidelity", "contrast", "variance")
 
 _FIGURE_POINTS = 400
 _FIG_CHI_OVER_2PI_MHZ = 0.15
@@ -66,9 +64,9 @@ class SweepSpec:
             raise ValidationError(
                 f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}"
             )
-        if self.metric not in SWEEP_METRICS:
+        if self.metric not in METRICS:
             raise ValidationError(
-                f"metric must be one of {SWEEP_METRICS}, got {self.metric!r}"
+                f"metric must be one of {METRICS}, got {self.metric!r}"
             )
         if not isinstance(self.points, int) or self.points < 2:
             raise ValidationError(f"points must be an integer >= 2, got {self.points!r}")
@@ -146,30 +144,21 @@ def _point_at(
     return t, probe, params, phi
 
 
-def _metric_value(
-    metric: str,
-    t: float,
-    probe: ProbeState,
-    params: SystemParams,
-    phi: float,
-) -> float:
-    if metric == "snr":
-        return snr(t, probe, params, phi)
-    if metric == "contrast":
-        return contrast(t, probe, params, phi)
-    if metric == "variance":
-        # symmetrized over the qubit eigenvalue; the two halves differ
-        # only through the frame-residual covariance cross term
-        return 0.5 * (
-            integrated_variance(t, probe, params, phi, +1)
-            + integrated_variance(t, probe, params, phi, -1)
-        )
-    if metric == "fidelity":
-        internal = params.as_internal()
-        return fidelity(
-            t * params.chi_s, snr(t, probe, params, phi), internal.t1_intrinsic
-        )
-    raise ValidationError(f"unknown metric {metric!r}")
+def _row(metric: str, fixed: SweepFixed, variable: str, value: float) -> SweepRow:
+    """Metric and diagnostics at one grid point from one model evaluation."""
+    point = _evaluate(metric, *_point_at(fixed, variable, value))
+    skipped = point.value is None
+    return SweepRow(
+        value=value,
+        metric_value=math.nan if skipped else point.value,
+        a_coef=point.coeff.a_coef,
+        b_coef=point.coeff.b_coef,
+        big_f=point.coeff.big_f,
+        big_g=point.coeff.big_g,
+        variance_plus=point.variance_plus,
+        variance_minus=point.variance_minus,
+        skipped=skipped,
+    )
 
 
 def _grid(lo: float, hi: float, points: int) -> list[float]:
@@ -186,33 +175,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     t = 0) are kept as rows with a NaN metric and the skipped flag set,
     so grids may start at zero time.
     """
-    rows = []
-    for value in _grid(spec.lo, spec.hi, spec.points):
-        t, probe, params, phi = _point_at(spec.fixed, spec.variable, value)
-        internal = params.as_internal()
-        coeff = coefficient_set(t * params.chi_s, internal)
-        var_plus = integrated_variance(t, probe, params, phi, +1)
-        var_minus = integrated_variance(t, probe, params, phi, -1)
-        try:
-            metric_value = _metric_value(spec.metric, t, probe, params, phi)
-            skipped = False
-        except UndefinedPointError:
-            metric_value = math.nan
-            skipped = True
-        rows.append(
-            SweepRow(
-                value=value,
-                metric_value=metric_value,
-                a_coef=coeff.a_coef,
-                b_coef=coeff.b_coef,
-                big_f=coeff.big_f,
-                big_g=coeff.big_g,
-                variance_plus=var_plus,
-                variance_minus=var_minus,
-                skipped=skipped,
-            )
-        )
-    return SweepResult(rows=tuple(rows), spec=spec)
+    grid = _grid(spec.lo, spec.hi, spec.points)
+    rows = tuple(_row(spec.metric, spec.fixed, spec.variable, v) for v in grid)
+    return SweepResult(rows=rows, spec=spec)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -241,16 +206,14 @@ def find_peak(
         raise ValidationError(f"tol must be positive, got {tol!r}")
 
     def evaluate(x: float) -> float:
-        t, probe, params, phi = _point_at(fixed, variable, x)
-        try:
-            y = _metric_value(metric, t, probe, params, phi)
-        except UndefinedPointError as exc:
+        row = _row(metric, fixed, variable, x)
+        if row.skipped:
             raise NumericalError(
                 f"metric {metric!r} is undefined inside the bounds at {x!r}"
-            ) from exc
-        if not math.isfinite(y):
+            )
+        if not math.isfinite(row.metric_value):
             raise NumericalError(f"metric {metric!r} is not finite at {x!r}")
-        return y
+        return row.metric_value
 
     xs = _grid(lo, hi, _COARSE_POINTS)
     ys = [evaluate(x) for x in xs]
@@ -385,9 +348,8 @@ def _figure_point(
     """(snr, fidelity) at a figure grid time, with the t → 0 limit 0."""
     if t_us == 0.0:
         return 0.0, 0.0
-    ti = units.to_internal_time(t_us)
-    snr_value = snr(ti, probe, params, phi)
-    return snr_value, fidelity(ti, snr_value, params.t1_intrinsic)
+    point = readout_point(units.to_internal_time(t_us), probe, params, phi)
+    return point.snr, point.fidelity
 
 
 def reproduce_figure2(

@@ -9,7 +9,6 @@ bands; random grids are seeded and therefore reproducible.
 import math
 
 import numpy as np
-import pytest
 from conftest import PHI_DEFAULT
 from helpers import quad_first_integrals, quad_signal_coefficients, rel_err
 

@@ -5,7 +5,6 @@ import pytest
 from helpers import (
     mp_integrals,
     propagator,
-    quad_double_integrals,
     quad_first_integrals,
     quad_signal_coefficients,
     rel_err,

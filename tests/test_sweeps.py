@@ -12,7 +12,6 @@ from squeezed_readout import (
     ValidationError,
     contrast,
     find_peak,
-    integrated_variance,
     optimal_squeezing,
     render_figure_csv,
     render_sweep_csv,
