@@ -22,18 +22,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
-from .dynamics import CoefficientSet, coefficient_set, signal_coefficients
+import numpy as np
+
+from .dynamics import _response, signal_coefficients
 from .errors import NumericalError, UndefinedPointError, ValidationError
-from .params import SystemParams, wrap_angle
-from .probe import (
-    SQRT2,
-    ProbeState,
-    input_means,
-    rotated_quadrature_covariance,
-    rotated_quadrature_variance,
-)
+from .params import SystemParams, _elementwise, wrap_angle
+from .probe import SQRT2, ProbeState, _input_means, _rotated_moments
 
 _PHASE_TOL = 1e-9
 
@@ -48,84 +45,106 @@ def _check_phi(phi: float) -> None:
         raise ValidationError(f"phi must be finite, got {phi!r}")
 
 
-def _internal(t: float, params: SystemParams) -> tuple[float, SystemParams]:
-    """Rescale (t, params) to the χs = 1 convention."""
-    return t * params.chi_s, params.as_internal()
+METRICS = ("snr", "fidelity", "contrast", "variance")
+
+# Model inputs in internal units (χs = 1): t, kappa, alpha, r and theta_xi
+# are floats or 1-D float64 arrays of one length (a grid), the rest floats.
+_Fields = namedtuple("_Fields", "t kappa alpha r theta_xi theta_alpha phi u t1")
+# One evaluation: floats, or for a grid a list with one entry per point.
+# The first six are a sweep row's diagnostics.  snr is only evaluated for
+# the metrics snr and fidelity; snr and value are None where undefined.
+_Evaluation = namedtuple(
+    "_Evaluation",
+    "a_coef b_coef big_f big_g variance_plus variance_minus"
+    " mean_plus mean_minus contrast snr value",
+)
+
+
+def _fields(t, probe: ProbeState, params: SystemParams, phi, t1_total=None):
+    """Model inputs at an operating point; t1_total (unit of t) overrides T1."""
+    c, internal = params.chi_s, params.as_internal()
+    t1 = internal.t1_intrinsic if t1_total is None else t1_total * c
+    state = (probe.alpha, probe.r, probe.theta_xi, probe.theta_alpha)
+    return _Fields(t * c, internal.kappa, *state, phi, internal.vacuum_weight, t1)
+
+
+def _square(x: float) -> float:
+    return x**2
+
+
+(_square_grid,) = _elementwise(_square)
+
+def _snr_point(metric, t, separation, vp, vm, t1):
+    """(snr, metric value) at one point, for the metrics snr and fidelity."""
+    if not t > 0.0:
+        return None, None
+    if vp <= 0.0 or vm <= 0.0:
+        raise NumericalError(
+            f"outcome variances must be positive, got {vp!r} and {vm!r}"
+        )
+    value = separation / (math.sqrt(vp) + math.sqrt(vm))
+    return value, fidelity(t, value, t1) if metric == "fidelity" else value
+
+
+def _evaluate(metric: str, point: _Fields) -> _Evaluation:
+    """The readout model at one operating point or over a whole grid.
+
+    Every figure of merit, sweep, peak search, figure table and
+    classification reads this one evaluation; phi is unchecked.  On a
+    grid the arithmetic runs on arrays, and every transcendental function
+    and power on each element through the math module, so each grid
+    point carries the bits of the float path.
+    """
+    if metric not in METRICS:
+        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
+    t, kappa, alpha, r, theta_xi, theta_alpha, phi, u, t1 = point
+    big_f, big_g, a_coef, b_coef = _response(kappa, 1.0, t)
+    var_q_rot, var_p_rot, cov_rot = _rotated_moments(r, theta_xi, phi)
+    square = _square_grid if isinstance(a_coef, np.ndarray) else _square
+    try:
+        vacuum = u * 0.5 * kappa * (square(big_f) + square(big_g))
+        squeezed = square(a_coef) * var_q_rot + square(b_coef) * var_p_rot
+    except OverflowError:
+        raise NumericalError("response coefficients overflow: t is too large") from None
+    cross = 2.0 * a_coef * b_coef * cov_rot
+    vp = squeezed + cross + vacuum
+    vm = squeezed - cross + vacuum
+    mq, mp = _input_means(alpha, theta_alpha)
+    c, s = math.cos(phi), math.sin(phi)
+    along = a_coef * (mq * c + mp * s)
+    across = b_coef * (-mq * s + mp * c)
+    sep = 2.0 * SQRT2 * alpha * abs(b_coef) * abs(math.sin(theta_alpha - phi))
+    # the variance is symmetrized over the qubit eigenvalue; the two
+    # halves differ only through the frame-residual covariance cross term
+    value = {"contrast": sep, "variance": 0.5 * (vp + vm)}.get(metric)
+    fields = [a_coef, b_coef, big_f, big_g, vp, vm, along + across, along - across, sep]
+    fields += [None, value]  # snr and the metric value, set below for snr and fidelity
+    if isinstance(vp, np.ndarray) or isinstance(sep, np.ndarray):
+        # a grid: every swept field reaches the variances or the separation
+        n = np.broadcast(vp, sep).size
+        fields = [x if x is None else np.broadcast_to(x, n).tolist() for x in fields]
+        if metric in ("snr", "fidelity"):
+            rows = (np.broadcast_to(t, n).tolist(), fields[8], fields[4], fields[5])
+            fields[9:] = zip(*map(_snr_point, [metric] * n, *rows, [t1] * n))
+    elif metric in ("snr", "fidelity"):
+        fields[9:] = _snr_point(metric, t, sep, vp, vm, t1)
+    return _Evaluation._make(fields)
 
 
 def measurement_mean(
     t: float, probe: ProbeState, params: SystemParams, phi: float, sigma: int
 ) -> float:
-    """Mean outcome for a homodyne measurement at LO angle phi."""
+    """Mean outcome A·⟨Q′⟩ + σ·B·⟨P′⟩ of a homodyne measurement at LO angle phi."""
     _check_sigma(sigma)
     _check_phi(phi)
-    ti, pi_ = _internal(t, params)
-    a_coef, b_coef = signal_coefficients(ti, pi_)
-    mq, mp = input_means(probe)
-    c, s = math.cos(phi), math.sin(phi)
-    return a_coef * (mq * c + mp * s) + sigma * b_coef * (-mq * s + mp * c)
-
-
-METRICS = ("snr", "fidelity", "contrast", "variance")
-
-
-@dataclass(frozen=True)
-class _Evaluation:
-    """Everything one operating point yields from one coefficient evaluation."""
-
-    coeff: CoefficientSet
-    contrast: float
-    variance_plus: float
-    variance_minus: float
-    value: float | None  # the requested metric; None for SNR and fidelity at t = 0
-
-
-def _evaluate(
-    metric: str, t: float, probe: ProbeState, params: SystemParams, phi: float
-) -> _Evaluation:
-    """Coefficients, contrast, both variances and one metric; phi unchecked.
-
-    Every figure of merit, sweep row, peak-search step and figure table
-    reads this one evaluation.
-    """
-    if metric not in METRICS:
-        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
-    ti, pi_ = _internal(t, params)
-    coeff = coefficient_set(ti, pi_)
-    a_coef, b_coef = coeff.a_coef, coeff.b_coef
-    var_q_rot = rotated_quadrature_variance(probe, phi)
-    var_p_rot = rotated_quadrature_variance(probe, phi + 0.5 * math.pi)
-    cov_rot = rotated_quadrature_covariance(probe, phi)
-    vacuum = pi_.vacuum_weight * 0.5 * pi_.kappa * (coeff.big_f**2 + coeff.big_g**2)
-    squeezed = a_coef**2 * var_q_rot + b_coef**2 * var_p_rot
-    cross = 2.0 * a_coef * b_coef * cov_rot
-    vp = squeezed + cross + vacuum
-    vm = squeezed - cross + vacuum
-    separation = 2.0 * SQRT2 * probe.alpha * abs(b_coef) * abs(
-        math.sin(probe.theta_alpha - phi)
-    )
-    value = None
-    if metric == "contrast":
-        value = separation
-    elif metric == "variance":
-        # symmetrized over the qubit eigenvalue; the two halves differ
-        # only through the frame-residual covariance cross term
-        value = 0.5 * (vp + vm)
-    elif t > 0.0:
-        if vp <= 0.0 or vm <= 0.0:
-            raise NumericalError(
-                f"outcome variances must be positive, got {vp!r} and {vm!r}"
-            )
-        value = separation / (math.sqrt(vp) + math.sqrt(vm))
-        if metric == "fidelity":
-            value = fidelity(ti, value, pi_.t1_intrinsic)
-    return _Evaluation(coeff, separation, vp, vm, value)
+    point = _evaluate("contrast", _fields(t, probe, params, phi))
+    return point.mean_plus if sigma == 1 else point.mean_minus
 
 
 def contrast(t: float, probe: ProbeState, params: SystemParams, phi: float) -> float:
     """Separation |mean₊ − mean₋| = 2√2·α·|B|·|sin(θα − φ)|."""
     _check_phi(phi)
-    return _evaluate("contrast", t, probe, params, phi).contrast
+    return _evaluate("contrast", _fields(t, probe, params, phi)).contrast
 
 
 def integrated_variance(
@@ -139,22 +158,20 @@ def integrated_variance(
     """
     _check_sigma(sigma)
     _check_phi(phi)
-    point = _evaluate("variance", t, probe, params, phi)
+    point = _evaluate("variance", _fields(t, probe, params, phi))
     return point.variance_plus if sigma == 1 else point.variance_minus
 
 
-def _snr_evaluation(
-    t: float, probe: ProbeState, params: SystemParams, phi: float
-) -> _Evaluation:
+def _snr_evaluation(metric, t, probe, params, phi, t1_total=None) -> _Evaluation:
     _check_phi(phi)
     if t <= 0.0:
         raise UndefinedPointError(f"snr is undefined at t={t!r}; requires t > 0")
-    return _evaluate("snr", t, probe, params, phi)
+    return _evaluate(metric, _fields(t, probe, params, phi, t1_total))
 
 
 def snr(t: float, probe: ProbeState, params: SystemParams, phi: float) -> float:
     """Contrast over the summed standard deviations of the two outcomes."""
-    return _snr_evaluation(t, probe, params, phi).value
+    return _snr_evaluation("snr", t, probe, params, phi).value
 
 
 def erf(x: float) -> float:
@@ -205,8 +222,7 @@ def optimal_squeezing(t: float, params: SystemParams) -> float | None:
         raise UndefinedPointError(
             f"optimal_squeezing is undefined at t={t!r}; requires t > 0"
         )
-    ti, pi_ = _internal(t, params)
-    a_coef, b_coef = signal_coefficients(ti, pi_)
+    a_coef, b_coef = signal_coefficients(t * params.chi_s, params.as_internal())
     if b_coef == 0.0 or a_coef / b_coef <= 0.0:
         return None
     return 0.5 * math.log(a_coef / b_coef)
@@ -254,14 +270,13 @@ def readout_point(
     t1_total overrides the relaxation time used in the fidelity factor
     (same unit as t); default is the intrinsic T1 from params.
     """
-    t1 = params.t1_intrinsic if t1_total is None else t1_total
-    point = _snr_evaluation(t, probe, params, phi)
+    point = _snr_evaluation("fidelity", t, probe, params, phi, t1_total)
     return ReadoutPoint(
         t=t,
         lo_phase=wrap_angle(phi),
         contrast=point.contrast,
         variance_plus=point.variance_plus,
         variance_minus=point.variance_minus,
-        snr=point.value,
-        fidelity=fidelity(point.coeff.t, point.value, t1 * params.chi_s),
+        snr=point.snr,
+        fidelity=point.value,
     )

@@ -11,12 +11,29 @@ microseconds to internal time and back.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 
 TAU = 2.0 * math.pi
+
+
+def _each(fn, x):
+    """fn(x) for a float; for an array, the same scalar fn on every element."""
+    return np.array(list(map(fn, x.tolist()))) if isinstance(x, np.ndarray) else fn(x)
+
+
+def _elementwise(*fns):
+    """Each fn applied element by element to an array, and as is to a float.
+
+    numpy's exp, cos, cosh, ... and ``**`` round some elements unlike the
+    math module, so grids take these to keep the float path's bits.
+    """
+    return tuple(functools.partial(_each, fn) for fn in fns)
 
 
 def wrap_angle(x: float) -> float:

@@ -12,10 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .params import wrap_angle
+import numpy as np
+
+from .errors import NumericalError, ValidationError
+from .params import _elementwise, wrap_angle
 
 SQRT2 = math.sqrt(2.0)
+_HYPERBOLIC, _TRIG = (math.cosh, math.sinh), (math.cos, math.sin)
+_HYPERBOLIC_GRID, _TRIG_GRID = _elementwise(*_HYPERBOLIC), _elementwise(*_TRIG)
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,22 @@ class QuadratureStats:
         return self.var_q * self.var_p - self.cov_qp**2
 
 
+def _input_means(alpha, theta_alpha: float):
+    return SQRT2 * alpha * math.cos(theta_alpha), SQRT2 * alpha * math.sin(theta_alpha)
+
+
 def input_means(probe: ProbeState) -> tuple[float, float]:
     """Quadrature means (⟨Q⟩, ⟨P⟩); squeezing leaves them untouched."""
-    return (
-        SQRT2 * probe.alpha * math.cos(probe.theta_alpha),
-        SQRT2 * probe.alpha * math.sin(probe.theta_alpha),
-    )
+    return _input_means(probe.alpha, probe.theta_alpha)
+
+
+def _cosh_sinh(r):
+    """(cosh 2r, sinh 2r); a NumericalError where they overflow (r ≳ 355)."""
+    cosh, sinh = _HYPERBOLIC_GRID if isinstance(r, np.ndarray) else _HYPERBOLIC
+    try:
+        return cosh(2.0 * r), sinh(2.0 * r)
+    except OverflowError:
+        raise NumericalError("squeezing r is too large: cosh 2r overflows") from None
 
 
 def input_covariance(probe: ProbeState) -> QuadratureStats:
@@ -84,8 +98,7 @@ def input_covariance(probe: ProbeState) -> QuadratureStats:
     cov   = −½ sin θξ · sinh 2r
     """
     mq, mp = input_means(probe)
-    ch = math.cosh(2.0 * probe.r)
-    sh = math.sinh(2.0 * probe.r)
+    ch, sh = _cosh_sinh(probe.r)
     return QuadratureStats(
         mean_q=mq,
         mean_p=mp,
@@ -95,15 +108,25 @@ def input_covariance(probe: ProbeState) -> QuadratureStats:
     )
 
 
+def _rotated_moments(r, theta_xi, phi: float):
+    """Var(Q′), Var(P′), Cov(Q′, P′) at LO angle phi; r, theta_xi may be arrays."""
+    grid = isinstance(r, np.ndarray) or isinstance(theta_xi, np.ndarray)
+    cos, sin = _TRIG_GRID if grid else _TRIG
+    ch, sh = _cosh_sinh(r)
+    return (
+        0.5 * (ch - cos(2.0 * phi - theta_xi) * sh),
+        0.5 * (ch - cos(2.0 * (phi + 0.5 * math.pi) - theta_xi) * sh),
+        0.5 * sh * sin(2.0 * phi - theta_xi),
+    )
+
+
 def rotated_quadrature_variance(probe: ProbeState, phi: float) -> float:
     """Variance of the quadrature at angle phi, cos(φ)Q + sin(φ)P.
 
     Equal to ½(cosh 2r − cos(2φ − θξ)·sinh 2r); the minimum e^{−2r}/2 is
     reached when 2φ − θξ = 0 (mod 2π).
     """
-    ch = math.cosh(2.0 * probe.r)
-    sh = math.sinh(2.0 * probe.r)
-    return 0.5 * (ch - math.cos(2.0 * phi - probe.theta_xi) * sh)
+    return _rotated_moments(probe.r, probe.theta_xi, phi)[0]
 
 
 def rotated_quadrature_covariance(probe: ProbeState, phi: float) -> float:
@@ -112,7 +135,7 @@ def rotated_quadrature_covariance(probe: ProbeState, phi: float) -> float:
     Equal to ½ sinh 2r · sin(2φ − θξ); vanishes exactly when the rotated
     frame is aligned with the squeezing ellipse axes.
     """
-    return 0.5 * math.sinh(2.0 * probe.r) * math.sin(2.0 * phi - probe.theta_xi)
+    return _rotated_moments(probe.r, probe.theta_xi, phi)[2]
 
 
 def mean_photon_number(probe: ProbeState) -> float:

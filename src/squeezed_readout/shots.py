@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import coefficient_set
 from .errors import NumericalError, ValidationError
-from .metrics import _evaluate, measurement_mean
+from .metrics import _evaluate, _fields
 from .params import SystemParams
 from .probe import ProbeState, input_covariance
 
@@ -203,12 +203,11 @@ def classify(
         t1 = batch.params.t1_intrinsic
     if not math.isfinite(t1) or t1 <= 0.0:
         raise ValidationError(f"t1 must be positive and finite, got {t1!r}")
-    m_plus = measurement_mean(batch.t, batch.probe, batch.params, batch.phi, +1)
-    m_minus = measurement_mean(batch.t, batch.probe, batch.params, batch.phi, -1)
+    point = _evaluate("variance", _fields(batch.t, batch.probe, batch.params, batch.phi))
+    m_plus, m_minus = point.mean_plus, point.mean_minus
     if threshold_policy == "midpoint":
         threshold = 0.5 * (m_plus + m_minus)
     elif threshold_policy == "likelihood":
-        point = _evaluate("variance", batch.t, batch.probe, batch.params, batch.phi)
         threshold = _likelihood_threshold(
             m_plus, point.variance_plus, m_minus, point.variance_minus
         )

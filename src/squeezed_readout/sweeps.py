@@ -17,9 +17,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalError, ValidationError
-from .metrics import METRICS, _evaluate, readout_point
-from .params import SystemParams, UnitContext, from_experimental
+import numpy as np
+
+from .errors import NumericalError, ReadoutError, ValidationError
+from .metrics import METRICS, _evaluate, _fields, readout_point
+from .params import SystemParams, UnitContext, from_experimental, wrap_angle
+from .params import _each, _require_positive
 from .probe import ProbeState
 
 SWEEP_VARIABLES = ("t", "r", "delta_theta", "alpha", "kappa")
@@ -124,41 +127,32 @@ class FigureTable:
     rows: tuple[tuple, ...]
 
 
-def _point_at(
-    fixed: SweepFixed, variable: str, value: float
-) -> tuple[float, ProbeState, SystemParams, float]:
-    """(t, probe, params, phi) with one variable replaced by value."""
-    t, probe, params, phi = fixed.t, fixed.probe, fixed.params, fixed.phi
+def _with(fixed: SweepFixed, base, variable: str, value):
+    """base, the model inputs of fixed, with one sweep variable set to value.
+
+    value (a float or an array) gets the checks of ProbeState and
+    SystemParams; an array's least and greatest elements stand for all.
+    """
+    chi_s = fixed.params.chi_s
     if variable == "t":
-        t = value
-    elif variable == "r":
-        probe = dataclasses.replace(probe, r=value)
-    elif variable == "alpha":
-        probe = dataclasses.replace(probe, alpha=value)
-    elif variable == "kappa":
-        params = dataclasses.replace(params, kappa=value)
-    elif variable == "delta_theta":
-        probe = dataclasses.replace(probe, theta_xi=2.0 * (phi - value))
-    else:
+        return base._replace(t=value * chi_s)
+    if variable == "delta_theta":
+        variable, value = "theta_xi", 2.0 * (fixed.phi - value)
+    elif variable not in ("r", "alpha", "kappa"):
         raise ValidationError(f"unknown sweep variable {variable!r}")
-    return t, probe, params, phi
-
-
-def _row(metric: str, fixed: SweepFixed, variable: str, value: float) -> SweepRow:
-    """Metric and diagnostics at one grid point from one model evaluation."""
-    point = _evaluate(metric, *_point_at(fixed, variable, value))
-    skipped = point.value is None
-    return SweepRow(
-        value=value,
-        metric_value=math.nan if skipped else point.value,
-        a_coef=point.coeff.a_coef,
-        b_coef=point.coeff.b_coef,
-        big_f=point.coeff.big_f,
-        big_g=point.coeff.big_g,
-        variance_plus=point.variance_plus,
-        variance_minus=point.variance_minus,
-        skipped=skipped,
-    )
+    grid = isinstance(value, np.ndarray)
+    for x in (float(value.min()), float(value.max())) if grid else (value,):
+        if variable == "kappa":
+            _require_positive("kappa", x)
+            _require_positive("kappa", x / chi_s)
+        elif not math.isfinite(x) or (x < 0.0 and variable != "theta_xi"):
+            rule = "finite" if variable == "theta_xi" else "nonnegative and finite"
+            raise ValidationError(f"{variable} must be {rule}, got {x!r}")
+    if variable == "kappa":
+        value = value / chi_s
+    elif variable == "theta_xi":
+        value = _each(wrap_angle, value)
+    return base._replace(**{variable: value})
 
 
 def _grid(lo: float, hi: float, points: int) -> list[float]:
@@ -176,7 +170,19 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     so grids may start at zero time.
     """
     grid = _grid(spec.lo, spec.hi, spec.points)
-    rows = tuple(_row(spec.metric, spec.fixed, spec.variable, v) for v in grid)
+    metric, fixed, variable = spec.metric, spec.fixed, spec.variable
+    base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
+    try:
+        point = _evaluate(metric, _with(fixed, base, variable, np.array(grid)))
+    except ReadoutError:
+        # point by point, so that the first failing point raises its own error
+        for value in grid:
+            _evaluate(metric, _with(fixed, base, variable, value))
+        raise
+    rows = tuple(
+        SweepRow(value, math.nan if m is None else m, *diagnostics, m is None)
+        for value, m, *diagnostics in zip(grid, point.value, *point[:6])
+    )
     return SweepResult(rows=rows, spec=spec)
 
 
@@ -205,18 +211,29 @@ def find_peak(
     if not math.isfinite(tol) or tol <= 0.0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
 
-    def evaluate(x: float) -> float:
-        row = _row(metric, fixed, variable, x)
-        if row.skipped:
+    base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
+
+    def checked(x: float, value: float | None) -> float:
+        if value is None:
             raise NumericalError(
                 f"metric {metric!r} is undefined inside the bounds at {x!r}"
             )
-        if not math.isfinite(row.metric_value):
+        if not math.isfinite(value):
             raise NumericalError(f"metric {metric!r} is not finite at {x!r}")
-        return row.metric_value
+        return value
+
+    def evaluate(x: float) -> float:
+        return checked(x, _evaluate(metric, _with(fixed, base, variable, x)).value)
 
     xs = _grid(lo, hi, _COARSE_POINTS)
-    ys = [evaluate(x) for x in xs]
+    try:
+        scan = _evaluate(metric, _with(fixed, base, variable, np.array(xs)))
+        ys = list(map(checked, xs, scan.value))
+    except ReadoutError:
+        # point by point, so that the first failing point raises its own error
+        for x in xs:
+            evaluate(x)
+        raise
 
     spread = max(ys) - min(ys)
     scale = max(1.0, abs(max(ys)), abs(min(ys)))
@@ -278,6 +295,8 @@ def _params_meta(params: SystemParams, probe: ProbeState, phi: float) -> dict:
 
 def _fmt(value) -> str:
     """One output field: floats by repr, booleans True/False, None as none."""
+    if type(value) is float:
+        return repr(value)
     if value is None:
         return "none"
     if isinstance(value, float):
@@ -289,7 +308,7 @@ def _render_csv(meta: dict, columns: tuple[str, ...], rows) -> str:
     lines = [f"# {key} = {_fmt(meta[key])}" for key in sorted(meta)]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -306,50 +325,15 @@ def render_sweep_csv(result: SweepResult) -> str:
             "points": spec.points,
         }
     )
-    columns = (
-        spec.variable,
-        spec.metric,
-        "a_coef",
-        "b_coef",
-        "big_f",
-        "big_g",
-        "variance_plus",
-        "variance_minus",
-        "skipped",
-    )
-    rows = (
-        (
-            r.value,
-            r.metric_value,
-            r.a_coef,
-            r.b_coef,
-            r.big_f,
-            r.big_g,
-            r.variance_plus,
-            r.variance_minus,
-            r.skipped,
-        )
-        for r in result.rows
-    )
+    # a SweepRow's fields in order, headed by the variable and metric names
+    names = [field.name for field in dataclasses.fields(SweepRow)]
+    columns = (spec.variable, spec.metric, *names[2:])
+    rows = (vars(row).values() for row in result.rows)
     return _render_csv(meta, columns, rows)
 
 
 def render_figure_csv(table: FigureTable) -> str:
     return _render_csv(table.meta, table.columns, table.rows)
-
-
-def _figure_point(
-    units: UnitContext,
-    t_us: float,
-    probe: ProbeState,
-    params: SystemParams,
-    phi: float,
-) -> tuple[float, float]:
-    """(snr, fidelity) at a figure grid time, with the t → 0 limit 0."""
-    if t_us == 0.0:
-        return 0.0, 0.0
-    point = readout_point(units.to_internal_time(t_us), probe, params, phi)
-    return point.snr, point.fidelity
 
 
 def reproduce_figure2(
@@ -379,12 +363,16 @@ def reproduce_figure2(
     units = UnitContext(_FIG_CHI_OVER_2PI_MHZ * 1e6)
     alpha = math.sqrt(30.0)
     phi = 0.5 * math.pi
+    t_us = _grid(0.0, 2.0, points)
+    t_grid = units.chi_rad_per_us * np.array(t_us)
     rows = []
     for r in r_values:
         probe = ProbeState(alpha=alpha, theta_alpha=0.0, r=r, theta_xi=math.pi)
-        for t_us in _grid(0.0, 2.0, points):
-            snr_value, fidelity_value = _figure_point(units, t_us, probe, params, phi)
-            rows.append((t_us, r, snr_value, fidelity_value))
+        point = _evaluate("fidelity", _fields(t_grid, probe, params, phi))
+        rows.extend(
+            (t, r, 0.0 if s is None else s, 0.0 if f is None else f)
+            for t, s, f in zip(t_us, point.snr, point.value)
+        )
     meta = {
         "alpha": alpha,
         "chi_over_2pi_mhz": _FIG_CHI_OVER_2PI_MHZ,
@@ -418,24 +406,20 @@ def reproduce_figure3(points: int = _FIGURE_POINTS) -> FigureTable:
     units = UnitContext(_FIG_CHI_OVER_2PI_MHZ * 1e6)
     phi = 0.5 * math.pi
     alpha = 10.0
+    t = units.to_internal_time(_FIG3_T_US)
     baseline_probe = ProbeState(alpha=alpha, theta_alpha=0.0, r=0.0, theta_xi=math.pi)
-    base_snr, base_fid = _figure_point(units, _FIG3_T_US, baseline_probe, params, phi)
+    baseline = readout_point(t, baseline_probe, params, phi)
+    probe = ProbeState(alpha=alpha, theta_alpha=0.0, r=_FIG3_R, theta_xi=math.pi)
+    fixed = SweepFixed(params=params, probe=probe, phi=phi, t=t)
+    base = _fields(t, probe, params, phi)
     rows = []
-    for delta_theta in _grid(-math.pi, math.pi, points):
-        probe = ProbeState(
-            alpha=alpha,
-            theta_alpha=0.0,
-            r=_FIG3_R,
-            theta_xi=2.0 * (phi - delta_theta),
+    for panel, lo, hi in (("delta_theta", -math.pi, math.pi), ("r", 0.0, 2.0)):
+        xs = _grid(lo, hi, points)
+        point = _evaluate("fidelity", _with(fixed, base, panel, np.array(xs)))
+        rows.extend(
+            (panel, x, s, f, baseline.snr, baseline.fidelity)
+            for x, s, f in zip(xs, point.snr, point.value)
         )
-        snr_value, fidelity_value = _figure_point(units, _FIG3_T_US, probe, params, phi)
-        rows.append(
-            ("delta_theta", delta_theta, snr_value, fidelity_value, base_snr, base_fid)
-        )
-    for r in _grid(0.0, 2.0, points):
-        probe = ProbeState(alpha=alpha, theta_alpha=0.0, r=r, theta_xi=math.pi)
-        snr_value, fidelity_value = _figure_point(units, _FIG3_T_US, probe, params, phi)
-        rows.append(("r", r, snr_value, fidelity_value, base_snr, base_fid))
     meta = {
         "alpha": alpha,
         "chi_over_2pi_mhz": _FIG_CHI_OVER_2PI_MHZ,
