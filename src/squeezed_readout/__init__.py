@@ -59,6 +59,7 @@ from .probe import (
 from .shots import (
     BLOCK_SIZE,
     GENERATOR_ID,
+    MAX_SHOTS,
     ClassificationResult,
     ShotBatch,
     classify,
@@ -88,6 +89,7 @@ __all__ = [
     "CoefficientSet",
     "FigureTable",
     "GENERATOR_ID",
+    "MAX_SHOTS",
     "NumericalError",
     "PeakResult",
     "ProbeState",

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .params import SystemParams
 from .probe import ProbeState, mean_photon_number
 
@@ -34,6 +34,14 @@ def _check_r(r: float) -> None:
         raise ValidationError(f"r must be nonnegative and finite, got {r!r}")
 
 
+def _squeezing_factor(fn, r: float, label: str) -> float:
+    """fn(2r); a NumericalError where it overflows (r ≳ 355)."""
+    try:
+        return fn(2.0 * r)
+    except OverflowError:
+        raise NumericalError(f"squeezing r is too large: {label} overflows") from None
+
+
 def purcell_rate(params: SystemParams) -> float:
     """Resonator-mediated qubit emission rate κ·g_s²/Δ²."""
     g_s, delta = _require_backaction(params)
@@ -51,13 +59,13 @@ def induced_t1_inverse(r: float, gamma_pu: float) -> float:
         raise ValidationError(
             f"gamma_pu must be nonnegative and finite, got {gamma_pu!r}"
         )
-    return 2.0 * gamma_pu * math.cosh(2.0 * r)
+    return 2.0 * gamma_pu * _squeezing_factor(math.cosh, r, "cosh 2r")
 
 
 def t2_penalty(r: float) -> float:
     """Dephasing-time reduction factor e^{2r} from the anti-squeezed noise."""
     _check_r(r)
-    return math.exp(2.0 * r)
+    return _squeezing_factor(math.exp, r, "e^{2r}")
 
 
 def critical_photon_check(

@@ -99,11 +99,21 @@ def input_covariance(probe: ProbeState) -> QuadratureStats:
     """
     mq, mp = input_means(probe)
     ch, sh = _cosh_sinh(probe.r)
+    var_q = 0.5 * (ch - math.cos(probe.theta_xi) * sh)
+    var_p = 0.5 * (ch + math.cos(probe.theta_xi) * sh)
+    if min(var_q, var_p) <= 0.0:
+        # the squeezed variance is e^{-2r}/2 or more, but the difference of
+        # two numbers near e^{2r}/2 cannot resolve it at large r
+        name, value = ("var_q", var_q) if var_q <= var_p else ("var_p", var_p)
+        raise NumericalError(
+            f"squeezed variance lost to cancellation at r = {probe.r!r}: "
+            f"0.5*(cosh 2r -+ cos(theta_xi)*sinh 2r) gives {name} = {value!r}"
+        )
     return QuadratureStats(
         mean_q=mq,
         mean_p=mp,
-        var_q=0.5 * (ch - math.cos(probe.theta_xi) * sh),
-        var_p=0.5 * (ch + math.cos(probe.theta_xi) * sh),
+        var_q=var_q,
+        var_p=var_p,
         cov_qp=-0.5 * math.sin(probe.theta_xi) * sh,
     )
 
@@ -140,4 +150,9 @@ def rotated_quadrature_covariance(probe: ProbeState, phi: float) -> float:
 
 def mean_photon_number(probe: ProbeState) -> float:
     """⟨b†b⟩ = α² + sinh²r for the displaced squeezed vacuum."""
-    return probe.alpha**2 + math.sinh(probe.r) ** 2
+    try:
+        return probe.alpha**2 + math.sinh(probe.r) ** 2
+    except OverflowError:
+        raise NumericalError(
+            "mean photon number overflows: alpha^2 + sinh^2 r is too large"
+        ) from None

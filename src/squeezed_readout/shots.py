@@ -16,13 +16,17 @@ the sampled statistics match readout_metrics for any vacuum weight.
 Randomness comes from numpy's counter-based Philox generator.  Shots
 are produced in fixed blocks of 8192; block j for σ = +1 uses the
 sub-stream jumped(2j) of the master seed and σ = −1 uses jumped(2j+1),
-so batches are reproducible bit for bit and independent of how blocks
-might be scheduled.
+so batches are reproducible bit for bit.  The 2·⌈n/8192⌉ blocks of a
+batch run on up to os.cpu_count() threads, worker k taking blocks k,
+k + W, ...; each block fills its own slice of the output from its own
+sub-stream, so the output does not depend on how many threads ran it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,8 @@ from .params import SystemParams
 from .probe import ProbeState, input_covariance
 
 BLOCK_SIZE = 8192
+# shots per eigenstate a batch may hold: 512 MiB of float64 outcomes each
+MAX_SHOTS = 2**26
 GENERATOR_ID = "numpy-philox4x64-ziggurat/block8192/jumped(2j+{0:plus,1:minus})"
 
 
@@ -63,38 +69,36 @@ class ClassificationResult:
     empirical_fidelity: float
 
 
-def _sample_sigma(
+def _fill_block(
+    out: np.ndarray,
     sigma: int,
-    n: int,
-    seed: int,
+    block: int,
+    base: np.random.Philox,
     mean: tuple[float, float],
     chol: tuple[float, float, float],
     vac_scale: float,
     weights: tuple[float, float, float, float],
-    phi: float,
-) -> np.ndarray:
-    """Draw n outcomes for one qubit eigenvalue from its sub-streams."""
+    rotation: tuple[float, float],
+) -> None:
+    """Draw one block of eigenvalue sigma's outcomes into its slice of out.
+
+    Runs on a worker thread, so it calls numpy only: numpy releases the
+    GIL while it draws and while it forms the linear map.
+    """
     a_coef, b_coef, fol, gol = weights  # A, B, √κ·F, √κ·G
     l11, l21, l22 = chol
-    c, s = math.cos(phi), math.sin(phi)
-    out = np.empty(n)
-    offset = 0 if sigma == 1 else 1
-    base = np.random.Philox(key=seed)
-    block = 0
-    while block * BLOCK_SIZE < n:
-        lo = block * BLOCK_SIZE
-        m = min(BLOCK_SIZE, n - lo)
-        rng = np.random.Generator(base.jumped(2 * block + offset))
-        z = rng.standard_normal((m, 4))
-        q_in = mean[0] + l11 * z[:, 0]
-        p_in = mean[1] + l21 * z[:, 0] + l22 * z[:, 1]
-        q0 = vac_scale * z[:, 2]
-        p0 = vac_scale * z[:, 3]
-        m_q = a_coef * q_in + sigma * b_coef * p_in + fol * q0 - sigma * gol * p0
-        m_p = a_coef * p_in - sigma * b_coef * q_in + fol * p0 + sigma * gol * q0
-        out[lo : lo + m] = c * m_q + s * m_p
-        block += 1
-    return out
+    c, s = rotation  # cos φ, sin φ
+    lo = block * BLOCK_SIZE
+    m = min(BLOCK_SIZE, out.size - lo)
+    rng = np.random.Generator(base.jumped(2 * block + (0 if sigma == 1 else 1)))
+    z = rng.standard_normal((m, 4))
+    q_in = mean[0] + l11 * z[:, 0]
+    p_in = mean[1] + l21 * z[:, 0] + l22 * z[:, 1]
+    q0 = vac_scale * z[:, 2]
+    p0 = vac_scale * z[:, 3]
+    m_q = a_coef * q_in + sigma * b_coef * p_in + fol * q0 - sigma * gol * p0
+    m_p = a_coef * p_in - sigma * b_coef * q_in + fol * p0 + sigma * gol * q0
+    out[lo : lo + m] = c * m_q + s * m_p
 
 
 def sample_shots(
@@ -108,6 +112,10 @@ def sample_shots(
     """Generate n single-shot outcomes per qubit eigenvalue at time t."""
     if not isinstance(n, int) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
+    if n > MAX_SHOTS:
+        raise ValidationError(
+            f"n must be at most MAX_SHOTS = {MAX_SHOTS} per eigenstate, got {n!r}"
+        )
     if not math.isfinite(t) or t <= 0.0:
         raise ValidationError(f"t must be positive and finite, got {t!r}")
     if not math.isfinite(phi):
@@ -137,11 +145,24 @@ def sample_shots(
         sqrt_kappa * coeff.big_g,
     )
     mean = (stats.mean_q, stats.mean_p)
+    rotation = (math.cos(phi), math.sin(phi))
 
-    outcomes = {
-        sigma: _sample_sigma(sigma, n, seed, mean, chol, vac_scale, weights, phi)
-        for sigma in (+1, -1)
-    }
+    outcomes = {sigma: np.empty(n) for sigma in (+1, -1)}
+    base = np.random.Philox(key=seed)
+    tasks = [
+        (sigma, block) for sigma in (+1, -1) for block in range(-(-n // BLOCK_SIZE))
+    ]
+    workers = min(os.cpu_count() or 1, len(tasks))
+
+    def run(worker: int) -> None:
+        for sigma, block in tasks[worker::workers]:
+            _fill_block(
+                outcomes[sigma], sigma, block, base, mean, chol, vac_scale, weights,
+                rotation,
+            )
+
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(run, range(workers)))  # re-raises a worker's exception
     return ShotBatch(
         outcomes_plus=outcomes[+1],
         outcomes_minus=outcomes[-1],

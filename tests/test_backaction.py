@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from squeezed_readout import (
+    NumericalError,
     ProbeState,
     SystemParams,
     ValidationError,
@@ -123,3 +124,16 @@ def test_backaction_report_consistency():
     )
     assert report.nondemolition_ok
     assert report.photon_ratio < 0.1
+
+
+def test_large_squeezing_is_a_numerical_error():
+    # cosh 2r and e^{2r} overflow a double above r = 355
+    with pytest.raises(NumericalError, match="cosh 2r overflows"):
+        induced_t1_inverse(400.0, 1e-4)
+    with pytest.raises(NumericalError, match=r"e\^\{2r\} overflows"):
+        t2_penalty(400.0)
+    params = _with_coupling(0.01, 1.0)
+    with pytest.raises(NumericalError, match="cosh 2r overflows"):
+        total_t1(params, 400.0)
+    with pytest.raises(NumericalError, match="cosh 2r overflows"):
+        backaction_report(ProbeState(alpha=10.0, r=400.0), params)

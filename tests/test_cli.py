@@ -184,6 +184,36 @@ def test_non_utf8_config_is_a_config_error(tmp_path):
     assert done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    ("subcommand", "extra", "fragment"),
+    [
+        ("backaction", "r = 400\ngs_over_delta = 0.01\n", "cosh 2r overflows"),
+        ("shots", "r = 10\n", "squeezed variance lost to cancellation"),
+    ],
+    ids=["backaction-r400", "shots-r10"],
+)
+def test_unrepresentable_probe_exits_2_without_a_traceback(
+    tmp_path, subcommand, extra, fragment
+):
+    path = tmp_path / "squeezed.cfg"
+    path.write_text(MATCHED_CONFIG.replace("r = 0.74\n", extra), encoding="utf-8")
+    done = _run_cli([subcommand, "--config", str(path)])
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("numerical error: ")
+    assert fragment in done.stderr
+    assert done.stderr.count("\n") == 1
+
+
+def test_n_shots_above_the_cap_is_a_one_line_error(config_path):
+    # 1e13 shots would need 80 TB; the cap is checked before any allocation
+    done = _run_cli(["shots", "--config", config_path, "--n-shots", "10000000000000"])
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: n must be at most MAX_SHOTS = ")
+    assert done.stderr.count("\n") == 1
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["transmogrify"])

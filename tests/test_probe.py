@@ -6,6 +6,7 @@ import pytest
 from helpers import displacement_from_squeezed_coherent
 
 from squeezed_readout import (
+    NumericalError,
     ProbeState,
     QuadratureStats,
     ValidationError,
@@ -196,3 +197,20 @@ def test_probe_state_validation():
 def test_quadrature_stats_requires_positive_variances():
     with pytest.raises(ValidationError, match="variances"):
         QuadratureStats(mean_q=0.0, mean_p=0.0, var_q=0.0, var_p=0.5, cov_qp=0.0)
+
+
+@pytest.mark.parametrize("theta_xi", [math.pi, 0.0])
+def test_squeezed_variance_lost_to_cancellation_is_a_numerical_error(theta_xi):
+    # at r = 10 the squeezed variance e^{-20}/2 ~ 1e-9 is below the rounding
+    # of cosh 20 ~ 2.4e8, so the difference rounds to 0: a valid probe whose
+    # moments cannot be formed in double precision, not an invalid input
+    name = "var_p" if theta_xi else "var_q"
+    with pytest.raises(NumericalError, match=f"cancellation at r = 10.0: .* {name} ="):
+        input_covariance(ProbeState(alpha=10.0, r=10.0, theta_xi=theta_xi))
+
+
+def test_mean_photon_number_overflow_is_a_numerical_error():
+    # sinh²r overflows a double above r = 355, sinh r itself above r = 710
+    for r in (400.0, 800.0):
+        with pytest.raises(NumericalError, match="mean photon number overflows"):
+            mean_photon_number(ProbeState(alpha=10.0, r=r))
