@@ -16,9 +16,6 @@ from .backaction import (
     total_t1,
 )
 from .dynamics import (
-    CoefficientSet,
-    coefficient_set,
-    envelopes,
     first_integrals,
     signal_coefficients,
 )
@@ -49,8 +46,6 @@ from .params import (
 )
 from .probe import (
     ProbeState,
-    QuadratureStats,
-    input_covariance,
     input_means,
     mean_photon_number,
     rotated_quadrature_covariance,
@@ -86,14 +81,12 @@ __all__ = [
     "BLOCK_SIZE",
     "BackactionReport",
     "ClassificationResult",
-    "CoefficientSet",
     "FigureTable",
     "GENERATOR_ID",
     "MAX_SHOTS",
     "NumericalError",
     "PeakResult",
     "ProbeState",
-    "QuadratureStats",
     "ReadoutError",
     "ReadoutPoint",
     "ShotBatch",
@@ -107,17 +100,14 @@ __all__ = [
     "ValidationError",
     "backaction_report",
     "classify",
-    "coefficient_set",
     "contrast",
     "critical_photon_check",
-    "envelopes",
     "erf",
     "fidelity",
     "find_peak",
     "first_integrals",
     "from_experimental",
     "induced_t1_inverse",
-    "input_covariance",
     "input_means",
     "integrated_variance",
     "mean_photon_number",

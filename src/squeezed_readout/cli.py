@@ -174,8 +174,11 @@ def _make_config(values: dict) -> RunConfig:
         )
     if effective["seed"] < 0:
         raise ValidationError(f"seed must be nonnegative, got {effective['seed']!r}")
-    if effective["n_shots"] < 1:
-        raise ValidationError(f"n_shots must be >= 1, got {effective['n_shots']!r}")
+    if effective["n_shots"] < 2:
+        raise ValidationError(
+            "n_shots must be >= 2 (an empirical SNR needs two shots per eigenstate), "
+            f"got {effective['n_shots']!r}"
+        )
     if effective["threshold_policy"] not in ("midpoint", "likelihood"):
         raise ValidationError(
             f"threshold_policy must be 'midpoint' or 'likelihood', "

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,13 +99,6 @@ def _response(kappa, chi_s, t):
     return big_f, big_g, t - kappa * int_f, kappa * int_g
 
 
-def envelopes(t: float, params: SystemParams) -> tuple[float, float]:
-    """(f, g) = e^{−κt/2}·(cos χs·t, sin χs·t)."""
-    _check_time(t)
-    e = math.exp(-0.5 * params.kappa * t)
-    return e * math.cos(params.chi_s * t), e * math.sin(params.chi_s * t)
-
-
 def first_integrals(t: float, params: SystemParams) -> tuple[float, float]:
     """(F, G), the running integrals of the envelopes from 0 to t."""
     return _response(params.kappa, params.chi_s, t)[:2]
@@ -115,25 +107,3 @@ def first_integrals(t: float, params: SystemParams) -> tuple[float, float]:
 def signal_coefficients(t: float, params: SystemParams) -> tuple[float, float]:
     """(A, B) = (t − κ∫₀ᵗF, κ∫₀ᵗG), the integrated-signal weights."""
     return _response(params.kappa, params.chi_s, t)[2:]
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """All response coefficients at one time, evaluated consistently."""
-
-    t: float
-    f: float
-    g: float
-    big_f: float
-    big_g: float
-    a_coef: float
-    b_coef: float
-
-
-def coefficient_set(t: float, params: SystemParams) -> CoefficientSet:
-    """Evaluate f, g, F, G, A, B at time t in one pass."""
-    f, g = envelopes(t, params)
-    big_f, big_g, a_coef, b_coef = _response(params.kappa, params.chi_s, t)
-    return CoefficientSet(
-        t=t, f=f, g=g, big_f=big_f, big_g=big_g, a_coef=a_coef, b_coef=b_coef
-    )

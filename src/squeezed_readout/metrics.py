@@ -89,8 +89,8 @@ def _snr_point(metric, t, separation, vp, vm, t1):
 def _evaluate(metric: str, point: _Fields) -> _Evaluation:
     """The readout model at one operating point or over a whole grid.
 
-    Every figure of merit, sweep, peak search, figure table and
-    classification reads this one evaluation; phi is unchecked.  On a
+    Every figure of merit, sweep, peak search, figure table, shot batch
+    and classification reads this one evaluation; phi is unchecked.  On a
     grid the arithmetic runs on arrays, and every transcendental function
     and power on each element through the math module, so each grid
     point carries the bits of the float path.

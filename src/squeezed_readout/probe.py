@@ -4,7 +4,7 @@ Quadrature convention: Q = (b + b†)/√2, P = (b − b†)/(i√2), so the
 vacuum variance is 1/2.  A probe is parametrized by a displacement
 ``alpha``·e^{i·theta_alpha} and a squeezing amplitude ``r`` with phase
 ``theta_xi``; with this convention the quadrature squeezed below vacuum
-sits at angle theta_xi/2 + π/2, so theta_xi = ±π squeezes P.
+sits at angle theta_xi/2, so theta_xi = ±π squeezes P.
 """
 
 from __future__ import annotations
@@ -49,29 +49,6 @@ class ProbeState:
             object.__setattr__(self, name, wrap_angle(value))
 
 
-@dataclass(frozen=True)
-class QuadratureStats:
-    """First and second moments of a single-mode Gaussian state."""
-
-    mean_q: float
-    mean_p: float
-    var_q: float
-    var_p: float
-    cov_qp: float
-
-    def __post_init__(self) -> None:
-        if self.var_q <= 0.0 or self.var_p <= 0.0:
-            raise ValidationError(
-                f"variances must be positive, got var_q={self.var_q!r}, "
-                f"var_p={self.var_p!r}"
-            )
-
-    @property
-    def determinant(self) -> float:
-        """det of the covariance matrix; 1/4 for a pure Gaussian state."""
-        return self.var_q * self.var_p - self.cov_qp**2
-
-
 def _input_means(alpha, theta_alpha: float):
     return SQRT2 * alpha * math.cos(theta_alpha), SQRT2 * alpha * math.sin(theta_alpha)
 
@@ -88,34 +65,6 @@ def _cosh_sinh(r):
         return cosh(2.0 * r), sinh(2.0 * r)
     except OverflowError:
         raise NumericalError("squeezing r is too large: cosh 2r overflows") from None
-
-
-def input_covariance(probe: ProbeState) -> QuadratureStats:
-    """Full Gaussian moments of the probe state.
-
-    var_q = ½(cosh 2r − cos θξ · sinh 2r)
-    var_p = ½(cosh 2r + cos θξ · sinh 2r)
-    cov   = −½ sin θξ · sinh 2r
-    """
-    mq, mp = input_means(probe)
-    ch, sh = _cosh_sinh(probe.r)
-    var_q = 0.5 * (ch - math.cos(probe.theta_xi) * sh)
-    var_p = 0.5 * (ch + math.cos(probe.theta_xi) * sh)
-    if min(var_q, var_p) <= 0.0:
-        # the squeezed variance is e^{-2r}/2 or more, but the difference of
-        # two numbers near e^{2r}/2 cannot resolve it at large r
-        name, value = ("var_q", var_q) if var_q <= var_p else ("var_p", var_p)
-        raise NumericalError(
-            f"squeezed variance lost to cancellation at r = {probe.r!r}: "
-            f"0.5*(cosh 2r -+ cos(theta_xi)*sinh 2r) gives {name} = {value!r}"
-        )
-    return QuadratureStats(
-        mean_q=mq,
-        mean_p=mp,
-        var_q=var_q,
-        var_p=var_p,
-        cov_qp=-0.5 * math.sin(probe.theta_xi) * sh,
-    )
 
 
 def _rotated_moments(r, theta_xi, phi: float):

@@ -1,17 +1,23 @@
 """Single-shot Monte Carlo sampling of integrated homodyne outcomes.
 
 Within the linear model the integrated output is an exact linear map of
-four jointly Gaussian inputs: the probe quadratures (Q_in, P_in) and the
-initial resonator vacuum (Q(0), P(0)).  Each shot therefore draws those
-four numbers and forms, for qubit eigenvalue σ,
+four jointly Gaussian inputs: the two probe quadratures and the two
+quadratures of the initial resonator vacuum.  Each shot therefore draws
+four standard normals z and forms, for qubit eigenvalue σ,
 
-    M_Q = A·Q_in + σB·P_in + √κ(F·Q(0) − σG·P(0))
-    M_P = A·P_in − σB·Q_in + √κ(F·P(0) + σG·Q(0))
-    outcome = cos φ·M_Q + sin φ·M_P
+    outcome_σ = w_σ·z + mean_σ
+    w_σ = ( e^{−r}(A cos δ − σB sin δ)/√2,  e^{r}(A sin δ + σB cos δ)/√2,
+            v(F cos φ + σG sin φ),  v(F sin φ − σG cos φ) )
 
-which at φ = π/2 is the textbook combination A·P_in − σB·Q_in + vacuum
-leakage.  The vacuum pair is drawn with variance u/2 per quadrature so
-the sampled statistics match readout_metrics for any vacuum weight.
+where δ = φ − θξ/2 is the LO angle measured from the squeezed
+quadrature (which sits at θξ/2) and v = √(u·κ/2), in internal units.
+The first two entries draw the probe along the axes of its squeeze
+ellipse, whose standard deviations are e^{∓r}/√2, so they stay exact up
+to the overflow of cosh 2r (r ≈ 355); the last two draw the resonator
+vacuum with variance u/2 per quadrature.  A, B, F, G and mean_σ come
+from the one model evaluation metrics._evaluate, so the sampled mean is
+the closed-form mean by construction and |w_σ|² is the closed-form
+variance.
 
 Randomness comes from numpy's counter-based Philox generator.  Shots
 are produced in fixed blocks of 8192; block j for σ = +1 uses the
@@ -20,6 +26,7 @@ so batches are reproducible bit for bit.  The 2·⌈n/8192⌉ blocks of a
 batch run on up to os.cpu_count() threads, worker k taking blocks k,
 k + W, ...; each block fills its own slice of the output from its own
 sub-stream, so the output does not depend on how many threads ran it.
+A batch of one block per eigenstate runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -31,16 +38,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import coefficient_set
 from .errors import NumericalError, ValidationError
-from .metrics import _evaluate, _fields
+from .metrics import _evaluate, _Fields, _fields
 from .params import SystemParams
-from .probe import ProbeState, input_covariance
+from .probe import SQRT2, ProbeState
 
 BLOCK_SIZE = 8192
 # shots per eigenstate a batch may hold: 512 MiB of float64 outcomes each
 MAX_SHOTS = 2**26
-GENERATOR_ID = "numpy-philox4x64-ziggurat/block8192/jumped(2j+{0:plus,1:minus})"
+GENERATOR_ID = (
+    "numpy-philox4x64-ziggurat/block8192/jumped(2j+{0:plus,1:minus})/ellipse-fold"
+)
 
 
 @dataclass(frozen=True)
@@ -69,36 +77,50 @@ class ClassificationResult:
     empirical_fidelity: float
 
 
+def _shot_map(point: _Fields) -> dict:
+    """{σ: (w_σ, mean_σ)}, the map outcome_σ = w_σ·z + mean_σ at one point."""
+    model = _evaluate("variance", point)
+    if not math.isfinite(model.variance_plus + model.variance_minus):
+        raise NumericalError("outcome variance overflows: t and r are too large")
+    a_coef, b_coef, big_f, big_g = model.a_coef, model.b_coef, model.big_f, model.big_g
+    delta = point.phi - 0.5 * point.theta_xi
+    cd, sd = math.cos(delta), math.sin(delta)
+    c, s = math.cos(point.phi), math.sin(point.phi)
+    squeezed, anti = math.exp(-point.r) / SQRT2, math.exp(point.r) / SQRT2
+    v = math.sqrt(0.5 * point.u * point.kappa)
+    maps = {}
+    for sigma, mean in ((1, model.mean_plus), (-1, model.mean_minus)):
+        weights = (
+            squeezed * (a_coef * cd - sigma * b_coef * sd),
+            anti * (a_coef * sd + sigma * b_coef * cd),
+            v * (big_f * c + sigma * big_g * s),
+            v * (big_f * s - sigma * big_g * c),
+        )
+        maps[sigma] = (weights, mean)
+    return maps
+
+
 def _fill_block(
     out: np.ndarray,
     sigma: int,
     block: int,
     base: np.random.Philox,
-    mean: tuple[float, float],
-    chol: tuple[float, float, float],
-    vac_scale: float,
     weights: tuple[float, float, float, float],
-    rotation: tuple[float, float],
+    offset: float,
 ) -> None:
     """Draw one block of eigenvalue sigma's outcomes into its slice of out.
 
-    Runs on a worker thread, so it calls numpy only: numpy releases the
-    GIL while it draws and while it forms the linear map.
+    May run on a worker thread, so it calls numpy only: numpy releases the
+    GIL while it draws and while it forms the linear map.  The map is
+    written out elementwise, not as z @ weights, whose BLAS kernel may
+    round differently from one CPU to the next.
     """
-    a_coef, b_coef, fol, gol = weights  # A, B, √κ·F, √κ·G
-    l11, l21, l22 = chol
-    c, s = rotation  # cos φ, sin φ
+    w0, w1, w2, w3 = weights
     lo = block * BLOCK_SIZE
     m = min(BLOCK_SIZE, out.size - lo)
     rng = np.random.Generator(base.jumped(2 * block + (0 if sigma == 1 else 1)))
     z = rng.standard_normal((m, 4))
-    q_in = mean[0] + l11 * z[:, 0]
-    p_in = mean[1] + l21 * z[:, 0] + l22 * z[:, 1]
-    q0 = vac_scale * z[:, 2]
-    p0 = vac_scale * z[:, 3]
-    m_q = a_coef * q_in + sigma * b_coef * p_in + fol * q0 - sigma * gol * p0
-    m_p = a_coef * p_in - sigma * b_coef * q_in + fol * p0 + sigma * gol * q0
-    out[lo : lo + m] = c * m_q + s * m_p
+    out[lo : lo + m] = z[:, 0] * w0 + z[:, 1] * w1 + z[:, 2] * w2 + z[:, 3] * w3 + offset
 
 
 def sample_shots(
@@ -123,46 +145,24 @@ def sample_shots(
     if not isinstance(seed, int) or not 0 <= seed < 2**128:
         raise ValidationError(f"seed must be an integer in [0, 2^128), got {seed!r}")
 
-    internal = params.as_internal()
-    ti = t * params.chi_s
-    coeff = coefficient_set(ti, internal)
-    stats = input_covariance(probe)
-
-    l11 = math.sqrt(stats.var_q)
-    l21 = stats.cov_qp / l11
-    rest = stats.var_p - l21 * l21
-    if rest <= 0.0:
-        raise NumericalError(
-            f"probe covariance is not positive definite (Schur complement {rest!r})"
-        )
-    chol = (l11, l21, math.sqrt(rest))
-    vac_scale = math.sqrt(0.5 * internal.vacuum_weight)
-    sqrt_kappa = math.sqrt(internal.kappa)
-    weights = (
-        coeff.a_coef,
-        coeff.b_coef,
-        sqrt_kappa * coeff.big_f,
-        sqrt_kappa * coeff.big_g,
-    )
-    mean = (stats.mean_q, stats.mean_p)
-    rotation = (math.cos(phi), math.sin(phi))
-
+    maps = _shot_map(_fields(t, probe, params, phi))
     outcomes = {sigma: np.empty(n) for sigma in (+1, -1)}
     base = np.random.Philox(key=seed)
     tasks = [
         (sigma, block) for sigma in (+1, -1) for block in range(-(-n // BLOCK_SIZE))
     ]
-    workers = min(os.cpu_count() or 1, len(tasks))
+    # two tasks of at most one block each cost less than starting threads
+    workers = 1 if n <= BLOCK_SIZE else min(os.cpu_count() or 1, len(tasks))
 
     def run(worker: int) -> None:
         for sigma, block in tasks[worker::workers]:
-            _fill_block(
-                outcomes[sigma], sigma, block, base, mean, chol, vac_scale, weights,
-                rotation,
-            )
+            _fill_block(outcomes[sigma], sigma, block, base, *maps[sigma])
 
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(run, range(workers)))  # re-raises a worker's exception
+    if workers == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, range(workers)))  # re-raises a worker's exception
     return ShotBatch(
         outcomes_plus=outcomes[+1],
         outcomes_minus=outcomes[-1],
@@ -218,8 +218,11 @@ def classify(
     T1 of the batch's params; it converges to the analytic
     erf(SNR/√2)·exp(−t/2T₁) for equal-variance Gaussians as n grows.
     """
-    if batch.n < 1 or batch.outcomes_plus.size == 0:
-        raise ValidationError("cannot classify an empty batch")
+    if batch.n < 2 or batch.outcomes_plus.size < 2:
+        raise ValidationError(
+            f"cannot classify a batch of {batch.n} shot(s) per eigenstate; "
+            "an empirical SNR needs at least 2"
+        )
     if t1 is None:
         t1 = batch.params.t1_intrinsic
     if not math.isfinite(t1) or t1 <= 0.0:
@@ -246,8 +249,8 @@ def classify(
         error_plus = float(np.mean(batch.outcomes_plus >= threshold))
         error_minus = float(np.mean(batch.outcomes_minus < threshold))
 
-    sd_plus = float(np.std(batch.outcomes_plus, ddof=1)) if batch.n > 1 else 0.0
-    sd_minus = float(np.std(batch.outcomes_minus, ddof=1)) if batch.n > 1 else 0.0
+    sd_plus = float(np.std(batch.outcomes_plus, ddof=1))
+    sd_minus = float(np.std(batch.outcomes_minus, ddof=1))
     separation = abs(
         float(np.mean(batch.outcomes_plus)) - float(np.mean(batch.outcomes_minus))
     )

@@ -1,22 +1,24 @@
 """Shared oracles and model identities for the test suite.
 
 The oracles recompute model quantities through an independent route
-(adaptive quadrature, arbitrary precision) so the closed forms in the
-package are checked against something they were not derived from.  The
-identities at the end (propagator, coefficient rotation, squeezed
-coherent displacement) are textbook relations the tests check the model
-against; the package itself does not need them.
+(adaptive quadrature, arbitrary precision, the (Q, P)-frame covariance
+of the probe) so the closed forms in the package are checked against
+something they were not derived from.  The identities at the end
+(envelopes, propagator, coefficient rotation, squeezed coherent
+displacement) are textbook relations the tests check the model against;
+the package itself does not need them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from squeezed_readout import SystemParams, ValidationError, envelopes
+from squeezed_readout import ProbeState, SystemParams, ValidationError, input_means
 
 _QUAD_OPTS = {"epsabs": 1e-14, "epsrel": 1e-13, "limit": 200}
 
@@ -63,6 +65,50 @@ def mp_integrals(a: float, b: float, t: float, dps: int = 50):
 
 def rel_err(value: float, reference: float, floor: float = 1e-300) -> float:
     return abs(value - reference) / max(abs(reference), floor)
+
+
+@dataclass(frozen=True)
+class QuadratureStats:
+    """First and second moments of a single-mode Gaussian state."""
+
+    mean_q: float
+    mean_p: float
+    var_q: float
+    var_p: float
+    cov_qp: float
+
+    @property
+    def determinant(self) -> float:
+        """det of the covariance matrix; 1/4 for a pure Gaussian state."""
+        return self.var_q * self.var_p - self.cov_qp**2
+
+
+def input_covariance(probe: ProbeState) -> QuadratureStats:
+    """Full Gaussian moments of the probe in the unrotated (Q, P) frame.
+
+    var_q = ½(cosh 2r − cos θξ · sinh 2r)
+    var_p = ½(cosh 2r + cos θξ · sinh 2r)
+    cov   = −½ sin θξ · sinh 2r
+
+    The differences cancel their digits at large r; meant for r ≲ 2.
+    """
+    mq, mp = input_means(probe)
+    ch, sh = math.cosh(2.0 * probe.r), math.sinh(2.0 * probe.r)
+    return QuadratureStats(
+        mean_q=mq,
+        mean_p=mp,
+        var_q=0.5 * (ch - math.cos(probe.theta_xi) * sh),
+        var_p=0.5 * (ch + math.cos(probe.theta_xi) * sh),
+        cov_qp=-0.5 * math.sin(probe.theta_xi) * sh,
+    )
+
+
+def envelopes(t: float, params: SystemParams) -> tuple[float, float]:
+    """(f, g) = e^{−κt/2}·(cos χs·t, sin χs·t), the damped envelopes."""
+    if not math.isfinite(t) or t < 0.0:
+        raise ValidationError(f"t must be nonnegative and finite, got {t!r}")
+    e = math.exp(-0.5 * params.kappa * t)
+    return e * math.cos(params.chi_s * t), e * math.sin(params.chi_s * t)
 
 
 def propagator(t: float, params: SystemParams, sigma: int) -> np.ndarray:

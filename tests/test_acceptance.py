@@ -10,7 +10,12 @@ import math
 
 import numpy as np
 from conftest import PHI_DEFAULT
-from helpers import quad_first_integrals, quad_signal_coefficients, rel_err
+from helpers import (
+    input_covariance,
+    quad_first_integrals,
+    quad_signal_coefficients,
+    rel_err,
+)
 
 from squeezed_readout import (
     ProbeState,
@@ -23,7 +28,6 @@ from squeezed_readout import (
     first_integrals,
     from_experimental,
     induced_t1_inverse,
-    input_covariance,
     integrated_variance,
     measurement_mean,
     optimal_squeezing,

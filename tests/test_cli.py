@@ -188,9 +188,9 @@ def test_non_utf8_config_is_a_config_error(tmp_path):
     ("subcommand", "extra", "fragment"),
     [
         ("backaction", "r = 400\ngs_over_delta = 0.01\n", "cosh 2r overflows"),
-        ("shots", "r = 10\n", "squeezed variance lost to cancellation"),
+        ("shots", "r = 400\n", "cosh 2r overflows"),
     ],
-    ids=["backaction-r400", "shots-r10"],
+    ids=["backaction-r400", "shots-r400"],
 )
 def test_unrepresentable_probe_exits_2_without_a_traceback(
     tmp_path, subcommand, extra, fragment
@@ -202,6 +202,26 @@ def test_unrepresentable_probe_exits_2_without_a_traceback(
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("numerical error: ")
     assert fragment in done.stderr
+    assert done.stderr.count("\n") == 1
+
+
+def test_shots_at_r10_sample_without_error(tmp_path, capsys):
+    # the sampler draws along the squeeze ellipse axes, so a squeezed
+    # variance far below the rounding of cosh 2r is no obstacle
+    path = tmp_path / "squeezed.cfg"
+    path.write_text(MATCHED_CONFIG.replace("r = 0.74\n", "r = 10\n"), encoding="utf-8")
+    assert main(["shots", "--config", str(path), "--n-shots", "20000"]) == 0
+    block = _block(capsys)
+    assert block["n_shots"] == "20000"
+    assert math.isfinite(float(block["empirical_snr"]))
+
+
+def test_one_shot_is_a_one_line_config_error(config_path):
+    # an empirical SNR takes a sample standard deviation, so two shots
+    done = _run_cli(["shots", "--config", config_path, "--n-shots", "1"])
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: n_shots must be >= 2 ")
     assert done.stderr.count("\n") == 1
 
 

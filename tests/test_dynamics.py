@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    envelopes,
     mp_integrals,
     propagator,
     quad_first_integrals,
@@ -15,8 +16,6 @@ from scipy.integrate import simpson
 from squeezed_readout import (
     SystemParams,
     ValidationError,
-    coefficient_set,
-    envelopes,
     first_integrals,
     signal_coefficients,
 )
@@ -41,9 +40,6 @@ def test_everything_vanishes_at_time_zero(params):
     assert envelopes(0.0, params) == (1.0, 0.0)
     assert first_integrals(0.0, params) == (0.0, 0.0)
     assert signal_coefficients(0.0, params) == (0.0, 0.0)
-    coeff = coefficient_set(0.0, params)
-    assert (coeff.f, coeff.g) == (1.0, 0.0)
-    assert (coeff.big_f, coeff.big_g, coeff.a_coef, coeff.b_coef) == (0, 0, 0, 0)
 
 
 def test_reference_point_values(params):
@@ -239,16 +235,8 @@ def test_rotated_coefficients_preserve_magnitude():
 
 
 def test_negative_time_rejected(params):
-    for fn in (envelopes, first_integrals, signal_coefficients, coefficient_set):
+    for fn in (envelopes, first_integrals, signal_coefficients):
         with pytest.raises(ValidationError, match="t must"):
             fn(-0.1, params)
     with pytest.raises(ValidationError, match="t must"):
         propagator(-0.1, params, +1)
-
-
-def test_coefficient_set_consistent_with_individual_ops(params):
-    coeff = coefficient_set(1.234, params)
-    assert (coeff.f, coeff.g) == envelopes(1.234, params)
-    assert (coeff.big_f, coeff.big_g) == first_integrals(1.234, params)
-    assert (coeff.a_coef, coeff.b_coef) == signal_coefficients(1.234, params)
-    assert coeff.t == 1.234

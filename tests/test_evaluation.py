@@ -44,7 +44,7 @@ from squeezed_readout.sweeps import SWEEP_VARIABLES
 def integral_calls(monkeypatch):
     """Records every call of the coefficient integrals.
 
-    coefficient_set and signal_coefficients both go through them, so the
+    _response and signal_coefficients both go through them, so the
     count is the number of coefficient evaluations.
     """
     calls = []

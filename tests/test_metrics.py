@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from conftest import PHI_DEFAULT
+from helpers import input_covariance
 
 from squeezed_readout import (
     ProbeState,
@@ -15,7 +16,6 @@ from squeezed_readout import (
     fidelity,
     first_integrals,
     from_experimental,
-    input_covariance,
     input_means,
     integrated_variance,
     measurement_mean,

@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 from conftest import PHI_DEFAULT
+from helpers import input_covariance
 
 from squeezed_readout import (
+    BLOCK_SIZE,
     GENERATOR_ID,
     MAX_SHOTS,
     NumericalError,
@@ -17,7 +19,6 @@ from squeezed_readout import (
     ValidationError,
     classify,
     fidelity,
-    input_covariance,
     integrated_variance,
     measurement_mean,
     sample_shots,
@@ -25,6 +26,7 @@ from squeezed_readout import (
     snr,
 )
 from squeezed_readout import shots
+from squeezed_readout.metrics import _evaluate, _fields
 
 SEED = 987654321
 
@@ -153,6 +155,70 @@ def test_degenerate_batch_is_rejected(t_matched, probe_matched, params_k2):
         classify(frozen)
 
 
+def test_one_shot_batch_samples_but_does_not_classify(
+    t_matched, probe_matched, params_k2
+):
+    # one shot has no sample standard deviation, so no empirical SNR
+    batch = sample_shots(1, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
+    assert batch.outcomes_plus.shape == batch.outcomes_minus.shape == (1,)
+    with pytest.raises(ValidationError, match="needs at least 2"):
+        classify(batch)
+    pair = sample_shots(2, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
+    assert math.isfinite(classify(pair).empirical_snr)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.74, 10.0, 50.0, 300.0])
+@pytest.mark.parametrize("theta_xi", [2.0 * PHI_DEFAULT, 1.1], ids=["aligned", "tilted"])
+def test_moments_match_closed_forms_at_any_squeezing(r, theta_xi, t_matched, params_k2):
+    # the squeezed variance e^{-2r}/2 is below the rounding of cosh 2r
+    # from r ~ 10 on; drawing along the ellipse axes never forms it
+    probe = ProbeState(alpha=10.0, theta_alpha=0.0, r=r, theta_xi=theta_xi)
+    n = 200_000
+    batch = sample_shots(n, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
+    for sigma, outcomes in ((1, batch.outcomes_plus), (-1, batch.outcomes_minus)):
+        mean = measurement_mean(t_matched, probe, params_k2, PHI_DEFAULT, sigma)
+        var = integrated_variance(t_matched, probe, params_k2, PHI_DEFAULT, sigma)
+        mean_z = (float(np.mean(outcomes)) - mean) / math.sqrt(var / n)
+        var_z = (float(np.var(outcomes, ddof=1)) - var) / (var * math.sqrt(2.0 / (n - 1)))
+        assert abs(mean_z) < 5.0, (sigma, mean_z)
+        assert abs(var_z) < 5.0, (sigma, var_z)
+
+
+def test_overflowing_outcome_variance_is_a_numerical_error(params_k2):
+    # the weight e^{r}·B/√2 is finite here but the variance e^{2r}·B²/2 is not
+    probe = ProbeState(alpha=10.0, r=300.0, theta_xi=1.1)
+    with pytest.raises(NumericalError, match="outcome variance overflows"):
+        sample_shots(100, 1e150, probe, params_k2, PHI_DEFAULT, SEED)
+
+
+def test_shot_weights_carry_the_closed_form_moments():
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        params = SystemParams(
+            chi_s=1.0,
+            kappa=float(rng.uniform(0.1, 5.0)),
+            vacuum_weight=float(rng.uniform(0.0, 1.0)),
+        )
+        probe = ProbeState(
+            alpha=float(rng.uniform(0.0, 12.0)),
+            theta_alpha=float(rng.uniform(-math.pi, math.pi)),
+            r=float(rng.uniform(0.0, 2.0)),
+            theta_xi=float(rng.uniform(-math.pi, math.pi)),
+        )
+        point = _fields(
+            float(rng.uniform(0.05, 5.0)), probe, params, float(rng.uniform(-4.0, 4.0))
+        )
+        model = _evaluate("variance", point)
+        maps = shots._shot_map(point)
+        for sigma, var, mean in (
+            (1, model.variance_plus, model.mean_plus),
+            (-1, model.variance_minus, model.mean_minus),
+        ):
+            weights, offset = maps[sigma]
+            assert offset == mean
+            assert math.fsum(w * w for w in weights) == pytest.approx(var, rel=1e-12)
+
+
 def test_sample_shots_validation(t_matched, probe_matched, params_k2):
     with pytest.raises(ValidationError, match="n must"):
         sample_shots(0, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
@@ -190,44 +256,44 @@ def test_vacuum_probe_outcomes_are_symmetric(t_matched, params_k2):
 BIG_SEED = 2**127 + 12345
 PINNED_STREAMS = {
     (SEED, 1): (
-        "329a75e24364162b938e58811e1585855f2cb17a8daa83649788507273d2cea3",
-        "04849d0a9ee18594172d48a258ea5bffb45d8f534ba0808655869839fd3a4a99",
+        "df97c4219ebf04d7ace57c7f60b4097c1ec1decc0b273f1e606bc05928012574",
+        "5dafc399d884fb0873d9c502d67d949cd6bddeff338c2497480afb3ad7c1ce01",
     ),
     (SEED, 8_191): (
-        "5a5f8ffc73131c4b1e7f4f9eea870d863bb94c2979ccc072ffceaadd8f291ada",
-        "52f0446fed22e79ebbbee8c2c60ff847d58034f6293454a6604f98075bb26357",
+        "5ff7954c7bedd41006589bf1b05612483b30038a93075d2f81e0d0a29c51e0ba",
+        "adbd873997568bb1d404351e38d5be602b9abbc866ff3d92a6a51f10215a1711",
     ),
     (SEED, 8_192): (
-        "197127b631792a830b509888dd820c38c8f2ff020eaccecde4f1404084c96ad6",
-        "43e7c607101ddf1ff9d52b96435a6997983412b6f44085e6a0c77f96a767381d",
+        "ab92f5766d56bf20fc4ec29bb888e2064b5ad2f04112b69b9a622bbc0af77b2f",
+        "c80f86f244ec43c7d5fd5b165ccc5eaed81644cc66147d59eba0a76bc79de096",
     ),
     (SEED, 8_193): (
-        "4ff6e55f945899b0a8364ab58e7169f2b097886749ac2215cfdb400b828d46aa",
-        "c5bfdb681f5a6f564ee4d512a32103e86158583a94854e59e7feade2319d2ffa",
+        "0a7a65b3770eaa5cfd6389ade16ef55b701b418eacea262d01b81771c097e8f9",
+        "71febd06b129d678e786afa931802e45926db9c338bb36f3615e501975be3714",
     ),
     (SEED, 100_003): (
-        "91157a17c7c507642c99b050dee72e5e74846b671208c8224e0f1544845e162a",
-        "837872305bef05dd01d9f497112a8af3de799c83b1e7c65f14cdcb2f56100fcd",
+        "9c797ad3c30e3071fa5f37d3418b776a3d4753d700436e7c1ff5a6ba89bb9501",
+        "a4b85f5210b305ed50c3f2452c130aca5c2ea445cf2bd9fde07a07df596ede0a",
     ),
     (BIG_SEED, 1): (
-        "0f53ea038e824c1a44e514bb4043b8bbde1cba405348332ef1692283caa6769b",
-        "1156af2f1273257fa0a5dac912c55231a39b135dcdf32afeb20777b0a77e66a6",
+        "8045cbc680ec5b19fe75ff0c73a9bc638528fc624893ae7f84e8f2ebe91513a3",
+        "17e4f2b4b15a7c76e81705ba8cb2972cb8bbeeaf1a28b10b0e2c077e2823c68b",
     ),
     (BIG_SEED, 8_191): (
-        "96a1ad01f6133320dec207d1713c68cae93de5742d4ad7d2713e9f3f61f2838d",
-        "e2205c94349cddbb0d10656914478d530116c9c2333187d1a220fcadf5f721d1",
+        "ad3d26c384799c010307954f6868cded4cd99af1965abadfc62240183547165d",
+        "4579bb511d3c994207986d6b709ec31a535c75a0c9cae6a79fa32939df3da841",
     ),
     (BIG_SEED, 8_192): (
-        "d417f3851b2d44e14c2f55297ecf0dcef82bd4a5743c66417d16630775988b1f",
-        "f84c3c0cfa8015323261f30d0aa6c6af1fe2c2b524d6815814368f0e7f7a20a4",
+        "f3dc80dc7afa0a2350ea813b843faf70667929dfff47c973a1c00989f7266925",
+        "e886e153da20121d0f01691236004625ca1acc83091469af806ec00ac8d96d97",
     ),
     (BIG_SEED, 8_193): (
-        "b8d0c599de5323e7fcc22a592b1953b550618dfbba6ada58a844622e71277a0f",
-        "86625560d25b1999d09b54c392266e026d43d7e9a85dd8875faa69725d6aad32",
+        "a1216a16b354861e94f70a98581b44fc593528be69bf482905cfe321a7dc7d57",
+        "5898c6d5d7abe186755b32f6f1ce3b9d211aad75eafb4f65dc804a1ec712aea6",
     ),
     (BIG_SEED, 100_003): (
-        "51c7b753eaae6a4be3925b534f99d8d84255791e0132320631702da975a3fbe5",
-        "b22a3d6bf0208be9ab2f26a777c369cd4936377f44fa9d40aad92cebeaaa2797",
+        "441bc11db7f78ebe541afe61ce1f8e396027811bc076daa7a6f6102ede754062",
+        "a06aeb49431a5fc3167f42f14ada51a3ca2740e704eb9278f15cad9257a5765a",
     ),
 }
 
@@ -297,6 +363,22 @@ def test_block_task_exception_reaches_the_caller(
     monkeypatch.setattr(shots, "_fill_block", failing)
     with pytest.raises(RuntimeError, match=r"block \(-1, 2\) failed"):
         sample_shots(3 * 8192, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
+
+
+def test_one_block_batch_runs_on_the_calling_thread(
+    monkeypatch, t_matched, probe_matched, params_k2
+):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("thread pool started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(shots, "ThreadPoolExecutor", NoPool)
+    args = (t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
+    for n in (1, BLOCK_SIZE):
+        assert sample_shots(n, *args).outcomes_plus.size == n
+    with pytest.raises(AssertionError, match="thread pool started"):
+        sample_shots(BLOCK_SIZE + 1, *args)
 
 
 def test_n_above_the_cap_is_rejected_before_allocating(
