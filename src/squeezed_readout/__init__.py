@@ -15,10 +15,7 @@ from .backaction import (
     t2_penalty,
     total_t1,
 )
-from .dynamics import (
-    first_integrals,
-    signal_coefficients,
-)
+from .dynamics import signal_coefficients
 from .errors import (
     NumericalError,
     ReadoutError,
@@ -28,7 +25,6 @@ from .errors import (
 from .metrics import (
     ReadoutPoint,
     contrast,
-    erf,
     fidelity,
     integrated_variance,
     measurement_mean,
@@ -44,13 +40,7 @@ from .params import (
     from_experimental,
     wrap_angle,
 )
-from .probe import (
-    ProbeState,
-    input_means,
-    mean_photon_number,
-    rotated_quadrature_covariance,
-    rotated_quadrature_variance,
-)
+from .probe import ProbeState, mean_photon_number
 from .shots import (
     BLOCK_SIZE,
     GENERATOR_ID,
@@ -102,13 +92,10 @@ __all__ = [
     "classify",
     "contrast",
     "critical_photon_check",
-    "erf",
     "fidelity",
     "find_peak",
-    "first_integrals",
     "from_experimental",
     "induced_t1_inverse",
-    "input_means",
     "integrated_variance",
     "mean_photon_number",
     "measurement_mean",
@@ -121,8 +108,6 @@ __all__ = [
     "render_sweep_csv",
     "reproduce_figure2",
     "reproduce_figure3",
-    "rotated_quadrature_covariance",
-    "rotated_quadrature_variance",
     "run_sweep",
     "sample_shots",
     "signal_coefficients",

@@ -32,7 +32,6 @@ from .params import SystemParams, UnitContext, from_experimental
 from .probe import ProbeState
 from .shots import classify, sample_shots
 from .sweeps import (
-    FIG2_DEFAULT_R_VALUES,
     SweepFixed,
     SweepSpec,
     _fmt,
@@ -465,9 +464,8 @@ def _cmd_figures(config: RunConfig, which: str, variant: str) -> int:
     if which == "fig3":
         tables = [reproduce_figure3()]
     else:  # argparse admits only fig2 and fig3
-        r_values = config.fig2_r_values or FIG2_DEFAULT_R_VALUES
         variants = ("panel_ab", "panel_cd") if variant == "both" else (variant,)
-        tables = [reproduce_figure2(v, r_values=r_values) for v in variants]
+        tables = [reproduce_figure2(v, r_values=config.fig2_r_values) for v in variants]
     for table in tables:
         text = render_figure_csv(table)
         if config.out:

@@ -99,11 +99,6 @@ def _response(kappa, chi_s, t):
     return big_f, big_g, t - kappa * int_f, kappa * int_g
 
 
-def first_integrals(t: float, params: SystemParams) -> tuple[float, float]:
-    """(F, G), the running integrals of the envelopes from 0 to t."""
-    return _response(params.kappa, params.chi_s, t)[:2]
-
-
 def signal_coefficients(t: float, params: SystemParams) -> tuple[float, float]:
     """(A, B) = (t − κ∫₀ᵗF, κ∫₀ᵗG), the integrated-signal weights."""
     return _response(params.kappa, params.chi_s, t)[2:]

@@ -74,6 +74,34 @@ def _square(x: float) -> float:
 
 (_square_grid,) = _elementwise(_square)
 
+
+def _variances(big_f, big_g, a_coef, b_coef, moments, kappa, u):
+    """(variance_plus, variance_minus); a NumericalError at the first non-finite pair."""
+    var_q_rot, var_p_rot, cov_rot = moments
+    square = _square_grid if isinstance(a_coef, np.ndarray) else _square
+    try:
+        vacuum = u * 0.5 * kappa * (square(big_f) + square(big_g))
+        squeezed = square(a_coef) * var_q_rot + square(b_coef) * var_p_rot
+    except OverflowError:
+        raise NumericalError("response coefficients overflow: t is too large") from None
+    cross = 2.0 * a_coef * b_coef * cov_rot
+    vp, vm = squeezed + cross + vacuum, squeezed - cross + vacuum
+    if isinstance(vp, np.ndarray):
+        bad = ~(np.isfinite(vp) & np.isfinite(vm))
+        if not bad.any():
+            return vp, vm
+        vp, vm = vp[bad.argmax()], vm[bad.argmax()]
+    elif math.isfinite(vp) and math.isfinite(vm):
+        return vp, vm
+    raise NumericalError(
+        f"outcome variance overflows: got {float(vp)!r} and {float(vm)!r}"
+    )
+
+
+# numpy warns where floats overflow silently; both end in the error above
+_variances_grid = np.errstate(over="ignore", invalid="ignore")(_variances)
+
+
 def _snr_point(metric, t, separation, vp, vm, t1):
     """(snr, metric value) at one point, for the metrics snr and fidelity."""
     if not t > 0.0:
@@ -99,16 +127,10 @@ def _evaluate(metric: str, point: _Fields) -> _Evaluation:
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     t, kappa, alpha, r, theta_xi, theta_alpha, phi, u, t1 = point
     big_f, big_g, a_coef, b_coef = _response(kappa, 1.0, t)
-    var_q_rot, var_p_rot, cov_rot = _rotated_moments(r, theta_xi, phi)
-    square = _square_grid if isinstance(a_coef, np.ndarray) else _square
-    try:
-        vacuum = u * 0.5 * kappa * (square(big_f) + square(big_g))
-        squeezed = square(a_coef) * var_q_rot + square(b_coef) * var_p_rot
-    except OverflowError:
-        raise NumericalError("response coefficients overflow: t is too large") from None
-    cross = 2.0 * a_coef * b_coef * cov_rot
-    vp = squeezed + cross + vacuum
-    vm = squeezed - cross + vacuum
+    moments = _rotated_moments(r, theta_xi, phi)
+    grid = isinstance(a_coef, np.ndarray) or isinstance(moments[0], np.ndarray)
+    variances = _variances_grid if grid else _variances
+    vp, vm = variances(big_f, big_g, a_coef, b_coef, moments, kappa, u)
     mq, mp = _input_means(alpha, theta_alpha)
     c, s = math.cos(phi), math.sin(phi)
     along = a_coef * (mq * c + mp * s)
@@ -174,13 +196,6 @@ def snr(t: float, probe: ProbeState, params: SystemParams, phi: float) -> float:
     return _snr_evaluation("snr", t, probe, params, phi).value
 
 
-def erf(x: float) -> float:
-    """Error function (2/√π)∫₀ˣe^{−s²}ds for finite x."""
-    if not math.isfinite(x):
-        raise ValidationError(f"erf requires finite input, got {x!r}")
-    return math.erf(x)
-
-
 def fidelity(t: float, snr_value: float, t1_total: float) -> float:
     """Readout fidelity exp(−t/2T₁)·erf(SNR/√2).
 
@@ -200,7 +215,7 @@ def fidelity(t: float, snr_value: float, t1_total: float) -> float:
             f"fidelity formula assumes t << T1; got t/T1 = {t / t1_total:.3g}",
             stacklevel=2,
         )
-    return math.exp(-0.5 * t / t1_total) * erf(snr_value / math.sqrt(2.0))
+    return math.exp(-0.5 * t / t1_total) * math.erf(snr_value / math.sqrt(2.0))
 
 
 def optimal_time_estimate(r: float, params: SystemParams) -> float:

@@ -53,11 +53,6 @@ def _input_means(alpha, theta_alpha: float):
     return SQRT2 * alpha * math.cos(theta_alpha), SQRT2 * alpha * math.sin(theta_alpha)
 
 
-def input_means(probe: ProbeState) -> tuple[float, float]:
-    """Quadrature means (⟨Q⟩, ⟨P⟩); squeezing leaves them untouched."""
-    return _input_means(probe.alpha, probe.theta_alpha)
-
-
 def _cosh_sinh(r):
     """(cosh 2r, sinh 2r); a NumericalError where they overflow (r ≳ 355)."""
     cosh, sinh = _HYPERBOLIC_GRID if isinstance(r, np.ndarray) else _HYPERBOLIC
@@ -77,24 +72,6 @@ def _rotated_moments(r, theta_xi, phi: float):
         0.5 * (ch - cos(2.0 * (phi + 0.5 * math.pi) - theta_xi) * sh),
         0.5 * sh * sin(2.0 * phi - theta_xi),
     )
-
-
-def rotated_quadrature_variance(probe: ProbeState, phi: float) -> float:
-    """Variance of the quadrature at angle phi, cos(φ)Q + sin(φ)P.
-
-    Equal to ½(cosh 2r − cos(2φ − θξ)·sinh 2r); the minimum e^{−2r}/2 is
-    reached when 2φ − θξ = 0 (mod 2π).
-    """
-    return _rotated_moments(probe.r, probe.theta_xi, phi)[0]
-
-
-def rotated_quadrature_covariance(probe: ProbeState, phi: float) -> float:
-    """Covariance of the rotated pair (cosφ·Q + sinφ·P, −sinφ·Q + cosφ·P).
-
-    Equal to ½ sinh 2r · sin(2φ − θξ); vanishes exactly when the rotated
-    frame is aligned with the squeezing ellipse axes.
-    """
-    return _rotated_moments(probe.r, probe.theta_xi, phi)[2]
 
 
 def mean_photon_number(probe: ProbeState) -> float:

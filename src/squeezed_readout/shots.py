@@ -80,8 +80,6 @@ class ClassificationResult:
 def _shot_map(point: _Fields) -> dict:
     """{σ: (w_σ, mean_σ)}, the map outcome_σ = w_σ·z + mean_σ at one point."""
     model = _evaluate("variance", point)
-    if not math.isfinite(model.variance_plus + model.variance_minus):
-        raise NumericalError("outcome variance overflows: t and r are too large")
     a_coef, b_coef, big_f, big_g = model.a_coef, model.b_coef, model.big_f, model.big_g
     delta = point.phi - 0.5 * point.theta_xi
     cd, sd = math.cos(delta), math.sin(delta)

@@ -73,10 +73,7 @@ class SweepSpec:
             )
         if not isinstance(self.points, int) or self.points < 2:
             raise ValidationError(f"points must be an integer >= 2, got {self.points!r}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.lo >= self.hi:
-            raise ValidationError(
-                f"range must satisfy lo < hi, got [{self.lo!r}, {self.hi!r}]"
-            )
+        _check_range("range", self.lo, self.hi)
         floor = {"t": 0.0, "r": 0.0, "alpha": 0.0}.get(self.variable)
         if floor is not None and self.lo < floor:
             raise ValidationError(
@@ -114,7 +111,6 @@ class PeakResult:
 class SweepResult:
     rows: tuple[SweepRow, ...]
     spec: SweepSpec
-    peak: PeakResult | None = None
 
 
 @dataclass(frozen=True)
@@ -153,6 +149,12 @@ def _with(fixed: SweepFixed, base, variable: str, value):
     elif variable == "theta_xi":
         value = _each(wrap_angle, value)
     return base._replace(**{variable: value})
+
+
+def _check_range(name: str, lo: float, hi: float) -> None:
+    """lo < hi, finite and a finite width apart, as _grid needs them."""
+    if not (lo < hi and math.isfinite(float(hi) - float(lo))):
+        raise ValidationError(f"{name} must be finite with lo < hi, got [{lo!r}, {hi!r}]")
 
 
 def _grid(lo: float, hi: float, points: int) -> list[float]:
@@ -206,8 +208,7 @@ def find_peak(
     lower bound with the flat flag set.
     """
     lo, hi = bounds
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ValidationError(f"bounds must satisfy lo < hi, got {bounds!r}")
+    _check_range("bounds", lo, hi)
     if not math.isfinite(tol) or tol <= 0.0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
 
@@ -274,34 +275,13 @@ def find_peak(
     return PeakResult(location=location, value=evaluate(location), flat=False)
 
 
-def _params_meta(params: SystemParams, probe: ProbeState, phi: float) -> dict:
-    meta = {
-        "alpha": probe.alpha,
-        "chi_s": params.chi_s,
-        "kappa": params.kappa,
-        "lo_phase": phi,
-        "r": probe.r,
-        "t1_intrinsic": params.t1_intrinsic,
-        "theta_alpha": probe.theta_alpha,
-        "theta_xi": probe.theta_xi,
-        "vacuum_weight": params.vacuum_weight,
-    }
-    if params.g_s is not None:
-        meta["g_s"] = params.g_s
-    if params.delta is not None:
-        meta["delta"] = params.delta
-    return meta
-
-
 def _fmt(value) -> str:
     """One output field: floats by repr, booleans True/False, None as none."""
     if type(value) is float:
         return repr(value)
-    if value is None:
-        return "none"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if isinstance(value, float):  # numpy's float64 reprs as np.float64(...)
+        return repr(float(value))
+    return "none" if value is None else str(value)
 
 
 def _render_csv(meta: dict, columns: tuple[str, ...], rows) -> str:
@@ -314,17 +294,27 @@ def _render_csv(meta: dict, columns: tuple[str, ...], rows) -> str:
 
 def render_sweep_csv(result: SweepResult) -> str:
     spec = result.spec
-    meta = _params_meta(spec.fixed.params, spec.fixed.probe, spec.fixed.phi)
-    meta.update(
-        {
-            "t": spec.fixed.t,
-            "variable": spec.variable,
-            "metric": spec.metric,
-            "lo": spec.lo,
-            "hi": spec.hi,
-            "points": spec.points,
-        }
-    )
+    params, probe = spec.fixed.params, spec.fixed.probe
+    meta = {
+        "alpha": probe.alpha,
+        "chi_s": params.chi_s,
+        "kappa": params.kappa,
+        "lo_phase": spec.fixed.phi,
+        "r": probe.r,
+        "t1_intrinsic": params.t1_intrinsic,
+        "theta_alpha": probe.theta_alpha,
+        "theta_xi": probe.theta_xi,
+        "vacuum_weight": params.vacuum_weight,
+        "t": spec.fixed.t,
+        "variable": spec.variable,
+        "metric": spec.metric,
+        "lo": spec.lo,
+        "hi": spec.hi,
+        "points": spec.points,
+    }
+    for name in ("g_s", "delta"):
+        if getattr(params, name) is not None:
+            meta[name] = getattr(params, name)
     # a SweepRow's fields in order, headed by the variable and metric names
     names = [field.name for field in dataclasses.fields(SweepRow)]
     columns = (spec.variable, spec.metric, *names[2:])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from squeezed_readout import ProbeState, SystemParams, ValidationError, input_means
+from squeezed_readout import ProbeState, SystemParams, ValidationError
 
 _QUAD_OPTS = {"epsabs": 1e-14, "epsrel": 1e-13, "limit": 200}
 
@@ -92,7 +92,8 @@ def input_covariance(probe: ProbeState) -> QuadratureStats:
 
     The differences cancel their digits at large r; meant for r ≲ 2.
     """
-    mq, mp = input_means(probe)
+    mq = math.sqrt(2.0) * probe.alpha * math.cos(probe.theta_alpha)
+    mp = math.sqrt(2.0) * probe.alpha * math.sin(probe.theta_alpha)
     ch, sh = math.cosh(2.0 * probe.r), math.sinh(2.0 * probe.r)
     return QuadratureStats(
         mean_q=mq,

@@ -9,11 +9,17 @@ import pytest
 import squeezed_readout
 from squeezed_readout import (
     ProbeState,
+    SweepFixed,
+    SweepSpec,
     ValidationError,
     from_experimental,
+    readout_point,
     render_figure_csv,
+    render_sweep_csv,
     reproduce_figure3,
+    run_sweep,
     snr,
+    total_t1,
 )
 from squeezed_readout.cli import main, parse_config
 
@@ -385,3 +391,105 @@ def test_snr_out_file_carries_snapshot(config_path, tmp_path, capsys):
     assert text.startswith("# chi_over_2pi_mhz = 0.15\n")
     assert "# alpha = 10.0" in text
     assert "snr = 3.580922280271772\n" in text
+
+
+def test_missing_config_is_a_config_error(capsys):
+    assert main(["snr"]) == 1
+    assert capsys.readouterr().err == "error: snr requires --config PATH\n"
+
+
+def test_vacuum_weight_flag_equals_the_config_key(config_path, tmp_path, capsys):
+    assert main(["snr", "--config", config_path, "--vacuum-weight", "0.5"]) == 0
+    from_flag = capsys.readouterr().out
+    path = tmp_path / "u.cfg"
+    path.write_text(MATCHED_CONFIG + "vacuum_weight = 0.5\n", encoding="utf-8")
+    assert main(["snr", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == from_flag
+    assert "snr = " in from_flag
+    assert "snr = 3.580922280271772\n" not in from_flag
+
+
+BACKACTION_T1 = "gs_over_delta = 0.01\nuse_backaction_t1 = true\n"
+
+
+@pytest.mark.parametrize("subcommand", ["fidelity", "shots"])
+def test_backaction_t1_enters_the_fidelity(tmp_path, capsys, subcommand):
+    text = MATCHED_CONFIG + BACKACTION_T1
+    path = tmp_path / "backaction.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main([subcommand, "--config", str(path), "--n-shots", "2000"]) == 0
+    block = _block(capsys)
+    config = parse_config(text)
+    t1 = total_t1(config.params, config.probe.r)
+    assert t1 < config.params.t1_intrinsic
+    t = config.units.to_internal_time(config.t_us)
+    point = readout_point(t, config.probe, config.params, config.phi, t1_total=t1)
+    assert block["t1_source"] == "intrinsic+backaction"
+    if subcommand == "fidelity":
+        assert block["t1_internal"] == repr(t1)
+        assert block["fidelity"] == repr(point.fidelity)
+    else:
+        assert block["analytic_fidelity"] == repr(point.fidelity)
+
+
+@pytest.mark.parametrize("subcommand", ["fidelity", "shots"])
+def test_backaction_t1_requires_the_coupling(tmp_path, capsys, subcommand):
+    path = tmp_path / "no_coupling.cfg"
+    path.write_text(MATCHED_CONFIG + "use_backaction_t1 = true\n", encoding="utf-8")
+    assert main([subcommand, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: use_backaction_t1 requires gs_over_delta in the config\n"
+
+
+@pytest.mark.parametrize(
+    ("variable", "extra"),
+    [("r", ""), ("alpha", "gs_over_delta = 0.01\n")],
+    ids=["r", "alpha-with-coupling"],
+)
+def test_sweep_to_stdout_is_the_library_csv(tmp_path, capsys, variable, extra):
+    text = MATCHED_CONFIG + extra + (
+        f"sweep_variable = {variable}\nsweep_lo = 0.0\nsweep_hi = 2.0\n"
+        "sweep_points = 11\nsweep_metric = fidelity\n"
+    )
+    path = tmp_path / "sweep.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["sweep", "--config", str(path)]) == 0
+    config = parse_config(text)
+    t = config.units.to_internal_time(config.t_us)
+    fixed = SweepFixed(params=config.params, probe=config.probe, phi=config.phi, t=t)
+    spec = SweepSpec(
+        variable=variable, lo=0.0, hi=2.0, points=11, fixed=fixed, metric="fidelity"
+    )
+    out = capsys.readouterr().out
+    assert out == render_sweep_csv(run_sweep(spec))
+    assert f"# variable = {variable}\n" in out
+    # the back-action couplings reach the header only when they are set
+    assert ("# g_s = 0.01\n" in out) is bool(extra)
+    assert ("# delta = 1.0\n" in out) is bool(extra)
+
+
+OVERFLOW_CONFIG = MATCHED_CONFIG.replace(
+    "r = 0.74\nt_us = 0.714\n", "r = 300\ntheta_xi_rad = 1.1\nt_us = 1e149\n"
+)
+
+
+@pytest.mark.parametrize(
+    ("subcommand", "extra"),
+    [
+        ("snr", ""),
+        ("fidelity", ""),
+        (
+            "sweep",
+            "sweep_variable = t\nsweep_lo = 1e140\nsweep_hi = 1e149\n"
+            "sweep_points = 10\nsweep_metric = variance\n",
+        ),
+    ],
+    ids=["snr", "fidelity", "sweep"],
+)
+def test_overflowing_variance_exits_2_without_a_traceback(tmp_path, subcommand, extra):
+    path = tmp_path / "overflow.cfg"
+    path.write_text(OVERFLOW_CONFIG + extra, encoding="utf-8")
+    done = _run_cli([subcommand, "--config", str(path)])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "numerical error: outcome variance overflows: got inf and inf\n"

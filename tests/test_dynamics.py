@@ -13,12 +13,8 @@ from helpers import (
 )
 from scipy.integrate import simpson
 
-from squeezed_readout import (
-    SystemParams,
-    ValidationError,
-    first_integrals,
-    signal_coefficients,
-)
+from squeezed_readout import SystemParams, ValidationError, signal_coefficients
+from squeezed_readout.dynamics import _response
 
 # all six coefficients at the matched point kappa = 2, chi_s = 1,
 # t = 0.6729291463989336, frozen from the adaptive-quadrature oracle
@@ -38,7 +34,7 @@ def params():
 
 def test_everything_vanishes_at_time_zero(params):
     assert envelopes(0.0, params) == (1.0, 0.0)
-    assert first_integrals(0.0, params) == (0.0, 0.0)
+    assert _response(params.kappa, params.chi_s, 0.0) == (0.0, 0.0, 0.0, 0.0)
     assert signal_coefficients(0.0, params) == (0.0, 0.0)
 
 
@@ -46,10 +42,10 @@ def test_reference_point_values(params):
     f, g = envelopes(T_REF, params)
     assert f == pytest.approx(SMALL_F_REF, rel=1e-13)
     assert g == pytest.approx(SMALL_G_REF, rel=1e-13)
-    big_f, big_g = first_integrals(T_REF, params)
+    big_f, big_g, a_coef, b_coef = _response(params.kappa, params.chi_s, T_REF)
     assert big_f == pytest.approx(F_REF, rel=1e-12)
     assert big_g == pytest.approx(G_REF, rel=1e-12)
-    a_coef, b_coef = signal_coefficients(T_REF, params)
+    assert (a_coef, b_coef) == signal_coefficients(T_REF, params)
     assert a_coef == pytest.approx(A_REF, rel=1e-12)
     assert b_coef == pytest.approx(B_REF, rel=1e-12)
 
@@ -59,8 +55,7 @@ def test_structural_identities_at_equal_damping_and_rotation(params):
     # B = t - F - G exactly
     for t in (0.3, T_REF, 1.7, 2.9):
         f, g = envelopes(t, params)
-        big_f, big_g = first_integrals(t, params)
-        a_coef, b_coef = signal_coefficients(t, params)
+        big_f, big_g, a_coef, b_coef = _response(params.kappa, params.chi_s, t)
         assert a_coef == pytest.approx(g, rel=1e-12)
         assert b_coef == pytest.approx(t - big_f - big_g, rel=1e-11)
 
@@ -72,7 +67,7 @@ def test_first_integrals_match_quadrature_on_random_grid():
         kappa = chi * float(rng.uniform(0.5, 4.0))
         t = float(rng.uniform(0.05, 3.0)) / chi
         params = SystemParams(chi_s=chi, kappa=kappa)
-        big_f, big_g = first_integrals(t, params)
+        big_f, big_g, _, _ = _response(kappa, chi, t)
         ref_f, ref_g = quad_first_integrals(0.5 * kappa, chi, t)
         assert rel_err(big_f, ref_f) < 1e-10
         assert rel_err(big_g, ref_g) < 1e-10
@@ -95,7 +90,7 @@ def test_signal_coefficients_match_simpson_on_dense_grid(params):
     # independent route: Simpson integration of F itself
     t = 1.3
     grid = np.linspace(0.0, t, 4001)
-    big_f_values = [first_integrals(float(s), params)[0] for s in grid]
+    big_f_values = [_response(params.kappa, params.chi_s, float(s))[0] for s in grid]
     int_f = simpson(big_f_values, x=grid)
     a_coef, _ = signal_coefficients(t, params)
     assert a_coef == pytest.approx(t - params.kappa * int_f, abs=1e-8)
@@ -105,8 +100,8 @@ def test_derivatives_of_first_integrals_are_envelopes(params):
     h = 1e-6
     for t in (0.2, 0.9, 2.4):
         f, g = envelopes(t, params)
-        fp = first_integrals(t + h, params)
-        fm = first_integrals(t - h, params)
+        fp = _response(params.kappa, params.chi_s, t + h)
+        fm = _response(params.kappa, params.chi_s, t - h)
         assert (fp[0] - fm[0]) / (2.0 * h) == pytest.approx(f, abs=1e-6)
         assert (fp[1] - fm[1]) / (2.0 * h) == pytest.approx(g, abs=1e-6)
 
@@ -121,8 +116,8 @@ def test_rate_time_homogeneity():
         assert envelopes(lam * t, scaled) == pytest.approx(
             envelopes(t, base), rel=1e-12
         )
-        f1 = first_integrals(t, base)
-        f2 = first_integrals(lam * t, scaled)
+        f1 = _response(base.kappa, base.chi_s, t)
+        f2 = _response(scaled.kappa, scaled.chi_s, lam * t)
         assert f2[0] == pytest.approx(lam * f1[0], rel=1e-12)
         assert f2[1] == pytest.approx(lam * f1[1], rel=1e-12)
         s1 = signal_coefficients(t, base)
@@ -132,7 +127,7 @@ def test_rate_time_homogeneity():
 
 
 def test_long_time_limits(params):
-    big_f, big_g = first_integrals(50.0, params)
+    big_f, big_g, _, _ = _response(params.kappa, params.chi_s, 50.0)
     a, b = 0.5 * params.kappa, params.chi_s
     f_inf, g_inf = a / (a * a + b * b), b / (a * a + b * b)
     assert f_inf == pytest.approx(0.5, rel=1e-15)
@@ -164,8 +159,7 @@ def test_tiny_time_series_matches_arbitrary_precision():
         params = SystemParams(chi_s=b, kappa=2.0 * a)
         for t in (1e-9, 1e-6, 2e-5, 9e-3 / max(a, b)):
             ref_f, ref_g, ref_int_f, ref_int_g = mp_integrals(a, b, t)
-            big_f, big_g = first_integrals(t, params)
-            a_coef, b_coef = signal_coefficients(t, params)
+            big_f, big_g, a_coef, b_coef = _response(params.kappa, params.chi_s, t)
             tol = 1e-13 if max(a, b) * t < 1e-3 else 2e-9
             assert rel_err(big_f, ref_f) < tol
             assert rel_err(big_g, ref_g) < tol
@@ -181,8 +175,7 @@ def test_series_to_closed_form_crossover_is_continuous():
     params = SystemParams(chi_s=b, kappa=2.0 * a)
     for t in (0.99e-2, 1.01e-2):
         ref_f, ref_g, ref_int_f, ref_int_g = mp_integrals(a, b, t)
-        big_f, big_g = first_integrals(t, params)
-        a_coef, b_coef = signal_coefficients(t, params)
+        big_f, big_g, a_coef, b_coef = _response(params.kappa, params.chi_s, t)
         assert rel_err(big_f, ref_f) < 1e-12
         assert rel_err(big_g, ref_g) < 2e-9
         assert rel_err(a_coef, t - 2.0 * a * ref_int_f) < 1e-12
@@ -235,8 +228,10 @@ def test_rotated_coefficients_preserve_magnitude():
 
 
 def test_negative_time_rejected(params):
-    for fn in (envelopes, first_integrals, signal_coefficients):
+    for fn in (envelopes, signal_coefficients):
         with pytest.raises(ValidationError, match="t must"):
             fn(-0.1, params)
+    with pytest.raises(ValidationError, match="t must"):
+        _response(params.kappa, params.chi_s, -0.1)
     with pytest.raises(ValidationError, match="t must"):
         propagator(-0.1, params, +1)

@@ -316,3 +316,48 @@ def test_large_squeezing_exits_2_without_a_traceback(tmp_path):
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("numerical error: ")
     assert done.stderr.count("\n") == 1
+
+
+# kappa = 0.5 chi_s, r = 100, theta_xi = 0.3, phi = pi/2: the outcome
+# variances are finite at t = 1e100, (inf, inf) at 1e111 and (inf, nan) at 1e112
+_OVERFLOWS = {1e111: "got inf and inf", 1e112: "got inf and nan"}
+
+
+def _overflow_point(t):
+    params = SystemParams(kappa=0.5)
+    probe = ProbeState(alpha=10.0, r=100.0, theta_xi=0.3)
+    return _fields(t, probe, params, PHI_DEFAULT)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("first", list(_OVERFLOWS))
+def test_overflowing_variance_on_a_grid_names_the_first_bad_row(metric, first):
+    assert math.isfinite(_evaluate("variance", _overflow_point(1e100)).variance_minus)
+    with pytest.raises(NumericalError) as point:
+        _evaluate(metric, _overflow_point(first))
+    assert str(point.value) == f"outcome variance overflows: {_OVERFLOWS[first]}"
+    # no RuntimeWarning on the way: the suite turns one into an error
+    later = max(_OVERFLOWS) if first == min(_OVERFLOWS) else min(_OVERFLOWS)
+    with pytest.raises(NumericalError) as grid:
+        _evaluate(metric, _overflow_point(np.array([1.0, 1e100, first, later])))
+    assert str(grid.value) == str(point.value)
+
+
+def test_overflowing_variance_is_a_numerical_error_in_every_figure_of_merit(params_k2):
+    # internal time 1e149 at r = 300 with a tilted ellipse: B²·Var(P′) overflows
+    probe = ProbeState(alpha=10.0, r=300.0, theta_xi=1.1)
+    t = 1e149
+    for call in (
+        lambda: snr(t, probe, params_k2, PHI_DEFAULT),
+        lambda: readout_point(t, probe, params_k2, PHI_DEFAULT),
+        lambda: integrated_variance(t, probe, params_k2, PHI_DEFAULT, +1),
+        lambda: contrast(t, probe, params_k2, PHI_DEFAULT),
+    ):
+        with pytest.raises(NumericalError, match="outcome variance overflows"):
+            call()
+
+
+def test_overflowing_coefficient_is_a_numerical_error(probe_matched, params_k2):
+    # B(t) grows like t, so B² overflows a double near t = 1e154
+    with pytest.raises(NumericalError, match="response coefficients overflow: t is too"):
+        snr(1e200, probe_matched, params_k2, PHI_DEFAULT)

@@ -12,11 +12,8 @@ from squeezed_readout import (
     UndefinedPointError,
     ValidationError,
     contrast,
-    erf,
     fidelity,
-    first_integrals,
     from_experimental,
-    input_means,
     integrated_variance,
     measurement_mean,
     optimal_squeezing,
@@ -26,6 +23,8 @@ from squeezed_readout import (
     signal_coefficients,
     snr,
 )
+from squeezed_readout.dynamics import _response
+from squeezed_readout.probe import _input_means
 
 # frozen figures of merit at the matched point (kappa = 2 chi_s,
 # t = 0.714 us, alpha = 10, r = 0.74, theta_xi = pi, phi = pi/2),
@@ -76,7 +75,7 @@ def test_measurement_mean_reduces_to_integrated_signal_mean(t_matched, params_k2
             r=float(rng.uniform(0.0, 1.5)),
             theta_xi=float(rng.uniform(-3.0, 3.0)),
         )
-        mq, mp = input_means(probe)
+        mq, mp = _input_means(probe.alpha, probe.theta_alpha)
         for sigma in (+1, -1):
             assert measurement_mean(
                 t_matched, probe, params_k2, 0.5 * math.pi, sigma
@@ -125,8 +124,9 @@ def test_variance_frozen_values(t_matched, probe_matched, params_k2):
 def test_variance_coherent_closed_form(t_matched, probe_coherent, params_k2):
     value = integrated_variance(t_matched, probe_coherent, params_k2, PHI_DEFAULT, +1)
     assert value == pytest.approx(VAR_COHERENT_REF, rel=1e-12)
-    a_coef, b_coef = signal_coefficients(t_matched, params_k2)
-    big_f, big_g = first_integrals(t_matched, params_k2)
+    big_f, big_g, a_coef, b_coef = _response(
+        params_k2.kappa, params_k2.chi_s, t_matched
+    )
     expected = 0.5 * (a_coef**2 + b_coef**2) + 0.25 * 0.5 * params_k2.kappa * (
         big_f**2 + big_g**2
     )
@@ -137,8 +137,9 @@ def test_variance_matches_matrix_quadratic_form(t_matched, params_k2):
     # independent route: propagate the full input covariance through the
     # weight vector of the measured quadrature
     rng = np.random.default_rng(22)
-    a_coef, b_coef = signal_coefficients(t_matched, params_k2)
-    big_f, big_g = first_integrals(t_matched, params_k2)
+    big_f, big_g, a_coef, b_coef = _response(
+        params_k2.kappa, params_k2.chi_s, t_matched
+    )
     vacuum = 0.25 * 0.5 * params_k2.kappa * (big_f**2 + big_g**2)
     for _ in range(15):
         probe = ProbeState(
@@ -168,7 +169,7 @@ def test_variance_matches_matrix_quadratic_form(t_matched, params_k2):
 def test_vacuum_weight_enters_additively(t_matched, probe_matched):
     quarter = from_experimental(0.15, 2.0, 3.0, u=0.25)
     full = from_experimental(0.15, 2.0, 3.0, u=1.0)
-    big_f, big_g = first_integrals(t_matched, quarter)
+    big_f, big_g, _, _ = _response(quarter.kappa, quarter.chi_s, t_matched)
     delta = integrated_variance(
         t_matched, probe_matched, full, PHI_DEFAULT, +1
     ) - integrated_variance(t_matched, probe_matched, quarter, PHI_DEFAULT, +1)
@@ -248,61 +249,61 @@ def test_snr_has_half_turn_symmetry(t_matched, probe_matched, params_k2):
         )
 
 
-def test_erf_basics():
-    assert erf(0.0) == 0.0
-    assert erf(1.0) == pytest.approx(0.842700792949715, abs=1e-15)
+# at t = 0 no decay enters: fidelity(0, √2·x, T1) = erf(x)
+SQRT2 = math.sqrt(2.0)
+
+
+def test_fidelity_at_zero_time_is_erf():
+    assert fidelity(0.0, 0.0, 1.0) == 0.0
+    assert fidelity(0.0, SQRT2 * 1.0, 1.0) == pytest.approx(
+        0.842700792949715, abs=1e-15
+    )
     rng = np.random.default_rng(23)
     for _ in range(20):
-        x = float(rng.uniform(0.0, 5.0))
-        assert erf(-x) == -erf(x)
+        s = SQRT2 * float(rng.uniform(0.0, 5.0))
+        assert fidelity(0.0, -s, 1.0) == -fidelity(0.0, s, 1.0)
 
 
-def test_erf_against_stdlib():
+def test_fidelity_at_zero_time_matches_mpmath_erf():
     for x in np.linspace(-6.0, 6.0, 241):
-        assert erf(float(x)) == pytest.approx(math.erf(float(x)), abs=1e-12)
-
-
-def test_erf_branch_seam_is_continuous():
-    # erf must not jump around |x| = 2
+        reference = float(mpmath.erf(float(x)))
+        value = fidelity(0.0, SQRT2 * float(x), 1.0)
+        assert value == pytest.approx(reference, abs=1e-12)
+    # no jump around |x| = 2
     for x in (1.9999, 2.0, 2.0001):
-        assert erf(x) == pytest.approx(float(mpmath.erf(x)), abs=1e-13)
+        reference = float(mpmath.erf(x))
+        assert fidelity(0.0, SQRT2 * x, 1.0) == pytest.approx(reference, abs=1e-13)
 
 
-def test_erf_saturates():
-    assert erf(10.0) == pytest.approx(1.0, abs=1e-15)
-    assert erf(-10.0) == pytest.approx(-1.0, abs=1e-15)
+def test_fidelity_saturates():
+    assert fidelity(0.0, SQRT2 * 10.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert fidelity(0.0, SQRT2 * -10.0, 1.0) == pytest.approx(-1.0, abs=1e-15)
 
 
-def test_erf_rejects_non_finite():
-    with pytest.raises(ValidationError):
-        erf(math.inf)
-    with pytest.raises(ValidationError):
-        erf(math.nan)
-
-
-def test_erf_matches_maclaurin_sum():
-    # alternating Maclaurin series summed with compensated addition
+def test_fidelity_matches_maclaurin_sum():
+    # alternating Maclaurin series of erf summed with compensated addition
     x = 0.5
     terms = [
         (-1.0) ** n * x ** (2 * n + 1) / (math.factorial(n) * (2 * n + 1))
         for n in range(30)
     ]
     reference = 2.0 / math.sqrt(math.pi) * math.fsum(terms)
-    assert erf(x) == pytest.approx(reference, abs=1e-15)
+    assert fidelity(0.0, SQRT2 * x, 1.0) == pytest.approx(reference, abs=1e-15)
 
 
 def test_fidelity_properties(t_matched, params_k2):
     assert fidelity(t_matched, 0.0, params_k2.t1_intrinsic) == 0.0
     s = 3.0
     no_decay = fidelity(t_matched, s, 1e30)
-    assert no_decay == pytest.approx(erf(s / math.sqrt(2.0)), rel=1e-12)
+    assert no_decay == pytest.approx(math.erf(s / math.sqrt(2.0)), rel=1e-12)
     assert fidelity(t_matched, s, params_k2.t1_intrinsic) < no_decay
     rng = np.random.default_rng(24)
     for _ in range(10):
         t = float(rng.uniform(0.1, 2.0))
         s = float(rng.uniform(0.0, 6.0))
         t1 = float(rng.uniform(50.0, 5000.0))
-        assert fidelity(t, s, t1) == math.exp(-0.5 * t / t1) * erf(s / math.sqrt(2.0))
+        expected = math.exp(-0.5 * t / t1) * math.erf(s / math.sqrt(2.0))
+        assert fidelity(t, s, t1) == expected
 
 
 def test_fidelity_frozen_value(t_matched, probe_matched, params_k2):
@@ -317,8 +318,9 @@ def test_fidelity_validation():
         fidelity(1.0, 3.0, 0.0)
     with pytest.raises(ValidationError, match="t must"):
         fidelity(-1.0, 3.0, 100.0)
-    with pytest.raises(ValidationError, match="snr_value"):
-        fidelity(1.0, math.nan, 100.0)
+    for snr_value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="snr_value"):
+            fidelity(1.0, snr_value, 100.0)
     with pytest.warns(UserWarning, match="t << T1"):
         fidelity(20.0, 3.0, 100.0)
 

@@ -3,35 +3,39 @@ import math
 
 import numpy as np
 import pytest
+from conftest import PHI_DEFAULT
 from helpers import displacement_from_squeezed_coherent, input_covariance
 
 from squeezed_readout import (
     NumericalError,
     ProbeState,
     ValidationError,
-    input_means,
     mean_photon_number,
-    rotated_quadrature_covariance,
-    rotated_quadrature_variance,
+    measurement_mean,
 )
+from squeezed_readout.probe import _input_means, _rotated_moments
 
 SQRT2 = math.sqrt(2.0)
 
 
 def test_means_scale_with_displacement_and_phase():
-    mq, mp = input_means(ProbeState(alpha=10.0, theta_alpha=0.0))
+    mq, mp = _input_means(10.0, 0.0)
     assert mq == pytest.approx(14.142135623730951, rel=1e-15)
     assert mp == 0.0
-    mq, mp = input_means(ProbeState(alpha=10.0, theta_alpha=0.5 * math.pi))
+    mq, mp = _input_means(10.0, 0.5 * math.pi)
     assert mq == pytest.approx(0.0, abs=1e-12)
     assert mp == pytest.approx(14.142135623730951, rel=1e-15)
-    assert input_means(ProbeState(alpha=0.0, theta_alpha=1.3, r=0.7)) == (0.0, 0.0)
+    assert _input_means(0.0, 1.3) == (0.0, 0.0)
 
 
-def test_means_unaffected_by_squeezing():
-    base = input_means(ProbeState(alpha=3.0, theta_alpha=0.8))
-    squeezed = input_means(ProbeState(alpha=3.0, theta_alpha=0.8, r=1.4, theta_xi=2.2))
-    assert squeezed == base
+def test_means_unaffected_by_squeezing(t_matched, params_k2):
+    base = ProbeState(alpha=3.0, theta_alpha=0.8)
+    squeezed = dataclasses.replace(base, r=1.4, theta_xi=2.2)
+    for phi in (0.0, PHI_DEFAULT, 2.9):
+        for sigma in (+1, -1):
+            assert measurement_mean(
+                t_matched, squeezed, params_k2, phi, sigma
+            ) == measurement_mean(t_matched, base, params_k2, phi, sigma)
 
 
 def test_vacuum_covariance():
@@ -83,39 +87,40 @@ def test_rotated_variance_matches_matrix_rotation():
         expected_var = (
             stats.var_q * c * c + stats.var_p * s * s + 2.0 * stats.cov_qp * s * c
         )
+        expected_var_p = (
+            stats.var_q * s * s + stats.var_p * c * c - 2.0 * stats.cov_qp * s * c
+        )
         expected_cov = s * c * (stats.var_p - stats.var_q) + (
             c * c - s * s
         ) * stats.cov_qp
-        assert rotated_quadrature_variance(probe, phi) == pytest.approx(
-            expected_var, rel=1e-12, abs=1e-12
-        )
-        assert rotated_quadrature_covariance(probe, phi) == pytest.approx(
-            expected_cov, rel=1e-12, abs=1e-12
-        )
+        var_q_rot, var_p_rot, cov_rot = _rotated_moments(probe.r, probe.theta_xi, phi)
+        assert var_q_rot == pytest.approx(expected_var, rel=1e-12, abs=1e-12)
+        assert var_p_rot == pytest.approx(expected_var_p, rel=1e-12, abs=1e-12)
+        assert cov_rot == pytest.approx(expected_cov, rel=1e-12, abs=1e-12)
 
 
 def test_rotated_variance_special_angles():
     for r in (0.3, 0.85, 1.6):
         probe = ProbeState(alpha=0.0, r=r, theta_xi=math.pi)
-        assert rotated_quadrature_variance(probe, 0.5 * math.pi) == pytest.approx(
-            0.5 * math.exp(-2.0 * r), rel=1e-13
+        assert _rotated_moments(probe.r, probe.theta_xi, 0.5 * math.pi)[0] == (
+            pytest.approx(0.5 * math.exp(-2.0 * r), rel=1e-13)
         )
-        assert rotated_quadrature_variance(probe, 0.0) == pytest.approx(
+        assert _rotated_moments(probe.r, probe.theta_xi, 0.0)[0] == pytest.approx(
             0.5 * math.exp(2.0 * r), rel=1e-13
         )
     vacuum = ProbeState(alpha=0.0, r=0.0)
     for phi in (0.0, 0.4, 1.1, 2.9):
-        assert rotated_quadrature_variance(vacuum, phi) == 0.5
+        assert _rotated_moments(vacuum.r, vacuum.theta_xi, phi)[0] == 0.5
 
 
 def test_rotated_covariance_reduces_to_plain_covariance():
     probe = ProbeState(alpha=0.0, r=0.9, theta_xi=1.1)
     stats = input_covariance(probe)
-    assert rotated_quadrature_covariance(probe, 0.0) == pytest.approx(
+    assert _rotated_moments(probe.r, probe.theta_xi, 0.0)[2] == pytest.approx(
         stats.cov_qp, rel=1e-13
     )
-    assert rotated_quadrature_covariance(probe, 0.5 * math.pi) == pytest.approx(
-        -stats.cov_qp, rel=1e-13
+    assert _rotated_moments(probe.r, probe.theta_xi, 0.5 * math.pi)[2] == (
+        pytest.approx(-stats.cov_qp, rel=1e-13)
     )
 
 

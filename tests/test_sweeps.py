@@ -272,3 +272,41 @@ def test_figure_csv_is_stable():
     meta_lines = [line for line in lines if line.startswith("# ")]
     assert meta_lines == sorted(meta_lines)
     assert lines[len(meta_lines)].startswith("panel,x,snr,")
+
+
+def test_numpy_floats_render_like_plain_floats(fixed):
+    plain = SweepSpec(variable="t", lo=0.0, hi=2.0, points=9, fixed=fixed, metric="snr")
+    probe = dataclasses.replace(fixed.probe, alpha=np.float64(fixed.probe.alpha))
+    numpy_fixed = dataclasses.replace(fixed, probe=probe, t=np.float64(fixed.t))
+    spec = dataclasses.replace(
+        plain, lo=np.float64(0.0), hi=np.float64(2.0), fixed=numpy_fixed
+    )
+    text = render_sweep_csv(run_sweep(spec))
+    assert "np." not in text
+    assert text == render_sweep_csv(run_sweep(plain))
+
+
+@pytest.mark.parametrize(
+    ("variable", "message"),
+    [
+        ("r", "r must be nonnegative and finite, got -0.5"),
+        ("alpha", "alpha must be nonnegative and finite, got -0.5"),
+        ("kappa", "kappa must be positive and finite, got -0.5"),
+    ],
+    ids=["r", "alpha", "kappa"],
+)
+def test_find_peak_rejects_a_negative_lower_bound(fixed, variable, message):
+    with pytest.raises(ValidationError) as excinfo:
+        find_peak("snr", variable, (-0.5, 1.5), fixed)
+    assert str(excinfo.value) == message
+
+
+def test_range_whose_width_overflows_is_rejected(fixed):
+    # -1e308 + 1e308 is finite, their difference is not: the grid would
+    # hold NaN and inf points
+    args = {"variable": "delta_theta", "points": 4, "fixed": fixed, "metric": "snr"}
+    with pytest.raises(ValidationError, match="range must be finite with lo < hi"):
+        SweepSpec(lo=-1e308, hi=1e308, **args)
+    with pytest.raises(ValidationError, match="bounds must be finite with lo < hi"):
+        find_peak("snr", "delta_theta", (-1e308, 1e308), fixed)
+    assert len(run_sweep(SweepSpec(lo=-1e307, hi=1e307, **args)).rows) == 4
