@@ -6,15 +6,7 @@ optimization (squeezing, time, phases); probe back-action figures of
 merit; sweep and reference-table generation with a CLI front end.
 """
 
-from .backaction import (
-    BackactionReport,
-    backaction_report,
-    critical_photon_check,
-    induced_t1_inverse,
-    purcell_rate,
-    t2_penalty,
-    total_t1,
-)
+from .backaction import BackactionReport, backaction_report, total_t1
 from .dynamics import signal_coefficients
 from .errors import (
     NumericalError,
@@ -34,12 +26,7 @@ from .metrics import (
     readout_point,
     snr,
 )
-from .params import (
-    SystemParams,
-    UnitContext,
-    from_experimental,
-    wrap_angle,
-)
+from .params import SystemParams, UnitContext, from_experimental
 from .probe import ProbeState, mean_photon_number
 from .shots import (
     BLOCK_SIZE,
@@ -91,18 +78,15 @@ __all__ = [
     "backaction_report",
     "classify",
     "contrast",
-    "critical_photon_check",
     "fidelity",
     "find_peak",
     "from_experimental",
-    "induced_t1_inverse",
     "integrated_variance",
     "mean_photon_number",
     "measurement_mean",
     "optimal_squeezing",
     "optimal_time_estimate",
     "phase_matching_residual",
-    "purcell_rate",
     "readout_point",
     "render_figure_csv",
     "render_sweep_csv",
@@ -112,7 +96,5 @@ __all__ = [
     "sample_shots",
     "signal_coefficients",
     "snr",
-    "t2_penalty",
     "total_t1",
-    "wrap_angle",
 ]

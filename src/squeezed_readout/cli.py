@@ -378,13 +378,14 @@ def _cmd_optimize(config: RunConfig) -> int:
 def _cmd_shots(config: RunConfig) -> int:
     ti = _require_t(config)
     t1_internal, t1_source = _select_t1(config)
+    # the closed form fails first where the model does, before any sampling
+    analytic = readout_point(
+        ti, config.probe, config.params, config.phi, t1_total=t1_internal
+    )
     batch = sample_shots(
         config.n_shots, ti, config.probe, config.params, config.phi, config.seed
     )
     result = classify(batch, config.threshold_policy, t1=t1_internal)
-    analytic = readout_point(
-        ti, config.probe, config.params, config.phi, t1_total=t1_internal
-    )
     if config.out:
         rows = ["state,outcome"]
         rows.extend(f"1,{value!r}" for value in batch.outcomes_plus.tolist())

@@ -51,8 +51,9 @@ METRICS = ("snr", "fidelity", "contrast", "variance")
 # are floats or 1-D float64 arrays of one length (a grid), the rest floats.
 _Fields = namedtuple("_Fields", "t kappa alpha r theta_xi theta_alpha phi u t1")
 # One evaluation: floats, or for a grid a list with one entry per point.
-# The first six are a sweep row's diagnostics.  snr is only evaluated for
-# the metrics snr and fidelity; snr and value are None where undefined.
+# The first six are a sweep row's diagnostics.  contrast is not evaluated
+# for the metric variance, snr only for the metrics snr and fidelity; snr
+# and value are None where undefined.
 _Evaluation = namedtuple(
     "_Evaluation",
     "a_coef b_coef big_f big_g variance_plus variance_minus"
@@ -98,8 +99,22 @@ def _variances(big_f, big_g, a_coef, b_coef, moments, kappa, u):
     )
 
 
-# numpy warns where floats overflow silently; both end in the error above
-_variances_grid = np.errstate(over="ignore", invalid="ignore")(_variances)
+def _separation(alpha, b_coef, theta_alpha: float, phi: float):
+    """2√2·α·|B|·|sin(θα − φ)|; a NumericalError at the first non-finite point."""
+    sep = 2.0 * SQRT2 * alpha * abs(b_coef) * abs(math.sin(theta_alpha - phi))
+    if isinstance(sep, np.ndarray):
+        if np.isfinite(sep).all():
+            return sep
+        alpha = np.broadcast_to(alpha, sep.shape)[np.isfinite(sep).argmin()]
+    elif math.isfinite(sep):
+        return sep
+    raise NumericalError(f"contrast overflows at alpha = {float(alpha)!r}")
+
+
+# numpy warns where floats overflow silently; each ends in a NumericalError
+_variances_grid, _separation_grid = (
+    np.errstate(over="ignore", invalid="ignore")(fn) for fn in (_variances, _separation)
+)
 
 
 def _snr_point(metric, t, separation, vp, vm, t1):
@@ -128,22 +143,24 @@ def _evaluate(metric: str, point: _Fields) -> _Evaluation:
     t, kappa, alpha, r, theta_xi, theta_alpha, phi, u, t1 = point
     big_f, big_g, a_coef, b_coef = _response(kappa, 1.0, t)
     moments = _rotated_moments(r, theta_xi, phi)
-    grid = isinstance(a_coef, np.ndarray) or isinstance(moments[0], np.ndarray)
+    grid = np.ndarray in (type(a_coef), type(moments[0]), type(alpha))
     variances = _variances_grid if grid else _variances
+    separation = _separation_grid if grid else _separation
     vp, vm = variances(big_f, big_g, a_coef, b_coef, moments, kappa, u)
     mq, mp = _input_means(alpha, theta_alpha)
     c, s = math.cos(phi), math.sin(phi)
     along = a_coef * (mq * c + mp * s)
     across = b_coef * (-mq * s + mp * c)
-    sep = 2.0 * SQRT2 * alpha * abs(b_coef) * abs(math.sin(theta_alpha - phi))
+    # the variance metric reads no separation, which overflows first at huge alpha
+    sep = None if metric == "variance" else separation(alpha, b_coef, theta_alpha, phi)
     # the variance is symmetrized over the qubit eigenvalue; the two
     # halves differ only through the frame-residual covariance cross term
     value = {"contrast": sep, "variance": 0.5 * (vp + vm)}.get(metric)
     fields = [a_coef, b_coef, big_f, big_g, vp, vm, along + across, along - across, sep]
     fields += [None, value]  # snr and the metric value, set below for snr and fidelity
-    if isinstance(vp, np.ndarray) or isinstance(sep, np.ndarray):
-        # a grid: every swept field reaches the variances or the separation
-        n = np.broadcast(vp, sep).size
+    if grid:
+        # every swept field reaches the variances or the means
+        n = np.broadcast(vp, fields[6]).size
         fields = [x if x is None else np.broadcast_to(x, n).tolist() for x in fields]
         if metric in ("snr", "fidelity"):
             rows = (np.broadcast_to(t, n).tolist(), fields[8], fields[4], fields[5])
@@ -159,7 +176,7 @@ def measurement_mean(
     """Mean outcome A·⟨Q′⟩ + σ·B·⟨P′⟩ of a homodyne measurement at LO angle phi."""
     _check_sigma(sigma)
     _check_phi(phi)
-    point = _evaluate("contrast", _fields(t, probe, params, phi))
+    point = _evaluate("variance", _fields(t, probe, params, phi))
     return point.mean_plus if sigma == 1 else point.mean_minus
 
 

@@ -191,27 +191,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _COARSE_POINTS = 32
+_PEAK_TOL = 1e-6
 
 
 def find_peak(
-    metric: str,
-    variable: str,
-    bounds: tuple[float, float],
-    fixed: SweepFixed,
-    tol: float = 1e-6,
+    metric: str, variable: str, bounds: tuple[float, float], fixed: SweepFixed
 ) -> PeakResult:
     """Golden-section maximization of a metric over one variable.
 
     The caller asserts the metric is unimodal on the bounds; a 32-point
     coarse scan guards against silent failure by rejecting ranges with
-    more than one strict local maximum.  A constant metric returns the
-    lower bound with the flat flag set.
+    more than one strict local maximum.  The bracket closes to 1e-6; a
+    constant metric returns the lower bound with the flat flag set.
     """
     lo, hi = bounds
     _check_range("bounds", lo, hi)
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol!r}")
-
     base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
 
     def checked(x: float, value: float | None) -> float:
@@ -260,7 +254,7 @@ def find_peak(
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     yc, yd = evaluate(c), evaluate(d)
-    while h > tol:
+    while h > _PEAK_TOL:
         if yc > yd:
             b, d, yd = d, c, yc
             h = b - a

@@ -63,6 +63,12 @@ def mp_integrals(a: float, b: float, t: float, dps: int = 50):
         return float(big_f), float(big_g), float(int_f), float(int_g)
 
 
+def backaction_rates(params: SystemParams, r: float) -> tuple[float, float]:
+    """(γ_pu, 2·γ_pu·cosh 2r) for the Purcell rate γ_pu = κ·(g_s/Δ)²."""
+    gamma_pu = params.kappa * (params.g_s / params.delta) ** 2
+    return gamma_pu, 2.0 * gamma_pu * math.cosh(2.0 * r)
+
+
 def rel_err(value: float, reference: float, floor: float = 1e-300) -> float:
     return abs(value - reference) / max(abs(reference), floor)
 

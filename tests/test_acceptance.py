@@ -21,11 +21,11 @@ from squeezed_readout import (
     ProbeState,
     SweepFixed,
     SystemParams,
+    backaction_report,
     classify,
     fidelity,
     find_peak,
     from_experimental,
-    induced_t1_inverse,
     integrated_variance,
     measurement_mean,
     optimal_squeezing,
@@ -107,10 +107,13 @@ def test_criterion_4_snr_enhancement_ratio(units):
 
 
 def test_criterion_5_backaction_enhancement():
-    gamma = 1.7e-4
-    at_r1 = induced_t1_inverse(1.0, gamma) / gamma
+    # kappa = 2 and a unit detuning put gamma_pu at 2 g_s^2
+    params = SystemParams(kappa=2.0, g_s=math.sqrt(0.5 * 1.7e-4), delta=1.0)
+    report = backaction_report(ProbeState(r=1.0), params)
+    at_r1 = 1.0 / (report.t1_induced * report.gamma_purcell)
     assert abs(at_r1 - 7.524) / 7.524 <= 0.005, at_r1
-    assert induced_t1_inverse(0.0, gamma) == 2.0 * gamma
+    report = backaction_report(ProbeState(r=0.0), params)
+    assert report.t1_induced == 1.0 / (2.0 * report.gamma_purcell)
     print(
         f"PASS: criterion 5 - induced relaxation {at_r1:.6f} gamma_pu at r=1 "
         f"(7.524 +/- 0.5%), exactly 2 gamma_pu at r=0"

@@ -190,25 +190,87 @@ def test_non_utf8_config_is_a_config_error(tmp_path):
     assert done.stderr.count("\n") == 1
 
 
+_HUGE_ALPHA_SWEEP = "sweep_variable = alpha\nsweep_lo = 1e307\nsweep_hi = 1e308\nsweep_points = 5"
+_WITH_T1 = "\nuse_backaction_t1 = true"
+
+
+def _add(lines: str) -> tuple[str, str]:
+    """An edit of MATCHED_CONFIG that appends lines after its last one."""
+    return "t_us = 0.714", "t_us = 0.714\n" + lines
+
+
 @pytest.mark.parametrize(
-    ("subcommand", "extra", "fragment"),
+    ("subcommand", "edit", "fragment"),
     [
-        ("backaction", "r = 400\ngs_over_delta = 0.01\n", "cosh 2r overflows"),
-        ("shots", "r = 400\n", "cosh 2r overflows"),
+        ("backaction", ("r = 0.74", "r = 400\ngs_over_delta = 0.01"), "cosh 2r overflows"),
+        ("shots", ("r = 0.74", "r = 400"), "cosh 2r overflows"),
+        ("backaction", _add("gs_over_delta = 1e200"), "Purcell rate"),
+        ("backaction", _add("gs_over_delta = 1e154"), "Purcell rate"),
+        ("backaction", _add("gs_over_delta = 1e-160"), "induced T1"),
+        ("backaction", _add("gs_over_delta = 1e-200"), "induced T1"),
+        ("fidelity", _add("gs_over_delta = 1e200" + _WITH_T1), "Purcell rate"),
+        ("fidelity", _add("gs_over_delta = 1e154" + _WITH_T1), "Purcell rate"),
+        ("shots", _add("gs_over_delta = 1e154" + _WITH_T1), "Purcell rate"),
+        ("snr", ("alpha = 10.0", "alpha = 1e308"), "contrast overflows"),
+        ("fidelity", ("alpha = 10.0", "alpha = 1e308"), "contrast overflows"),
+        ("shots", ("alpha = 10.0", "alpha = 1e308"), "contrast overflows"),
+        ("sweep", _add(_HUGE_ALPHA_SWEEP), "contrast overflows"),
+        (
+            "sweep",
+            _add(_HUGE_ALPHA_SWEEP + "\nsweep_metric = contrast"),
+            "contrast overflows",
+        ),
     ],
-    ids=["backaction-r400", "shots-r400"],
+    ids=[
+        "backaction-r400",
+        "shots-r400",
+        "backaction-coupling-1e200",
+        "backaction-coupling-1e154",
+        "backaction-coupling-1e-160",
+        "backaction-coupling-1e-200",
+        "fidelity-coupling-1e200",
+        "fidelity-coupling-1e154",
+        "shots-coupling-1e154",
+        "snr-alpha-1e308",
+        "fidelity-alpha-1e308",
+        "shots-alpha-1e308",
+        "sweep-snr-alpha-1e308",
+        "sweep-contrast-alpha-1e308",
+    ],
 )
 def test_unrepresentable_probe_exits_2_without_a_traceback(
-    tmp_path, subcommand, extra, fragment
+    tmp_path, subcommand, edit, fragment
 ):
     path = tmp_path / "squeezed.cfg"
-    path.write_text(MATCHED_CONFIG.replace("r = 0.74\n", extra), encoding="utf-8")
+    path.write_text(MATCHED_CONFIG.replace(*edit), encoding="utf-8")
     done = _run_cli([subcommand, "--config", str(path)])
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("numerical error: ")
     assert fragment in done.stderr
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    ("subcommand", "edit", "message"),
+    [
+        ("snr", ("alpha = 10.0", "alpha = nan"), "line 5: expected float for 'alpha', got 'nan'"),
+        ("snr", _add("fig2_r_values = ,"), "line 8: expected float list for 'fig2_r_values', got ','"),
+        ("backaction", _add("nd_ratio_max = 0"), "nd_ratio_max must be positive, got 0.0"),
+        ("backaction", _add("gs_over_delta = -1"), "gs_over_delta must be positive, got -1.0"),
+        (
+            "sweep",
+            _add("sweep_variable = r\nsweep_hi = 2"),
+            "sweep requires sweep_variable, sweep_lo and sweep_hi in the config",
+        ),
+    ],
+    ids=["alpha-nan", "fig2-r-values-empty", "nd-ratio-max-0", "gs-negative", "no-sweep-lo"],
+)
+def test_config_error_exits_1_with_one_line(tmp_path, capsys, subcommand, edit, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(MATCHED_CONFIG.replace(*edit), encoding="utf-8")
+    assert main([subcommand, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_shots_at_r10_sample_without_error(tmp_path, capsys):

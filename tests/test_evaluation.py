@@ -27,6 +27,7 @@ from squeezed_readout import (
     contrast,
     find_peak,
     integrated_variance,
+    measurement_mean,
     readout_point,
     reproduce_figure2,
     reproduce_figure3,
@@ -275,11 +276,12 @@ def test_grid_rows_equal_the_float_path(
             assert str(error) == str(loop)
         return
     assert not isinstance(grid, ReadoutError), grid
-    names = _FIELDS
-    if metric not in ("snr", "fidelity"):
-        # snr is only evaluated for the metrics that need it
-        assert grid.snr is None
-        names = tuple(name for name in _FIELDS if name != "snr")
+    # snr is only evaluated for the metrics that need it, the contrast for
+    # every metric but variance
+    unread = {"contrast": ("snr",), "variance": ("contrast", "snr")}.get(metric, ())
+    for name in unread:
+        assert getattr(grid, name) is None
+    names = tuple(name for name in _FIELDS if name not in unread)
     for i, point in enumerate(loop):
         for name in names:
             assert _same(getattr(grid, name)[i], getattr(point, name)), (name, i)
@@ -355,6 +357,53 @@ def test_overflowing_variance_is_a_numerical_error_in_every_figure_of_merit(para
     ):
         with pytest.raises(NumericalError, match="outcome variance overflows"):
             call()
+
+
+# 2*sqrt(2)*alpha overflows a double above alpha = 6.4e307, although the
+# contrast at the matched point (about 2e307 at alpha = 1e308) would fit
+_HUGE_ALPHAS = sweeps._grid(1e307, 1e308, 5)
+_SEPARATION_OVERFLOWS = "contrast overflows at alpha = {!r}"
+
+
+def test_overflowing_separation_is_a_numerical_error(t_matched, params_k2):
+    probe = ProbeState(alpha=1e308, r=0.74, theta_xi=math.pi)
+    args = (t_matched, probe, params_k2, PHI_DEFAULT)
+    for call in (contrast, snr, readout_point):
+        with pytest.raises(NumericalError) as error:
+            call(*args)
+        assert str(error.value) == _SEPARATION_OVERFLOWS.format(1e308)
+    # the means and variances read no separation
+    assert math.isfinite(measurement_mean(*args, +1))
+    assert math.isfinite(integrated_variance(*args, -1))
+    # on a time grid the separation overflows at every point
+    with pytest.raises(NumericalError) as error:
+        _evaluate("snr", _fields(np.array([0.5, t_matched]), probe, params_k2, PHI_DEFAULT))
+    assert str(error.value) == _SEPARATION_OVERFLOWS.format(1e308)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_overflowing_separation_on_a_grid_names_the_first_bad_point(
+    metric, t_matched, probe_matched, params_k2
+):
+    fixed = SweepFixed(params=params_k2, probe=probe_matched, phi=PHI_DEFAULT, t=t_matched)
+    spec = SweepSpec(
+        variable="alpha", lo=1e307, hi=1e308, points=5, fixed=fixed, metric=metric
+    )
+    base = _fields(t_matched, probe_matched, params_k2, PHI_DEFAULT)
+    grid = sweeps._with(fixed, base, "alpha", np.array(_HUGE_ALPHAS))
+    if metric == "variance":
+        assert all(math.isfinite(row.metric_value) for row in run_sweep(spec).rows)
+        return
+    # no RuntimeWarning on the way: the suite turns one into an error
+    coarse = sweeps._grid(1e307, 1e308, sweeps._COARSE_POINTS)
+    for call, first in (
+        (lambda: _evaluate(metric, grid), _HUGE_ALPHAS[3]),
+        (lambda: run_sweep(spec), _HUGE_ALPHAS[3]),
+        (lambda: find_peak(metric, "alpha", (1e307, 1e308), fixed), coarse[19]),
+    ):
+        with pytest.raises(NumericalError) as error:
+            call()
+        assert str(error.value) == _SEPARATION_OVERFLOWS.format(first)
 
 
 def test_overflowing_coefficient_is_a_numerical_error(probe_matched, params_k2):

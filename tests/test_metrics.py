@@ -8,6 +8,7 @@ from helpers import input_covariance
 
 from squeezed_readout import (
     ProbeState,
+    SweepFixed,
     SystemParams,
     UndefinedPointError,
     ValidationError,
@@ -412,9 +413,16 @@ def test_non_finite_phi_is_rejected(t_matched, probe_matched, params_k2, phi):
         lambda: readout_point(*args),
         lambda: integrated_variance(*args, +1),
         lambda: measurement_mean(*args, -1),
+        lambda: SweepFixed(params=params_k2, probe=probe_matched, phi=phi, t=t_matched),
     ):
         with pytest.raises(ValidationError, match="phi"):
             call()
+
+
+def test_sigma_must_be_plus_or_minus_one(t_matched, probe_matched, params_k2):
+    for call in (measurement_mean, integrated_variance):
+        with pytest.raises(ValidationError, match="sigma must be"):
+            call(t_matched, probe_matched, params_k2, PHI_DEFAULT, 0)
 
 
 def test_readout_point_is_self_consistent(t_matched, probe_matched, params_k2):

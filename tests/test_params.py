@@ -8,8 +8,8 @@ from squeezed_readout import (
     UnitContext,
     ValidationError,
     from_experimental,
-    wrap_angle,
 )
+from squeezed_readout.params import wrap_angle
 
 
 def test_from_experimental_reference_rates():

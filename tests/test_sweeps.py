@@ -113,6 +113,8 @@ def test_sweep_spec_validation(fixed):
         SweepSpec(variable="phi", lo=0.0, hi=1.0, points=10, fixed=fixed, metric="snr")
     with pytest.raises(ValidationError, match="metric"):
         SweepSpec(variable="r", lo=0.0, hi=1.0, points=10, fixed=fixed, metric="bitrate")
+    with pytest.raises(ValidationError, match="t must be nonnegative"):
+        dataclasses.replace(fixed, t=-1.0)
 
 
 def test_find_peak_locates_squeezing_optimum(fixed, t_matched, params_k2):
@@ -172,8 +174,10 @@ def test_find_peak_rejects_undefined_points(fixed):
 def test_find_peak_validation(fixed):
     with pytest.raises(ValidationError, match="bounds"):
         find_peak("snr", "r", (1.0, 0.5), fixed)
-    with pytest.raises(ValidationError, match="tol"):
-        find_peak("snr", "r", (0.0, 1.0), fixed, tol=0.0)
+    with pytest.raises(ValidationError, match="metric must be one of"):
+        find_peak("purity", "r", (0.0, 1.0), fixed)
+    with pytest.raises(ValidationError, match="unknown sweep variable"):
+        find_peak("snr", "theta_alpha", (0.0, 1.0), fixed)
 
 
 def test_sweep_csv_round_trip(fixed, tmp_path):
