@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -497,7 +498,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process.
+
+    parse_args returns a fresh Namespace on every call, so no call sees
+    another's arguments.
+    """
     parser = _Parser(
         prog="squeezed-readout",
         description=(

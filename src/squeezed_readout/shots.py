@@ -247,14 +247,23 @@ def classify(
         error_plus = float(np.mean(batch.outcomes_plus >= threshold))
         error_minus = float(np.mean(batch.outcomes_minus < threshold))
 
-    sd_plus = float(np.std(batch.outcomes_plus, ddof=1))
-    sd_minus = float(np.std(batch.outcomes_minus, ddof=1))
-    separation = abs(
-        float(np.mean(batch.outcomes_plus)) - float(np.mean(batch.outcomes_minus))
-    )
-    if sd_plus + sd_minus == 0.0:
+    # at huge outcomes the sums inside mean and std overflow; that is
+    # reported below as one error, not as numpy warnings and a NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd_plus = float(np.std(batch.outcomes_plus, ddof=1))
+        sd_minus = float(np.std(batch.outcomes_minus, ddof=1))
+        mean_plus = float(np.mean(batch.outcomes_plus))
+        mean_minus = float(np.mean(batch.outcomes_minus))
+    separation = abs(mean_plus - mean_minus)
+    spread = sd_plus + sd_minus
+    # a finite difference needs both means finite, a finite sum both spreads
+    if not (math.isfinite(separation) and math.isfinite(spread)):
+        raise NumericalError(
+            "batch means or standard deviations overflow; empirical SNR is undefined"
+        )
+    if spread == 0.0:
         raise NumericalError("batch has zero spread; empirical SNR is undefined")
-    empirical_snr = separation / (sd_plus + sd_minus)
+    empirical_snr = separation / spread
 
     survival = math.exp(-0.5 * batch.t / t1)
     return ClassificationResult(

@@ -13,9 +13,9 @@ render byte-identical CSV (floats via repr, no timestamps).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .probe import ProbeState
 SWEEP_VARIABLES = ("t", "r", "delta_theta", "alpha", "kappa")
 
 _FIGURE_POINTS = 400
+# the most grid points one sweep or figure panel may hold; a grid is a
+# list of that many floats, so a larger request is refused before it is built
+_MAX_POINTS = 2**20
 _FIG_CHI_OVER_2PI_MHZ = 0.15
 _FIG_T1_MS = 3.0
 FIG2_DEFAULT_R_VALUES = (0.0, 0.425, 0.85, 1.275)
@@ -71,8 +74,7 @@ class SweepSpec:
             raise ValidationError(
                 f"metric must be one of {METRICS}, got {self.metric!r}"
             )
-        if not isinstance(self.points, int) or self.points < 2:
-            raise ValidationError(f"points must be an integer >= 2, got {self.points!r}")
+        _check_points(self.points)
         _check_range("range", self.lo, self.hi)
         floor = {"t": 0.0, "r": 0.0, "alpha": 0.0}.get(self.variable)
         if floor is not None and self.lo < floor:
@@ -83,8 +85,7 @@ class SweepSpec:
             raise ValidationError(f"kappa sweep requires lo > 0, got {self.lo!r}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """Metric plus response-coefficient diagnostics at one grid point."""
 
     value: float
@@ -151,6 +152,14 @@ def _with(fixed: SweepFixed, base, variable: str, value):
     return base._replace(**{variable: value})
 
 
+def _check_points(points) -> None:
+    """points is an integer grid size in [2, _MAX_POINTS], as _grid needs it."""
+    if not isinstance(points, int) or not 2 <= points <= _MAX_POINTS:
+        raise ValidationError(
+            f"points must be an integer in [2, {_MAX_POINTS}], got {points!r}"
+        )
+
+
 def _check_range(name: str, lo: float, hi: float) -> None:
     """lo < hi, finite and a finite width apart, as _grid needs them."""
     if not (lo < hi and math.isfinite(float(hi) - float(lo))):
@@ -181,10 +190,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for value in grid:
             _evaluate(metric, _with(fixed, base, variable, value))
         raise
-    rows = tuple(
-        SweepRow(value, math.nan if m is None else m, *diagnostics, m is None)
-        for value, m, *diagnostics in zip(grid, point.value, *point[:6])
-    )
+    skipped = [m is None for m in point.value]
+    metric_values = [math.nan if m is None else m for m in point.value]
+    rows = tuple(map(SweepRow._make, zip(grid, metric_values, *point[:6], skipped)))
     return SweepResult(rows=rows, spec=spec)
 
 
@@ -310,10 +318,8 @@ def render_sweep_csv(result: SweepResult) -> str:
         if getattr(params, name) is not None:
             meta[name] = getattr(params, name)
     # a SweepRow's fields in order, headed by the variable and metric names
-    names = [field.name for field in dataclasses.fields(SweepRow)]
-    columns = (spec.variable, spec.metric, *names[2:])
-    rows = (vars(row).values() for row in result.rows)
-    return _render_csv(meta, columns, rows)
+    columns = (spec.variable, spec.metric, *SweepRow._fields[2:])
+    return _render_csv(meta, columns, result.rows)
 
 
 def render_figure_csv(table: FigureTable) -> str:
@@ -337,6 +343,7 @@ def reproduce_figure2(
         raise ValidationError(
             f"params_variant must be 'panel_ab' or 'panel_cd', got {params_variant!r}"
         )
+    _check_points(points)
     if r_values is None:
         r_values = FIG2_DEFAULT_R_VALUES
     for r in r_values:
@@ -386,6 +393,7 @@ def reproduce_figure3(points: int = _FIGURE_POINTS) -> FigureTable:
     carry the coherent (r = 0) baseline alongside, at kappa = 2 chi_s,
     alpha = 10, t = 0.714 us.
     """
+    _check_points(points)
     params = from_experimental(_FIG_CHI_OVER_2PI_MHZ, 2.0, _FIG_T1_MS)
     units = UnitContext(_FIG_CHI_OVER_2PI_MHZ * 1e6)
     phi = 0.5 * math.pi

@@ -21,6 +21,7 @@ from squeezed_readout import (
     snr,
     total_t1,
 )
+from squeezed_readout import cli
 from squeezed_readout.cli import main, parse_config
 
 MATCHED_CONFIG = """\
@@ -251,6 +252,9 @@ def test_unrepresentable_probe_exits_2_without_a_traceback(
     assert done.stderr.count("\n") == 1
 
 
+_R_SWEEP = "sweep_variable = r\nsweep_lo = 0\nsweep_hi = 2\n"
+
+
 @pytest.mark.parametrize(
     ("subcommand", "edit", "message"),
     [
@@ -263,8 +267,38 @@ def test_unrepresentable_probe_exits_2_without_a_traceback(
             _add("sweep_variable = r\nsweep_hi = 2"),
             "sweep requires sweep_variable, sweep_lo and sweep_hi in the config",
         ),
+        (
+            "sweep",
+            _add(_R_SWEEP + "sweep_points = 1"),
+            "points must be an integer in [2, 1048576], got 1",
+        ),
+        (
+            "sweep",
+            _add(_R_SWEEP + "sweep_points = 0"),
+            "points must be an integer in [2, 1048576], got 0",
+        ),
+        (
+            "sweep",
+            _add(_R_SWEEP + "sweep_points = 1048577"),
+            "points must be an integer in [2, 1048576], got 1048577",
+        ),
+        (
+            "sweep",
+            _add(_R_SWEEP + "sweep_points = 2.5"),
+            "line 11: expected int for 'sweep_points', got '2.5'",
+        ),
     ],
-    ids=["alpha-nan", "fig2-r-values-empty", "nd-ratio-max-0", "gs-negative", "no-sweep-lo"],
+    ids=[
+        "alpha-nan",
+        "fig2-r-values-empty",
+        "nd-ratio-max-0",
+        "gs-negative",
+        "no-sweep-lo",
+        "sweep-points-1",
+        "sweep-points-0",
+        "sweep-points-above-cap",
+        "sweep-points-fraction",
+    ],
 )
 def test_config_error_exits_1_with_one_line(tmp_path, capsys, subcommand, edit, message):
     path = tmp_path / "bad.cfg"
@@ -332,6 +366,58 @@ def test_optimize_subcommand(config_path, capsys):
     assert float(block["t_opt_us"]) == pytest.approx(0.8768222934485936, rel=1e-12)
     assert block["phase_matched"] == "True"
     assert float(block["residual_squeezing_phase"]) < 1e-12
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    main(["figures", "fig3", "--u-literal"])  # builds the parser if nothing has yet
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert main(["figures", "fig3", "--u-literal"]) == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["transmogrify"])
+    assert excinfo.value.code == 1
+    assert built == []
+    # usage errors still reach the sys.stderr of the call, not of the first call
+    err = capsys.readouterr().err
+    assert err.startswith("usage: squeezed-readout ")
+    assert "invalid choice: 'transmogrify'" in err
+
+
+@pytest.mark.parametrize(
+    ("first", "second"),
+    [
+        (["shots", "--n-shots", "500", "--seed", "7"], ["shots", "--n-shots", "500"]),
+        (["figures", "fig2", "--variant", "panel_ab"], ["figures", "fig2"]),
+        (["snr", "--out", "first.txt"], ["snr"]),
+    ],
+    ids=["seed", "variant", "out"],
+)
+def test_cached_parser_carries_nothing_between_calls(
+    config_path, tmp_path, monkeypatch, capsys, first, second
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    config = ["--config", config_path]
+    assert main(first + config) == 0
+    for path in work.iterdir():
+        path.unlink()
+    capsys.readouterr()
+    assert main(second + config) == 0
+    in_process = capsys.readouterr().out
+    assert list(work.iterdir()) == []
+    # the second call prints what it prints as the first call of a new process
+    fresh = _run_cli(second + config)
+    assert fresh.returncode == 0
+    assert in_process == fresh.stdout
+    assert list(work.iterdir()) == []
 
 
 def test_shots_subcommand_and_seed_override(config_path, capsys):

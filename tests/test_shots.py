@@ -191,6 +191,16 @@ def test_overflowing_outcome_variance_is_a_numerical_error(params_k2):
         sample_shots(100, 1e150, probe, params_k2, PHI_DEFAULT, SEED)
 
 
+def test_overflowing_batch_statistics_are_a_numerical_error(t_matched, params_k2):
+    # every outcome is finite, but the sums inside their mean and std are
+    # not; a numpy overflow warning would fail this test as an error
+    probe = ProbeState(alpha=1e308, r=0.74, theta_xi=math.pi)
+    batch = sample_shots(1000, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
+    assert np.isfinite(batch.outcomes_plus).all()
+    with pytest.raises(NumericalError, match="standard deviations overflow"):
+        classify(batch)
+
+
 def test_shot_weights_carry_the_closed_form_moments():
     rng = np.random.default_rng(77)
     for _ in range(200):

@@ -8,6 +8,7 @@ from conftest import PHI_DEFAULT, R_MATCHED
 from squeezed_readout import (
     NumericalError,
     SweepFixed,
+    SweepRow,
     SweepSpec,
     ValidationError,
     contrast,
@@ -20,6 +21,7 @@ from squeezed_readout import (
     run_sweep,
     snr,
 )
+from squeezed_readout import sweeps
 
 SNR_MATCHED_REF = 3.580922280271772
 
@@ -37,6 +39,7 @@ def test_time_sweep_skips_undefined_origin(fixed):
     )
     result = run_sweep(spec)
     assert len(result.rows) == 41
+    assert all(type(row) is SweepRow for row in result.rows)
     assert result.rows[0].skipped
     assert math.isnan(result.rows[0].metric_value)
     for row in result.rows[1:]:
@@ -197,6 +200,7 @@ def test_sweep_csv_round_trip(fixed, tmp_path):
     header = lines[header_index].split(",")
     assert header[0] == "r"
     assert header[1] == "snr"
+    assert tuple(header[2:]) == SweepRow._fields[2:]
     first_row = lines[header_index + 1].split(",")
     assert float(first_row[0]) == 0.0
     assert float(first_row[1]) == pytest.approx(
@@ -314,3 +318,27 @@ def test_range_whose_width_overflows_is_rejected(fixed):
     with pytest.raises(ValidationError, match="bounds must be finite with lo < hi"):
         find_peak("snr", "delta_theta", (-1e308, 1e308), fixed)
     assert len(run_sweep(SweepSpec(lo=-1e307, hi=1e307, **args)).rows) == 4
+
+
+@pytest.mark.parametrize("points", [1, 0, -3, 2.5, "400", 2**20 + 1, 10**13])
+def test_grid_size_is_checked_before_any_grid_is_built(monkeypatch, fixed, points):
+    def no_grid(*args):
+        raise AssertionError("a grid was built before its size was checked")
+
+    monkeypatch.setattr(sweeps, "_grid", no_grid)
+    for build in (
+        lambda: SweepSpec(
+            variable="r", lo=0.0, hi=1.0, points=points, fixed=fixed, metric="snr"
+        ),
+        lambda: reproduce_figure2("panel_ab", points=points),
+        lambda: reproduce_figure3(points=points),
+    ):
+        with pytest.raises(ValidationError, match=r"points must be an integer in \[2, 1048576\]"):
+            build()
+
+
+def test_two_points_make_the_smallest_grid(fixed):
+    spec = SweepSpec(variable="r", lo=0.0, hi=1.0, points=2, fixed=fixed, metric="snr")
+    assert [row.value for row in run_sweep(spec).rows] == [0.0, 1.0]
+    assert len(reproduce_figure2("panel_ab", points=2).rows) == 4 * 2
+    assert len(reproduce_figure3(points=2).rows) == 2 * 2
