@@ -388,7 +388,7 @@ def _cmd_shots(config: RunConfig) -> int:
     )
     result = classify(batch, config.threshold_policy, t1=t1_internal)
     if config.out:
-        rows = ["state,outcome"]
+        rows = [f"# generator_id = {batch.generator_id}", "state,outcome"]
         rows.extend(f"1,{value!r}" for value in batch.outcomes_plus.tolist())
         rows.extend(f"-1,{value!r}" for value in batch.outcomes_minus.tolist())
         _write_text(config.out, _snapshot_header(config) + "\n".join(rows) + "\n")

@@ -129,6 +129,11 @@ def _snr_point(metric, t, separation, vp, vm, t1):
     return value, fidelity(t, value, t1) if metric == "fidelity" else value
 
 
+def _column(x, n: int) -> list:
+    """n Python floats: a grid column as it is, a scalar repeated."""
+    return x.tolist() if isinstance(x, np.ndarray) else [float(x)] * n
+
+
 def _evaluate(metric: str, point: _Fields) -> _Evaluation:
     """The readout model at one operating point or over a whole grid.
 
@@ -161,9 +166,9 @@ def _evaluate(metric: str, point: _Fields) -> _Evaluation:
     if grid:
         # every swept field reaches the variances or the means
         n = np.broadcast(vp, fields[6]).size
-        fields = [x if x is None else np.broadcast_to(x, n).tolist() for x in fields]
+        fields = [x if x is None else _column(x, n) for x in fields]
         if metric in ("snr", "fidelity"):
-            rows = (np.broadcast_to(t, n).tolist(), fields[8], fields[4], fields[5])
+            rows = (_column(t, n), fields[8], fields[4], fields[5])
             fields[9:] = zip(*map(_snr_point, [metric] * n, *rows, [t1] * n))
     elif metric in ("snr", "fidelity"):
         fields[9:] = _snr_point(metric, t, sep, vp, vm, t1)

@@ -2,22 +2,25 @@
 
 Within the linear model the integrated output is an exact linear map of
 four jointly Gaussian inputs: the two probe quadratures and the two
-quadratures of the initial resonator vacuum.  Each shot therefore draws
-four standard normals z and forms, for qubit eigenvalue σ,
+quadratures of the initial resonator vacuum.  One shot's outcome is
+therefore a scalar Gaussian, and each shot draws one standard normal z
+and forms, for qubit eigenvalue σ,
 
-    outcome_σ = w_σ·z + mean_σ
-    w_σ = ( e^{−r}(A cos δ − σB sin δ)/√2,  e^{r}(A sin δ + σB cos δ)/√2,
-            v(F cos φ + σG sin φ),  v(F sin φ − σG cos φ) )
+    outcome_σ = mean_σ + sd_σ·z
+    sd_σ² = (e^{−r}·a_σ)²/2 + (e^{r}·b_σ)²/2 + v²·(F² + G²)
+    a_σ = A cos δ − σB sin δ,  b_σ = A sin δ + σB cos δ
 
 where δ = φ − θξ/2 is the LO angle measured from the squeezed
-quadrature (which sits at θξ/2) and v = √(u·κ/2), in internal units.
-The first two entries draw the probe along the axes of its squeeze
-ellipse, whose standard deviations are e^{∓r}/√2, so they stay exact up
-to the overflow of cosh 2r (r ≈ 355); the last two draw the resonator
-vacuum with variance u/2 per quadrature.  A, B, F, G and mean_σ come
-from the one model evaluation metrics._evaluate, so the sampled mean is
-the closed-form mean by construction and |w_σ|² is the closed-form
-variance.
+quadrature (which sits at θξ/2) and v² = u·κ/2, in internal units.
+The first two terms are the probe's variance along the axes of its
+squeeze ellipse, e^{∓2r}/2, so sd_σ never forms the cancelling
+difference ½(cosh 2r − cos d·sinh 2r) and stays exact up to the
+overflow of cosh 2r (r ≈ 355); the last is the resonator vacuum with
+variance u/2 per quadrature.  The terms are summed with math.fsum and
+the root taken with math.sqrt, both correctly rounded, so sd_σ has the
+same bits on every platform.  A, B, F, G and mean_σ come from the one
+model evaluation metrics._evaluate, so the sampled mean is the
+closed-form mean by construction and sd_σ² is the closed-form variance.
 
 Randomness comes from numpy's counter-based Philox generator.  Shots
 are produced in fixed blocks of 8192; block j for σ = +1 uses the
@@ -41,13 +44,13 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .metrics import _evaluate, _Fields, _fields
 from .params import SystemParams
-from .probe import SQRT2, ProbeState
+from .probe import ProbeState
 
 BLOCK_SIZE = 8192
 # shots per eigenstate a batch may hold: 512 MiB of float64 outcomes each
 MAX_SHOTS = 2**26
 GENERATOR_ID = (
-    "numpy-philox4x64-ziggurat/block8192/jumped(2j+{0:plus,1:minus})/ellipse-fold"
+    "numpy-philox4x64-ziggurat/block8192/jumped(2j+{0:plus,1:minus})/one-normal"
 )
 
 
@@ -78,24 +81,32 @@ class ClassificationResult:
 
 
 def _shot_map(point: _Fields) -> dict:
-    """{σ: (w_σ, mean_σ)}, the map outcome_σ = w_σ·z + mean_σ at one point."""
+    """{σ: (sd_σ, mean_σ)}, the law outcome_σ = mean_σ + sd_σ·z at one point."""
     model = _evaluate("variance", point)
-    a_coef, b_coef, big_f, big_g = model.a_coef, model.b_coef, model.big_f, model.big_g
+    a_coef, b_coef = model.a_coef, model.b_coef
+    vacuum = 0.5 * point.u * point.kappa
+    resonator = (vacuum * (model.big_f * model.big_f), vacuum * (model.big_g * model.big_g))
     delta = point.phi - 0.5 * point.theta_xi
-    cd, sd = math.cos(delta), math.sin(delta)
-    c, s = math.cos(point.phi), math.sin(point.phi)
-    squeezed, anti = math.exp(-point.r) / SQRT2, math.exp(point.r) / SQRT2
-    v = math.sqrt(0.5 * point.u * point.kappa)
-    maps = {}
-    for sigma, mean in ((1, model.mean_plus), (-1, model.mean_minus)):
-        weights = (
-            squeezed * (a_coef * cd - sigma * b_coef * sd),
-            anti * (a_coef * sd + sigma * b_coef * cd),
-            v * (big_f * c + sigma * big_g * s),
-            v * (big_f * s - sigma * big_g * c),
+    c, s = math.cos(delta), math.sin(delta)
+    squeezed, anti = math.exp(-point.r), math.exp(point.r)
+    variances = {}
+    for sigma in (1, -1):
+        x = squeezed * (a_coef * c - sigma * b_coef * s)
+        y = anti * (a_coef * s + sigma * b_coef * c)
+        # halved before squaring, which rounds the same and keeps a variance
+        # between half the double range and its top finite
+        try:
+            variances[sigma] = math.fsum(((0.5 * x) * x, (0.5 * y) * y, *resonator))
+        except OverflowError:  # finite terms whose sum passes the double range
+            variances[sigma] = math.inf
+    if not (math.isfinite(variances[1]) and math.isfinite(variances[-1])):
+        raise NumericalError(
+            f"outcome variance overflows: got {variances[1]!r} and {variances[-1]!r}"
         )
-        maps[sigma] = (weights, mean)
-    return maps
+    return {
+        1: (math.sqrt(variances[1]), model.mean_plus),
+        -1: (math.sqrt(variances[-1]), model.mean_minus),
+    }
 
 
 def _fill_block(
@@ -103,22 +114,21 @@ def _fill_block(
     sigma: int,
     block: int,
     base: np.random.Philox,
-    weights: tuple[float, float, float, float],
+    sd: float,
     offset: float,
 ) -> None:
     """Draw one block of eigenvalue sigma's outcomes into its slice of out.
 
     May run on a worker thread, so it calls numpy only: numpy releases the
-    GIL while it draws and while it forms the linear map.  The map is
-    written out elementwise, not as z @ weights, whose BLAS kernel may
-    round differently from one CPU to the next.
+    GIL while it draws, scales and shifts.  The in-place z *= sd, z +=
+    offset rounds exactly like z * sd + offset, without a temporary.
     """
-    w0, w1, w2, w3 = weights
     lo = block * BLOCK_SIZE
-    m = min(BLOCK_SIZE, out.size - lo)
+    view = out[lo : lo + BLOCK_SIZE]
     rng = np.random.Generator(base.jumped(2 * block + (0 if sigma == 1 else 1)))
-    z = rng.standard_normal((m, 4))
-    out[lo : lo + m] = z[:, 0] * w0 + z[:, 1] * w1 + z[:, 2] * w2 + z[:, 3] * w3 + offset
+    rng.standard_normal(out=view)
+    view *= sd
+    view += offset
 
 
 def sample_shots(
@@ -239,21 +249,22 @@ def classify(
             "expected 'midpoint' or 'likelihood'"
         )
 
-    plus_side_high = m_plus >= m_minus
-    if plus_side_high:
-        error_plus = float(np.mean(batch.outcomes_plus <= threshold))
-        error_minus = float(np.mean(batch.outcomes_minus > threshold))
+    plus, minus = batch.outcomes_plus, batch.outcomes_minus
+    if m_plus >= m_minus:
+        wrong_plus, wrong_minus = plus <= threshold, minus > threshold
     else:
-        error_plus = float(np.mean(batch.outcomes_plus >= threshold))
-        error_minus = float(np.mean(batch.outcomes_minus < threshold))
+        wrong_plus, wrong_minus = plus >= threshold, minus < threshold
+    # the exact count divided once by n, as np.mean gives it, without a float sum
+    error_plus = float(np.count_nonzero(wrong_plus) / plus.size)
+    error_minus = float(np.count_nonzero(wrong_minus) / minus.size)
 
     # at huge outcomes the sums inside mean and std overflow; that is
     # reported below as one error, not as numpy warnings and a NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        sd_plus = float(np.std(batch.outcomes_plus, ddof=1))
-        sd_minus = float(np.std(batch.outcomes_minus, ddof=1))
-        mean_plus = float(np.mean(batch.outcomes_plus))
-        mean_minus = float(np.mean(batch.outcomes_minus))
+        sd_plus = float(np.std(plus, ddof=1))
+        sd_minus = float(np.std(minus, ddof=1))
+        mean_plus = float(np.mean(plus))
+        mean_minus = float(np.mean(minus))
     separation = abs(mean_plus - mean_minus)
     spread = sd_plus + sd_minus
     # a finite difference needs both means finite, a finite sum both spreads

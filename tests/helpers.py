@@ -5,8 +5,8 @@ The oracles recompute model quantities through an independent route
 of the probe) so the closed forms in the package are checked against
 something they were not derived from.  The identities at the end
 (envelopes, propagator, coefficient rotation, squeezed coherent
-displacement) are textbook relations the tests check the model against;
-the package itself does not need them.
+displacement, the four-source shot weights) are textbook relations the
+tests check the model against; the package itself does not need them.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from squeezed_readout import ProbeState, SystemParams, ValidationError
+from squeezed_readout.metrics import _evaluate, _Fields
 
 _QUAD_OPTS = {"epsabs": 1e-14, "epsrel": 1e-13, "limit": 200}
 
@@ -152,3 +153,35 @@ def displacement_from_squeezed_coherent(
     return gamma * math.cosh(r) - gamma.conjugate() * math.sinh(r) * cmath.exp(
         1j * theta_xi
     )
+
+
+def reference_shot_weights(point: _Fields) -> dict:
+    """{σ: (w_σ, mean_σ)}: the outcome as w_σ·z + mean_σ of four standard normals.
+
+    z holds the probe's draws along the axes of its squeeze ellipse, whose
+    standard deviations are e^{∓r}/√2, and the two quadratures of the
+    initial resonator vacuum, of variance u/2 each:
+
+        w_σ = ( e^{−r}(A cos δ − σB sin δ)/√2,  e^{r}(A sin δ + σB cos δ)/√2,
+                v(F cos φ + σG sin φ),  v(F sin φ − σG cos φ) )
+
+    with δ = φ − θξ/2 and v = √(u·κ/2).  Every LO angle φ reads the same
+    four physical draws, so one z gives joint samples of two quadratures.
+    """
+    model = _evaluate("variance", point)
+    a_coef, b_coef, big_f, big_g = model.a_coef, model.b_coef, model.big_f, model.big_g
+    delta = point.phi - 0.5 * point.theta_xi
+    cd, sd = math.cos(delta), math.sin(delta)
+    c, s = math.cos(point.phi), math.sin(point.phi)
+    squeezed, anti = math.exp(-point.r) / math.sqrt(2.0), math.exp(point.r) / math.sqrt(2.0)
+    v = math.sqrt(0.5 * point.u * point.kappa)
+    maps = {}
+    for sigma, mean in ((1, model.mean_plus), (-1, model.mean_minus)):
+        weights = (
+            squeezed * (a_coef * cd - sigma * b_coef * sd),
+            anti * (a_coef * sd + sigma * b_coef * cd),
+            v * (big_f * c + sigma * big_g * s),
+            v * (big_f * s - sigma * big_g * c),
+        )
+        maps[sigma] = (weights, mean)
+    return maps

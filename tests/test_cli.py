@@ -463,6 +463,39 @@ def test_shots_csv_is_seed_stable(config_path, tmp_path, capsys):
     assert out_c.read_text(encoding="utf-8") != text_a
 
 
+def test_shots_csv_header_names_its_stream(config_path, tmp_path, capsys):
+    # the config snapshot, then the generator that drew the outcomes
+    out = tmp_path / "shots.csv"
+    args = ["shots", "--config", config_path, "--n-shots", "2", "--seed", "5"]
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[:-4] == [
+        "# chi_over_2pi_mhz = 0.15",
+        "# kappa_over_chi = 2.0",
+        "# t1_ms = 3.0",
+        "# alpha = 10.0",
+        "# theta_alpha_rad = 0.0",
+        "# r = 0.74",
+        "# theta_xi_rad = 3.141592653589793",
+        "# lo_phase_rad = 1.5707963267948966",
+        "# vacuum_weight = 0.25",
+        "# delta_c = 0.0",
+        "# t_us = 0.714",
+        "# seed = 5",
+        "# n_shots = 2",
+        "# nd_ratio_max = 0.1",
+        "# use_backaction_t1 = False",
+        "# threshold_policy = midpoint",
+        "# sweep_points = 400",
+        "# sweep_metric = snr",
+        "# generator_id = numpy-philox4x64-ziggurat/block8192/"
+        "jumped(2j+{0:plus,1:minus})/one-normal",
+        "state,outcome",
+    ]
+    assert [line.split(",")[0] for line in lines[-4:]] == ["1", "1", "-1", "-1"]
+
+
 def test_sweep_subcommand(tmp_path, capsys):
     text = MATCHED_CONFIG + (
         "sweep_variable = t\nsweep_lo = 0.0\nsweep_hi = 2.0\nsweep_points = 11\n"

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 from conftest import PHI_DEFAULT
-from helpers import input_covariance
+from helpers import input_covariance, reference_shot_weights
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squeezed_readout import (
     BLOCK_SIZE,
@@ -52,15 +54,23 @@ def test_block_layout_makes_prefixes_stable(t_matched, probe_matched, params_k2)
 
 
 def test_sampler_draws_follow_probe_covariance(t_matched):
-    # sample the same seed at two LO angles to see both output
-    # quadratures per shot, then invert the deterministic linear map to
-    # recover the raw probe draws and compare their moments with the
-    # configured covariance
+    # the four-source reference map reads the same four physical draws at
+    # every LO angle, so one set of draws mapped at two angles shows both
+    # output quadratures per shot; inverting the deterministic linear map
+    # recovers the raw probe draws, whose moments must be the configured
+    # covariance
     params = SystemParams(chi_s=1.0, kappa=2.0, vacuum_weight=1e-12)
     probe = ProbeState(alpha=3.0, theta_alpha=0.7, r=0.6, theta_xi=1.1)
     n = 200000
-    m_q = sample_shots(n, t_matched, probe, params, 0.0, SEED).outcomes_plus
-    m_p = sample_shots(n, t_matched, probe, params, 0.5 * math.pi, SEED).outcomes_plus
+    z = np.random.Generator(np.random.Philox(key=SEED)).standard_normal((n, 4))
+
+    def outcomes(phi):
+        (w0, w1, w2, w3), mean = reference_shot_weights(
+            _fields(t_matched, probe, params, phi)
+        )[1]
+        return z[:, 0] * w0 + z[:, 1] * w1 + z[:, 2] * w2 + z[:, 3] * w3 + mean
+
+    m_q, m_p = outcomes(0.0), outcomes(0.5 * math.pi)
     a_coef, b_coef = signal_coefficients(t_matched, params)
     det = a_coef**2 + b_coef**2
     q = (a_coef * m_q - b_coef * m_p) / det
@@ -104,6 +114,25 @@ def test_classification_matches_analytic_model(t_matched, probe_matched, params_
 
     analytic_fid = fidelity(t_matched, analytic, params_k2.t1_intrinsic)
     assert result.empirical_fidelity == pytest.approx(analytic_fid, abs=2e-3)
+
+
+@pytest.mark.parametrize(
+    "phi", [PHI_DEFAULT, PHI_DEFAULT + math.pi], ids=["plus-high", "plus-low"]
+)
+@pytest.mark.parametrize("policy", ["midpoint", "likelihood"])
+def test_error_counts_equal_the_mean_of_the_masks(phi, policy, t_matched, params_k2):
+    # both orientations of the means; np.mean of a boolean mask is the
+    # exact count divided once by n, so the two must agree bit for bit
+    probe = ProbeState(alpha=10.0, theta_alpha=0.0, r=0.74, theta_xi=0.5 * math.pi)
+    batch = sample_shots(50_001, t_matched, probe, params_k2, phi, SEED)
+    result = classify(batch, policy)
+    plus, minus, cut = batch.outcomes_plus, batch.outcomes_minus, result.threshold
+    if np.mean(plus) > np.mean(minus):
+        expected = (float(np.mean(plus <= cut)), float(np.mean(minus > cut)))
+    else:
+        expected = (float(np.mean(plus >= cut)), float(np.mean(minus < cut)))
+    assert 0.0 < expected[0] and 0.0 < expected[1]
+    assert (result.error_plus, result.error_minus) == expected
 
 
 def test_empirical_fidelity_bookkeeping(t_matched, probe_matched, params_k2):
@@ -191,6 +220,22 @@ def test_overflowing_outcome_variance_is_a_numerical_error(params_k2):
         sample_shots(100, 1e150, probe, params_k2, PHI_DEFAULT, SEED)
 
 
+def test_outcome_variance_near_the_top_of_the_double_range_samples(params_k2):
+    # e^{r}·b_σ squared passes the double range here, the halved variance
+    # does not; outcomes scaled by the exact power 2^-512 keep their moments
+    probe = ProbeState(alpha=10.0, r=300.0, theta_xi=1.1)
+    t, n = 1.6e24, 20_000
+    batch = sample_shots(n, t, probe, params_k2, PHI_DEFAULT, SEED)
+    for sigma, outcomes in ((1, batch.outcomes_plus), (-1, batch.outcomes_minus)):
+        var = integrated_variance(t, probe, params_k2, PHI_DEFAULT, sigma)
+        assert 0.5 * sys.float_info.max < var < sys.float_info.max
+        assert np.isfinite(outcomes).all()
+        scaled_var = var * 2.0**-1024
+        sample_var = float(np.var(outcomes * 2.0**-512, ddof=1))
+        se = scaled_var * math.sqrt(2.0 / n)
+        assert sample_var == pytest.approx(scaled_var, abs=5.0 * se)
+
+
 def test_overflowing_batch_statistics_are_a_numerical_error(t_matched, params_k2):
     # every outcome is finite, but the sums inside their mean and std are
     # not; a numpy overflow warning would fail this test as an error
@@ -224,9 +269,33 @@ def test_shot_weights_carry_the_closed_form_moments():
             (1, model.variance_plus, model.mean_plus),
             (-1, model.variance_minus, model.mean_minus),
         ):
-            weights, offset = maps[sigma]
+            sd, offset = maps[sigma]
             assert offset == mean
-            assert math.fsum(w * w for w in weights) == pytest.approx(var, rel=1e-12)
+            assert sd * sd == pytest.approx(var, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.floats(min_value=0.0, max_value=300.0),
+    theta_xi=st.floats(min_value=-20.0, max_value=20.0),
+    phi=st.floats(min_value=-20.0, max_value=20.0),
+    kappa=st.floats(min_value=0.01, max_value=100.0),
+    u=st.floats(min_value=1e-12, max_value=1.0),
+)
+def test_shot_sd_is_the_norm_of_the_reference_weights(
+    r, theta_xi, phi, kappa, u, t_matched
+):
+    # an exact check of the variance algebra at any squeezing: the one
+    # normal's scale is the length of the four-source weight vector
+    params = SystemParams(chi_s=1.0, kappa=kappa, vacuum_weight=u)
+    probe = ProbeState(alpha=10.0, theta_alpha=0.3, r=r, theta_xi=theta_xi)
+    point = _fields(t_matched, probe, params, phi)
+    reference = reference_shot_weights(point)
+    for sigma, (sd, mean) in shots._shot_map(point).items():
+        weights, reference_mean = reference[sigma]
+        reference_sd = math.sqrt(math.fsum(w * w for w in weights))
+        assert mean == reference_mean
+        assert abs(sd - reference_sd) <= 4.0 * math.ulp(reference_sd), (sigma, sd)
 
 
 def test_sample_shots_validation(t_matched, probe_matched, params_k2):
@@ -266,44 +335,44 @@ def test_vacuum_probe_outcomes_are_symmetric(t_matched, params_k2):
 BIG_SEED = 2**127 + 12345
 PINNED_STREAMS = {
     (SEED, 1): (
-        "df97c4219ebf04d7ace57c7f60b4097c1ec1decc0b273f1e606bc05928012574",
-        "5dafc399d884fb0873d9c502d67d949cd6bddeff338c2497480afb3ad7c1ce01",
+        "e63d1d55f624212139c7f74bd27129b1d6ed7dee6c2962e34044956244801377",
+        "7dabe2ba670884f67aec9f567a0b615a99fc4628c4fcfdd01842d50ecdce7a0d",
     ),
     (SEED, 8_191): (
-        "5ff7954c7bedd41006589bf1b05612483b30038a93075d2f81e0d0a29c51e0ba",
-        "adbd873997568bb1d404351e38d5be602b9abbc866ff3d92a6a51f10215a1711",
+        "0d69db30adeba985da585e19bbb3d63bf63d873cbcf70219a0f6a8d831d788ba",
+        "ac8654be50b2deeace2d0aa9338f68024d74fc8abfc38c57bf0f5f17f8fd7487",
     ),
     (SEED, 8_192): (
-        "ab92f5766d56bf20fc4ec29bb888e2064b5ad2f04112b69b9a622bbc0af77b2f",
-        "c80f86f244ec43c7d5fd5b165ccc5eaed81644cc66147d59eba0a76bc79de096",
+        "d4bcd7a307dcd4b184d91615a73a1dc2b825f56fb1cab1cf72415a6216c6f742",
+        "881249f4b58e13a35d80dadadcd85288a2b88c362639b22e91a043fcc7c34f05",
     ),
     (SEED, 8_193): (
-        "0a7a65b3770eaa5cfd6389ade16ef55b701b418eacea262d01b81771c097e8f9",
-        "71febd06b129d678e786afa931802e45926db9c338bb36f3615e501975be3714",
+        "eb8855c65161771e57d1531531ab66434c900ba7f2fbaa1ee3a539eed0481f74",
+        "6d59cb0c4ae08cffe7db5b9cef02864d817b4fd63eb66f96efe8c1f5d9373322",
     ),
     (SEED, 100_003): (
-        "9c797ad3c30e3071fa5f37d3418b776a3d4753d700436e7c1ff5a6ba89bb9501",
-        "a4b85f5210b305ed50c3f2452c130aca5c2ea445cf2bd9fde07a07df596ede0a",
+        "a2e82f391aa9f193a33f08504f2ee88fff3f9417479c3964e4110bc485a32395",
+        "21daada053946218cff9209d6c5e3e19208e3fdae51804a4186d387b88e5746d",
     ),
     (BIG_SEED, 1): (
-        "8045cbc680ec5b19fe75ff0c73a9bc638528fc624893ae7f84e8f2ebe91513a3",
-        "17e4f2b4b15a7c76e81705ba8cb2972cb8bbeeaf1a28b10b0e2c077e2823c68b",
+        "298102971ec2a23e4b7bf53f66ca5589e39fe37a8799887dc65d372368763acb",
+        "d7ba26b08c2e3f610da96d369013192d97be1ee41509418d40e3eff7465e8513",
     ),
     (BIG_SEED, 8_191): (
-        "ad3d26c384799c010307954f6868cded4cd99af1965abadfc62240183547165d",
-        "4579bb511d3c994207986d6b709ec31a535c75a0c9cae6a79fa32939df3da841",
+        "4ca2bd3d19d89899c29809a4d8c34fb7de0fd52d319bc423031209657d7b8b67",
+        "c0ea165c94ae96343a56cb1fb1c853995c870462c762770b96cbda478887fb27",
     ),
     (BIG_SEED, 8_192): (
-        "f3dc80dc7afa0a2350ea813b843faf70667929dfff47c973a1c00989f7266925",
-        "e886e153da20121d0f01691236004625ca1acc83091469af806ec00ac8d96d97",
+        "6578a2ce47df1115af8c6e1c418d417e406dab20b4c576da77fe502abe144533",
+        "ff2b538a79384a5d4610a9d17beef03d36657aa4383e29a918cc0827ff0df59c",
     ),
     (BIG_SEED, 8_193): (
-        "a1216a16b354861e94f70a98581b44fc593528be69bf482905cfe321a7dc7d57",
-        "5898c6d5d7abe186755b32f6f1ce3b9d211aad75eafb4f65dc804a1ec712aea6",
+        "9a5eecc9dd940253ecb04c4c41d6bf4ed6be7ae9ac625f9b280198be4dbf8d67",
+        "ceb64a3bb46d85ac3cd1ee2e2c97a7995af045e4fea4ce4c6c87651db0dd2011",
     ),
     (BIG_SEED, 100_003): (
-        "441bc11db7f78ebe541afe61ce1f8e396027811bc076daa7a6f6102ede754062",
-        "a06aeb49431a5fc3167f42f14ada51a3ca2740e704eb9278f15cad9257a5765a",
+        "68c5fa1556c0723ffb519d7810bf06fed22d66c248456b314352822dc517a895",
+        "3b8c928f53ad08777b9eb1bfabe1c638400b222e220d08ba3769f6397859a306",
     ),
 }
 
