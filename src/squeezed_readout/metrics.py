@@ -79,10 +79,13 @@ def _square(x: float) -> float:
 def _variances(big_f, big_g, a_coef, b_coef, moments, kappa, u):
     """(variance_plus, variance_minus); a NumericalError at the first non-finite pair."""
     var_q_rot, var_p_rot, cov_rot = moments
-    square = _square_grid if isinstance(a_coef, np.ndarray) else _square
     try:
-        vacuum = u * 0.5 * kappa * (square(big_f) + square(big_g))
-        squeezed = square(a_coef) * var_q_rot + square(b_coef) * var_p_rot
+        if isinstance(a_coef, np.ndarray):
+            f2, g2, a2, b2 = map(_square_grid, (big_f, big_g, a_coef, b_coef))
+        else:
+            f2, g2, a2, b2 = big_f**2, big_g**2, a_coef**2, b_coef**2
+        vacuum = u * 0.5 * kappa * (f2 + g2)
+        squeezed = a2 * var_q_rot + b2 * var_p_rot
     except OverflowError:
         raise NumericalError("response coefficients overflow: t is too large") from None
     cross = 2.0 * a_coef * b_coef * cov_rot
@@ -134,45 +137,68 @@ def _column(x, n: int) -> list:
     return x.tolist() if isinstance(x, np.ndarray) else [float(x)] * n
 
 
-def _evaluate(metric: str, point: _Fields) -> _Evaluation:
-    """The readout model at one operating point or over a whole grid.
+def _model(metric: str, point: _Fields, stages: list, moving=None) -> list:
+    """[variance_plus, variance_minus, contrast, snr, value]; lists on a grid.
 
-    Every figure of merit, sweep, peak search, figure table, shot batch
-    and classification reads this one evaluation; phi is unchecked.  On a
-    grid the arithmetic runs on arrays, and every transcendental function
-    and power on each element through the math module, so each grid
-    point carries the bits of the float path.
+    The two stages, the response F, G, A, B and the rotated moments, then
+    the tail.  An empty stages list is filled with the stages at point.
+    A peak search passes the stages of its last point and the name of
+    the one field of point that moved; only the stage that reads it is
+    recomputed, so each point raises what a fresh evaluation raises there.
     """
-    if metric not in METRICS:
-        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     t, kappa, alpha, r, theta_xi, theta_alpha, phi, u, t1 = point
-    big_f, big_g, a_coef, b_coef = _response(kappa, 1.0, t)
-    moments = _rotated_moments(r, theta_xi, phi)
+    if not stages:
+        if metric not in METRICS:
+            raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
+        stages += _response(kappa, 1.0, t), _rotated_moments(r, theta_xi, phi)
+    elif moving in ("t", "kappa"):
+        stages[0] = _response(kappa, 1.0, t)
+    elif moving in ("r", "theta_xi"):
+        stages[1] = _rotated_moments(r, theta_xi, phi)
+    (big_f, big_g, a_coef, b_coef), moments = stages
     grid = np.ndarray in (type(a_coef), type(moments[0]), type(alpha))
     variances = _variances_grid if grid else _variances
     separation = _separation_grid if grid else _separation
     vp, vm = variances(big_f, big_g, a_coef, b_coef, moments, kappa, u)
-    mq, mp = _input_means(alpha, theta_alpha)
-    c, s = math.cos(phi), math.sin(phi)
-    along = a_coef * (mq * c + mp * s)
-    across = b_coef * (-mq * s + mp * c)
     # the variance metric reads no separation, which overflows first at huge alpha
     sep = None if metric == "variance" else separation(alpha, b_coef, theta_alpha, phi)
     # the variance is symmetrized over the qubit eigenvalue; the two
     # halves differ only through the frame-residual covariance cross term
-    value = {"contrast": sep, "variance": 0.5 * (vp + vm)}.get(metric)
-    fields = [a_coef, b_coef, big_f, big_g, vp, vm, along + across, along - across, sep]
-    fields += [None, value]  # snr and the metric value, set below for snr and fidelity
+    value = sep if metric == "contrast" else 0.5 * (vp + vm) if metric == "variance" else None
+    fields = [vp, vm, sep, None, value]  # snr and value set below for snr and fidelity
     if grid:
         # every swept field reaches the variances or the means
-        n = np.broadcast(vp, fields[6]).size
+        n = np.broadcast(*point[:5]).size
         fields = [x if x is None else _column(x, n) for x in fields]
         if metric in ("snr", "fidelity"):
-            rows = (_column(t, n), fields[8], fields[4], fields[5])
-            fields[9:] = zip(*map(_snr_point, [metric] * n, *rows, [t1] * n))
+            rows = (_column(t, n), fields[2], fields[0], fields[1])
+            fields[3:] = zip(*map(_snr_point, [metric] * n, *rows, [t1] * n))
     elif metric in ("snr", "fidelity"):
-        fields[9:] = _snr_point(metric, t, sep, vp, vm, t1)
-    return _Evaluation._make(fields)
+        fields[3:] = _snr_point(metric, t, sep, vp, vm, t1)
+    return fields
+
+
+def _evaluate(metric: str, point: _Fields) -> _Evaluation:
+    """The readout model at one operating point or over a whole grid.
+
+    Every figure of merit, sweep, figure table, shot batch and
+    classification reads this one evaluation; phi is unchecked.  On a
+    grid the arithmetic runs on arrays, and every transcendental function
+    and power on each element through the math module, so each grid
+    point carries the bits of the float path.
+    """
+    stages = []
+    tail = _model(metric, point, stages)
+    (big_f, big_g, a_coef, b_coef), _ = stages
+    mq, mp = _input_means(point.alpha, point.theta_alpha)
+    c, s = math.cos(point.phi), math.sin(point.phi)
+    along = a_coef * (mq * c + mp * s)
+    across = b_coef * (-mq * s + mp * c)
+    fields = [a_coef, b_coef, big_f, big_g, along + across, along - across]
+    if isinstance(tail[0], list):
+        fields = [_column(x, len(tail[0])) for x in fields]
+    fields[4:4] = tail[:2]  # the variances, after the response
+    return _Evaluation._make(fields + tail[2:])
 
 
 def measurement_mean(
@@ -276,6 +302,9 @@ def phase_matching_residual(
     matched when each is below 1e-9.  Jointly the two conditions are
     equivalent to 2θα − θξ ≡ π (mod 2π).
     """
+    for name, angle in zip(("theta_alpha", "theta_xi", "phi"), (theta_alpha, theta_xi, phi)):
+        if not math.isfinite(angle):
+            raise ValidationError(f"{name} must be finite, got {angle!r}")
     residual_1 = abs(math.remainder(theta_alpha - phi - 0.5 * math.pi, math.pi))
     residual_2 = abs(math.remainder(phi - 0.5 * theta_xi, math.pi))
     matched = residual_1 < _PHASE_TOL and residual_2 < _PHASE_TOL

@@ -27,7 +27,8 @@ class ProbeState:
     """Displaced squeezed vacuum input state.
 
     alpha and r are magnitudes (both >= 0); the phases are stored reduced
-    to (-pi, pi].
+    to (-pi, pi].  cosh 2r overflows a double past r ≈ 355, and every
+    layer of the model raises NumericalError there.
     """
 
     alpha: float = 0.0
@@ -53,24 +54,20 @@ def _input_means(alpha, theta_alpha: float):
     return SQRT2 * alpha * math.cos(theta_alpha), SQRT2 * alpha * math.sin(theta_alpha)
 
 
-def _cosh_sinh(r):
-    """(cosh 2r, sinh 2r); a NumericalError where they overflow (r ≳ 355)."""
-    cosh, sinh = _HYPERBOLIC_GRID if isinstance(r, np.ndarray) else _HYPERBOLIC
-    try:
-        return cosh(2.0 * r), sinh(2.0 * r)
-    except OverflowError:
-        raise NumericalError("squeezing r is too large: cosh 2r overflows") from None
-
-
 def _rotated_moments(r, theta_xi, phi: float):
     """Var(Q′), Var(P′), Cov(Q′, P′) at LO angle phi; r, theta_xi may be arrays."""
-    grid = isinstance(r, np.ndarray) or isinstance(theta_xi, np.ndarray)
-    cos, sin = _TRIG_GRID if grid else _TRIG
-    ch, sh = _cosh_sinh(r)
+    r_grid = isinstance(r, np.ndarray)
+    cosh, sinh = _HYPERBOLIC_GRID if r_grid else _HYPERBOLIC
+    cos, sin = _TRIG_GRID if r_grid or isinstance(theta_xi, np.ndarray) else _TRIG
+    try:
+        ch, sh = cosh(2.0 * r), sinh(2.0 * r)
+    except OverflowError:
+        raise NumericalError("squeezing r is too large: cosh 2r overflows") from None
+    d = 2.0 * phi - theta_xi
     return (
-        0.5 * (ch - cos(2.0 * phi - theta_xi) * sh),
+        0.5 * (ch - cos(d) * sh),
         0.5 * (ch - cos(2.0 * (phi + 0.5 * math.pi) - theta_xi) * sh),
-        0.5 * sh * sin(2.0 * phi - theta_xi),
+        0.5 * sh * sin(d),
     )
 
 

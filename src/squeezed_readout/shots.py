@@ -15,7 +15,7 @@ quadrature (which sits at θξ/2) and v² = u·κ/2, in internal units.
 The first two terms are the probe's variance along the axes of its
 squeeze ellipse, e^{∓2r}/2, so sd_σ never forms the cancelling
 difference ½(cosh 2r − cos d·sinh 2r) and stays exact up to the
-overflow of cosh 2r (r ≈ 355); the last is the resonator vacuum with
+overflow of cosh 2r (see ProbeState); the last is the resonator vacuum with
 variance u/2 per quadrature.  The terms are summed with math.fsum and
 the root taken with math.sqrt, both correctly rounded, so sd_σ has the
 same bits on every platform.  A, B, F, G and mean_σ come from the one

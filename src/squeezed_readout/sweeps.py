@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ReadoutError, ValidationError
-from .metrics import METRICS, _evaluate, _fields, readout_point
+from .metrics import METRICS, _evaluate, _fields, _model, readout_point
 from .params import SystemParams, UnitContext, from_experimental, wrap_angle
 from .params import _each, _require_positive
 from .probe import ProbeState
@@ -130,9 +130,10 @@ def _with(fixed: SweepFixed, base, variable: str, value):
     value (a float or an array) gets the checks of ProbeState and
     SystemParams; an array's least and greatest elements stand for all.
     """
+    # built by position, not by _replace: a peak search builds one per step
     chi_s = fixed.params.chi_s
     if variable == "t":
-        return base._replace(t=value * chi_s)
+        return base._make((value * chi_s, *base[1:]))
     if variable == "delta_theta":
         variable, value = "theta_xi", 2.0 * (fixed.phi - value)
     elif variable not in ("r", "alpha", "kappa"):
@@ -149,7 +150,8 @@ def _with(fixed: SweepFixed, base, variable: str, value):
         value = value / chi_s
     elif variable == "theta_xi":
         value = _each(wrap_angle, value)
-    return base._replace(**{variable: value})
+    i = base._fields.index(variable)
+    return base._make((*base[:i], value, *base[i + 1 :]))
 
 
 def _check_points(points) -> None:
@@ -216,7 +218,11 @@ def find_peak(
     _check_range("bounds", lo, hi)
     base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
 
-    def checked(x: float, value: float | None) -> float:
+    stages = []  # the model stages of the last point, filled at the first
+    moving = "theta_xi" if variable == "delta_theta" else variable  # as in _with
+
+    def evaluate(x: float) -> float:
+        value = _model(metric, _with(fixed, base, variable, x), stages, moving)[4]
         if value is None:
             raise NumericalError(
                 f"metric {metric!r} is undefined inside the bounds at {x!r}"
@@ -225,36 +231,25 @@ def find_peak(
             raise NumericalError(f"metric {metric!r} is not finite at {x!r}")
         return value
 
-    def evaluate(x: float) -> float:
-        return checked(x, _evaluate(metric, _with(fixed, base, variable, x)).value)
-
+    # point by point, so that the first failing point raises its own error
     xs = _grid(lo, hi, _COARSE_POINTS)
-    try:
-        scan = _evaluate(metric, _with(fixed, base, variable, np.array(xs)))
-        ys = list(map(checked, xs, scan.value))
-    except ReadoutError:
-        # point by point, so that the first failing point raises its own error
-        for x in xs:
-            evaluate(x)
-        raise
+    ys = list(map(evaluate, xs))
 
     spread = max(ys) - min(ys)
     scale = max(1.0, abs(max(ys)), abs(min(ys)))
     if spread <= 1e-12 * scale:
         return PeakResult(location=lo, value=ys[0], flat=True)
 
-    n_max = sum(
-        1
-        for i in range(len(ys))
-        if (i == 0 or ys[i] > ys[i - 1]) and (i == len(ys) - 1 or ys[i] > ys[i + 1])
-    )
+    # strict local maxima, with -inf beyond both ends of the scan
+    edges = [-math.inf, *ys, -math.inf]
+    n_max = sum(y > a and y > b for a, y, b in zip(edges, ys, edges[2:]))
     if n_max > 1:
         raise NumericalError(
             f"metric {metric!r} has {n_max} local maxima on {bounds!r}; "
             "golden-section search needs a unimodal range"
         )
 
-    best = max(range(len(ys)), key=lambda i: ys[i])
+    best = ys.index(max(ys))
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, len(xs) - 1)]
 

@@ -7,6 +7,9 @@ something they were not derived from.  The identities at the end
 (envelopes, propagator, coefficient rotation, squeezed coherent
 displacement, the four-source shot weights) are textbook relations the
 tests check the model against; the package itself does not need them.
+reference_find_peak scans its coarse grid in one grid evaluation and
+takes every golden-section step through _evaluate: a second route to
+each peak for the staged search in the package.
 """
 
 from __future__ import annotations
@@ -18,8 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from squeezed_readout import ProbeState, SystemParams, ValidationError
-from squeezed_readout.metrics import _evaluate, _Fields
+from squeezed_readout import (
+    NumericalError,
+    PeakResult,
+    ProbeState,
+    ReadoutError,
+    SystemParams,
+    ValidationError,
+)
+from squeezed_readout.metrics import _evaluate, _Fields, _fields
+from squeezed_readout.sweeps import _check_range, _grid, _with
 
 _QUAD_OPTS = {"epsabs": 1e-14, "epsrel": 1e-13, "limit": 200}
 
@@ -185,3 +196,78 @@ def reference_shot_weights(point: _Fields) -> dict:
         )
         maps[sigma] = (weights, mean)
     return maps
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def reference_find_peak(metric, variable, bounds, fixed) -> PeakResult:
+    """find_peak with a 32-point grid evaluation for its coarse scan.
+
+    Every golden-section step evaluates the whole model; a coarse scan
+    that fails is repeated point by point, so the first failing point
+    raises its own error.
+    """
+    lo, hi = bounds
+    _check_range("bounds", lo, hi)
+    base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
+
+    def checked(x: float, value: float | None) -> float:
+        if value is None:
+            raise NumericalError(
+                f"metric {metric!r} is undefined inside the bounds at {x!r}"
+            )
+        if not math.isfinite(value):
+            raise NumericalError(f"metric {metric!r} is not finite at {x!r}")
+        return value
+
+    def evaluate(x: float) -> float:
+        return checked(x, _evaluate(metric, _with(fixed, base, variable, x)).value)
+
+    xs = _grid(lo, hi, 32)
+    try:
+        scan = _evaluate(metric, _with(fixed, base, variable, np.array(xs)))
+        ys = list(map(checked, xs, scan.value))
+    except ReadoutError:
+        for x in xs:
+            evaluate(x)
+        raise
+
+    spread = max(ys) - min(ys)
+    scale = max(1.0, abs(max(ys)), abs(min(ys)))
+    if spread <= 1e-12 * scale:
+        return PeakResult(location=lo, value=ys[0], flat=True)
+
+    n_max = sum(
+        1
+        for i in range(len(ys))
+        if (i == 0 or ys[i] > ys[i - 1]) and (i == len(ys) - 1 or ys[i] > ys[i + 1])
+    )
+    if n_max > 1:
+        raise NumericalError(
+            f"metric {metric!r} has {n_max} local maxima on {bounds!r}; "
+            "golden-section search needs a unimodal range"
+        )
+
+    best = max(range(len(ys)), key=lambda i: ys[i])
+    a = xs[max(best - 1, 0)]
+    b = xs[min(best + 1, len(xs) - 1)]
+
+    h = b - a
+    c = a + _INVPHI2 * h
+    d = a + _INVPHI * h
+    yc, yd = evaluate(c), evaluate(d)
+    while h > 1e-6:
+        if yc > yd:
+            b, d, yd = d, c, yc
+            h = b - a
+            c = a + _INVPHI2 * h
+            yc = evaluate(c)
+        else:
+            a, c, yc = c, d, yd
+            h = b - a
+            d = a + _INVPHI * h
+            yd = evaluate(d)
+    location = 0.5 * (a + b)
+    return PeakResult(location=location, value=evaluate(location), flat=False)

@@ -368,6 +368,64 @@ def test_optimize_subcommand(config_path, capsys):
     assert float(block["residual_squeezing_phase"]) < 1e-12
 
 
+# a misaligned probe whose SNR peaks at the lower bound r = 0
+TILTED_CONFIG = """\
+chi_over_2pi_mhz = 0.15
+kappa_over_chi = 1.0
+t1_ms = 3.0
+alpha = 6.0
+r = 0.3
+theta_alpha_rad = 0.4
+theta_xi_rad = 2.1
+lo_phase_rad = 1.9
+vacuum_weight = 0.5
+t_us = 1.2
+"""
+
+# optimize stdout of MATCHED_CONFIG and TILTED_CONFIG, byte for byte; the
+# peak search must reproduce its location and value to the last bit
+OPTIMIZE_GOLDEN = {
+    MATCHED_CONFIG: """\
+subcommand = optimize
+t_us = 0.714
+t_internal = 0.6729291463989336
+r_star_analytic = 0.7432936542503789
+snr_at_r_star = 3.5809332939134766
+r_peak_search = 0.7432935789863604
+snr_at_r_peak = 3.5809332939134704
+r_peak_flat = False
+t_opt_internal = 0.8263855426805566
+t_opt_us = 0.8768222934485936
+residual_displacement_phase = 0.0
+residual_squeezing_phase = 0.0
+phase_matched = True
+""",
+    TILTED_CONFIG: """\
+subcommand = optimize
+t_us = 1.2
+t_internal = 1.1309733552923256
+r_star_analytic = 0.6573637503217125
+snr_at_r_star = 1.8292228347728405
+r_peak_search = 3.1112502188547427e-07
+snr_at_r_peak = 2.3430833833513627
+r_peak_flat = False
+t_opt_internal = 1.8146266328267526
+t_opt_us = 1.9253786565371964
+residual_displacement_phase = 0.07079632679489656
+residual_squeezing_phase = 0.8499999999999999
+phase_matched = False
+""",
+}
+
+
+@pytest.mark.parametrize("text", list(OPTIMIZE_GOLDEN), ids=["matched", "tilted"])
+def test_optimize_stdout_is_golden(tmp_path, capsys, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["optimize", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == OPTIMIZE_GOLDEN[text]
+
+
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
     main(["figures", "fig3", "--u-literal"])  # builds the parser if nothing has yet
     built = []

@@ -1,14 +1,16 @@
 """One model evaluation per operating point, and one per grid.
 
-Every figure of merit and peak-search step reads a single evaluation of
-the response coefficients, and every sweep, figure panel and coarse
-peak scan a single evaluation over its whole grid.  These tests count
-the evaluations and check that every route to a number returns the
-same bits.
+Every figure of merit reads a single evaluation of the response
+coefficients, and every sweep and figure panel a single evaluation over
+its whole grid.  A peak search evaluates its points one by one and the
+stages its variable leaves alone once.  These tests count the
+evaluations and check that every route to a number returns the same
+bits.
 """
 
 import math
 
+import helpers
 import numpy as np
 import pytest
 from conftest import PHI_DEFAULT
@@ -35,7 +37,7 @@ from squeezed_readout import (
     sample_shots,
     snr,
 )
-from squeezed_readout import dynamics, sweeps
+from squeezed_readout import dynamics, metrics, sweeps
 from squeezed_readout.cli import main
 from squeezed_readout.metrics import METRICS, _evaluate, _fields
 from squeezed_readout.sweeps import SWEEP_VARIABLES
@@ -89,21 +91,61 @@ def test_one_evaluation_per_public_call(integral_calls, t_matched, probe_matched
         assert len(integral_calls) == 1
 
 
-def test_one_evaluation_per_peak_step(integral_calls, fixed, monkeypatch):
-    steps = []
-    evaluate = sweeps._evaluate
+_PEAK_BOUNDS = {
+    "t": (0.05, 3.0),
+    "r": (0.0, 2.0),
+    "delta_theta": (-1.0, 1.0),
+    "alpha": (0.0, 12.0),
+    "kappa": (0.5, 4.0),
+}
 
-    def counting_evaluate(metric, point):
-        steps.append(point.r)
+
+_FIELD = {"t": "t", "r": "r", "delta_theta": "theta_xi", "alpha": "alpha", "kappa": "kappa"}
+
+
+def _reference_steps(monkeypatch, variable, fixed) -> int:
+    """Scalar model evaluations of the reference search, which scans a grid first."""
+    scalar = []
+    evaluate = helpers._evaluate
+
+    def counting(metric, point):
+        scalar.append(not isinstance(getattr(point, _FIELD[variable]), np.ndarray))
         return evaluate(metric, point)
 
-    monkeypatch.setattr(sweeps, "_evaluate", counting_evaluate)
-    find_peak("snr", "r", (0.0, 2.0), fixed)
-    # the 32-point coarse scan is one evaluation, each golden-section step one more
-    assert len(steps[0]) == 32
-    assert all(isinstance(r, float) for r in steps[1:])
-    assert len(steps) > 1
-    assert len(integral_calls) == len(steps)
+    with monkeypatch.context() as patch:
+        patch.setattr(helpers, "_evaluate", counting)
+        helpers.reference_find_peak("snr", variable, _PEAK_BOUNDS[variable], fixed)
+    return sum(scalar)
+
+
+def test_one_evaluation_per_peak_step(integral_calls, fixed, monkeypatch):
+    steps, moments = [], []
+    model, rotated_moments = sweeps._model, metrics._rotated_moments
+
+    def counting_model(metric, point, stages, moving):
+        steps.append(point)
+        return model(metric, point, stages, moving)
+
+    def counting_moments(*args):
+        moments.append(args)
+        return rotated_moments(*args)
+
+    for variable in SWEEP_VARIABLES:
+        golden = _reference_steps(monkeypatch, variable, fixed)
+        with monkeypatch.context() as patch:
+            patch.setattr(sweeps, "_model", counting_model)
+            patch.setattr(metrics, "_rotated_moments", counting_moments)
+            for calls in (steps, moments, integral_calls):
+                calls.clear()
+            find_peak("snr", variable, _PEAK_BOUNDS[variable], fixed)
+        # every point of the coarse scan is a step, as is each golden-section point
+        assert len(steps) == 32 + golden, variable
+        assert all(type(x) is float for point in steps for x in point), variable
+        # the stages the variable leaves alone are evaluated once per search
+        response_once = variable in ("r", "delta_theta", "alpha")
+        moments_once = variable in ("t", "kappa", "alpha")
+        assert len(integral_calls) == (1 if response_once else len(steps)), variable
+        assert len(moments) == (1 if moments_once else len(steps)), variable
 
 
 def test_one_evaluation_per_figure_row(integral_calls):
@@ -288,6 +330,93 @@ def test_grid_rows_equal_the_float_path(
     for row, point in zip(run_sweep(spec).rows, loop):
         assert row.skipped is (point.value is None)
         assert _same(row.metric_value, math.nan if point.value is None else point.value)
+
+
+def _same_outcome(new, reference) -> None:
+    """Equal PeakResults bit for bit, or errors of one type and message."""
+    if isinstance(reference, ReadoutError):
+        assert type(new) is type(reference)
+        assert str(new) == str(reference)
+        return
+    assert not isinstance(new, ReadoutError), new
+    assert _same(new.location, reference.location)
+    assert _same(new.value, reference.value)
+    assert new.flat is reference.flat
+
+
+@st.composite
+def _peak_search_bounds(draw, variable: str, chi_s: float):
+    """Bounds in the domain of the variable, some crossing out of it.
+
+    t from 0 (undefined snr and fidelity), r and alpha below 0, kappa
+    down to 0 and below; the bounds are in the units of the fixed point.
+    """
+    lo, hi = {
+        "t": (-0.5, 3.0),
+        "r": (-0.5, 2.0),
+        "delta_theta": (-4.0, 4.0),
+        "alpha": (-1.0, 12.0),
+        "kappa": (-0.5, 4.0),
+    }[variable]
+    a = draw(st.one_of(st.just(0.0), st.floats(min_value=lo, max_value=hi)))
+    b = draw(st.floats(min_value=lo, max_value=hi))
+    a, b = (min(a, b), max(a, b)) if a != b else (lo, hi)
+    unit = {"t": 1.0 / chi_s, "kappa": chi_s}.get(variable, 1.0)
+    return a * unit, b * unit
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    variable=st.sampled_from(SWEEP_VARIABLES),
+    metric=st.sampled_from(METRICS),
+    chi_s=st.one_of(st.just(1.0), st.floats(min_value=0.2, max_value=5.0)),
+    kappa=st.floats(min_value=0.5, max_value=4.0),
+    t=st.floats(min_value=0.0, max_value=3.0),
+    u=st.floats(min_value=0.1, max_value=1.0),
+    alpha=st.floats(min_value=0.0, max_value=12.0),
+    r=st.floats(min_value=0.0, max_value=2.0),
+    theta_alpha=_phase,
+    theta_xi=_phase,
+    phi=_phase,
+)
+def test_peak_search_equals_the_reference(
+    data, variable, metric, chi_s, kappa, t, u, alpha, r, theta_alpha, theta_xi, phi
+):
+    params = SystemParams(chi_s=chi_s, kappa=kappa * chi_s, vacuum_weight=u)
+    probe = ProbeState(alpha=alpha, theta_alpha=theta_alpha, r=r, theta_xi=theta_xi)
+    fixed = SweepFixed(params=params, probe=probe, phi=phi, t=t / chi_s)
+    bounds = data.draw(_peak_search_bounds(variable, chi_s))
+    reference = _outcome(lambda: helpers.reference_find_peak(metric, variable, bounds, fixed))
+    _same_outcome(_outcome(lambda: find_peak(metric, variable, bounds, fixed)), reference)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize(
+    "variable,bounds,r",
+    [
+        # the separation overflows from coarse[19] on; the variance metric reads none
+        ("alpha", (1e307, 1e308), 0.74),
+        # cosh 2r overflows at every point, but the first point's t or kappa fails first
+        ("t", (-0.5, 1.0), 400.0),
+        ("kappa", (-0.5, 1.0), 400.0),
+        ("t", (0.5, 1.0), 400.0),
+    ],
+    ids=["huge-alpha", "negative-t", "negative-kappa", "huge-r"],
+)
+def test_peak_search_past_the_double_range_equals_the_reference(
+    metric, variable, bounds, r, params_k2, t_matched
+):
+    probe = ProbeState(alpha=10.0, r=r, theta_xi=math.pi)
+    fixed = SweepFixed(params=params_k2, probe=probe, phi=PHI_DEFAULT, t=t_matched)
+    args = (metric, variable, bounds, fixed)
+    reference = _outcome(lambda: helpers.reference_find_peak(*args))
+    _same_outcome(_outcome(lambda: find_peak(*args)), reference)
+    if variable == "alpha" and metric != "variance":
+        coarse = sweeps._grid(*bounds, sweeps._COARSE_POINTS)
+        assert str(reference) == _SEPARATION_OVERFLOWS.format(coarse[19])
+    elif variable != "alpha":
+        assert ("too large" in str(reference)) is (bounds[0] > 0.0)
 
 
 @pytest.mark.parametrize(

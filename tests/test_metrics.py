@@ -392,6 +392,16 @@ def test_phase_matching_residual_wraps():
     assert shifted[1] == pytest.approx(base[1], abs=1e-9)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("position,name", [(0, "theta_alpha"), (1, "theta_xi"), (2, "phi")])
+def test_phase_matching_residual_rejects_a_non_finite_angle(position, name, value):
+    angles = [0.0, math.pi, 0.5 * math.pi]
+    angles[position] = value
+    with pytest.raises(ValidationError) as excinfo:
+        phase_matching_residual(*angles)
+    assert str(excinfo.value) == f"{name} must be finite, got {value!r}"
+
+
 def test_phase_matching_implies_combined_condition():
     rng = np.random.default_rng(25)
     for _ in range(25):
