@@ -25,10 +25,8 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
 from .errors import ValidationError
-from .params import SystemParams, _each, _elementwise
+from .params import SystemParams, _each, _elementwise, _is_grid
 
 _SERIES_THRESHOLD = 1e-2
 _CUBE = functools.partial(pow, exp=3)  # x**3, for one element at a time
@@ -37,7 +35,8 @@ _TRIG_GRID = _elementwise(*_TRIG)
 
 
 def _check_time(t) -> None:
-    if isinstance(t, np.ndarray):
+    if _is_grid(t):
+        import numpy as np
         for x in () if (np.isfinite(t) & (t >= 0.0)).all() else t.tolist():
             _check_time(x)
         return
@@ -73,19 +72,21 @@ def _integrals(a, b, t):
 
     a and t may be arrays of one length; their small elements are masked.
     """
-    small = (a * t < _SERIES_THRESHOLD) & (b * t < _SERIES_THRESHOLD)
-    grid = isinstance(small, np.ndarray)
+    at, bt = a * t, b * t
+    small = (at < _SERIES_THRESHOLD) & (bt < _SERIES_THRESHOLD)
+    grid = _is_grid(at)
     if not grid and small:
         return _series(a, b, t)
     exp, cos, sin = _TRIG_GRID if grid else _TRIG
     d = a * a + b * b
-    e, cb, sb = exp(-a * t), cos(b * t), sin(b * t)
+    e, cb, sb = exp(-at), cos(bt), sin(bt)
     big_f = (a - e * (a * cb - b * sb)) / d
     big_g = (b - e * (a * sb + b * cb)) / d
-    int_f = (a * t - a * big_f + b * big_g) / d
-    int_g = (b * t - a * big_g - b * big_f) / d
+    int_f = (at - a * big_f + b * big_g) / d
+    int_g = (bt - a * big_g - b * big_f) / d
     closed = (big_f, big_g, int_f, int_g)
     if grid and small.any():
+        import numpy as np
         a_small, t_small = (np.broadcast_to(x, small.shape)[small] for x in (a, t))
         for full, part in zip(closed, _series(a_small, b, t_small)):
             full[small] = part

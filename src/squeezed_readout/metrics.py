@@ -25,11 +25,9 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import _response, signal_coefficients
 from .errors import NumericalError, UndefinedPointError, ValidationError
-from .params import SystemParams, _elementwise, wrap_angle
+from .params import SystemParams, _elementwise, _is_grid, wrap_angle
 from .probe import SQRT2, ProbeState, _input_means, _rotated_moments
 
 _PHASE_TOL = 1e-9
@@ -80,7 +78,7 @@ def _variances(big_f, big_g, a_coef, b_coef, moments, kappa, u):
     """(variance_plus, variance_minus); a NumericalError at the first non-finite pair."""
     var_q_rot, var_p_rot, cov_rot = moments
     try:
-        if isinstance(a_coef, np.ndarray):
+        if _is_grid(a_coef):
             f2, g2, a2, b2 = map(_square_grid, (big_f, big_g, a_coef, b_coef))
         else:
             f2, g2, a2, b2 = big_f**2, big_g**2, a_coef**2, b_coef**2
@@ -90,7 +88,8 @@ def _variances(big_f, big_g, a_coef, b_coef, moments, kappa, u):
         raise NumericalError("response coefficients overflow: t is too large") from None
     cross = 2.0 * a_coef * b_coef * cov_rot
     vp, vm = squeezed + cross + vacuum, squeezed - cross + vacuum
-    if isinstance(vp, np.ndarray):
+    if _is_grid(vp):
+        import numpy as np
         bad = ~(np.isfinite(vp) & np.isfinite(vm))
         if not bad.any():
             return vp, vm
@@ -105,19 +104,14 @@ def _variances(big_f, big_g, a_coef, b_coef, moments, kappa, u):
 def _separation(alpha, b_coef, theta_alpha: float, phi: float):
     """2√2·α·|B|·|sin(θα − φ)|; a NumericalError at the first non-finite point."""
     sep = 2.0 * SQRT2 * alpha * abs(b_coef) * abs(math.sin(theta_alpha - phi))
-    if isinstance(sep, np.ndarray):
+    if _is_grid(sep):
+        import numpy as np
         if np.isfinite(sep).all():
             return sep
         alpha = np.broadcast_to(alpha, sep.shape)[np.isfinite(sep).argmin()]
     elif math.isfinite(sep):
         return sep
     raise NumericalError(f"contrast overflows at alpha = {float(alpha)!r}")
-
-
-# numpy warns where floats overflow silently; each ends in a NumericalError
-_variances_grid, _separation_grid = (
-    np.errstate(over="ignore", invalid="ignore")(fn) for fn in (_variances, _separation)
-)
 
 
 def _snr_point(metric, t, separation, vp, vm, t1):
@@ -134,7 +128,7 @@ def _snr_point(metric, t, separation, vp, vm, t1):
 
 def _column(x, n: int) -> list:
     """n Python floats: a grid column as it is, a scalar repeated."""
-    return x.tolist() if isinstance(x, np.ndarray) else [float(x)] * n
+    return x.tolist() if _is_grid(x) else [float(x)] * n
 
 
 def _model(metric: str, point: _Fields, stages: list, moving=None) -> list:
@@ -156,17 +150,15 @@ def _model(metric: str, point: _Fields, stages: list, moving=None) -> list:
     elif moving in ("r", "theta_xi"):
         stages[1] = _rotated_moments(r, theta_xi, phi)
     (big_f, big_g, a_coef, b_coef), moments = stages
-    grid = np.ndarray in (type(a_coef), type(moments[0]), type(alpha))
-    variances = _variances_grid if grid else _variances
-    separation = _separation_grid if grid else _separation
-    vp, vm = variances(big_f, big_g, a_coef, b_coef, moments, kappa, u)
+    vp, vm = _variances(big_f, big_g, a_coef, b_coef, moments, kappa, u)
     # the variance metric reads no separation, which overflows first at huge alpha
-    sep = None if metric == "variance" else separation(alpha, b_coef, theta_alpha, phi)
+    sep = None if metric == "variance" else _separation(alpha, b_coef, theta_alpha, phi)
     # the variance is symmetrized over the qubit eigenvalue; the two
     # halves differ only through the frame-residual covariance cross term
     value = sep if metric == "contrast" else 0.5 * (vp + vm) if metric == "variance" else None
     fields = [vp, vm, sep, None, value]  # snr and value set below for snr and fidelity
-    if grid:
+    if _is_grid(a_coef) or _is_grid(moments[0]) or _is_grid(alpha):
+        import numpy as np
         # every swept field reaches the variances or the means
         n = np.broadcast(*point[:5]).size
         fields = [x if x is None else _column(x, n) for x in fields]
@@ -188,7 +180,13 @@ def _evaluate(metric: str, point: _Fields) -> _Evaluation:
     point carries the bits of the float path.
     """
     stages = []
-    tail = _model(metric, point, stages)
+    if any(map(_is_grid, point[:5])):
+        import numpy as np
+        # numpy warns where floats overflow silently; each ends in a NumericalError
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = _model(metric, point, stages)
+    else:
+        tail = _model(metric, point, stages)
     (big_f, big_g, a_coef, b_coef), _ = stages
     mq, mp = _input_means(point.alpha, point.theta_alpha)
     c, s = math.cos(point.phi), math.sin(point.phi)

@@ -13,18 +13,28 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError
 
 TAU = 2.0 * math.pi
 
 
+def _is_grid(x) -> bool:
+    """True for a numpy array; never imports numpy, as no array exists before it."""
+    if type(x) is float:  # the float path pays no lookup
+        return False
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
 def _each(fn, x):
     """fn(x) for a float; for an array, the same scalar fn on every element."""
-    return np.array(list(map(fn, x.tolist()))) if isinstance(x, np.ndarray) else fn(x)
+    if not _is_grid(x):
+        return fn(x)
+    import numpy as np
+    return np.array(list(map(fn, x.tolist())))
 
 
 def _elementwise(*fns):

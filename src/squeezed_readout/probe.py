@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NumericalError, ValidationError
-from .params import _elementwise, wrap_angle
+from .params import _elementwise, _is_grid, wrap_angle
 
 SQRT2 = math.sqrt(2.0)
 _HYPERBOLIC, _TRIG = (math.cosh, math.sinh), (math.cos, math.sin)
@@ -56,9 +54,9 @@ def _input_means(alpha, theta_alpha: float):
 
 def _rotated_moments(r, theta_xi, phi: float):
     """Var(Q′), Var(P′), Cov(Q′, P′) at LO angle phi; r, theta_xi may be arrays."""
-    r_grid = isinstance(r, np.ndarray)
+    r_grid = _is_grid(r)
     cosh, sinh = _HYPERBOLIC_GRID if r_grid else _HYPERBOLIC
-    cos, sin = _TRIG_GRID if r_grid or isinstance(theta_xi, np.ndarray) else _TRIG
+    cos, sin = _TRIG_GRID if r_grid or _is_grid(theta_xi) else _TRIG
     try:
         ch, sh = cosh(2.0 * r), sinh(2.0 * r)
     except OverflowError:

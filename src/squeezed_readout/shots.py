@@ -39,8 +39,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NumericalError, ValidationError
 from .metrics import _evaluate, _Fields, _fields
 from .params import SystemParams
@@ -123,6 +121,7 @@ def _fill_block(
     GIL while it draws, scales and shifts.  The in-place z *= sd, z +=
     offset rounds exactly like z * sd + offset, without a temporary.
     """
+    import numpy as np
     lo = block * BLOCK_SIZE
     view = out[lo : lo + BLOCK_SIZE]
     rng = np.random.Generator(base.jumped(2 * block + (0 if sigma == 1 else 1)))
@@ -140,6 +139,7 @@ def sample_shots(
     seed: int,
 ) -> ShotBatch:
     """Generate n single-shot outcomes per qubit eigenvalue at time t."""
+    import numpy as np
     if not isinstance(n, int) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
     if n > MAX_SHOTS:
@@ -190,14 +190,20 @@ def _likelihood_threshold(
     """Equal-density crossing of two Gaussians, taken between the means."""
     if math.isclose(v_plus, v_minus, rel_tol=1e-12):
         return 0.5 * (m_plus + m_minus)
+    overflow = "likelihood threshold overflows: the means are too large for their variances"
     a = 1.0 / v_plus - 1.0 / v_minus
     b = -2.0 * (m_plus / v_plus - m_minus / v_minus)
-    c = (
-        m_plus**2 / v_plus
-        - m_minus**2 / v_minus
-        + math.log(v_plus / v_minus)
-    )
+    try:
+        c = (
+            m_plus**2 / v_plus
+            - m_minus**2 / v_minus
+            + math.log(v_plus / v_minus)
+        )
+    except OverflowError:  # a mean squared past the double range
+        c = math.inf
     disc = b * b - 4.0 * a * c
+    if not math.isfinite(disc):  # nor is a, b or c
+        raise NumericalError(overflow)
     if disc < 0.0:
         raise NumericalError(
             "likelihood threshold has no real crossing between the two Gaussians"
@@ -206,10 +212,11 @@ def _likelihood_threshold(
     candidates = ((-b + root) / (2.0 * a), (-b - root) / (2.0 * a))
     lo, hi = min(m_plus, m_minus), max(m_plus, m_minus)
     inside = [x for x in candidates if lo <= x <= hi]
-    if inside:
-        return inside[0]
     midpoint = 0.5 * (m_plus + m_minus)
-    return min(candidates, key=lambda x: abs(x - midpoint))
+    threshold = inside[0] if inside else min(candidates, key=lambda x: abs(x - midpoint))
+    if not math.isfinite(threshold):
+        raise NumericalError(overflow)
+    return threshold
 
 
 def classify(
@@ -226,6 +233,7 @@ def classify(
     T1 of the batch's params; it converges to the analytic
     erf(SNR/√2)·exp(−t/2T₁) for equal-variance Gaussians as n grows.
     """
+    import numpy as np
     if batch.n < 2 or batch.outcomes_plus.size < 2:
         raise ValidationError(
             f"cannot classify a batch of {batch.n} shot(s) per eigenstate; "

@@ -17,12 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import NumericalError, ReadoutError, ValidationError
 from .metrics import METRICS, _evaluate, _fields, _model, readout_point
 from .params import SystemParams, UnitContext, from_experimental, wrap_angle
-from .params import _each, _require_positive
+from .params import _each, _is_grid, _require_positive
 from .probe import ProbeState
 
 SWEEP_VARIABLES = ("t", "r", "delta_theta", "alpha", "kappa")
@@ -138,7 +136,7 @@ def _with(fixed: SweepFixed, base, variable: str, value):
         variable, value = "theta_xi", 2.0 * (fixed.phi - value)
     elif variable not in ("r", "alpha", "kappa"):
         raise ValidationError(f"unknown sweep variable {variable!r}")
-    grid = isinstance(value, np.ndarray)
+    grid = _is_grid(value)
     for x in (float(value.min()), float(value.max())) if grid else (value,):
         if variable == "kappa":
             _require_positive("kappa", x)
@@ -182,6 +180,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     t = 0) are kept as rows with a NaN metric and the skipped flag set,
     so grids may start at zero time.
     """
+    import numpy as np
     grid = _grid(spec.lo, spec.hi, spec.points)
     metric, fixed, variable = spec.metric, spec.fixed, spec.variable
     base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
@@ -333,6 +332,7 @@ def reproduce_figure2(
     theta_xi = pi, phi = pi/2, T1 = 3 ms, and times from 0 to 2 us.
     Zero-time rows carry the continuous limit 0 for both metrics.
     """
+    import numpy as np
     kappa_by_variant = {"panel_ab": 1.0, "panel_cd": 2.0}
     if params_variant not in kappa_by_variant:
         raise ValidationError(
@@ -388,6 +388,7 @@ def reproduce_figure3(points: int = _FIGURE_POINTS) -> FigureTable:
     carry the coherent (r = 0) baseline alongside, at kappa = 2 chi_s,
     alpha = 10, t = 0.714 us.
     """
+    import numpy as np
     _check_points(points)
     params = from_experimental(_FIG_CHI_OVER_2PI_MHZ, 2.0, _FIG_T1_MS)
     units = UnitContext(_FIG_CHI_OVER_2PI_MHZ * 1e6)

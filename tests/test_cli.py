@@ -193,6 +193,7 @@ def test_non_utf8_config_is_a_config_error(tmp_path):
 
 _HUGE_ALPHA_SWEEP = "sweep_variable = alpha\nsweep_lo = 1e307\nsweep_hi = 1e308\nsweep_points = 5"
 _WITH_T1 = "\nuse_backaction_t1 = true"
+_TILTED_LIKELIHOOD = "\ntheta_xi_rad = 1.1\nthreshold_policy = likelihood\nn_shots = 1000"
 
 
 def _add(lines: str) -> tuple[str, str]:
@@ -215,6 +216,16 @@ def _add(lines: str) -> tuple[str, str]:
         ("snr", ("alpha = 10.0", "alpha = 1e308"), "contrast overflows"),
         ("fidelity", ("alpha = 10.0", "alpha = 1e308"), "contrast overflows"),
         ("shots", ("alpha = 10.0", "alpha = 1e308"), "contrast overflows"),
+        (
+            "shots",
+            ("alpha = 10.0", "alpha = 1e160" + _TILTED_LIKELIHOOD),
+            "likelihood threshold overflows",
+        ),
+        (
+            "shots",
+            ("alpha = 10.0", "alpha = 1e154" + _TILTED_LIKELIHOOD),
+            "likelihood threshold overflows",
+        ),
         ("sweep", _add(_HUGE_ALPHA_SWEEP), "contrast overflows"),
         (
             "sweep",
@@ -235,6 +246,8 @@ def _add(lines: str) -> tuple[str, str]:
         "snr-alpha-1e308",
         "fidelity-alpha-1e308",
         "shots-alpha-1e308",
+        "shots-likelihood-alpha-1e160",
+        "shots-likelihood-alpha-1e154",
         "sweep-snr-alpha-1e308",
         "sweep-contrast-alpha-1e308",
     ],

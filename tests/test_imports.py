@@ -1,0 +1,80 @@
+"""numpy is imported where an array is built, never by a scalar command.
+
+Each check runs in a fresh interpreter, since this process has numpy
+loaded already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import squeezed_readout
+
+CONFIG = """\
+chi_over_2pi_mhz = 0.15
+kappa_over_chi = 2.0
+t1_ms = 3.0
+alpha = 10.0
+r = 0.74
+t_us = 0.714
+gs_over_delta = 0.01
+sweep_variable = delta_theta
+sweep_lo = -3.0
+sweep_hi = 3.0
+"""
+
+
+def _fresh(code: str) -> str:
+    """stdout of code run by a fresh interpreter that finds this package."""
+    src = str(Path(squeezed_readout.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    code = "import sys, squeezed_readout; print('numpy' in sys.modules)"
+    assert _fresh(code) == "False\n"
+
+
+@pytest.mark.parametrize(
+    ("args", "loads_numpy"),
+    [
+        (["snr"], False),
+        (["fidelity"], False),
+        (["backaction"], False),
+        (["optimize"], False),
+        (["sweep", "--out", "{tmp}/sweep.csv"], True),
+        (["figures", "fig3", "--out", "{tmp}/fig3.csv"], True),
+        (["shots", "--n-shots", "1000"], True),
+    ],
+    ids=["snr", "fidelity", "backaction", "optimize", "sweep", "fig3", "shots"],
+)
+def test_only_commands_that_build_arrays_load_numpy(tmp_path, args, loads_numpy):
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG, encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path) for arg in args] + ["--config", str(config)]
+    code = (
+        "import contextlib, io, sys\n"
+        "from squeezed_readout.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    assert _fresh(code) == f"0 {loads_numpy}\n"
+
+
+@pytest.mark.parametrize("numpy_first", [True, False], ids=["numpy-first", "package-first"])
+def test_is_grid_holds_whichever_is_imported_first(numpy_first):
+    imports = ["import numpy as np", "from squeezed_readout.params import _is_grid"]
+    code = "\n".join(imports if numpy_first else imports[::-1]) + (
+        "\nprint([_is_grid(x) for x in (0.5, 2, np.float64(0.5), np.array([0.5, 1.0]))])\n"
+    )
+    assert _fresh(code) == "[False, False, False, True]\n"

@@ -175,6 +175,17 @@ def test_likelihood_threshold_with_unequal_variances(t_matched, params_k2):
         classify(batch, threshold_policy="otsu")
 
 
+@pytest.mark.parametrize("alpha", [1e160, 1e154])
+def test_overflowing_likelihood_threshold_is_a_numerical_error(t_matched, params_k2, alpha):
+    # m² overflows at 1e160; at 1e154 only the discriminant's b² does,
+    # and the threshold came out -inf with every sigma = +1 shot wrong
+    probe = ProbeState(alpha=alpha, theta_alpha=0.0, r=0.74, theta_xi=1.1)
+    batch = sample_shots(1000, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
+    assert math.isfinite(classify(batch, threshold_policy="midpoint").threshold)
+    with pytest.raises(NumericalError, match="likelihood threshold overflows"):
+        classify(batch, threshold_policy="likelihood")
+
+
 def test_degenerate_batch_is_rejected(t_matched, probe_matched, params_k2):
     batch = sample_shots(100, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
     frozen = dataclasses.replace(
