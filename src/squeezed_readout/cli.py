@@ -18,7 +18,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .backaction import backaction_report, total_t1
 from .errors import NumericalError, ValidationError
@@ -75,32 +75,9 @@ _SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated configuration ready to run a subcommand.
-
-    The fields after ``snapshot`` are the _SCHEMA keys of the same name,
-    filled with their effective values; their defaults live in _SCHEMA.
-    """
-
-    params: SystemParams
-    probe: ProbeState
-    phi: float
-    units: UnitContext
-    snapshot: tuple[tuple[str, str], ...]
-    t_us: float | None
-    seed: int
-    n_shots: int
-    out: str | None
-    nd_ratio_max: float
-    use_backaction_t1: bool
-    threshold_policy: str
-    fig2_r_values: tuple[float, ...] | None
-    sweep_variable: str | None
-    sweep_lo: float | None
-    sweep_hi: float | None
-    sweep_points: int
-    sweep_metric: str
+# Validated configuration ready to run a subcommand: the model built from
+# the config, then every _SCHEMA key by name with its effective value.
+RunConfig = namedtuple("RunConfig", ("params", "probe", "phi", "units", "snapshot", *_SCHEMA))
 
 
 def _finite(text: str) -> float:
@@ -161,11 +138,7 @@ def _parse_values(text: str) -> dict:
 
 
 def _make_config(values: dict) -> RunConfig:
-    effective = {
-        key: values.get(key, default)
-        for key, (_, default) in _SCHEMA.items()
-        if values.get(key, default) is not _REQUIRED
-    }
+    effective = {key: values.get(key, default) for key, (_, default) in _SCHEMA.items()}
     # delta_c is read only to reject a detuning the model does not cover
     if effective["delta_c"] != 0.0:
         raise ValidationError(
@@ -211,23 +184,19 @@ def _make_config(values: dict) -> RunConfig:
         theta_xi=effective["theta_xi_rad"],
     )
     # the output path is excluded so identical settings produce identical
-    # bytes wherever the file lands
+    # bytes wherever the file lands; values are spelled as the config reads them
     snapshot = tuple(
-        (key, _fmt(effective[key]))
-        for key in _SCHEMA
-        if key != "out" and effective.get(key) is not None
+        (key, ", ".join(map(_fmt, value)) if type(value) is tuple else _fmt(value))
+        for key, value in effective.items()
+        if key != "out" and value is not None
     )
     return RunConfig(
-        params=params,
-        probe=probe,
-        phi=effective["lo_phase_rad"],
-        units=UnitContext(effective["chi_over_2pi_mhz"] * 1e6),
-        snapshot=snapshot,
-        **{
-            f.name: effective[f.name]
-            for f in dataclasses.fields(RunConfig)
-            if f.name in _SCHEMA
-        },
+        params,
+        probe,
+        effective["lo_phase_rad"],
+        UnitContext(effective["chi_over_2pi_mhz"] * 1e6),
+        snapshot,
+        **effective,
     )
 
 
@@ -568,16 +537,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         }
     else:
         raise ValidationError(f"{args.subcommand} requires --config PATH")
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.n_shots is not None:
-        values["n_shots"] = args.n_shots
-    if args.vacuum_weight is not None:
-        values["vacuum_weight"] = args.vacuum_weight
+    # --out, --seed, --n-shots and --vacuum-weight store to their config key
+    for key, value in vars(args).items():
+        if key in _SCHEMA and value is not None:
+            values[key] = value
     if args.u_literal:
         values["vacuum_weight"] = 1.0
-    if args.out is not None:
-        values["out"] = args.out
     return _make_config(values)
 
 

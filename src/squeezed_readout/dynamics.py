@@ -37,9 +37,9 @@ _TRIG_GRID = _elementwise(*_TRIG)
 def _check_time(t) -> None:
     if _is_grid(t):
         import numpy as np
-        for x in () if (np.isfinite(t) & (t >= 0.0)).all() else t.tolist():
-            _check_time(x)
-        return
+        if (np.isfinite(t) & (t >= 0.0)).all():
+            return
+        raise ValidationError("t must be nonnegative and finite on the grid")
     if not math.isfinite(t) or t < 0.0:
         raise ValidationError(f"t must be nonnegative and finite, got {t!r}")
 

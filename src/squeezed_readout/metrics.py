@@ -24,9 +24,10 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat
 
 from .dynamics import _response, signal_coefficients
-from .errors import NumericalError, UndefinedPointError, ValidationError
+from .errors import NumericalError, ReadoutError, UndefinedPointError, ValidationError
 from .params import SystemParams, _elementwise, _is_grid, wrap_angle
 from .probe import SQRT2, ProbeState, _input_means, _rotated_moments
 
@@ -75,7 +76,7 @@ def _square(x: float) -> float:
 
 
 def _variances(big_f, big_g, a_coef, b_coef, moments, kappa, u):
-    """(variance_plus, variance_minus); a NumericalError at the first non-finite pair."""
+    """(variance_plus, variance_minus); a NumericalError where one is not finite."""
     var_q_rot, var_p_rot, cov_rot = moments
     try:
         if _is_grid(a_coef):
@@ -90,10 +91,9 @@ def _variances(big_f, big_g, a_coef, b_coef, moments, kappa, u):
     vp, vm = squeezed + cross + vacuum, squeezed - cross + vacuum
     if _is_grid(vp):
         import numpy as np
-        bad = ~(np.isfinite(vp) & np.isfinite(vm))
-        if not bad.any():
+        if (np.isfinite(vp) & np.isfinite(vm)).all():
             return vp, vm
-        vp, vm = vp[bad.argmax()], vm[bad.argmax()]
+        raise NumericalError("outcome variance overflows on the grid")
     elif math.isfinite(vp) and math.isfinite(vm):
         return vp, vm
     raise NumericalError(
@@ -102,13 +102,13 @@ def _variances(big_f, big_g, a_coef, b_coef, moments, kappa, u):
 
 
 def _separation(alpha, b_coef, theta_alpha: float, phi: float):
-    """2√2·α·|B|·|sin(θα − φ)|; a NumericalError at the first non-finite point."""
+    """2√2·α·|B|·|sin(θα − φ)|; a NumericalError where it is not finite."""
     sep = 2.0 * SQRT2 * alpha * abs(b_coef) * abs(math.sin(theta_alpha - phi))
     if _is_grid(sep):
         import numpy as np
         if np.isfinite(sep).all():
             return sep
-        alpha = np.broadcast_to(alpha, sep.shape)[np.isfinite(sep).argmin()]
+        raise NumericalError("contrast overflows on the grid")
     elif math.isfinite(sep):
         return sep
     raise NumericalError(f"contrast overflows at alpha = {float(alpha)!r}")
@@ -182,9 +182,19 @@ def _evaluate(metric: str, point: _Fields) -> _Evaluation:
     stages = []
     if any(map(_is_grid, point[:5])):
         import numpy as np
-        # numpy warns where floats overflow silently; each ends in a NumericalError
-        with np.errstate(over="ignore", invalid="ignore"):
-            tail = _model(metric, point, stages)
+        try:
+            # numpy warns where floats overflow silently; each ends in a NumericalError
+            with np.errstate(over="ignore", invalid="ignore"):
+                tail = _model(metric, point, stages)
+        except ReadoutError:
+            # point by point as floats, so that the first failing point
+            # raises its own error, whichever stage fails first there; the
+            # points before it warn nothing, as the grid returns nothing
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for fields in zip(*(x.tolist() if _is_grid(x) else repeat(x) for x in point)):
+                    _evaluate(metric, _Fields._make(fields))
+            raise
     else:
         tail = _model(metric, point, stages)
     (big_f, big_g, a_coef, b_coef), _ = stages

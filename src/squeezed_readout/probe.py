@@ -62,11 +62,14 @@ def _rotated_moments(r, theta_xi, phi: float):
     except OverflowError:
         raise NumericalError("squeezing r is too large: cosh 2r overflows") from None
     d = 2.0 * phi - theta_xi
-    return (
-        0.5 * (ch - cos(d) * sh),
-        0.5 * (ch - cos(2.0 * (phi + 0.5 * math.pi) - theta_xi) * sh),
-        0.5 * sh * sin(d),
-    )
+    try:
+        return (
+            0.5 * (ch - cos(d) * sh),
+            0.5 * (ch - cos(2.0 * (phi + 0.5 * math.pi) - theta_xi) * sh),
+            0.5 * sh * sin(d),
+        )
+    except ValueError:  # cos(±inf): phi is finite, 2·phi is not
+        raise NumericalError(f"LO phase {phi!r} is too large: 2 phi overflows") from None
 
 
 def mean_photon_number(probe: ProbeState) -> float:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import NumericalError, ReadoutError, ValidationError
+from .errors import NumericalError, ValidationError
 from .metrics import METRICS, _evaluate, _fields, _model, readout_point
 from .params import SystemParams, UnitContext, from_experimental, wrap_angle
 from .params import _each, _is_grid, _require_positive
@@ -184,13 +184,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     grid = _grid(spec.lo, spec.hi, spec.points)
     metric, fixed, variable = spec.metric, spec.fixed, spec.variable
     base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
-    try:
-        point = _evaluate(metric, _with(fixed, base, variable, np.array(grid)))
-    except ReadoutError:
-        # point by point, so that the first failing point raises its own error
-        for value in grid:
-            _evaluate(metric, _with(fixed, base, variable, value))
-        raise
+    point = _evaluate(metric, _with(fixed, base, variable, np.array(grid)))
     skipped = [m is None for m in point.value]
     metric_values = [math.nan if m is None else m for m in point.value]
     rows = tuple(map(SweepRow._make, zip(grid, metric_values, *point[:6], skipped)))

@@ -196,6 +196,10 @@ _WITH_T1 = "\nuse_backaction_t1 = true"
 _TILTED_LIKELIHOOD = "\ntheta_xi_rad = 1.1\nthreshold_policy = likelihood\nn_shots = 1000"
 
 
+# 2·phi overflows a double above |phi| = 8.99e307
+_LO_PHASE_OVERFLOWS = "numerical error: LO phase {!r} is too large: 2 phi overflows\n"
+
+
 def _add(lines: str) -> tuple[str, str]:
     """An edit of MATCHED_CONFIG that appends lines after its last one."""
     return "t_us = 0.714", "t_us = 0.714\n" + lines
@@ -232,6 +236,20 @@ def _add(lines: str) -> tuple[str, str]:
             _add(_HUGE_ALPHA_SWEEP + "\nsweep_metric = contrast"),
             "contrast overflows",
         ),
+        ("snr", _add("lo_phase_rad = 1e308"), _LO_PHASE_OVERFLOWS.format(1e308)),
+        ("snr", _add("lo_phase_rad = -1e308"), _LO_PHASE_OVERFLOWS.format(-1e308)),
+        ("fidelity", _add("lo_phase_rad = 1e308"), _LO_PHASE_OVERFLOWS.format(1e308)),
+        ("optimize", _add("lo_phase_rad = 1e308"), _LO_PHASE_OVERFLOWS.format(1e308)),
+        (
+            "shots",
+            _add("lo_phase_rad = 1e308\nn_shots = 10"),
+            _LO_PHASE_OVERFLOWS.format(1e308),
+        ),
+        (
+            "sweep",
+            _add("lo_phase_rad = 1e308\nsweep_variable = r\nsweep_lo = 0\nsweep_hi = 2"),
+            _LO_PHASE_OVERFLOWS.format(1e308),
+        ),
     ],
     ids=[
         "backaction-r400",
@@ -250,6 +268,12 @@ def _add(lines: str) -> tuple[str, str]:
         "shots-likelihood-alpha-1e154",
         "sweep-snr-alpha-1e308",
         "sweep-contrast-alpha-1e308",
+        "snr-lo-phase-1e308",
+        "snr-lo-phase-minus-1e308",
+        "fidelity-lo-phase-1e308",
+        "optimize-lo-phase-1e308",
+        "shots-lo-phase-1e308",
+        "sweep-lo-phase-1e308",
     ],
 )
 def test_unrepresentable_probe_exits_2_without_a_traceback(
@@ -643,6 +667,49 @@ def test_snr_out_file_carries_snapshot(config_path, tmp_path, capsys):
     assert text.startswith("# chi_over_2pi_mhz = 0.15\n")
     assert "# alpha = 10.0" in text
     assert "snr = 3.580922280271772\n" in text
+
+
+# a value for every config key, none of them its default
+EVERY_KEY_CONFIG = MATCHED_CONFIG + """\
+theta_alpha_rad = 0.1
+theta_xi_rad = 3.0
+lo_phase_rad = 1.5
+vacuum_weight = 0.5
+delta_c = 0.0
+gs_over_delta = 0.01
+seed = 7
+n_shots = 1000
+out = ignored.txt
+nd_ratio_max = 0.2
+use_backaction_t1 = true
+threshold_policy = likelihood
+fig2_r_values = 0.0, 0.5
+sweep_variable = r
+sweep_lo = 0.0
+sweep_hi = 2.0
+sweep_points = 11
+sweep_metric = fidelity
+"""
+
+
+def test_out_header_reads_back_as_the_config(tmp_path, capsys):
+    path = tmp_path / "every.cfg"
+    path.write_text(EVERY_KEY_CONFIG, encoding="utf-8")
+    out = tmp_path / "point.txt"
+    assert main(["snr", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    header = [
+        line[2:]
+        for line in out.read_text(encoding="utf-8").splitlines()
+        if line.startswith("# ")
+    ]
+    # every key but the output path, once, in schema order
+    assert [line.partition(" = ")[0] for line in header] == [
+        key for key in cli._SCHEMA if key != "out"
+    ]
+    assert "fig2_r_values = 0.0, 0.5" in header
+    config = parse_config(EVERY_KEY_CONFIG)
+    assert parse_config("\n".join(header)) == config._replace(out=None)
 
 
 def test_missing_config_is_a_config_error(capsys):

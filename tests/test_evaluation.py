@@ -435,6 +435,50 @@ def test_large_squeezing_is_a_numerical_error(call, t_matched, params_k2):
         call(t_matched, probe, params_k2)
 
 
+@pytest.mark.parametrize("phi", [1e308, -1e308])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t, probe, params, phi: snr(t, probe, params, phi),
+        lambda t, probe, params, phi: contrast(t, probe, params, phi),
+        lambda t, probe, params, phi: measurement_mean(t, probe, params, phi, +1),
+        lambda t, probe, params, phi: integrated_variance(t, probe, params, phi, -1),
+        lambda t, probe, params, phi: readout_point(t, probe, params, phi),
+        lambda t, probe, params, phi: sample_shots(10, t, probe, params, phi, 1),
+        lambda t, probe, params, phi: find_peak(
+            "snr", "r", (0.0, 2.0), SweepFixed(params=params, probe=probe, phi=phi, t=t)
+        ),
+        lambda t, probe, params, phi: run_sweep(
+            SweepSpec(
+                variable="t",
+                lo=0.0,
+                hi=t,
+                points=5,
+                fixed=SweepFixed(params=params, probe=probe, phi=phi, t=t),
+                metric="snr",
+            )
+        ),
+    ],
+    ids=[
+        "snr",
+        "contrast",
+        "measurement_mean",
+        "integrated_variance",
+        "readout_point",
+        "sample_shots",
+        "find_peak",
+        "run_sweep",
+    ],
+)
+def test_large_lo_phase_is_a_numerical_error(call, phi, t_matched, probe_matched, params_k2):
+    args = (t_matched, probe_matched, params_k2)
+    # 2·phi overflows a double above |phi| = 8.99e307, and only there
+    call(*args, math.copysign(8.98e307, phi))
+    with pytest.raises(NumericalError) as error:
+        call(*args, phi)
+    assert str(error.value) == f"LO phase {phi!r} is too large: 2 phi overflows"
+
+
 def test_large_squeezing_exits_2_without_a_traceback(tmp_path):
     path = tmp_path / "squeezed.cfg"
     path.write_text(
@@ -472,6 +516,29 @@ def test_overflowing_variance_on_a_grid_names_the_first_bad_row(metric, first):
     with pytest.raises(NumericalError) as grid:
         _evaluate(metric, _overflow_point(np.array([1.0, 1e100, first, later])))
     assert str(grid.value) == str(point.value)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_grid_names_the_first_failing_point_whichever_stage_fails(metric):
+    # on an r grid over [0, 400] at t = 1e100 the variances overflow from
+    # r = 130 on, before cosh 2r does past r = 355
+    point = _overflow_point(1e100)
+    values = sweeps._grid(0.0, 400.0, 41)
+    with pytest.raises(NumericalError) as error:
+        _evaluate(metric, point._replace(r=np.array(values)))
+    assert str(error.value) == "outcome variance overflows: got inf and nan"
+    # the variance metric evaluates no fidelity, which warns at t = 1e100
+    with pytest.raises(NumericalError) as first:
+        for r in values:
+            _evaluate("variance", point._replace(r=r))
+    assert str(first.value) == str(error.value)
+    assert r == 130.0
+    probe = ProbeState(alpha=10.0, theta_xi=0.3)
+    fixed = SweepFixed(params=SystemParams(kappa=0.5), probe=probe, phi=PHI_DEFAULT, t=1e100)
+    spec = SweepSpec(variable="r", lo=0.0, hi=400.0, points=41, fixed=fixed, metric=metric)
+    with pytest.raises(NumericalError) as swept:
+        run_sweep(spec)
+    assert str(swept.value) == str(error.value)
 
 
 def test_overflowing_variance_is_a_numerical_error_in_every_figure_of_merit(params_k2):
