@@ -75,19 +75,24 @@ def _square(x: float) -> float:
 (_square_grid,) = _elementwise(_square)
 
 
-def _variances(big_f, big_g, a_coef, b_coef, moments, kappa, u):
-    """(variance_plus, variance_minus); a NumericalError where one is not finite."""
-    var_q_rot, var_p_rot, cov_rot = moments
+def _response_terms(response, kappa, u):
+    """(A², B², 2·A·B, vacuum term u·(κ/2)(F² + G²)) of the response F, G, A, B."""
+    big_f, big_g, a_coef, b_coef = response
     try:
         if _is_grid(a_coef):
             f2, g2, a2, b2 = map(_square_grid, (big_f, big_g, a_coef, b_coef))
         else:
             f2, g2, a2, b2 = big_f**2, big_g**2, a_coef**2, b_coef**2
-        vacuum = u * 0.5 * kappa * (f2 + g2)
-        squeezed = a2 * var_q_rot + b2 * var_p_rot
     except OverflowError:
         raise NumericalError("response coefficients overflow: t is too large") from None
-    cross = 2.0 * a_coef * b_coef * cov_rot
+    return a2, b2, 2.0 * a_coef * b_coef, u * 0.5 * kappa * (f2 + g2)
+
+
+def _variances(terms, moments):
+    """(variance_plus, variance_minus); a NumericalError where one is not finite."""
+    (a2, b2, two_ab, vacuum), (var_q_rot, var_p_rot, cov_rot) = terms, moments
+    squeezed = a2 * var_q_rot + b2 * var_p_rot
+    cross = two_ab * cov_rot
     vp, vm = squeezed + cross + vacuum, squeezed - cross + vacuum
     if _is_grid(vp):
         import numpy as np
@@ -101,8 +106,14 @@ def _variances(big_f, big_g, a_coef, b_coef, moments, kappa, u):
     )
 
 
-def _separation(alpha, b_coef, theta_alpha: float, phi: float):
-    """2√2·α·|B|·|sin(θα − φ)|; a NumericalError where it is not finite."""
+def _separation(metric, alpha, b_coef, theta_alpha: float, phi: float):
+    """2√2·α·|B|·|sin(θα − φ)|; a NumericalError where it is not finite.
+
+    None for the metric variance, which reads no separation: it overflows
+    first at huge alpha.
+    """
+    if metric == "variance":
+        return None
     sep = 2.0 * SQRT2 * alpha * abs(b_coef) * abs(math.sin(theta_alpha - phi))
     if _is_grid(sep):
         import numpy as np
@@ -114,8 +125,23 @@ def _separation(alpha, b_coef, theta_alpha: float, phi: float):
     raise NumericalError(f"contrast overflows at alpha = {float(alpha)!r}")
 
 
-def _snr_point(metric, t, separation, vp, vm, t1):
-    """(snr, metric value) at one point, for the metrics snr and fidelity."""
+def _check_metric(metric: str) -> None:
+    if metric not in METRICS:
+        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
+
+
+def _value(metric, t, separation, vp, vm, t1):
+    """(snr, metric value) at one point, both None where the metric is undefined.
+
+    snr is None for the metrics contrast and variance, which also take
+    whole grid columns.
+    """
+    if metric == "contrast":
+        return None, separation
+    if metric == "variance":
+        # symmetrized over the qubit eigenvalue; the two halves differ
+        # only through the frame-residual covariance cross term
+        return None, 0.5 * (vp + vm)
     if not t > 0.0:
         return None, None
     if vp <= 0.0 or vm <= 0.0:
@@ -131,43 +157,33 @@ def _column(x, n: int) -> list:
     return x.tolist() if _is_grid(x) else [float(x)] * n
 
 
-def _model(metric: str, point: _Fields, stages: list, moving=None) -> list:
-    """[variance_plus, variance_minus, contrast, snr, value]; lists on a grid.
+def _model(metric: str, point: _Fields):
+    """(response, [variance_plus, variance_minus, contrast, snr, value]).
 
-    The two stages, the response F, G, A, B and the rotated moments, then
-    the tail.  An empty stages list is filled with the stages at point.
-    A peak search passes the stages of its last point and the name of
-    the one field of point that moved; only the stage that reads it is
-    recomputed, so each point raises what a fresh evaluation raises there.
+    response is F, G, A, B; the fields are lists on a grid.  The stages
+    run in this order: the metric check, the response, the rotated
+    moments, the response terms, the variances, the separation and the
+    value.  sweeps._kernel calls the same stage functions, so a
+    peak-search point raises what this evaluation raises there.
     """
     t, kappa, alpha, r, theta_xi, theta_alpha, phi, u, t1 = point
-    if not stages:
-        if metric not in METRICS:
-            raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
-        stages += _response(kappa, 1.0, t), _rotated_moments(r, theta_xi, phi)
-    elif moving in ("t", "kappa"):
-        stages[0] = _response(kappa, 1.0, t)
-    elif moving in ("r", "theta_xi"):
-        stages[1] = _rotated_moments(r, theta_xi, phi)
-    (big_f, big_g, a_coef, b_coef), moments = stages
-    vp, vm = _variances(big_f, big_g, a_coef, b_coef, moments, kappa, u)
-    # the variance metric reads no separation, which overflows first at huge alpha
-    sep = None if metric == "variance" else _separation(alpha, b_coef, theta_alpha, phi)
-    # the variance is symmetrized over the qubit eigenvalue; the two
-    # halves differ only through the frame-residual covariance cross term
-    value = sep if metric == "contrast" else 0.5 * (vp + vm) if metric == "variance" else None
-    fields = [vp, vm, sep, None, value]  # snr and value set below for snr and fidelity
-    if _is_grid(a_coef) or _is_grid(moments[0]) or _is_grid(alpha):
-        import numpy as np
-        # every swept field reaches the variances or the means
-        n = np.broadcast(*point[:5]).size
-        fields = [x if x is None else _column(x, n) for x in fields]
-        if metric in ("snr", "fidelity"):
-            rows = (_column(t, n), fields[2], fields[0], fields[1])
-            fields[3:] = zip(*map(_snr_point, [metric] * n, *rows, [t1] * n))
-    elif metric in ("snr", "fidelity"):
-        fields[3:] = _snr_point(metric, t, sep, vp, vm, t1)
-    return fields
+    _check_metric(metric)
+    response = _response(kappa, 1.0, t)
+    moments = _rotated_moments(r, theta_xi, phi)
+    vp, vm = _variances(_response_terms(response, kappa, u), moments)
+    sep = _separation(metric, alpha, response[3], theta_alpha, phi)
+    if not (_is_grid(response[2]) or _is_grid(moments[0]) or _is_grid(alpha)):
+        return response, [vp, vm, sep, *_value(metric, t, sep, vp, vm, t1)]
+    import numpy as np
+    # every swept field reaches the variances or the means
+    n = np.broadcast(*point[:5]).size
+    fields = [x if x is None else _column(x, n) for x in (vp, vm, sep)]
+    if metric in ("snr", "fidelity"):
+        rows = (_column(t, n), fields[2], fields[0], fields[1])
+        fields += zip(*map(_value, repeat(metric, n), *rows, repeat(t1, n)))
+    else:
+        fields += None, _column(_value(metric, t, sep, vp, vm, t1)[1], n)
+    return response, fields
 
 
 def _evaluate(metric: str, point: _Fields) -> _Evaluation:
@@ -179,13 +195,12 @@ def _evaluate(metric: str, point: _Fields) -> _Evaluation:
     and power on each element through the math module, so each grid
     point carries the bits of the float path.
     """
-    stages = []
     if any(map(_is_grid, point[:5])):
         import numpy as np
         try:
             # numpy warns where floats overflow silently; each ends in a NumericalError
             with np.errstate(over="ignore", invalid="ignore"):
-                tail = _model(metric, point, stages)
+                response, tail = _model(metric, point)
         except ReadoutError:
             # point by point as floats, so that the first failing point
             # raises its own error, whichever stage fails first there; the
@@ -196,8 +211,8 @@ def _evaluate(metric: str, point: _Fields) -> _Evaluation:
                     _evaluate(metric, _Fields._make(fields))
             raise
     else:
-        tail = _model(metric, point, stages)
-    (big_f, big_g, a_coef, b_coef), _ = stages
+        response, tail = _model(metric, point)
+    big_f, big_g, a_coef, b_coef = response
     mq, mp = _input_means(point.alpha, point.theta_alpha)
     c, s = math.cos(point.phi), math.sin(point.phi)
     along = a_coef * (mq * c + mp * s)

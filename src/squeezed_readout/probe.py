@@ -52,24 +52,34 @@ def _input_means(alpha, theta_alpha: float):
     return SQRT2 * alpha * math.cos(theta_alpha), SQRT2 * alpha * math.sin(theta_alpha)
 
 
-def _rotated_moments(r, theta_xi, phi: float):
-    """Var(Q′), Var(P′), Cov(Q′, P′) at LO angle phi; r, theta_xi may be arrays."""
-    r_grid = _is_grid(r)
-    cosh, sinh = _HYPERBOLIC_GRID if r_grid else _HYPERBOLIC
-    cos, sin = _TRIG_GRID if r_grid or _is_grid(theta_xi) else _TRIG
+def _squeezing(r):
+    """(cosh 2r, sinh 2r); r may be an array."""
+    cosh, sinh = _HYPERBOLIC_GRID if _is_grid(r) else _HYPERBOLIC
     try:
-        ch, sh = cosh(2.0 * r), sinh(2.0 * r)
+        return cosh(2.0 * r), sinh(2.0 * r)
     except OverflowError:
         raise NumericalError("squeezing r is too large: cosh 2r overflows") from None
+
+
+def _frame(theta_xi, phi: float):
+    """(cos d, sin d, cos(d + π)) with d = 2φ − θξ; theta_xi may be an array."""
+    cos, sin = _TRIG_GRID if _is_grid(theta_xi) else _TRIG
     d = 2.0 * phi - theta_xi
     try:
-        return (
-            0.5 * (ch - cos(d) * sh),
-            0.5 * (ch - cos(2.0 * (phi + 0.5 * math.pi) - theta_xi) * sh),
-            0.5 * sh * sin(d),
-        )
+        return cos(d), sin(d), cos(2.0 * (phi + 0.5 * math.pi) - theta_xi)
     except ValueError:  # cos(±inf): phi is finite, 2·phi is not
         raise NumericalError(f"LO phase {phi!r} is too large: 2 phi overflows") from None
+
+
+def _moments(squeezing, frame):
+    """Var(Q′), Var(P′), Cov(Q′, P′) from _squeezing and _frame."""
+    (ch, sh), (cos_d, sin_d, cos_d_pi) = squeezing, frame
+    return 0.5 * (ch - cos_d * sh), 0.5 * (ch - cos_d_pi * sh), 0.5 * sh * sin_d
+
+
+def _rotated_moments(r, theta_xi, phi: float):
+    """Var(Q′), Var(P′), Cov(Q′, P′) at LO angle phi; r, theta_xi may be arrays."""
+    return _moments(_squeezing(r), _frame(theta_xi, phi))  # cosh 2r raises first
 
 
 def mean_photon_number(probe: ProbeState) -> float:

@@ -17,11 +17,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import NumericalError, ValidationError
-from .metrics import METRICS, _evaluate, _fields, _model, readout_point
+from .dynamics import _response
+from .errors import NumericalError, ReadoutError, ValidationError
+from .metrics import _check_metric, _evaluate, _fields, readout_point
+from .metrics import _response_terms, _separation, _value, _variances
 from .params import SystemParams, UnitContext, from_experimental, wrap_angle
 from .params import _each, _is_grid, _require_positive
-from .probe import ProbeState
+from .probe import ProbeState, _frame, _moments, _rotated_moments, _squeezing
 
 SWEEP_VARIABLES = ("t", "r", "delta_theta", "alpha", "kappa")
 
@@ -68,10 +70,7 @@ class SweepSpec:
             raise ValidationError(
                 f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}"
             )
-        if self.metric not in METRICS:
-            raise ValidationError(
-                f"metric must be one of {METRICS}, got {self.metric!r}"
-            )
+        _check_metric(self.metric)
         _check_points(self.points)
         _check_range("range", self.lo, self.hi)
         floor = {"t": 0.0, "r": 0.0, "alpha": 0.0}.get(self.variable)
@@ -128,13 +127,10 @@ def _with(fixed: SweepFixed, base, variable: str, value):
     value (a float or an array) gets the checks of ProbeState and
     SystemParams; an array's least and greatest elements stand for all.
     """
-    # built by position, not by _replace: a peak search builds one per step
     chi_s = fixed.params.chi_s
-    if variable == "t":
-        return base._make((value * chi_s, *base[1:]))
     if variable == "delta_theta":
         variable, value = "theta_xi", 2.0 * (fixed.phi - value)
-    elif variable not in ("r", "alpha", "kappa"):
+    elif variable not in ("t", "r", "alpha", "kappa"):
         raise ValidationError(f"unknown sweep variable {variable!r}")
     grid = _is_grid(value)
     for x in (float(value.min()), float(value.max())) if grid else (value,):
@@ -144,12 +140,109 @@ def _with(fixed: SweepFixed, base, variable: str, value):
         elif not math.isfinite(x) or (x < 0.0 and variable != "theta_xi"):
             rule = "finite" if variable == "theta_xi" else "nonnegative and finite"
             raise ValidationError(f"{variable} must be {rule}, got {x!r}")
-    if variable == "kappa":
+    if variable == "t":
+        value = value * chi_s
+    elif variable == "kappa":
         value = value / chi_s
     elif variable == "theta_xi":
         value = _each(wrap_angle, value)
     i = base._fields.index(variable)
     return base._make((*base[:i], value, *base[i + 1 :]))
+
+
+def _kernel(metric: str, fixed: SweepFixed, variable: str):
+    """x ↦ the metric at fixed with one sweep variable set to the float x.
+
+    The closure returns the bits of _evaluate(metric, _with(fixed, base,
+    variable, x)).value, None where undefined, or raises its error.  It
+    checks x as _with does, then runs the stages x reaches; the others
+    are computed here, once:
+
+    - r, delta_theta: the response, its terms and the separation; for r
+      also the frame, for delta_theta cosh 2r and sinh 2r;
+    - t, kappa: the rotated moments;
+    - alpha: everything but the separation.
+
+    A stage computed here that fails fails at every point, after the
+    stages x reaches that precede it; the closure then evaluates each
+    point afresh, so that each raises its own first error.
+    """
+    base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
+    t, kappa, alpha, r, theta_xi, theta_alpha, phi, u, t1 = base
+    chi_s, inf = fixed.params.chi_s, math.inf
+
+    def fresh(x):
+        return _evaluate(metric, _with(fixed, base, variable, x)).value
+
+    try:
+        _check_metric(metric)
+        if variable in ("t", "kappa"):
+            moments = _rotated_moments(r, theta_xi, phi)
+        elif variable in ("r", "delta_theta", "alpha"):
+            response = _response(kappa, 1.0, t)
+            terms = _response_terms(response, kappa, u)
+            if variable == "alpha":
+                vp, vm = _variances(terms, _rotated_moments(r, theta_xi, phi))
+            else:
+                if variable == "r":
+                    frame = _frame(theta_xi, phi)
+                else:
+                    squeezing = _squeezing(r)
+                sep = _separation(metric, alpha, response[3], theta_alpha, phi)
+        else:
+            return fresh  # _with raises for an unknown variable
+    except ReadoutError:
+        return fresh
+
+    # each test of x below is _with's check; _with raises the error of a failing x
+    if variable == "t":
+
+        def at(x):
+            if not 0.0 <= x < inf:
+                _with(fixed, base, variable, x)
+            t = x * chi_s
+            response = _response(kappa, 1.0, t)
+            vp, vm = _variances(_response_terms(response, kappa, u), moments)
+            sep = _separation(metric, alpha, response[3], theta_alpha, phi)
+            return _value(metric, t, sep, vp, vm, t1)[1]
+
+    elif variable == "kappa":
+
+        def at(x):
+            k = x / chi_s
+            if not (0.0 < x < inf and 0.0 < k < inf):
+                _with(fixed, base, variable, x)
+            response = _response(k, 1.0, t)
+            vp, vm = _variances(_response_terms(response, k, u), moments)
+            sep = _separation(metric, alpha, response[3], theta_alpha, phi)
+            return _value(metric, t, sep, vp, vm, t1)[1]
+
+    elif variable == "alpha":
+
+        def at(x):
+            if not 0.0 <= x < inf:
+                _with(fixed, base, variable, x)
+            sep = _separation(metric, x, response[3], theta_alpha, phi)
+            return _value(metric, t, sep, vp, vm, t1)[1]
+
+    elif variable == "r":
+
+        def at(x):
+            if not 0.0 <= x < inf:
+                _with(fixed, base, variable, x)
+            vp, vm = _variances(terms, _moments(_squeezing(x), frame))
+            return _value(metric, t, sep, vp, vm, t1)[1]
+
+    else:
+
+        def at(x):
+            theta = 2.0 * (phi - x)
+            if not -inf < theta < inf:
+                _with(fixed, base, variable, x)
+            vp, vm = _variances(terms, _moments(squeezing, _frame(wrap_angle(theta), phi)))
+            return _value(metric, t, sep, vp, vm, t1)[1]
+
+    return at
 
 
 def _check_points(points) -> None:
@@ -206,16 +299,17 @@ def find_peak(
     coarse scan guards against silent failure by rejecting ranges with
     more than one strict local maximum.  The bracket closes to 1e-6; a
     constant metric returns the lower bound with the flat flag set.
+    Every point, coarse or golden-section, is one float call of the
+    kernel of the variable (_kernel), which recomputes only the stages
+    the variable reaches; points are evaluated in order, so the first
+    failing point raises its own error.
     """
     lo, hi = bounds
     _check_range("bounds", lo, hi)
-    base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
-
-    stages = []  # the model stages of the last point, filled at the first
-    moving = "theta_xi" if variable == "delta_theta" else variable  # as in _with
+    kernel = _kernel(metric, fixed, variable)
 
     def evaluate(x: float) -> float:
-        value = _model(metric, _with(fixed, base, variable, x), stages, moving)[4]
+        value = kernel(x)
         if value is None:
             raise NumericalError(
                 f"metric {metric!r} is undefined inside the bounds at {x!r}"
@@ -224,7 +318,6 @@ def find_peak(
             raise NumericalError(f"metric {metric!r} is not finite at {x!r}")
         return value
 
-    # point by point, so that the first failing point raises its own error
     xs = _grid(lo, hi, _COARSE_POINTS)
     ys = list(map(evaluate, xs))
 

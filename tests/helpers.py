@@ -9,7 +9,8 @@ displacement, the four-source shot weights) are textbook relations the
 tests check the model against; the package itself does not need them.
 reference_find_peak scans its coarse grid in one grid evaluation and
 takes every golden-section step through _evaluate: a second route to
-each peak for the staged search in the package.
+each peak for the package's search, which evaluates each point through
+a kernel that recomputes only the stages its variable reaches.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from squeezed_readout import (
     signal_coefficients,
     snr,
 )
+from squeezed_readout import sweeps
 from squeezed_readout.dynamics import _response
 
 ALPHA_FIG2 = math.sqrt(30.0)
@@ -332,4 +333,52 @@ def test_criterion_8_degeneracies_and_limits(t_matched, params_k2):
         f"gives SNR=0 and fidelity=0, small-t expansions within {worst_small_t:.4f} "
         "<= 1% for chi t <= 0.1 at kappa = 0.2 chi (B error scales as kappa t / 4), "
         f"covariance purity |det - 1/4| <= {worst_det:.2e} on 1000 random probes"
+    )
+
+
+def _fig2_fixed(kappa_over_chi: float, r: float) -> SweepFixed:
+    """Fig2's operating point at squeezing r; the time is the swept variable."""
+    params = from_experimental(0.15, kappa_over_chi, 3.0)
+    probe = ProbeState(alpha=ALPHA_FIG2, theta_alpha=0.0, r=r, theta_xi=math.pi)
+    return SweepFixed(params=params, probe=probe, phi=PHI_DEFAULT, t=0.0)
+
+
+def _t99_us(units, kappa_over_chi: float, r: float) -> float:
+    """First time in us at which the fig2 fidelity reaches 0.99; inf past 2 us.
+
+    Fig2's 400-point time grid brackets the first crossing, and a
+    bisection on the t kernel of the peak search closes the bracket.
+    """
+    fidelity_at = sweeps._kernel("fidelity", _fig2_fixed(kappa_over_chi, r), "t")
+    times = sweeps._grid(0.0, units.to_internal_time(2.0), 400)
+    for lo, hi in zip(times, times[1:]):
+        if fidelity_at(hi) >= 0.99:
+            while hi - lo > 1e-12 * hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if fidelity_at(mid) >= 0.99 else (mid, hi)
+            return units.to_physical_time(hi)
+    return math.inf
+
+
+def test_criterion_9_moderate_squeezing_reads_out_fastest(units):
+    # the abstract: moderate squeezing, and only moderate squeezing, reads
+    # out at 99% fidelity in under 1 us; fig2 is phase-matched, so the
+    # erf convention of the fidelity is exact there
+    r_values = [0.2125 * k for k in range(9)]  # 0 to 1.7
+    t99 = [_t99_us(units, 2.0, r) for r in r_values]
+    best = t99.index(min(t99))
+    assert 0 < best < len(r_values) - 1, t99
+    assert t99[best] < t99[0] and t99[best] < t99[-1], t99
+    assert t99[2] < 1.0 and t99[4] < 1.0, t99  # r = 0.425 and r = 0.85
+    # r = 1.7 stays below 0.99 up to 2 us: its fidelity still rises there
+    assert t99[-1] == math.inf, t99
+    fixed = _fig2_fixed(2.0, r_values[-1])
+    bounds = (units.to_internal_time(1e-3), units.to_internal_time(2.0))
+    peak = find_peak("fidelity", "t", bounds, fixed)
+    assert peak.value < 0.99, peak
+    print(
+        f"PASS: criterion 9 - at kappa = 2 chi, t99 is shortest at interior "
+        f"r = {r_values[best]:.4f} ({t99[best]:.4f} us); r = 0.425 reaches 0.99 at "
+        f"{t99[2]:.4f} us and r = 0.85 at {t99[4]:.4f} us, both under 1 us, against "
+        f"{t99[0]:.4f} us coherent; r = 1.7 reaches at most {peak.value:.4f} within 2 us"
     )

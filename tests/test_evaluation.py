@@ -2,13 +2,14 @@
 
 Every figure of merit reads a single evaluation of the response
 coefficients, and every sweep and figure panel a single evaluation over
-its whole grid.  A peak search evaluates its points one by one and the
-stages its variable leaves alone once.  These tests count the
-evaluations and check that every route to a number returns the same
-bits.
+its whole grid.  A peak search evaluates its points one by one through
+the kernel of its variable, and the stages the variable leaves alone
+once.  These tests count the evaluations and check that every route to
+a number returns the same bits.
 """
 
 import math
+import warnings
 
 import helpers
 import numpy as np
@@ -37,7 +38,8 @@ from squeezed_readout import (
     sample_shots,
     snr,
 )
-from squeezed_readout import dynamics, metrics, sweeps
+from squeezed_readout import dynamics, sweeps
+from squeezed_readout import probe as probe_module
 from squeezed_readout.cli import main
 from squeezed_readout.metrics import METRICS, _evaluate, _fields
 from squeezed_readout.sweeps import SWEEP_VARIABLES
@@ -118,34 +120,57 @@ def _reference_steps(monkeypatch, variable, fixed) -> int:
     return sum(scalar)
 
 
+def _count(patch, calls, name, *modules):
+    """Records in calls every call of the function name, in each module."""
+    for module in modules:
+
+        def counting(*args, inner=getattr(module, name)):
+            calls.append(args)
+            return inner(*args)
+
+        patch.setattr(module, name, counting)
+
+
+def _fail(*args):
+    raise AssertionError("a peak-search point took the route of a fresh evaluation")
+
+
 def test_one_evaluation_per_peak_step(integral_calls, fixed, monkeypatch):
-    steps, moments = [], []
-    model, rotated_moments = sweeps._model, metrics._rotated_moments
+    steps, moments, squeezings, frames = [], [], [], []
+    kernel = sweeps._kernel
 
-    def counting_model(metric, point, stages, moving):
-        steps.append(point)
-        return model(metric, point, stages, moving)
+    def counting_kernel(metric, fixed, variable):
+        at = kernel(metric, fixed, variable)
 
-    def counting_moments(*args):
-        moments.append(args)
-        return rotated_moments(*args)
+        def step(x):
+            steps.append(x)
+            return at(x)
+
+        return step
 
     for variable in SWEEP_VARIABLES:
         golden = _reference_steps(monkeypatch, variable, fixed)
         with monkeypatch.context() as patch:
-            patch.setattr(sweeps, "_model", counting_model)
-            patch.setattr(metrics, "_rotated_moments", counting_moments)
-            for calls in (steps, moments, integral_calls):
+            patch.setattr(sweeps, "_kernel", counting_kernel)
+            patch.setattr(sweeps, "_with", _fail)
+            patch.setattr(sweeps, "_evaluate", _fail)
+            # the kernel forms the moments from their parts, or whole
+            _count(patch, moments, "_moments", probe_module, sweeps)
+            _count(patch, squeezings, "_squeezing", probe_module, sweeps)
+            _count(patch, frames, "_frame", probe_module, sweeps)
+            for calls in (steps, moments, squeezings, frames, integral_calls):
                 calls.clear()
             find_peak("snr", variable, _PEAK_BOUNDS[variable], fixed)
         # every point of the coarse scan is a step, as is each golden-section point
         assert len(steps) == 32 + golden, variable
-        assert all(type(x) is float for point in steps for x in point), variable
+        assert all(type(x) is float for x in steps), variable
         # the stages the variable leaves alone are evaluated once per search
         response_once = variable in ("r", "delta_theta", "alpha")
         moments_once = variable in ("t", "kappa", "alpha")
         assert len(integral_calls) == (1 if response_once else len(steps)), variable
         assert len(moments) == (1 if moments_once else len(steps)), variable
+        assert len(squeezings) == (len(steps) if variable == "r" else 1), variable
+        assert len(frames) == (len(steps) if variable == "delta_theta" else 1), variable
 
 
 def test_one_evaluation_per_figure_row(integral_calls):
@@ -417,6 +442,104 @@ def test_peak_search_past_the_double_range_equals_the_reference(
         assert str(reference) == _SEPARATION_OVERFLOWS.format(coarse[19])
     elif variable != "alpha":
         assert ("too large" in str(reference)) is (bounds[0] > 0.0)
+
+
+def _point_outcome(fn):
+    """fn's value or ReadoutError, and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = _outcome(fn)
+    return outcome, [str(w.message) for w in caught]
+
+
+def _kernel_points_equal_a_fresh_evaluation(metric, variable, bounds, fixed) -> None:
+    """At each coarse point the kernel returns the bits of a fresh evaluation
+    or raises its error, and warns what it warns."""
+    base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
+    kernel = sweeps._kernel(metric, fixed, variable)
+    for x in sweeps._grid(*bounds, sweeps._COARSE_POINTS):
+        (value, warned), (reference, reference_warned) = (
+            _point_outcome(lambda: kernel(x)),
+            _point_outcome(
+                lambda: _evaluate(metric, sweeps._with(fixed, base, variable, x)).value
+            ),
+        )
+        if isinstance(reference, ReadoutError):
+            assert type(value) is type(reference), (x, value)
+            assert str(value) == str(reference), x
+        else:
+            assert _same(value, reference), (x, value, reference)
+        assert warned == reference_warned, x
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+@settings(max_examples=25, deadline=None)
+@given(
+    data=st.data(),
+    chi_s=st.one_of(st.just(1.0), st.floats(min_value=0.2, max_value=5.0)),
+    kappa=st.floats(min_value=0.5, max_value=4.0),
+    t=st.floats(min_value=0.0, max_value=3.0),
+    u=st.floats(min_value=0.1, max_value=1.0),
+    alpha=st.floats(min_value=0.0, max_value=12.0),
+    r=st.floats(min_value=0.0, max_value=2.0),
+    theta_alpha=_phase,
+    theta_xi=_phase,
+    phi=_phase,
+)
+def test_kernel_points_equal_a_fresh_evaluation(
+    variable, metric, data, chi_s, kappa, t, u, alpha, r, theta_alpha, theta_xi, phi
+):
+    params = SystemParams(chi_s=chi_s, kappa=kappa * chi_s, vacuum_weight=u)
+    probe = ProbeState(alpha=alpha, theta_alpha=theta_alpha, r=r, theta_xi=theta_xi)
+    fixed = SweepFixed(params=params, probe=probe, phi=phi, t=t / chi_s)
+    bounds = data.draw(_peak_search_bounds(variable, chi_s))
+    _kernel_points_equal_a_fresh_evaluation(metric, variable, bounds, fixed)
+
+
+@pytest.mark.parametrize("metric", [*METRICS, "power"])
+@pytest.mark.parametrize(
+    "variable,bounds,t,alpha,r",
+    [
+        # A² overflows at t = 1e200; past r = 355 cosh 2r overflows first
+        ("r", (-0.5, 400.0), 1e200, 10.0, 0.74),
+        ("delta_theta", (-1.0, 1.0), 1e200, 10.0, 0.74),
+        ("alpha", (-1.0, 12.0), 1e200, 10.0, 0.74),
+        # the separation overflows at every point of an r or delta_theta
+        # search at alpha = 9e307, and from coarse[19] on of an alpha search
+        ("r", (-0.5, 2.0), None, 9e307, 0.74),
+        ("delta_theta", (-1.0, 1.0), None, 9e307, 0.74),
+        ("alpha", (1e307, 1e308), None, 10.0, 0.74),
+        # cosh 2r overflows at r = 400, after a negative t or kappa fails
+        ("t", (-0.5, 1.0), None, 10.0, 400.0),
+        ("kappa", (-0.5, 1.0), None, 10.0, 400.0),
+        # stages that t and kappa reach fail: A² from t ≈ 1e154 on, the
+        # separation at every point at alpha = 9e307, after A² where both do
+        ("t", (0.0, 1e200), None, 10.0, 0.74),
+        ("t", (0.0, 1e200), None, 9e307, 0.74),
+        ("kappa", (-0.5, 4.0), None, 9e307, 0.74),
+        # nothing fails; fidelity warns past t/T1 = 0.1, t ≈ 283 here
+        ("r", (0.0, 2.0), 600.0, 10.0, 0.74),
+        ("t", (100.0, 1000.0), None, 10.0, 0.74),
+    ],
+    ids=[
+        "huge-t-r", "huge-t-delta_theta", "huge-t-alpha", "huge-alpha-r",
+        "huge-alpha-delta_theta", "huge-alpha-alpha", "huge-r-t", "huge-r-kappa",
+        "huge-t-t", "huge-t-and-alpha-t", "huge-alpha-kappa", "late-r", "late-t",
+    ],
+)
+def test_kernel_points_equal_a_fresh_evaluation_at_the_edges(
+    metric, variable, bounds, t, alpha, r, params_k2, t_matched
+):
+    probe = ProbeState(alpha=alpha, r=r, theta_xi=math.pi)
+    t = t_matched if t is None else t
+    fixed = SweepFixed(params=params_k2, probe=probe, phi=PHI_DEFAULT, t=t)
+    _kernel_points_equal_a_fresh_evaluation(metric, variable, bounds, fixed)
+    args = (metric, variable, bounds, fixed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the fidelity past t/T1 = 0.1
+        reference = _outcome(lambda: helpers.reference_find_peak(*args))
+        _same_outcome(_outcome(lambda: find_peak(*args)), reference)
 
 
 @pytest.mark.parametrize(

@@ -71,6 +71,32 @@ def test_only_commands_that_build_arrays_load_numpy(tmp_path, args, loads_numpy)
     assert _fresh(code) == f"0 {loads_numpy}\n"
 
 
+# find_peak for every variable and metric; two metrics have several
+# maxima on these bounds, and their searches end in a ReadoutError
+PEAK_SEARCHES = """\
+import math, sys
+from squeezed_readout import ProbeState, ReadoutError, SweepFixed, SystemParams, find_peak
+from squeezed_readout.metrics import METRICS
+from squeezed_readout.sweeps import SWEEP_VARIABLES
+probe = ProbeState(alpha=10.0, r=0.74)
+fixed = SweepFixed(params=SystemParams(kappa=2.0), probe=probe, phi=0.5 * math.pi, t=0.67)
+bounds = {"t": (0.05, 3.0), "r": (0.0, 2.0), "delta_theta": (-1.0, 1.0),
+          "alpha": (0.0, 12.0), "kappa": (0.5, 4.0)}
+found = 0
+for variable in SWEEP_VARIABLES:
+    for metric in METRICS:
+        try:
+            found += math.isfinite(find_peak(metric, variable, bounds[variable], fixed).value)
+        except ReadoutError:
+            pass
+print(found, "numpy" in sys.modules)
+"""
+
+
+def test_peak_search_leaves_numpy_unloaded():
+    assert _fresh(PEAK_SEARCHES) == "18 False\n"
+
+
 @pytest.mark.parametrize("numpy_first", [True, False], ids=["numpy-first", "package-first"])
 def test_is_grid_holds_whichever_is_imported_first(numpy_first):
     imports = ["import numpy as np", "from squeezed_readout.params import _is_grid"]

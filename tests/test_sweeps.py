@@ -295,15 +295,19 @@ def test_numpy_floats_render_like_plain_floats(fixed):
 
 
 @pytest.mark.parametrize(
-    ("variable", "message"),
+    ("variable", "chi_s", "message"),
     [
-        ("r", "r must be nonnegative and finite, got -0.5"),
-        ("alpha", "alpha must be nonnegative and finite, got -0.5"),
-        ("kappa", "kappa must be positive and finite, got -0.5"),
+        ("r", 1.0, "r must be nonnegative and finite, got -0.5"),
+        ("alpha", 1.0, "alpha must be nonnegative and finite, got -0.5"),
+        ("kappa", 1.0, "kappa must be positive and finite, got -0.5"),
+        # the message names the caller's bound, not the internal time chi_s*t
+        ("t", 2.0, "t must be nonnegative and finite, got -0.5"),
     ],
-    ids=["r", "alpha", "kappa"],
+    ids=["r", "alpha", "kappa", "t-chi_s-2"],
 )
-def test_find_peak_rejects_a_negative_lower_bound(fixed, variable, message):
+def test_find_peak_rejects_a_negative_lower_bound(fixed, variable, chi_s, message):
+    params = dataclasses.replace(fixed.params, chi_s=chi_s)
+    fixed = dataclasses.replace(fixed, params=params)
     with pytest.raises(ValidationError) as excinfo:
         find_peak("snr", variable, (-0.5, 1.5), fixed)
     assert str(excinfo.value) == message
