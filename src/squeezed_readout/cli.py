@@ -35,6 +35,7 @@ from .shots import classify, sample_shots
 from .sweeps import (
     SweepFixed,
     SweepSpec,
+    _csv_body,
     _fmt,
     find_peak,
     render_figure_csv,
@@ -221,8 +222,11 @@ def _emit_block(config: RunConfig, lines: list[tuple[str, object]]) -> None:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output: {exc}") from exc
 
 
 def _require_t(config: RunConfig) -> float:
@@ -357,10 +361,16 @@ def _cmd_shots(config: RunConfig) -> int:
     )
     result = classify(batch, config.threshold_policy, t1=t1_internal)
     if config.out:
-        rows = [f"# generator_id = {batch.generator_id}", "state,outcome"]
-        rows.extend(f"1,{value!r}" for value in batch.outcomes_plus.tolist())
-        rows.extend(f"-1,{value!r}" for value in batch.outcomes_minus.tolist())
-        _write_text(config.out, _snapshot_header(config) + "\n".join(rows) + "\n")
+        # one eigenstate's outcomes at a time as Python floats, for a low peak memory
+        body = "".join(
+            _csv_body(([state] * len(outcomes), outcomes.tolist()))
+            for state, outcomes in ((1, batch.outcomes_plus), (-1, batch.outcomes_minus))
+        )
+        _write_text(
+            config.out,
+            f"{_snapshot_header(config)}# generator_id = {batch.generator_id}\n"
+            f"state,outcome\n{body}",
+        )
     block = [
         ("subcommand", "shots"),
         ("t_us", config.t_us),

@@ -14,7 +14,9 @@ render byte-identical CSV (floats via repr, no timestamps).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .dynamics import _response
@@ -367,12 +369,44 @@ def _fmt(value) -> str:
     return "none" if value is None else str(value)
 
 
+# the types whose repr is their _fmt spelling
+_REPR_TYPES = frozenset((float, bool, int))
+
+
+def _csv_body(columns) -> str:
+    """The CSV lines of a table given by its columns, each cell as _fmt spells it.
+
+    The columns are of one length, at least 1.  One line template serves every row, and one % operation fills it.  A
+    column that holds one object is spelled into the template once; a
+    column of exact floats, bools and ints gets a %r slot and a column of
+    strings a %s slot, as repr and str spell those types like _fmt does;
+    any other column goes through _fmt first.  Identity, not equality,
+    makes a column constant, so 0.0 beside -0.0 and distinct NaNs stay
+    apart.
+    """
+    fields, slots = [], []
+    for column in columns:
+        first = column[0]
+        if all(map(operator.is_, column, repeat(first))):
+            fields.append(_fmt(first).replace("%", "%%"))
+            continue
+        kinds = set(map(type, column))
+        if kinds <= _REPR_TYPES:
+            fields.append("%r")
+        else:
+            if kinds != {str}:
+                column = list(map(_fmt, column))
+            fields.append("%s")
+        slots.append(column)
+    rows = len(columns[0]) if columns else 0
+    cells = slots[0] if len(slots) == 1 else chain.from_iterable(zip(*slots))
+    return ((",".join(fields) + "\n") * rows) % tuple(cells)
+
+
 def _render_csv(meta: dict, columns: tuple[str, ...], rows) -> str:
     lines = [f"# {key} = {_fmt(meta[key])}" for key in sorted(meta)]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(map(_fmt, row)))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + _csv_body(list(zip(*rows)))
 
 
 def render_sweep_csv(result: SweepResult) -> str:

@@ -11,6 +11,9 @@ reference_find_peak scans its coarse grid in one grid evaluation and
 takes every golden-section step through _evaluate: a second route to
 each peak for the package's search, which evaluates each point through
 a kernel that recomputes only the stages its variable reaches.
+reference_render_csv joins each row of a table cell by cell through
+_fmt: a second route to the bytes of the package's CSV, which fills one
+line template per table.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from squeezed_readout import (
     ValidationError,
 )
 from squeezed_readout.metrics import _evaluate, _Fields, _fields
-from squeezed_readout.sweeps import _check_range, _grid, _with
+from squeezed_readout.sweeps import _check_range, _fmt, _grid, _with
 
 _QUAD_OPTS = {"epsabs": 1e-14, "epsrel": 1e-13, "limit": 200}
 
@@ -272,3 +275,12 @@ def reference_find_peak(metric, variable, bounds, fixed) -> PeakResult:
             yd = evaluate(d)
     location = 0.5 * (a + b)
     return PeakResult(location=location, value=evaluate(location), flat=False)
+
+
+def reference_render_csv(meta: dict, columns: tuple[str, ...], rows) -> str:
+    """The CSV of a table, each row joined from _fmt of each of its cells."""
+    lines = [f"# {key} = {_fmt(meta[key])}" for key in sorted(meta)]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(map(_fmt, row)))
+    return "\n".join(lines) + "\n"

@@ -293,6 +293,26 @@ _R_SWEEP = "sweep_variable = r\nsweep_lo = 0\nsweep_hi = 2\n"
 
 
 @pytest.mark.parametrize(
+    ("args", "out"),
+    [
+        (["snr"], "missing/y"),
+        (["sweep"], "."),  # a directory
+        (["figures", "fig3"], "missing/x.csv"),
+        (["shots", "--n-shots", "1000"], "missing/shots.csv"),
+    ],
+    ids=["snr", "sweep", "figures", "shots"],
+)
+def test_unwritable_out_exits_1_without_a_traceback(tmp_path, args, out):
+    path = tmp_path / "run.cfg"
+    path.write_text(MATCHED_CONFIG + _R_SWEEP, encoding="utf-8")
+    done = _run_cli([*args, "--config", str(path), "--out", str(tmp_path / out)])
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: cannot write output: ")
+    assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     ("subcommand", "edit", "message"),
     [
         ("snr", ("alpha = 10.0", "alpha = nan"), "line 5: expected float for 'alpha', got 'nan'"),
