@@ -15,22 +15,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import NumericalError, ValidationError
-from .params import SystemParams
+from .errors import ValidationError
+from .params import SystemParams, _finite
 from .probe import ProbeState, mean_photon_number
 
 DEFAULT_RATIO_MAX = 0.1
-
-
-def _finite(compute, label: str) -> float:
-    """compute(); a NumericalError '{label} overflows' where it is not finite."""
-    try:
-        value = compute()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise NumericalError(f"{label} overflows")
-    return value
 
 
 def _rates(params: SystemParams, r: float) -> tuple[float, float]:
@@ -59,7 +48,8 @@ def total_t1(params: SystemParams, r: float) -> float:
     if not params.has_backaction:
         return params.t1_intrinsic
     _, induced = _rates(params, r)
-    return 1.0 / (1.0 / params.t1_intrinsic + induced)
+    rate = _finite(lambda: 1.0 / params.t1_intrinsic + induced, "t1_intrinsic is too small: 1/T1")
+    return 1.0 / rate
 
 
 @dataclass(frozen=True)

@@ -12,39 +12,27 @@ and the twice-integrated signal coefficients
 
 All four integrals have elementary antiderivatives with denominator
 D = a² + b²; those closed forms are used everywhere because sweeps
-evaluate them on dense grids.  G and ∫G are O(t²) and O(t³) built from
+evaluate them at hundreds of points.  G and ∫G are O(t²) and O(t³) built from
 O(1) terms, so at small times the closed forms cancel away their
 leading digits.  For a·t and b·t both below 1e-2 a Taylor expansion
 takes over; at that switch point the truncation error of the series
 and the cancellation error of the closed forms are both at the 1e-9
 relative level or better, and both fall off rapidly away from it.
+Where D underflows to 0, χs·t overflows or the series' t³ does, the
+coefficients raise a NumericalError instead of a Python exception.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
-from .errors import ValidationError
-from .params import SystemParams, _each, _elementwise, _is_grid
+from .errors import NumericalError, ValidationError
+from .params import SystemParams
 
 _SERIES_THRESHOLD = 1e-2
-_CUBE = functools.partial(pow, exp=3)  # x**3, for one element at a time
-_TRIG = (math.exp, math.cos, math.sin)
-_TRIG_GRID = _elementwise(*_TRIG)
 
 
-def _check_time(t) -> None:
-    if _is_grid(t):
-        import numpy as np
-        if (np.isfinite(t) & (t >= 0.0)).all():
-            return
-        raise ValidationError("t must be nonnegative and finite on the grid")
-    if not math.isfinite(t) or t < 0.0:
-        raise ValidationError(f"t must be nonnegative and finite, got {t!r}")
-
-
-def _series(a, b, t):
+def _series(a: float, b: float, t: float):
     a2, b2 = a * a, b * b
     c3 = a2 - b2
     c4 = a * (a2 - 3.0 * b2)
@@ -60,42 +48,39 @@ def _series(a, b, t):
         0.5
         + t * (-a / 6.0 + t * (c3 / 24.0 + t * (-c4 / 120.0 + t * (c5 / 720.0))))
     )
-    int_g = b * _each(_CUBE, t) * (
+    int_g = b * t**3 * (
         1.0 / 6.0
         + t * (-a / 12.0 + t * ((3.0 * a2 - b2) / 120.0 + t * (a * (b2 - a2) / 180.0)))
     )
     return big_f, big_g, int_f, int_g
 
 
-def _integrals(a, b, t):
-    """(F, G, ∫₀ᵗF, ∫₀ᵗG) by closed form, or by series at tiny a·t, b·t.
-
-    a and t may be arrays of one length; their small elements are masked.
-    """
+def _integrals(a: float, b: float, t: float):
+    """(F, G, ∫₀ᵗF, ∫₀ᵗG) by closed form, or by series at tiny a·t, b·t."""
     at, bt = a * t, b * t
-    small = (at < _SERIES_THRESHOLD) & (bt < _SERIES_THRESHOLD)
-    grid = _is_grid(at)
-    if not grid and small:
-        return _series(a, b, t)
-    exp, cos, sin = _TRIG_GRID if grid else _TRIG
+    if at < _SERIES_THRESHOLD and bt < _SERIES_THRESHOLD:
+        try:
+            return _series(a, b, t)
+        except OverflowError:  # t**3
+            raise NumericalError("response coefficients overflow: t**3 is too large") from None
     d = a * a + b * b
-    e, cb, sb = exp(-at), cos(bt), sin(bt)
+    if d == 0.0:
+        raise NumericalError("response coefficients overflow: (kappa/2)^2 + chi_s^2 underflows")
+    try:
+        e, cb, sb = math.exp(-at), math.cos(bt), math.sin(bt)
+    except ValueError:  # cos(inf)
+        raise NumericalError("response coefficients overflow: chi_s*t is too large") from None
     big_f = (a - e * (a * cb - b * sb)) / d
     big_g = (b - e * (a * sb + b * cb)) / d
     int_f = (at - a * big_f + b * big_g) / d
     int_g = (bt - a * big_g - b * big_f) / d
-    closed = (big_f, big_g, int_f, int_g)
-    if grid and small.any():
-        import numpy as np
-        a_small, t_small = (np.broadcast_to(x, small.shape)[small] for x in (a, t))
-        for full, part in zip(closed, _series(a_small, b, t_small)):
-            full[small] = part
-    return closed
+    return big_f, big_g, int_f, int_g
 
 
-def _response(kappa, chi_s, t):
-    """(F, G, A, B) at time t; t and kappa may be arrays of one length."""
-    _check_time(t)
+def _response(kappa: float, chi_s: float, t: float):
+    """(F, G, A, B) at time t."""
+    if not math.isfinite(t) or t < 0.0:
+        raise ValidationError(f"t must be nonnegative and finite, got {t!r}")
     big_f, big_g, int_f, int_g = _integrals(0.5 * kappa, chi_s, t)
     return big_f, big_g, t - kappa * int_f, kappa * int_g
 

@@ -24,11 +24,10 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import repeat
 
 from .dynamics import _response, signal_coefficients
-from .errors import NumericalError, ReadoutError, UndefinedPointError, ValidationError
-from .params import SystemParams, _elementwise, _is_grid, wrap_angle
+from .errors import NumericalError, UndefinedPointError, ValidationError
+from .params import SystemParams, _finite, wrap_angle
 from .probe import SQRT2, ProbeState, _input_means, _rotated_moments
 
 _PHASE_TOL = 1e-9
@@ -46,17 +45,16 @@ def _check_phi(phi: float) -> None:
 
 METRICS = ("snr", "fidelity", "contrast", "variance")
 
-# Model inputs in internal units (χs = 1): t, kappa, alpha, r and theta_xi
-# are floats or 1-D float64 arrays of one length (a grid), the rest floats.
+# Model inputs in internal units (χs = 1), all floats.
 _Fields = namedtuple("_Fields", "t kappa alpha r theta_xi theta_alpha phi u t1")
-# One evaluation: floats, or for a grid a list with one entry per point.
-# The first six are a sweep row's diagnostics.  contrast is not evaluated
-# for the metric variance, snr only for the metrics snr and fidelity; snr
-# and value are None where undefined.
+# One evaluation.  The first eight are a sweep row's model fields, as
+# _row returns them.  contrast is not evaluated for the metric variance,
+# snr only for the metrics snr and fidelity; snr and value are None
+# where undefined.
 _Evaluation = namedtuple(
     "_Evaluation",
-    "a_coef b_coef big_f big_g variance_plus variance_minus"
-    " mean_plus mean_minus contrast snr value",
+    "value big_f big_g a_coef b_coef variance_plus variance_minus snr"
+    " mean_plus mean_minus contrast",
 )
 
 
@@ -68,21 +66,11 @@ def _fields(t, probe: ProbeState, params: SystemParams, phi, t1_total=None):
     return _Fields(t * c, internal.kappa, *state, phi, internal.vacuum_weight, t1)
 
 
-def _square(x: float) -> float:
-    return x**2
-
-
-(_square_grid,) = _elementwise(_square)
-
-
-def _response_terms(response, kappa, u):
+def _response_terms(response, kappa: float, u: float):
     """(A², B², 2·A·B, vacuum term u·(κ/2)(F² + G²)) of the response F, G, A, B."""
     big_f, big_g, a_coef, b_coef = response
     try:
-        if _is_grid(a_coef):
-            f2, g2, a2, b2 = map(_square_grid, (big_f, big_g, a_coef, b_coef))
-        else:
-            f2, g2, a2, b2 = big_f**2, big_g**2, a_coef**2, b_coef**2
+        f2, g2, a2, b2 = big_f**2, big_g**2, a_coef**2, b_coef**2
     except OverflowError:
         raise NumericalError("response coefficients overflow: t is too large") from None
     return a2, b2, 2.0 * a_coef * b_coef, u * 0.5 * kappa * (f2 + g2)
@@ -94,19 +82,14 @@ def _variances(terms, moments):
     squeezed = a2 * var_q_rot + b2 * var_p_rot
     cross = two_ab * cov_rot
     vp, vm = squeezed + cross + vacuum, squeezed - cross + vacuum
-    if _is_grid(vp):
-        import numpy as np
-        if (np.isfinite(vp) & np.isfinite(vm)).all():
-            return vp, vm
-        raise NumericalError("outcome variance overflows on the grid")
-    elif math.isfinite(vp) and math.isfinite(vm):
+    if math.isfinite(vp) and math.isfinite(vm):
         return vp, vm
     raise NumericalError(
         f"outcome variance overflows: got {float(vp)!r} and {float(vm)!r}"
     )
 
 
-def _separation(metric, alpha, b_coef, theta_alpha: float, phi: float):
+def _separation(metric: str, alpha: float, b_coef: float, theta_alpha: float, phi: float):
     """2√2·α·|B|·|sin(θα − φ)|; a NumericalError where it is not finite.
 
     None for the metric variance, which reads no separation: it overflows
@@ -115,12 +98,7 @@ def _separation(metric, alpha, b_coef, theta_alpha: float, phi: float):
     if metric == "variance":
         return None
     sep = 2.0 * SQRT2 * alpha * abs(b_coef) * abs(math.sin(theta_alpha - phi))
-    if _is_grid(sep):
-        import numpy as np
-        if np.isfinite(sep).all():
-            return sep
-        raise NumericalError("contrast overflows on the grid")
-    elif math.isfinite(sep):
+    if math.isfinite(sep):
         return sep
     raise NumericalError(f"contrast overflows at alpha = {float(alpha)!r}")
 
@@ -130,41 +108,41 @@ def _check_metric(metric: str) -> None:
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
-def _value(metric, t, separation, vp, vm, t1):
-    """(snr, metric value) at one point, both None where the metric is undefined.
+def _row(metric: str, t: float, response, separation, vp: float, vm: float, t1: float):
+    """(value, F, G, A, B, variance_plus, variance_minus, snr) at one point.
 
-    snr is None for the metrics contrast and variance, which also take
-    whole grid columns.
+    value and snr are None where the metric is undefined; snr is None for
+    the metrics contrast and variance.
     """
+    big_f, big_g, a_coef, b_coef = response
+    snr = value = None
     if metric == "contrast":
-        return None, separation
-    if metric == "variance":
+        value = separation
+    elif metric == "variance":
         # symmetrized over the qubit eigenvalue; the two halves differ
         # only through the frame-residual covariance cross term
-        return None, 0.5 * (vp + vm)
-    if not t > 0.0:
-        return None, None
-    if vp <= 0.0 or vm <= 0.0:
-        raise NumericalError(
-            f"outcome variances must be positive, got {vp!r} and {vm!r}"
-        )
-    value = separation / (math.sqrt(vp) + math.sqrt(vm))
-    return value, fidelity(t, value, t1) if metric == "fidelity" else value
+        value = 0.5 * (vp + vm)
+    elif t > 0.0:
+        if vp <= 0.0 or vm <= 0.0:
+            raise NumericalError(
+                f"outcome variances must be positive, got {vp!r} and {vm!r}"
+            )
+        snr = value = separation / (math.sqrt(vp) + math.sqrt(vm))
+        if metric == "fidelity":
+            value = fidelity(t, snr, t1)
+    return value, big_f, big_g, a_coef, b_coef, vp, vm, snr
 
 
-def _column(x, n: int) -> list:
-    """n Python floats: a grid column as it is, a scalar repeated."""
-    return x.tolist() if _is_grid(x) else [float(x)] * n
+def _evaluate(metric: str, point: _Fields) -> _Evaluation:
+    """The readout model at one operating point.
 
-
-def _model(metric: str, point: _Fields):
-    """(response, [variance_plus, variance_minus, contrast, snr, value]).
-
-    response is F, G, A, B; the fields are lists on a grid.  The stages
-    run in this order: the metric check, the response, the rotated
-    moments, the response terms, the variances, the separation and the
-    value.  sweeps._kernel calls the same stage functions, so a
-    peak-search point raises what this evaluation raises there.
+    Every figure of merit, shot batch and classification reads this one
+    evaluation, and every sweep, figure panel and peak-search point
+    returns its first eight fields; phi is unchecked.  The stages run in
+    this order: the metric check, the response, the rotated moments, the
+    response terms, the variances, the separation and the row, then the
+    input means.  sweeps._kernel calls the same stage functions, so a
+    sweep point raises what this evaluation raises there.
     """
     t, kappa, alpha, r, theta_xi, theta_alpha, phi, u, t1 = point
     _check_metric(metric)
@@ -172,56 +150,25 @@ def _model(metric: str, point: _Fields):
     moments = _rotated_moments(r, theta_xi, phi)
     vp, vm = _variances(_response_terms(response, kappa, u), moments)
     sep = _separation(metric, alpha, response[3], theta_alpha, phi)
-    if not (_is_grid(response[2]) or _is_grid(moments[0]) or _is_grid(alpha)):
-        return response, [vp, vm, sep, *_value(metric, t, sep, vp, vm, t1)]
-    import numpy as np
-    # every swept field reaches the variances or the means
-    n = np.broadcast(*point[:5]).size
-    fields = [x if x is None else _column(x, n) for x in (vp, vm, sep)]
-    if metric in ("snr", "fidelity"):
-        rows = (_column(t, n), fields[2], fields[0], fields[1])
-        fields += zip(*map(_value, repeat(metric, n), *rows, repeat(t1, n)))
-    else:
-        fields += None, _column(_value(metric, t, sep, vp, vm, t1)[1], n)
-    return response, fields
+    row = _row(metric, t, response, sep, vp, vm, t1)
+    mq, mp = _input_means(alpha, theta_alpha)
+    c, s = math.cos(phi), math.sin(phi)
+    along = response[2] * (mq * c + mp * s)
+    across = response[3] * (-mq * s + mp * c)
+    return _Evaluation(*row, along + across, along - across, sep)
 
 
-def _evaluate(metric: str, point: _Fields) -> _Evaluation:
-    """The readout model at one operating point or over a whole grid.
+def _means(point: _Evaluation) -> tuple[float, float]:
+    """(mean_plus, mean_minus); a NumericalError where one is not finite.
 
-    Every figure of merit, sweep, figure table, shot batch and
-    classification reads this one evaluation; phi is unchecked.  On a
-    grid the arithmetic runs on arrays, and every transcendental function
-    and power on each element through the math module, so each grid
-    point carries the bits of the float path.
+    At a huge alpha the input means overflow and their projection can be
+    inf − inf; the variances, which read no mean, stay available there.
     """
-    if any(map(_is_grid, point[:5])):
-        import numpy as np
-        try:
-            # numpy warns where floats overflow silently; each ends in a NumericalError
-            with np.errstate(over="ignore", invalid="ignore"):
-                response, tail = _model(metric, point)
-        except ReadoutError:
-            # point by point as floats, so that the first failing point
-            # raises its own error, whichever stage fails first there; the
-            # points before it warn nothing, as the grid returns nothing
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                for fields in zip(*(x.tolist() if _is_grid(x) else repeat(x) for x in point)):
-                    _evaluate(metric, _Fields._make(fields))
-            raise
-    else:
-        response, tail = _model(metric, point)
-    big_f, big_g, a_coef, b_coef = response
-    mq, mp = _input_means(point.alpha, point.theta_alpha)
-    c, s = math.cos(point.phi), math.sin(point.phi)
-    along = a_coef * (mq * c + mp * s)
-    across = b_coef * (-mq * s + mp * c)
-    fields = [a_coef, b_coef, big_f, big_g, along + across, along - across]
-    if isinstance(tail[0], list):
-        fields = [_column(x, len(tail[0])) for x in fields]
-    fields[4:4] = tail[:2]  # the variances, after the response
-    return _Evaluation._make(fields + tail[2:])
+    if math.isfinite(point.mean_plus) and math.isfinite(point.mean_minus):
+        return point.mean_plus, point.mean_minus
+    raise NumericalError(
+        f"outcome mean overflows: got {point.mean_plus!r} and {point.mean_minus!r}"
+    )
 
 
 def measurement_mean(
@@ -230,8 +177,8 @@ def measurement_mean(
     """Mean outcome A·⟨Q′⟩ + σ·B·⟨P′⟩ of a homodyne measurement at LO angle phi."""
     _check_sigma(sigma)
     _check_phi(phi)
-    point = _evaluate("variance", _fields(t, probe, params, phi))
-    return point.mean_plus if sigma == 1 else point.mean_minus
+    mean_plus, mean_minus = _means(_evaluate("variance", _fields(t, probe, params, phi)))
+    return mean_plus if sigma == 1 else mean_minus
 
 
 def contrast(t: float, probe: ProbeState, params: SystemParams, phi: float) -> float:
@@ -286,14 +233,17 @@ def fidelity(t: float, snr_value: float, t1_total: float) -> float:
             f"fidelity formula assumes t << T1; got t/T1 = {t / t1_total:.3g}",
             stacklevel=2,
         )
-    return math.exp(-0.5 * t / t1_total) * math.erf(snr_value / math.sqrt(2.0))
+    return math.exp(-0.5 * t / t1_total) * math.erf(snr_value / SQRT2)
 
 
 def optimal_time_estimate(r: float, params: SystemParams) -> float:
     """Estimated best integration time e^{−r}·√(6/(κχs))."""
     if not math.isfinite(r) or r < 0.0:
         raise ValidationError(f"r must be nonnegative and finite, got {r!r}")
-    return math.exp(-r) * math.sqrt(6.0 / (params.kappa * params.chi_s))
+    return _finite(
+        lambda: math.exp(-r) * math.sqrt(6.0 / (params.kappa * params.chi_s)),
+        "kappa*chi_s is too small: optimal time estimate",
+    )
 
 
 def optimal_squeezing(t: float, params: SystemParams) -> float | None:

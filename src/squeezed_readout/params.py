@@ -11,39 +11,12 @@ microseconds to internal time and back.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
-import sys
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 TAU = 2.0 * math.pi
-
-
-def _is_grid(x) -> bool:
-    """True for a numpy array; never imports numpy, as no array exists before it."""
-    if type(x) is float:  # the float path pays no lookup
-        return False
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(x, np.ndarray)
-
-
-def _each(fn, x):
-    """fn(x) for a float; for an array, the same scalar fn on every element."""
-    if not _is_grid(x):
-        return fn(x)
-    import numpy as np
-    return np.array(list(map(fn, x.tolist())))
-
-
-def _elementwise(*fns):
-    """Each fn applied element by element to an array, and as is to a float.
-
-    numpy's exp, cos, cosh, ... and ``**`` round some elements unlike the
-    math module, so grids take these to keep the float path's bits.
-    """
-    return tuple(functools.partial(_each, fn) for fn in fns)
 
 
 def wrap_angle(x: float) -> float:
@@ -52,6 +25,17 @@ def wrap_angle(x: float) -> float:
     if y <= -math.pi:
         y += TAU
     return y
+
+
+def _finite(compute, label: str) -> float:
+    """compute(); a NumericalError '{label} overflows' where it is not finite."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"{label} overflows")
+    return value
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -164,4 +148,7 @@ class UnitContext:
         """Duration in microseconds for an internal time chi_s*t."""
         if not math.isfinite(t_internal) or t_internal < 0.0:
             raise ValidationError(f"t_internal must be nonnegative, got {t_internal!r}")
-        return t_internal / self.chi_rad_per_us
+        return _finite(
+            lambda: t_internal / self.chi_rad_per_us,
+            f"chi_over_2pi_hz = {self.chi_over_2pi_hz!r} is too small: time in us",
+        )

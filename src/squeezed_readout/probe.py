@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericalError, ValidationError
-from .params import _elementwise, _is_grid, wrap_angle
+from .params import wrap_angle
 
 SQRT2 = math.sqrt(2.0)
-_HYPERBOLIC, _TRIG = (math.cosh, math.sinh), (math.cos, math.sin)
-_HYPERBOLIC_GRID, _TRIG_GRID = _elementwise(*_HYPERBOLIC), _elementwise(*_TRIG)
 
 
 @dataclass(frozen=True)
@@ -48,25 +46,23 @@ class ProbeState:
             object.__setattr__(self, name, wrap_angle(value))
 
 
-def _input_means(alpha, theta_alpha: float):
+def _input_means(alpha: float, theta_alpha: float):
     return SQRT2 * alpha * math.cos(theta_alpha), SQRT2 * alpha * math.sin(theta_alpha)
 
 
-def _squeezing(r):
-    """(cosh 2r, sinh 2r); r may be an array."""
-    cosh, sinh = _HYPERBOLIC_GRID if _is_grid(r) else _HYPERBOLIC
+def _squeezing(r: float):
+    """(cosh 2r, sinh 2r)."""
     try:
-        return cosh(2.0 * r), sinh(2.0 * r)
+        return math.cosh(2.0 * r), math.sinh(2.0 * r)
     except OverflowError:
         raise NumericalError("squeezing r is too large: cosh 2r overflows") from None
 
 
-def _frame(theta_xi, phi: float):
-    """(cos d, sin d, cos(d + π)) with d = 2φ − θξ; theta_xi may be an array."""
-    cos, sin = _TRIG_GRID if _is_grid(theta_xi) else _TRIG
+def _frame(theta_xi: float, phi: float):
+    """(cos d, sin d, cos(d + π)) with d = 2φ − θξ."""
     d = 2.0 * phi - theta_xi
     try:
-        return cos(d), sin(d), cos(2.0 * (phi + 0.5 * math.pi) - theta_xi)
+        return math.cos(d), math.sin(d), math.cos(2.0 * (phi + 0.5 * math.pi) - theta_xi)
     except ValueError:  # cos(±inf): phi is finite, 2·phi is not
         raise NumericalError(f"LO phase {phi!r} is too large: 2 phi overflows") from None
 
@@ -77,8 +73,8 @@ def _moments(squeezing, frame):
     return 0.5 * (ch - cos_d * sh), 0.5 * (ch - cos_d_pi * sh), 0.5 * sh * sin_d
 
 
-def _rotated_moments(r, theta_xi, phi: float):
-    """Var(Q′), Var(P′), Cov(Q′, P′) at LO angle phi; r, theta_xi may be arrays."""
+def _rotated_moments(r: float, theta_xi: float, phi: float):
+    """Var(Q′), Var(P′), Cov(Q′, P′) at LO angle phi."""
     return _moments(_squeezing(r), _frame(theta_xi, phi))  # cosh 2r raises first
 
 

@@ -40,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import NumericalError, ValidationError
-from .metrics import _evaluate, _Fields, _fields
+from .metrics import _evaluate, _Fields, _fields, _means
 from .params import SystemParams
 from .probe import ProbeState
 
@@ -101,9 +101,10 @@ def _shot_map(point: _Fields) -> dict:
         raise NumericalError(
             f"outcome variance overflows: got {variances[1]!r} and {variances[-1]!r}"
         )
+    mean_plus, mean_minus = _means(model)
     return {
-        1: (math.sqrt(variances[1]), model.mean_plus),
-        -1: (math.sqrt(variances[-1]), model.mean_minus),
+        1: (math.sqrt(variances[1]), mean_plus),
+        -1: (math.sqrt(variances[-1]), mean_minus),
     }
 
 

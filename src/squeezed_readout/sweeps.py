@@ -22,9 +22,9 @@ from typing import NamedTuple
 from .dynamics import _response
 from .errors import NumericalError, ReadoutError, ValidationError
 from .metrics import _check_metric, _evaluate, _fields, readout_point
-from .metrics import _response_terms, _separation, _value, _variances
+from .metrics import _response_terms, _row, _separation, _variances
 from .params import SystemParams, UnitContext, from_experimental, wrap_angle
-from .params import _each, _is_grid, _require_positive
+from .params import _require_positive
 from .probe import ProbeState, _frame, _moments, _rotated_moments, _squeezing
 
 SWEEP_VARIABLES = ("t", "r", "delta_theta", "alpha", "kappa")
@@ -123,42 +123,40 @@ class FigureTable:
     rows: tuple[tuple, ...]
 
 
-def _with(fixed: SweepFixed, base, variable: str, value):
+def _with(fixed: SweepFixed, base, variable: str, value: float):
     """base, the model inputs of fixed, with one sweep variable set to value.
 
-    value (a float or an array) gets the checks of ProbeState and
-    SystemParams; an array's least and greatest elements stand for all.
+    value gets the checks of ProbeState and SystemParams.
     """
     chi_s = fixed.params.chi_s
     if variable == "delta_theta":
         variable, value = "theta_xi", 2.0 * (fixed.phi - value)
     elif variable not in ("t", "r", "alpha", "kappa"):
         raise ValidationError(f"unknown sweep variable {variable!r}")
-    grid = _is_grid(value)
-    for x in (float(value.min()), float(value.max())) if grid else (value,):
-        if variable == "kappa":
-            _require_positive("kappa", x)
-            _require_positive("kappa", x / chi_s)
-        elif not math.isfinite(x) or (x < 0.0 and variable != "theta_xi"):
-            rule = "finite" if variable == "theta_xi" else "nonnegative and finite"
-            raise ValidationError(f"{variable} must be {rule}, got {x!r}")
+    if variable == "kappa":
+        _require_positive("kappa", value)
+        _require_positive("kappa", value / chi_s)
+    elif not math.isfinite(value) or (value < 0.0 and variable != "theta_xi"):
+        rule = "finite" if variable == "theta_xi" else "nonnegative and finite"
+        raise ValidationError(f"{variable} must be {rule}, got {value!r}")
     if variable == "t":
         value = value * chi_s
     elif variable == "kappa":
         value = value / chi_s
     elif variable == "theta_xi":
-        value = _each(wrap_angle, value)
+        value = wrap_angle(value)
     i = base._fields.index(variable)
     return base._make((*base[:i], value, *base[i + 1 :]))
 
 
 def _kernel(metric: str, fixed: SweepFixed, variable: str):
-    """x ↦ the metric at fixed with one sweep variable set to the float x.
+    """x ↦ the row of the metric at fixed with one sweep variable set to x.
 
-    The closure returns the bits of _evaluate(metric, _with(fixed, base,
-    variable, x)).value, None where undefined, or raises its error.  It
-    checks x as _with does, then runs the stages x reaches; the others
-    are computed here, once:
+    The row is (value, F, G, A, B, variance_plus, variance_minus, snr),
+    as metrics._row returns it.  The closure returns the bits of the
+    first eight fields of _evaluate(metric, _with(fixed, base, variable,
+    x)), or raises its error.  It checks x as _with does, then runs the
+    stages x reaches; the others are computed here, once:
 
     - r, delta_theta: the response, its terms and the separation; for r
       also the frame, for delta_theta cosh 2r and sinh 2r;
@@ -174,7 +172,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
     chi_s, inf = fixed.params.chi_s, math.inf
 
     def fresh(x):
-        return _evaluate(metric, _with(fixed, base, variable, x)).value
+        return _evaluate(metric, _with(fixed, base, variable, x))[:8]
 
     try:
         _check_metric(metric)
@@ -206,7 +204,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
             response = _response(kappa, 1.0, t)
             vp, vm = _variances(_response_terms(response, kappa, u), moments)
             sep = _separation(metric, alpha, response[3], theta_alpha, phi)
-            return _value(metric, t, sep, vp, vm, t1)[1]
+            return _row(metric, t, response, sep, vp, vm, t1)
 
     elif variable == "kappa":
 
@@ -217,7 +215,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
             response = _response(k, 1.0, t)
             vp, vm = _variances(_response_terms(response, k, u), moments)
             sep = _separation(metric, alpha, response[3], theta_alpha, phi)
-            return _value(metric, t, sep, vp, vm, t1)[1]
+            return _row(metric, t, response, sep, vp, vm, t1)
 
     elif variable == "alpha":
 
@@ -225,7 +223,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
             if not 0.0 <= x < inf:
                 _with(fixed, base, variable, x)
             sep = _separation(metric, x, response[3], theta_alpha, phi)
-            return _value(metric, t, sep, vp, vm, t1)[1]
+            return _row(metric, t, response, sep, vp, vm, t1)
 
     elif variable == "r":
 
@@ -233,7 +231,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
             if not 0.0 <= x < inf:
                 _with(fixed, base, variable, x)
             vp, vm = _variances(terms, _moments(_squeezing(x), frame))
-            return _value(metric, t, sep, vp, vm, t1)[1]
+            return _row(metric, t, response, sep, vp, vm, t1)
 
     else:
 
@@ -242,7 +240,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
             if not -inf < theta < inf:
                 _with(fixed, base, variable, x)
             vp, vm = _variances(terms, _moments(squeezing, _frame(wrap_angle(theta), phi)))
-            return _value(metric, t, sep, vp, vm, t1)[1]
+            return _row(metric, t, response, sep, vp, vm, t1)
 
     return at
 
@@ -273,17 +271,24 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Grid points where the metric is undefined (SNR and fidelity at
     t = 0) are kept as rows with a NaN metric and the skipped flag set,
-    so grids may start at zero time.
+    so grids may start at zero time.  Each point is one call of the
+    kernel of the variable, in order, so the first failing point raises
+    its own error.  The range's ends are checked first, lo then hi:
+    every check of _with is monotone in x, so an end fails where any
+    point does, before a point in between fails numerically.
     """
-    import numpy as np
-    grid = _grid(spec.lo, spec.hi, spec.points)
     metric, fixed, variable = spec.metric, spec.fixed, spec.variable
     base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
-    point = _evaluate(metric, _with(fixed, base, variable, np.array(grid)))
-    skipped = [m is None for m in point.value]
-    metric_values = [math.nan if m is None else m for m in point.value]
-    rows = tuple(map(SweepRow._make, zip(grid, metric_values, *point[:6], skipped)))
-    return SweepResult(rows=rows, spec=spec)
+    for x in (spec.lo, spec.hi):
+        _with(fixed, base, variable, x)
+    at, make = _kernel(metric, fixed, variable), SweepRow._make
+    rows = []
+    for x in _grid(spec.lo, spec.hi, spec.points):
+        value, big_f, big_g, a_coef, b_coef, vp, vm, _ = at(x)
+        skipped = value is None
+        metric_value = math.nan if skipped else value
+        rows.append(make((x, metric_value, a_coef, b_coef, big_f, big_g, vp, vm, skipped)))
+    return SweepResult(rows=tuple(rows), spec=spec)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -311,7 +316,7 @@ def find_peak(
     kernel = _kernel(metric, fixed, variable)
 
     def evaluate(x: float) -> float:
-        value = kernel(x)
+        value = kernel(x)[0]
         if value is None:
             raise NumericalError(
                 f"metric {metric!r} is undefined inside the bounds at {x!r}"
@@ -453,7 +458,6 @@ def reproduce_figure2(
     theta_xi = pi, phi = pi/2, T1 = 3 ms, and times from 0 to 2 us.
     Zero-time rows carry the continuous limit 0 for both metrics.
     """
-    import numpy as np
     kappa_by_variant = {"panel_ab": 1.0, "panel_cd": 2.0}
     if params_variant not in kappa_by_variant:
         raise ValidationError(
@@ -471,15 +475,15 @@ def reproduce_figure2(
     alpha = math.sqrt(30.0)
     phi = 0.5 * math.pi
     t_us = _grid(0.0, 2.0, points)
-    t_grid = units.chi_rad_per_us * np.array(t_us)
+    chi_t = [units.chi_rad_per_us * t for t in t_us]
     rows = []
     for r in r_values:
         probe = ProbeState(alpha=alpha, theta_alpha=0.0, r=r, theta_xi=math.pi)
-        point = _evaluate("fidelity", _fields(t_grid, probe, params, phi))
-        rows.extend(
-            (t, r, 0.0 if s is None else s, 0.0 if f is None else f)
-            for t, s, f in zip(t_us, point.snr, point.value)
-        )
+        at = _kernel("fidelity", SweepFixed(params=params, probe=probe, phi=phi, t=0.0), "t")
+        for t, x in zip(t_us, chi_t):
+            row = at(x)
+            value, snr = row[0], row[7]
+            rows.append((t, r, 0.0 if snr is None else snr, 0.0 if value is None else value))
     meta = {
         "alpha": alpha,
         "chi_over_2pi_mhz": _FIG_CHI_OVER_2PI_MHZ,
@@ -509,7 +513,6 @@ def reproduce_figure3(points: int = _FIGURE_POINTS) -> FigureTable:
     carry the coherent (r = 0) baseline alongside, at kappa = 2 chi_s,
     alpha = 10, t = 0.714 us.
     """
-    import numpy as np
     _check_points(points)
     params = from_experimental(_FIG_CHI_OVER_2PI_MHZ, 2.0, _FIG_T1_MS)
     units = UnitContext(_FIG_CHI_OVER_2PI_MHZ * 1e6)
@@ -520,15 +523,12 @@ def reproduce_figure3(points: int = _FIGURE_POINTS) -> FigureTable:
     baseline = readout_point(t, baseline_probe, params, phi)
     probe = ProbeState(alpha=alpha, theta_alpha=0.0, r=_FIG3_R, theta_xi=math.pi)
     fixed = SweepFixed(params=params, probe=probe, phi=phi, t=t)
-    base = _fields(t, probe, params, phi)
     rows = []
     for panel, lo, hi in (("delta_theta", -math.pi, math.pi), ("r", 0.0, 2.0)):
-        xs = _grid(lo, hi, points)
-        point = _evaluate("fidelity", _with(fixed, base, panel, np.array(xs)))
-        rows.extend(
-            (panel, x, s, f, baseline.snr, baseline.fidelity)
-            for x, s, f in zip(xs, point.snr, point.value)
-        )
+        at = _kernel("fidelity", fixed, panel)
+        for x in _grid(lo, hi, points):
+            row = at(x)
+            rows.append((panel, x, row[7], row[0], baseline.snr, baseline.fidelity))
     meta = {
         "alpha": alpha,
         "chi_over_2pi_mhz": _FIG_CHI_OVER_2PI_MHZ,

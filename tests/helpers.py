@@ -7,10 +7,10 @@ something they were not derived from.  The identities at the end
 (envelopes, propagator, coefficient rotation, squeezed coherent
 displacement, the four-source shot weights) are textbook relations the
 tests check the model against; the package itself does not need them.
-reference_find_peak scans its coarse grid in one grid evaluation and
-takes every golden-section step through _evaluate: a second route to
-each peak for the package's search, which evaluates each point through
-a kernel that recomputes only the stages its variable reaches.
+reference_find_peak takes every point, coarse or golden-section, through
+a whole _evaluate: a second route to each peak for the package's
+search, which evaluates each point through a kernel that recomputes
+only the stages its variable reaches.
 reference_render_csv joins each row of a table cell by cell through
 _fmt: a second route to the bytes of the package's CSV, which fills one
 line template per table.
@@ -29,7 +29,6 @@ from squeezed_readout import (
     NumericalError,
     PeakResult,
     ProbeState,
-    ReadoutError,
     SystemParams,
     ValidationError,
 )
@@ -207,17 +206,17 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def reference_find_peak(metric, variable, bounds, fixed) -> PeakResult:
-    """find_peak with a 32-point grid evaluation for its coarse scan.
+    """find_peak with every point, coarse or golden-section, a whole evaluation.
 
-    Every golden-section step evaluates the whole model; a coarse scan
-    that fails is repeated point by point, so the first failing point
-    raises its own error.
+    The points are evaluated in order, so the first failing point raises
+    its own error.
     """
     lo, hi = bounds
     _check_range("bounds", lo, hi)
     base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
 
-    def checked(x: float, value: float | None) -> float:
+    def evaluate(x: float) -> float:
+        value = _evaluate(metric, _with(fixed, base, variable, x)).value
         if value is None:
             raise NumericalError(
                 f"metric {metric!r} is undefined inside the bounds at {x!r}"
@@ -226,17 +225,8 @@ def reference_find_peak(metric, variable, bounds, fixed) -> PeakResult:
             raise NumericalError(f"metric {metric!r} is not finite at {x!r}")
         return value
 
-    def evaluate(x: float) -> float:
-        return checked(x, _evaluate(metric, _with(fixed, base, variable, x)).value)
-
     xs = _grid(lo, hi, 32)
-    try:
-        scan = _evaluate(metric, _with(fixed, base, variable, np.array(xs)))
-        ys = list(map(checked, xs, scan.value))
-    except ReadoutError:
-        for x in xs:
-            evaluate(x)
-        raise
+    ys = [evaluate(x) for x in xs]
 
     spread = max(ys) - min(ys)
     scale = max(1.0, abs(max(ys)), abs(min(ys)))

@@ -349,13 +349,13 @@ def _t99_us(units, kappa_over_chi: float, r: float) -> float:
     Fig2's 400-point time grid brackets the first crossing, and a
     bisection on the t kernel of the peak search closes the bracket.
     """
-    fidelity_at = sweeps._kernel("fidelity", _fig2_fixed(kappa_over_chi, r), "t")
+    row_at = sweeps._kernel("fidelity", _fig2_fixed(kappa_over_chi, r), "t")
     times = sweeps._grid(0.0, units.to_internal_time(2.0), 400)
     for lo, hi in zip(times, times[1:]):
-        if fidelity_at(hi) >= 0.99:
+        if row_at(hi)[0] >= 0.99:
             while hi - lo > 1e-12 * hi:
                 mid = 0.5 * (lo + hi)
-                lo, hi = (lo, mid) if fidelity_at(mid) >= 0.99 else (mid, hi)
+                lo, hi = (lo, mid) if row_at(mid)[0] >= 0.99 else (mid, hi)
             return units.to_physical_time(hi)
     return math.inf
 

@@ -190,3 +190,11 @@ def test_report_fields_stay_finite_at_the_edges_of_the_range():
     )
     with pytest.raises(NumericalError, match="occupation over the critical"):
         backaction_report(ProbeState(alpha=1e5), params)
+
+
+def test_total_t1_whose_rate_overflows_is_a_numerical_error():
+    # 1/T1 overflows, and 1/(inf + rate) would read 0.0
+    params = _with_coupling(0.01, 1.0, t1_intrinsic=1e-310)
+    with pytest.raises(NumericalError) as excinfo:
+        total_t1(params, 0.74)
+    assert str(excinfo.value) == "t1_intrinsic is too small: 1/T1 overflows"

@@ -832,3 +832,29 @@ def test_overflowing_variance_exits_2_without_a_traceback(tmp_path, subcommand, 
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "numerical error: outcome variance overflows: got inf and inf\n"
+
+
+@pytest.mark.parametrize(
+    "subcommand,edits",
+    [
+        ("backaction", [("t1_ms = 3.0", "t1_ms = 1e-315")]),
+        # the unit conversion would also overflow: chi_s is subnormal in rad/us
+        ("backaction", [("chi_over_2pi_mhz = 0.15", "chi_over_2pi_mhz = 1e-320")]),
+        ("fidelity", [("t1_ms = 3.0", "t1_ms = 1e-315\nuse_backaction_t1 = true")]),
+    ],
+    ids=["backaction-t1", "backaction-chi", "fidelity-backaction-t1"],
+)
+def test_relaxation_rate_that_overflows_exits_2_without_a_traceback(
+    tmp_path, subcommand, edits
+):
+    # 1/T1 overflows at a subnormal T1; 1/(inf + rate) would report T1 = 0.0
+    text = MATCHED_CONFIG + "gs_over_delta = 0.01\n"
+    for edit in edits:
+        text = text.replace(*edit)
+    path = tmp_path / "subnormal.cfg"
+    path.write_text(text, encoding="utf-8")
+    done = _run_cli([subcommand, "--config", str(path)])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr == "numerical error: t1_intrinsic is too small: 1/T1 overflows\n"

@@ -13,7 +13,7 @@ from helpers import (
 )
 from scipy.integrate import simpson
 
-from squeezed_readout import SystemParams, ValidationError, signal_coefficients
+from squeezed_readout import NumericalError, SystemParams, ValidationError, signal_coefficients
 from squeezed_readout.dynamics import _response
 
 # all six coefficients at the matched point kappa = 2, chi_s = 1,
@@ -235,3 +235,20 @@ def test_negative_time_rejected(params):
         _response(params.kappa, params.chi_s, -0.1)
     with pytest.raises(ValidationError, match="t must"):
         propagator(-0.1, params, +1)
+
+
+@pytest.mark.parametrize(
+    "t,params,message",
+    [
+        (1e199, SystemParams(chi_s=1e-200, kappa=1e-200), "(kappa/2)^2 + chi_s^2 underflows"),
+        # cos(chi_s*t) of an infinite argument is undefined
+        (1.7e308, SystemParams(chi_s=1e300, kappa=1e-8), "chi_s*t is too large"),
+        # a*t and b*t are tiny, so the series runs, and its t**3 overflows
+        (1e150, SystemParams(chi_s=1e-310, kappa=1e-310), "t**3 is too large"),
+    ],
+    ids=["denominator-underflows", "rotation-overflows", "series-overflows"],
+)
+def test_coefficients_past_the_double_range_are_a_numerical_error(t, params, message):
+    with pytest.raises(NumericalError) as excinfo:
+        signal_coefficients(t, params)
+    assert str(excinfo.value) == f"response coefficients overflow: {message}"

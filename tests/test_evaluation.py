@@ -1,18 +1,16 @@
-"""One model evaluation per operating point, and one per grid.
+"""One model evaluation per operating point, and hoisted stages per kernel.
 
 Every figure of merit reads a single evaluation of the response
-coefficients, and every sweep and figure panel a single evaluation over
-its whole grid.  A peak search evaluates its points one by one through
-the kernel of its variable, and the stages the variable leaves alone
-once.  These tests count the evaluations and check that every route to
-a number returns the same bits.
+coefficients.  A sweep, a figure panel and a peak search evaluate their
+points one by one through the kernel of their variable, and the stages
+the variable leaves alone once.  These tests count the evaluations and
+check that every route to a number returns the same bits.
 """
 
 import math
 import warnings
 
 import helpers
-import numpy as np
 import pytest
 from conftest import PHI_DEFAULT
 from hypothesis import given, settings
@@ -68,14 +66,71 @@ def fixed(params_k2, probe_matched, t_matched):
     return SweepFixed(params=params_k2, probe=probe_matched, phi=PHI_DEFAULT, t=t_matched)
 
 
+def _count(patch, calls, name, *modules):
+    """Records in calls every call of the function name, in each module."""
+    for module in modules:
+
+        def counting(*args, inner=getattr(module, name)):
+            calls.append(args)
+            return inner(*args)
+
+        patch.setattr(module, name, counting)
+
+
+def _fail(*args):
+    raise AssertionError("a kernel point took the route of a fresh evaluation")
+
+
+def _count_stages(patch, integral_calls) -> dict:
+    """Lists that record each call of a stage a kernel may compute once.
+
+    The kernel forms the moments from their parts, or whole; a fresh
+    evaluation, which a kernel falls back on where a stage fails, fails.
+    """
+    calls = {"response": integral_calls, "moments": [], "squeezing": [], "frame": []}
+    _count(patch, calls["moments"], "_moments", probe_module, sweeps)
+    _count(patch, calls["squeezing"], "_squeezing", probe_module, sweeps)
+    _count(patch, calls["frame"], "_frame", probe_module, sweeps)
+    patch.setattr(sweeps, "_evaluate", _fail)
+    integral_calls.clear()
+    return calls
+
+
+def _assert_hoisted(calls: dict, variable: str, kernels: int, points: int) -> None:
+    """The stages the variable leaves alone ran once per kernel, the others once per point."""
+    response_once = variable in ("r", "delta_theta", "alpha")
+    moments_once = variable in ("t", "kappa", "alpha")
+    assert len(calls["response"]) == (kernels if response_once else points), variable
+    assert len(calls["moments"]) == (kernels if moments_once else points), variable
+    assert len(calls["squeezing"]) == (points if variable == "r" else kernels), variable
+    assert len(calls["frame"]) == (points if variable == "delta_theta" else kernels), variable
+
+
+_PEAK_BOUNDS = {
+    "t": (0.05, 3.0),
+    "r": (0.0, 2.0),
+    "delta_theta": (-1.0, 1.0),
+    "alpha": (0.0, 12.0),
+    "kappa": (0.5, 4.0),
+}
+
+
 @pytest.mark.parametrize("metric", METRICS)
-@pytest.mark.parametrize("variable,lo,hi", [("t", 0.0, 3.0), ("r", 0.0, 2.0)])
-def test_one_evaluation_per_sweep_row(integral_calls, fixed, metric, variable, lo, hi):
+@pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+def test_one_evaluation_per_sweep_row(integral_calls, fixed, metric, variable, monkeypatch):
+    lo, hi = _PEAK_BOUNDS[variable]
     spec = SweepSpec(variable=variable, lo=lo, hi=hi, points=17, fixed=fixed, metric=metric)
-    result = run_sweep(spec)
-    # the whole grid is one evaluation
-    assert len(integral_calls) == 1
+    with monkeypatch.context() as patch:
+        calls = _count_stages(patch, integral_calls)
+        result = run_sweep(spec)
     assert len(result.rows) == 17
+    _assert_hoisted(calls, variable, kernels=1, points=17)
+    if variable in ("r", "delta_theta", "alpha"):
+        # a response computed once is one object in every row, which the
+        # CSV formats once per column
+        first = result.rows[0]
+        for name in ("a_coef", "b_coef", "big_f", "big_g"):
+            assert all(getattr(row, name) is getattr(first, name) for row in result.rows)
 
 
 def test_one_evaluation_per_public_call(integral_calls, t_matched, probe_matched, params_k2):
@@ -93,50 +148,17 @@ def test_one_evaluation_per_public_call(integral_calls, t_matched, probe_matched
         assert len(integral_calls) == 1
 
 
-_PEAK_BOUNDS = {
-    "t": (0.05, 3.0),
-    "r": (0.0, 2.0),
-    "delta_theta": (-1.0, 1.0),
-    "alpha": (0.0, 12.0),
-    "kappa": (0.5, 4.0),
-}
-
-
-_FIELD = {"t": "t", "r": "r", "delta_theta": "theta_xi", "alpha": "alpha", "kappa": "kappa"}
-
-
 def _reference_steps(monkeypatch, variable, fixed) -> int:
-    """Scalar model evaluations of the reference search, which scans a grid first."""
-    scalar = []
-    evaluate = helpers._evaluate
-
-    def counting(metric, point):
-        scalar.append(not isinstance(getattr(point, _FIELD[variable]), np.ndarray))
-        return evaluate(metric, point)
-
+    """Model evaluations of the reference search, one per point."""
+    evaluations = []
     with monkeypatch.context() as patch:
-        patch.setattr(helpers, "_evaluate", counting)
+        _count(patch, evaluations, "_evaluate", helpers)
         helpers.reference_find_peak("snr", variable, _PEAK_BOUNDS[variable], fixed)
-    return sum(scalar)
-
-
-def _count(patch, calls, name, *modules):
-    """Records in calls every call of the function name, in each module."""
-    for module in modules:
-
-        def counting(*args, inner=getattr(module, name)):
-            calls.append(args)
-            return inner(*args)
-
-        patch.setattr(module, name, counting)
-
-
-def _fail(*args):
-    raise AssertionError("a peak-search point took the route of a fresh evaluation")
+    return len(evaluations)
 
 
 def test_one_evaluation_per_peak_step(integral_calls, fixed, monkeypatch):
-    steps, moments, squeezings, frames = [], [], [], []
+    steps = []
     kernel = sweeps._kernel
 
     def counting_kernel(metric, fixed, variable):
@@ -149,40 +171,37 @@ def test_one_evaluation_per_peak_step(integral_calls, fixed, monkeypatch):
         return step
 
     for variable in SWEEP_VARIABLES:
-        golden = _reference_steps(monkeypatch, variable, fixed)
+        reference = _reference_steps(monkeypatch, variable, fixed)
         with monkeypatch.context() as patch:
             patch.setattr(sweeps, "_kernel", counting_kernel)
             patch.setattr(sweeps, "_with", _fail)
-            patch.setattr(sweeps, "_evaluate", _fail)
-            # the kernel forms the moments from their parts, or whole
-            _count(patch, moments, "_moments", probe_module, sweeps)
-            _count(patch, squeezings, "_squeezing", probe_module, sweeps)
-            _count(patch, frames, "_frame", probe_module, sweeps)
-            for calls in (steps, moments, squeezings, frames, integral_calls):
-                calls.clear()
+            calls = _count_stages(patch, integral_calls)
+            steps.clear()
             find_peak("snr", variable, _PEAK_BOUNDS[variable], fixed)
         # every point of the coarse scan is a step, as is each golden-section point
-        assert len(steps) == 32 + golden, variable
+        assert len(steps) == reference, variable
         assert all(type(x) is float for x in steps), variable
         # the stages the variable leaves alone are evaluated once per search
-        response_once = variable in ("r", "delta_theta", "alpha")
-        moments_once = variable in ("t", "kappa", "alpha")
-        assert len(integral_calls) == (1 if response_once else len(steps)), variable
-        assert len(moments) == (1 if moments_once else len(steps)), variable
-        assert len(squeezings) == (len(steps) if variable == "r" else 1), variable
-        assert len(frames) == (len(steps) if variable == "delta_theta" else 1), variable
+        _assert_hoisted(calls, variable, kernels=1, points=len(steps))
 
 
-def test_one_evaluation_per_figure_row(integral_calls):
-    table = reproduce_figure3(points=50)
-    # one evaluation per panel, plus the coherent baseline shared by every row
-    assert len(integral_calls) == 3
-    assert len(table.rows) == 100
-    integral_calls.clear()
-    table = reproduce_figure2("panel_cd", points=50)
-    # one evaluation per r value; zero-time rows carry the limit 0
-    assert len(integral_calls) == 4
-    assert len(table.rows) == 200
+def test_one_evaluation_per_figure_row(integral_calls, monkeypatch):
+    with monkeypatch.context() as patch:
+        calls = _count_stages(patch, integral_calls)
+        table = reproduce_figure3(points=50)
+        # the coherent baseline shared by every row is one evaluation
+        assert len(table.rows) == 100
+        assert len(integral_calls) == 1 + 2
+        assert len(calls["moments"]) == 1 + 50 + 50
+        # a delta_theta kernel and an r kernel, each of 50 points
+        assert len(calls["squeezing"]) == 1 + 1 + 50
+        assert len(calls["frame"]) == 1 + 50 + 1
+    with monkeypatch.context() as patch:
+        calls = _count_stages(patch, integral_calls)
+        table = reproduce_figure2("panel_cd", points=50)
+        # one t kernel of 50 points per r value; zero-time rows carry the limit 0
+        assert len(table.rows) == 200
+        _assert_hoisted(calls, "t", kernels=4, points=200)
 
 
 def _row_at(fixed: SweepFixed, r: float, metric: str):
@@ -264,19 +283,8 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and repr(a) == repr(b)
 
 
-_FIELDS = (
-    "a_coef",
-    "b_coef",
-    "big_f",
-    "big_g",
-    "variance_plus",
-    "variance_minus",
-    "mean_plus",
-    "mean_minus",
-    "contrast",
-    "snr",
-    "value",
-)
+# the model fields of a sweep row
+_ROW_FIELDS = ("a_coef", "b_coef", "big_f", "big_g", "variance_plus", "variance_minus")
 
 
 @st.composite
@@ -334,27 +342,25 @@ def test_grid_rows_equal_the_float_path(
         return _evaluate(metric, sweeps._with(fixed, base, variable, value))
 
     spec = SweepSpec(variable=variable, lo=lo, hi=hi, points=points, fixed=fixed, metric=metric)
-    grid = _outcome(lambda: evaluate(np.array(values)))
+    swept = _outcome(lambda: run_sweep(spec))
     loop = _outcome(lambda: [evaluate(v) for v in values])
     if isinstance(loop, ReadoutError):
         # the same error, naming the first failing point
-        for error in (grid, _outcome(lambda: run_sweep(spec))):
-            assert type(error) is type(loop)
-            assert str(error) == str(loop)
+        assert type(swept) is type(loop)
+        assert str(swept) == str(loop)
         return
-    assert not isinstance(grid, ReadoutError), grid
+    assert not isinstance(swept, ReadoutError), swept
     # snr is only evaluated for the metrics that need it, the contrast for
     # every metric but variance
     unread = {"contrast": ("snr",), "variance": ("contrast", "snr")}.get(metric, ())
-    for name in unread:
-        assert getattr(grid, name) is None
-    names = tuple(name for name in _FIELDS if name not in unread)
-    for i, point in enumerate(loop):
-        for name in names:
-            assert _same(getattr(grid, name)[i], getattr(point, name)), (name, i)
-    for row, point in zip(run_sweep(spec).rows, loop):
+    assert len(swept.rows) == len(loop)
+    for row, x, point in zip(swept.rows, values, loop):
+        assert all(getattr(point, name) is None for name in unread)
+        assert _same(row.value, x)
         assert row.skipped is (point.value is None)
         assert _same(row.metric_value, math.nan if point.value is None else point.value)
+        for name in _ROW_FIELDS:
+            assert _same(getattr(row, name), getattr(point, name)), (name, x)
 
 
 def _same_outcome(new, reference) -> None:
@@ -453,22 +459,24 @@ def _point_outcome(fn):
 
 
 def _kernel_points_equal_a_fresh_evaluation(metric, variable, bounds, fixed) -> None:
-    """At each coarse point the kernel returns the bits of a fresh evaluation
-    or raises its error, and warns what it warns."""
+    """At each coarse point the kernel returns the bits of the first eight
+    fields of a fresh evaluation, its row, or raises its error, and warns
+    what it warns."""
     base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
     kernel = sweeps._kernel(metric, fixed, variable)
     for x in sweeps._grid(*bounds, sweeps._COARSE_POINTS):
-        (value, warned), (reference, reference_warned) = (
+        (row, warned), (reference, reference_warned) = (
             _point_outcome(lambda: kernel(x)),
             _point_outcome(
-                lambda: _evaluate(metric, sweeps._with(fixed, base, variable, x)).value
+                lambda: _evaluate(metric, sweeps._with(fixed, base, variable, x))[:8]
             ),
         )
         if isinstance(reference, ReadoutError):
-            assert type(value) is type(reference), (x, value)
-            assert str(value) == str(reference), x
+            assert type(row) is type(reference), (x, row)
+            assert str(row) == str(reference), x
         else:
-            assert _same(value, reference), (x, value, reference)
+            assert len(row) == len(reference) == 8, (x, row)
+            assert all(map(_same, row, reference)), (x, row, reference)
         assert warned == reference_warned, x
 
 
@@ -621,10 +629,16 @@ def test_large_squeezing_exits_2_without_a_traceback(tmp_path):
 _OVERFLOWS = {1e111: "got inf and inf", 1e112: "got inf and nan"}
 
 
+_OVERFLOW_FIXED = SweepFixed(
+    params=SystemParams(kappa=0.5),
+    probe=ProbeState(alpha=10.0, r=100.0, theta_xi=0.3),
+    phi=PHI_DEFAULT,
+    t=1e100,
+)
+
+
 def _overflow_point(t):
-    params = SystemParams(kappa=0.5)
-    probe = ProbeState(alpha=10.0, r=100.0, theta_xi=0.3)
-    return _fields(t, probe, params, PHI_DEFAULT)
+    return _fields(t, _OVERFLOW_FIXED.probe, _OVERFLOW_FIXED.params, PHI_DEFAULT)
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -634,11 +648,19 @@ def test_overflowing_variance_on_a_grid_names_the_first_bad_row(metric, first):
     with pytest.raises(NumericalError) as point:
         _evaluate(metric, _overflow_point(first))
     assert str(point.value) == f"outcome variance overflows: {_OVERFLOWS[first]}"
-    # no RuntimeWarning on the way: the suite turns one into an error
-    later = max(_OVERFLOWS) if first == min(_OVERFLOWS) else min(_OVERFLOWS)
-    with pytest.raises(NumericalError) as grid:
-        _evaluate(metric, _overflow_point(np.array([1.0, 1e100, first, later])))
-    assert str(grid.value) == str(point.value)
+    # time sweeps that fail first at `first`: after a point that passes,
+    # and before a point that fails otherwise
+    later = max(_OVERFLOWS) if first == min(_OVERFLOWS) else None
+    for lo, hi in ((1e100, first), (first, later)) if later else ((1e100, first),):
+        spec = SweepSpec(
+            variable="t", lo=lo, hi=hi, points=2, fixed=_OVERFLOW_FIXED, metric=metric
+        )
+        # no RuntimeWarning on the way: the suite turns one into an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the fidelity at t = 1e100
+            with pytest.raises(NumericalError) as swept:
+                run_sweep(spec)
+        assert str(swept.value) == str(point.value)
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -647,21 +669,20 @@ def test_grid_names_the_first_failing_point_whichever_stage_fails(metric):
     # r = 130 on, before cosh 2r does past r = 355
     point = _overflow_point(1e100)
     values = sweeps._grid(0.0, 400.0, 41)
-    with pytest.raises(NumericalError) as error:
-        _evaluate(metric, point._replace(r=np.array(values)))
-    assert str(error.value) == "outcome variance overflows: got inf and nan"
     # the variance metric evaluates no fidelity, which warns at t = 1e100
     with pytest.raises(NumericalError) as first:
         for r in values:
             _evaluate("variance", point._replace(r=r))
-    assert str(first.value) == str(error.value)
+    assert str(first.value) == "outcome variance overflows: got inf and nan"
     assert r == 130.0
-    probe = ProbeState(alpha=10.0, theta_xi=0.3)
-    fixed = SweepFixed(params=SystemParams(kappa=0.5), probe=probe, phi=PHI_DEFAULT, t=1e100)
-    spec = SweepSpec(variable="r", lo=0.0, hi=400.0, points=41, fixed=fixed, metric=metric)
-    with pytest.raises(NumericalError) as swept:
-        run_sweep(spec)
-    assert str(swept.value) == str(error.value)
+    spec = SweepSpec(
+        variable="r", lo=0.0, hi=400.0, points=41, fixed=_OVERFLOW_FIXED, metric=metric
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the fidelity past t/T1 = 0.1
+        with pytest.raises(NumericalError) as swept:
+            run_sweep(spec)
+    assert str(swept.value) == str(first.value)
 
 
 def test_overflowing_variance_is_a_numerical_error_in_every_figure_of_merit(params_k2):
@@ -694,9 +715,11 @@ def test_overflowing_separation_is_a_numerical_error(t_matched, params_k2):
     # the means and variances read no separation
     assert math.isfinite(measurement_mean(*args, +1))
     assert math.isfinite(integrated_variance(*args, -1))
-    # on a time grid the separation overflows at every point
+    # in a time sweep the separation overflows at every point
+    fixed = SweepFixed(params=params_k2, probe=probe, phi=PHI_DEFAULT, t=t_matched)
+    spec = SweepSpec(variable="t", lo=0.5, hi=t_matched, points=2, fixed=fixed, metric="snr")
     with pytest.raises(NumericalError) as error:
-        _evaluate("snr", _fields(np.array([0.5, t_matched]), probe, params_k2, PHI_DEFAULT))
+        run_sweep(spec)
     assert str(error.value) == _SEPARATION_OVERFLOWS.format(1e308)
 
 
@@ -709,14 +732,18 @@ def test_overflowing_separation_on_a_grid_names_the_first_bad_point(
         variable="alpha", lo=1e307, hi=1e308, points=5, fixed=fixed, metric=metric
     )
     base = _fields(t_matched, probe_matched, params_k2, PHI_DEFAULT)
-    grid = sweeps._with(fixed, base, "alpha", np.array(_HUGE_ALPHAS))
+
+    def each_point():
+        for alpha in _HUGE_ALPHAS:
+            _evaluate(metric, sweeps._with(fixed, base, "alpha", alpha))
+
     if metric == "variance":
         assert all(math.isfinite(row.metric_value) for row in run_sweep(spec).rows)
         return
     # no RuntimeWarning on the way: the suite turns one into an error
     coarse = sweeps._grid(1e307, 1e308, sweeps._COARSE_POINTS)
     for call, first in (
-        (lambda: _evaluate(metric, grid), _HUGE_ALPHAS[3]),
+        (each_point, _HUGE_ALPHAS[3]),
         (lambda: run_sweep(spec), _HUGE_ALPHAS[3]),
         (lambda: find_peak(metric, "alpha", (1e307, 1e308), fixed), coarse[19]),
     ):

@@ -1,4 +1,4 @@
-"""numpy is imported where an array is built, never by a scalar command.
+"""numpy is imported by shot batches and classification only.
 
 Each check runs in a fresh interpreter, since this process has numpy
 loaded already.
@@ -51,11 +51,12 @@ def test_importing_the_package_leaves_numpy_unloaded():
         (["fidelity"], False),
         (["backaction"], False),
         (["optimize"], False),
-        (["sweep", "--out", "{tmp}/sweep.csv"], True),
-        (["figures", "fig3", "--out", "{tmp}/fig3.csv"], True),
+        (["sweep", "--out", "{tmp}/sweep.csv"], False),
+        (["figures", "fig2", "--out", "{tmp}/fig2.csv"], False),
+        (["figures", "fig3", "--out", "{tmp}/fig3.csv"], False),
         (["shots", "--n-shots", "1000"], True),
     ],
-    ids=["snr", "fidelity", "backaction", "optimize", "sweep", "fig3", "shots"],
+    ids=["snr", "fidelity", "backaction", "optimize", "sweep", "fig2", "fig3", "shots"],
 )
 def test_only_commands_that_build_arrays_load_numpy(tmp_path, args, loads_numpy):
     config = tmp_path / "run.cfg"
@@ -69,6 +70,27 @@ def test_only_commands_that_build_arrays_load_numpy(tmp_path, args, loads_numpy)
         "print(code, 'numpy' in sys.modules)\n"
     )
     assert _fresh(code) == f"0 {loads_numpy}\n"
+
+
+# a sweep of every variable and both figure tables, then one shot batch
+TABLES_THEN_SHOTS = """\
+import math, sys
+from squeezed_readout import (ProbeState, SweepFixed, SweepSpec, SystemParams,
+    reproduce_figure2, reproduce_figure3, run_sweep, sample_shots)
+from squeezed_readout.sweeps import SWEEP_VARIABLES
+probe = ProbeState(alpha=10.0, r=0.74)
+fixed = SweepFixed(params=SystemParams(kappa=2.0), probe=probe, phi=0.5 * math.pi, t=0.67)
+rows = sum(len(run_sweep(SweepSpec(variable=v, lo=0.5, hi=2.0, points=50, fixed=fixed,
+                                   metric="snr")).rows) for v in SWEEP_VARIABLES)
+rows += len(reproduce_figure2("panel_ab").rows) + len(reproduce_figure3().rows)
+print(rows, "numpy" in sys.modules)
+sample_shots(100, 0.67, probe, fixed.params, fixed.phi, 1)
+print("numpy" in sys.modules)
+"""
+
+
+def test_sweeps_and_figure_tables_leave_numpy_unloaded():
+    assert _fresh(TABLES_THEN_SHOTS) == "2650 False\nTrue\n"
 
 
 # find_peak for every variable and metric; two metrics have several
@@ -95,12 +117,3 @@ print(found, "numpy" in sys.modules)
 
 def test_peak_search_leaves_numpy_unloaded():
     assert _fresh(PEAK_SEARCHES) == "18 False\n"
-
-
-@pytest.mark.parametrize("numpy_first", [True, False], ids=["numpy-first", "package-first"])
-def test_is_grid_holds_whichever_is_imported_first(numpy_first):
-    imports = ["import numpy as np", "from squeezed_readout.params import _is_grid"]
-    code = "\n".join(imports if numpy_first else imports[::-1]) + (
-        "\nprint([_is_grid(x) for x in (0.5, 2, np.float64(0.5), np.array([0.5, 1.0]))])\n"
-    )
-    assert _fresh(code) == "[False, False, False, True]\n"

@@ -7,6 +7,7 @@ from conftest import PHI_DEFAULT
 from helpers import input_covariance
 
 from squeezed_readout import (
+    NumericalError,
     ProbeState,
     SweepFixed,
     SystemParams,
@@ -458,3 +459,13 @@ def test_readout_point_t1_override(t_matched, probe_matched, params_k2):
     )
     assert shorter.fidelity < default.fidelity
     assert shorter.snr == default.snr
+
+
+@pytest.mark.parametrize(
+    "chi_s,kappa", [(1e-300, 1e-300), (1.0, 1e-320)], ids=["underflow", "overflow"]
+)
+def test_optimal_time_estimate_past_the_double_range_is_a_numerical_error(chi_s, kappa):
+    # kappa*chi_s underflows to 0, or 6/(kappa*chi_s) overflows to inf
+    with pytest.raises(NumericalError) as excinfo:
+        optimal_time_estimate(0.0, SystemParams(chi_s=chi_s, kappa=kappa))
+    assert str(excinfo.value) == "kappa*chi_s is too small: optimal time estimate overflows"

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from squeezed_readout import (
+    NumericalError,
     SystemParams,
     UnitContext,
     ValidationError,
@@ -116,3 +117,13 @@ def test_wrap_angle_reduces_to_half_open_interval():
     assert wrap_angle(math.pi) == math.pi
     assert wrap_angle(-math.pi) == math.pi
     assert wrap_angle(0.0) == 0.0
+
+
+@pytest.mark.parametrize("chi_over_2pi_hz", [1e-314, 1e-320])
+def test_physical_time_past_the_double_range_is_a_numerical_error(chi_over_2pi_hz):
+    # chi_s in rad/us is subnormal at 1e-314 Hz (t/chi overflows) and 0 at 1e-320 Hz
+    with pytest.raises(NumericalError) as excinfo:
+        UnitContext(chi_over_2pi_hz).to_physical_time(1.0)
+    assert str(excinfo.value) == (
+        f"chi_over_2pi_hz = {chi_over_2pi_hz!r} is too small: time in us overflows"
+    )

@@ -481,3 +481,20 @@ def test_n_above_the_cap_is_rejected_before_allocating(
     for n in (MAX_SHOTS + 1, 10**13):
         with pytest.raises(ValidationError, match=f"MAX_SHOTS = {2**26} "):
             sample_shots(n, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
+
+
+def test_mean_that_overflows_is_a_numerical_error(t_matched, params_k2):
+    # the input means overflow to -inf and inf, and their projection on
+    # the LO quadrature is inf - inf
+    probe = ProbeState(alpha=1.7e308, theta_alpha=3.0, r=0.74, theta_xi=math.pi)
+    args = (t_matched, probe, params_k2, PHI_DEFAULT)
+    for call in (
+        lambda: measurement_mean(*args, +1),
+        lambda: measurement_mean(*args, -1),
+        lambda: sample_shots(10, *args, 1),
+    ):
+        with pytest.raises(NumericalError) as excinfo:
+            call()
+        assert str(excinfo.value) == "outcome mean overflows: got nan and nan"
+    # the variances read no mean
+    assert integrated_variance(*args, +1) == integrated_variance(*args, -1) > 0.0

@@ -7,9 +7,11 @@ from conftest import PHI_DEFAULT, R_MATCHED
 
 from squeezed_readout import (
     NumericalError,
+    ProbeState,
     SweepFixed,
     SweepRow,
     SweepSpec,
+    SystemParams,
     ValidationError,
     contrast,
     find_peak,
@@ -346,3 +348,29 @@ def test_two_points_make_the_smallest_grid(fixed):
     assert [row.value for row in run_sweep(spec).rows] == [0.0, 1.0]
     assert len(reproduce_figure2("panel_ab", points=2).rows) == 4 * 2
     assert len(reproduce_figure3(points=2).rows) == 2 * 2
+
+
+@pytest.mark.parametrize(
+    "variable,lo,hi,params,probe,t,message",
+    [
+        # kappa/chi_s overflows at the far end, and A² from the first point on
+        (
+            "kappa", 0.5, 1e307, SystemParams(chi_s=0.01, kappa=0.02),
+            ProbeState(alpha=10.0, r=0.74), 1e200,
+            "kappa must be positive and finite, got inf",
+        ),
+        # 2(phi - x) overflows at the far end; the variances overflow earlier
+        (
+            "delta_theta", 0.0, 1e308, SystemParams(kappa=2.0),
+            ProbeState(alpha=10.0, r=354.0), 10.0,
+            "theta_xi must be finite, got -inf",
+        ),
+    ],
+    ids=["kappa", "delta_theta"],
+)
+def test_an_end_of_the_range_fails_before_any_point(variable, lo, hi, params, probe, t, message):
+    fixed = SweepFixed(params=params, probe=probe, phi=PHI_DEFAULT, t=t)
+    spec = SweepSpec(variable=variable, lo=lo, hi=hi, points=50, fixed=fixed, metric="snr")
+    with pytest.raises(ValidationError) as excinfo:
+        run_sweep(spec)
+    assert str(excinfo.value) == message
