@@ -19,7 +19,8 @@ takes over; at that switch point the truncation error of the series
 and the cancellation error of the closed forms are both at the 1e-9
 relative level or better, and both fall off rapidly away from it.
 Where D underflows to 0, χs·t overflows or the series' t³ does, the
-coefficients raise a NumericalError instead of a Python exception.
+coefficients raise a NumericalError instead of a Python exception;
+signal_coefficients raises one too where A or B is not finite.
 """
 
 from __future__ import annotations
@@ -87,4 +88,11 @@ def _response(kappa: float, chi_s: float, t: float):
 
 def signal_coefficients(t: float, params: SystemParams) -> tuple[float, float]:
     """(A, B) = (t − κ∫₀ᵗF, κ∫₀ᵗG), the integrated-signal weights."""
-    return _response(params.kappa, params.chi_s, t)[2:]
+    a_coef, b_coef = _response(params.kappa, params.chi_s, t)[2:]
+    # a subnormal (κ/2)² + χs² divides the closed forms past the double
+    # range; the model's own stages meet this in their variance check
+    if not (math.isfinite(a_coef) and math.isfinite(b_coef)):
+        raise NumericalError(
+            f"response coefficients overflow: got A = {a_coef!r} and B = {b_coef!r}"
+        )
+    return a_coef, b_coef

@@ -252,7 +252,8 @@ def optimal_squeezing(t: float, params: SystemParams) -> float | None:
     Balances the squeezed A² term against the anti-squeezed B² term;
     independent of the probe amplitude and of the vacuum weight.  Returns
     None when A/B ≤ 0 (past the first zero crossing of either
-    coefficient) since no interior optimum exists there.
+    coefficient) since no interior optimum exists there, and raises a
+    NumericalError where A/B overflows, at a subnormal B.
     """
     if t <= 0.0:
         raise UndefinedPointError(
@@ -261,7 +262,12 @@ def optimal_squeezing(t: float, params: SystemParams) -> float | None:
     a_coef, b_coef = signal_coefficients(t * params.chi_s, params.as_internal())
     if b_coef == 0.0 or a_coef / b_coef <= 0.0:
         return None
-    return 0.5 * math.log(a_coef / b_coef)
+    r_star = 0.5 * math.log(a_coef / b_coef)
+    if math.isinf(r_star):  # A/B overflows where B is subnormal
+        raise NumericalError(
+            f"optimal squeezing ½·ln(A/B) overflows: got A = {a_coef!r} and B = {b_coef!r}"
+        )
+    return r_star
 
 
 def phase_matching_residual(

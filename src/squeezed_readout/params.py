@@ -111,16 +111,25 @@ def from_experimental(
     :param kappa_over_chi: resonator leakage rate in units of chi_s.
     :param t1_ms: intrinsic qubit relaxation time in milliseconds.
     :param u: vacuum-noise weight (see SystemParams).
+    :raises NumericalError: where t1_intrinsic = chi_s·T1 in internal units
+        underflows to 0 or overflows.
     """
     _require_positive("chi_over_2pi_mhz", chi_over_2pi_mhz)
     _require_positive("kappa_over_chi", kappa_over_chi)
     _require_positive("t1_ms", t1_ms)
     _require_positive("vacuum_weight", u)
     chi_rad_per_s = TAU * chi_over_2pi_mhz * 1e6
+    t1_intrinsic = chi_rad_per_s * t1_ms * 1e-3
+    if not 0.0 < t1_intrinsic < math.inf:
+        fault = "underflows to 0" if t1_intrinsic == 0.0 else "overflows"
+        raise NumericalError(
+            f"t1_intrinsic = chi_s·T1 {fault}: chi_over_2pi_mhz = {chi_over_2pi_mhz!r}, "
+            f"t1_ms = {t1_ms!r}"
+        )
     return SystemParams(
         chi_s=1.0,
         kappa=kappa_over_chi,
-        t1_intrinsic=chi_rad_per_s * t1_ms * 1e-3,
+        t1_intrinsic=t1_intrinsic,
         vacuum_weight=u,
     )
 

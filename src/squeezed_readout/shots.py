@@ -30,6 +30,13 @@ batch run on up to os.cpu_count() threads, worker k taking blocks k,
 k + W, ...; each block fills its own slice of the output from its own
 sub-stream, so the output does not depend on how many threads ran it.
 A batch of one block per eigenstate runs on the calling thread.
+
+Philox is counter-based, so a sub-stream is a counter value:
+Philox(key=seed).jumped(k) is the key's generator at counter (0, 0, k, 0)
+with an empty buffer.  Each worker builds one Philox(key=seed) and one
+Generator per batch and, before each block, sets the counter to its
+sub-stream and empties the buffer; that state is jumped(k)'s, so the
+draws are its draws, without a new generator per block.
 """
 
 from __future__ import annotations
@@ -108,24 +115,39 @@ def _shot_map(point: _Fields) -> dict:
     }
 
 
+def _seek(bit_generator: np.random.Philox, fresh: dict, stream: int) -> None:
+    """Put a Philox(key=seed) into the state of Philox(key=seed).jumped(stream).
+
+    fresh is the generator's state on construction: counter 0 and an empty
+    buffer.  jumped(k) adds k·2^128 to the 256-bit counter and empties the
+    buffer, so for k < 2^64 its state is counter (0, 0, k, 0) with fresh's
+    key and buffer, whatever the generator drew before.
+    """
+    bit_generator.state = {
+        **fresh, "state": {"counter": (0, 0, stream, 0), "key": fresh["state"]["key"]}
+    }
+
+
 def _fill_block(
     out: np.ndarray,
     sigma: int,
     block: int,
-    base: np.random.Philox,
+    rng: np.random.Generator,
+    fresh: dict,
     sd: float,
     offset: float,
 ) -> None:
     """Draw one block of eigenvalue sigma's outcomes into its slice of out.
 
-    May run on a worker thread, so it calls numpy only: numpy releases the
-    GIL while it draws, scales and shifts.  The in-place z *= sd, z +=
-    offset rounds exactly like z * sd + offset, without a temporary.
+    rng draws from a Philox(key=seed) whose state on construction was
+    fresh; the block seeks it to its own sub-stream before drawing.  May
+    run on a worker thread, so it calls numpy only: numpy releases the GIL
+    while it draws, scales and shifts.  The in-place z *= sd, z += offset
+    rounds exactly like z * sd + offset, without a temporary.
     """
-    import numpy as np
     lo = block * BLOCK_SIZE
     view = out[lo : lo + BLOCK_SIZE]
-    rng = np.random.Generator(base.jumped(2 * block + (0 if sigma == 1 else 1)))
+    _seek(rng.bit_generator, fresh, 2 * block + (0 if sigma == 1 else 1))
     rng.standard_normal(out=view)
     view *= sd
     view += offset
@@ -156,7 +178,6 @@ def sample_shots(
 
     maps = _shot_map(_fields(t, probe, params, phi))
     outcomes = {sigma: np.empty(n) for sigma in (+1, -1)}
-    base = np.random.Philox(key=seed)
     tasks = [
         (sigma, block) for sigma in (+1, -1) for block in range(-(-n // BLOCK_SIZE))
     ]
@@ -164,8 +185,11 @@ def sample_shots(
     workers = 1 if n <= BLOCK_SIZE else min(os.cpu_count() or 1, len(tasks))
 
     def run(worker: int) -> None:
+        # one generator per worker, reset to each of its blocks' sub-streams
+        bit_generator = np.random.Philox(key=seed)
+        rng, fresh = np.random.Generator(bit_generator), bit_generator.state
         for sigma, block in tasks[worker::workers]:
-            _fill_block(outcomes[sigma], sigma, block, base, *maps[sigma])
+            _fill_block(outcomes[sigma], sigma, block, rng, fresh, *maps[sigma])
 
     if workers == 1:
         run(0)
@@ -220,6 +244,21 @@ def _likelihood_threshold(
     return threshold
 
 
+def _mean_sd(x: np.ndarray) -> tuple[float, float]:
+    """(np.mean(x), np.std(x, ddof=1)) bit for bit, from one sum of x.
+
+    The steps are numpy's own: the pairwise sum divided by n, then the
+    pairwise sum of the squared deviations from that mean divided by
+    n − 1, and its correctly rounded root.
+    """
+    import numpy as np
+    n = x.size
+    mean = np.add.reduce(x) / n
+    deviation = x - mean
+    np.multiply(deviation, deviation, out=deviation)
+    return float(mean), math.sqrt(np.add.reduce(deviation) / (n - 1))
+
+
 def classify(
     batch: ShotBatch, threshold_policy: str = "midpoint", t1: float | None = None
 ) -> ClassificationResult:
@@ -267,13 +306,11 @@ def classify(
     error_plus = float(np.count_nonzero(wrong_plus) / plus.size)
     error_minus = float(np.count_nonzero(wrong_minus) / minus.size)
 
-    # at huge outcomes the sums inside mean and std overflow; that is
+    # at huge outcomes the sums inside mean and sd overflow; that is
     # reported below as one error, not as numpy warnings and a NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        sd_plus = float(np.std(plus, ddof=1))
-        sd_minus = float(np.std(minus, ddof=1))
-        mean_plus = float(np.mean(plus))
-        mean_minus = float(np.mean(minus))
+        mean_plus, sd_plus = _mean_sd(plus)
+        mean_minus, sd_minus = _mean_sd(minus)
     separation = abs(mean_plus - mean_minus)
     spread = sd_plus + sd_minus
     # a finite difference needs both means finite, a finite sum both spreads

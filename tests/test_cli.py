@@ -858,3 +858,37 @@ def test_relaxation_rate_that_overflows_exits_2_without_a_traceback(
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
     assert done.stderr == "numerical error: t1_intrinsic is too small: 1/T1 overflows\n"
+
+
+@pytest.mark.parametrize(
+    "subcommand,edits,message",
+    [
+        # B = kappa·∫G is subnormal and r* = ½·ln(A/B) overflows
+        (
+            "optimize",
+            [("kappa_over_chi = 2.0", "kappa_over_chi = 1e-320")],
+            "optimal squeezing ½·ln(A/B) overflows: got A = ",
+        ),
+        # chi_s·T1 underflows to 0 in internal units
+        (
+            "backaction",
+            [("chi_over_2pi_mhz = 0.15", "chi_over_2pi_mhz = 1e-320"),
+             ("t1_ms = 3.0", "t1_ms = 1e-315")],
+            "t1_intrinsic = chi_s·T1 underflows to 0: ",
+        ),
+    ],
+    ids=["optimize-r-star", "backaction-t1-underflow"],
+)
+def test_numerical_failure_is_not_reported_as_an_input_error(
+    tmp_path, subcommand, edits, message
+):
+    text = MATCHED_CONFIG + "gs_over_delta = 0.01\n"
+    for edit in edits:
+        text = text.replace(*edit)
+    path = tmp_path / "range.cfg"
+    path.write_text(text, encoding="utf-8")
+    done = _run_cli([subcommand, "--config", str(path)])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"numerical error: {message}")
+    assert done.stderr.count("\n") == 1

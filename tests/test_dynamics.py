@@ -245,10 +245,14 @@ def test_negative_time_rejected(params):
         (1.7e308, SystemParams(chi_s=1e300, kappa=1e-8), "chi_s*t is too large"),
         # a*t and b*t are tiny, so the series runs, and its t**3 overflows
         (1e150, SystemParams(chi_s=1e-310, kappa=1e-310), "t**3 is too large"),
+        # (kappa/2)^2 + chi_s^2 is subnormal, not 0, and the closed forms
+        # divide by it past the double range
+        (1e159, SystemParams(chi_s=1e-160, kappa=2e-160), "got A = -inf and B = inf"),
     ],
-    ids=["denominator-underflows", "rotation-overflows", "series-overflows"],
+    ids=["denominator-underflows", "rotation-overflows", "series-overflows", "quotient-overflows"],
 )
 def test_coefficients_past_the_double_range_are_a_numerical_error(t, params, message):
     with pytest.raises(NumericalError) as excinfo:
         signal_coefficients(t, params)
     assert str(excinfo.value) == f"response coefficients overflow: {message}"
+

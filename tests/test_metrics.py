@@ -368,6 +368,17 @@ def test_optimal_squeezing_independent_of_probe_and_vacuum(t_matched):
     assert optimal_squeezing(t_matched, quarter) == optimal_squeezing(t_matched, full)
 
 
+def test_optimal_squeezing_past_the_double_range_is_a_numerical_error(t_matched):
+    # B = kappa·∫G is subnormal, so A/B and r* = ½·ln(A/B) overflow
+    params = SystemParams(chi_s=1.0, kappa=1e-320)
+    a_coef, b_coef = signal_coefficients(t_matched, params)
+    with pytest.raises(NumericalError) as excinfo:
+        optimal_squeezing(t_matched, params)
+    assert str(excinfo.value) == (
+        f"optimal squeezing ½·ln(A/B) overflows: got A = {a_coef!r} and B = {b_coef!r}"
+    )
+
+
 def test_optimal_squeezing_vanishes_past_coefficient_zero(params_k2):
     # at kappa = 2 chi_s, A = e^{-t} sin t goes negative after t = pi
     assert optimal_squeezing(4.0, params_k2) is None

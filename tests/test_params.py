@@ -127,3 +127,20 @@ def test_physical_time_past_the_double_range_is_a_numerical_error(chi_over_2pi_h
     assert str(excinfo.value) == (
         f"chi_over_2pi_hz = {chi_over_2pi_hz!r} is too small: time in us overflows"
     )
+
+
+@pytest.mark.parametrize(
+    ("chi_over_2pi_mhz", "t1_ms", "fault"),
+    [(1e-320, 1e-315, "underflows to 0"), (1e300, 1e300, "overflows")],
+    ids=["underflow", "overflow"],
+)
+def test_t1_intrinsic_past_the_double_range_is_a_numerical_error(
+    chi_over_2pi_mhz, t1_ms, fault
+):
+    # each input is a positive finite double; their product chi_s·T1 is not
+    with pytest.raises(NumericalError) as excinfo:
+        from_experimental(chi_over_2pi_mhz, 2.0, t1_ms)
+    assert str(excinfo.value) == (
+        f"t1_intrinsic = chi_s·T1 {fault}: chi_over_2pi_mhz = {chi_over_2pi_mhz!r}, "
+        f"t1_ms = {t1_ms!r}"
+    )

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -417,10 +418,10 @@ def test_output_does_not_depend_on_worker_count(
 def test_more_workers_than_cores_under_frequent_switches(
     monkeypatch, t_matched, probe_matched, params_k2
 ):
-    # eight workers share the output arrays and the base generator; a
-    # thread switch every microsecond interleaves them as much as the
-    # interpreter allows, and a lost or misplaced block would show as a
-    # difference from the one-worker stream
+    # eight workers share the output arrays, each seeking its own
+    # generator from block to block; a thread switch every microsecond
+    # interleaves them as much as the interpreter allows, and a lost or
+    # misplaced block would show as a difference from the one-worker stream
     args = (100_003, t_matched, probe_matched, params_k2, PHI_DEFAULT)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     serial = [sample_shots(*args, seed) for seed in range(3)]
@@ -498,3 +499,97 @@ def test_mean_that_overflows_is_a_numerical_error(t_matched, params_k2):
         assert str(excinfo.value) == "outcome mean overflows: got nan and nan"
     # the variances read no mean
     assert integrated_variance(*args, +1) == integrated_variance(*args, -1) > 0.0
+
+
+def _plain(state):
+    """A generator state dict with its arrays as lists, for == comparison."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**64 + 3, 2**128 - 1])
+def test_block_seek_is_the_jumped_sub_stream(key):
+    # a block leaves the generator mid-buffer, with a half-used 64-bit
+    # word; seeking must drop both, exactly as jumped() does
+    bit_generator = np.random.Philox(key=key)
+    fresh = bit_generator.state
+    rng = np.random.Generator(bit_generator)
+    for stream in (0, 1, 2, 16383):
+        rng.standard_normal(BLOCK_SIZE + 3)
+        rng.integers(2**32 - 1, dtype=np.uint32)
+        if bit_generator.state["buffer_pos"] == 4:  # the buffer just ran out
+            bit_generator.random_raw()
+        drawn = bit_generator.state
+        assert drawn["buffer_pos"] < 4 and drawn["has_uint32"] == 1
+        shots._seek(bit_generator, fresh, stream)
+        jumped = np.random.Philox(key=key).jumped(stream)
+        assert _plain(bit_generator.state) == _plain(jumped.state)
+        expected = np.random.Generator(jumped).standard_normal(5)
+        assert np.array_equal(rng.standard_normal(5), expected)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_batch_builds_one_generator_per_worker(
+    cpus, monkeypatch, t_matched, probe_matched, params_k2
+):
+    # jumped() builds its result through the class, so a per-block jumped
+    # generator would count here too
+    built = []
+
+    class CountingPhilox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    sample_shots(5 * BLOCK_SIZE + 1, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
+    assert 1 <= len(built) <= cpus
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=300)
+    | st.builds(
+        lambda n, seed, scale, loc: (
+            np.random.default_rng(seed).standard_normal(n) * scale + loc
+        ).tolist(),
+        st.integers(2, 20_000),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1e300),
+        st.floats(-1e300, 1e300),
+    )
+)
+def test_classify_moments_are_numpys_bit_for_bit(values):
+    x = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = (float(np.mean(x)), float(np.std(x, ddof=1)))
+        got = shots._mean_sd(x)
+    assert repr(got) == repr(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    huge=st.lists(
+        st.floats(min_value=1e155, max_value=sys.float_info.max).flatmap(
+            lambda v: st.sampled_from([v, -v])
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    tiny=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+)
+def test_huge_outcomes_raise_the_same_numerical_error(
+    huge, tiny, t_matched, probe_matched, params_k2
+):
+    # next to an outcome of magnitude 1e155 or more, some squared deviation
+    # from the mean passes the double range, so np.std is not finite
+    outcomes = {"plus": np.array(huge + tiny), "minus": np.array(tiny + [0.0])}
+    batch = sample_shots(2, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(float(np.std(outcomes["plus"], ddof=1)))
+    for plus, minus in itertools.permutations(outcomes.values()):
+        swapped = dataclasses.replace(batch, outcomes_plus=plus, outcomes_minus=minus)
+        with pytest.raises(NumericalError, match="means or standard deviations overflow"):
+            classify(swapped)
