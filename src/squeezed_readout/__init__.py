@@ -16,10 +16,7 @@ from .errors import (
 )
 from .metrics import (
     ReadoutPoint,
-    contrast,
     fidelity,
-    integrated_variance,
-    measurement_mean,
     optimal_squeezing,
     optimal_time_estimate,
     phase_matching_residual,
@@ -77,13 +74,10 @@ __all__ = [
     "ValidationError",
     "backaction_report",
     "classify",
-    "contrast",
     "fidelity",
     "find_peak",
     "from_experimental",
-    "integrated_variance",
     "mean_photon_number",
-    "measurement_mean",
     "optimal_squeezing",
     "optimal_time_estimate",
     "phase_matching_residual",

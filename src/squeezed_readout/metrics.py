@@ -31,16 +31,7 @@ from .params import SystemParams, _finite, wrap_angle
 from .probe import SQRT2, ProbeState, _input_means, _rotated_moments
 
 _PHASE_TOL = 1e-9
-
-
-def _check_sigma(sigma: int) -> None:
-    if sigma not in (1, -1):
-        raise ValidationError(f"sigma must be +1 or -1, got {sigma!r}")
-
-
-def _check_phi(phi: float) -> None:
-    if not math.isfinite(phi):
-        raise ValidationError(f"phi must be finite, got {phi!r}")
+_INF = math.inf
 
 
 METRICS = ("snr", "fidelity", "contrast", "variance")
@@ -112,7 +103,8 @@ def _row(metric: str, t: float, response, separation, vp: float, vm: float, t1: 
     """(value, F, G, A, B, variance_plus, variance_minus, snr) at one point.
 
     value and snr are None where the metric is undefined; snr is None for
-    the metrics contrast and variance.
+    the metrics contrast and variance.  An SNR that overflows, a finite
+    contrast over a tiny noise, is a NumericalError.
     """
     big_f, big_g, a_coef, b_coef = response
     snr = value = None
@@ -122,12 +114,17 @@ def _row(metric: str, t: float, response, separation, vp: float, vm: float, t1: 
         # symmetrized over the qubit eigenvalue; the two halves differ
         # only through the frame-residual covariance cross term
         value = 0.5 * (vp + vm)
+        if value == _INF:  # vp + vm overflows, their halves do not
+            value = 0.5 * vp + 0.5 * vm
     elif t > 0.0:
         if vp <= 0.0 or vm <= 0.0:
             raise NumericalError(
                 f"outcome variances must be positive, got {vp!r} and {vm!r}"
             )
         snr = value = separation / (math.sqrt(vp) + math.sqrt(vm))
+        if snr == _INF:
+            noise = math.sqrt(vp) + math.sqrt(vm)
+            raise NumericalError(f"snr overflows: contrast {separation!r} over noise {noise!r}")
         if metric == "fidelity":
             value = fidelity(t, snr, t1)
     return value, big_f, big_g, a_coef, b_coef, vp, vm, snr
@@ -171,39 +168,9 @@ def _means(point: _Evaluation) -> tuple[float, float]:
     )
 
 
-def measurement_mean(
-    t: float, probe: ProbeState, params: SystemParams, phi: float, sigma: int
-) -> float:
-    """Mean outcome A·⟨Q′⟩ + σ·B·⟨P′⟩ of a homodyne measurement at LO angle phi."""
-    _check_sigma(sigma)
-    _check_phi(phi)
-    mean_plus, mean_minus = _means(_evaluate("variance", _fields(t, probe, params, phi)))
-    return mean_plus if sigma == 1 else mean_minus
-
-
-def contrast(t: float, probe: ProbeState, params: SystemParams, phi: float) -> float:
-    """Separation |mean₊ − mean₋| = 2√2·α·|B|·|sin(θα − φ)|."""
-    _check_phi(phi)
-    return _evaluate("contrast", _fields(t, probe, params, phi)).contrast
-
-
-def integrated_variance(
-    t: float, probe: ProbeState, params: SystemParams, phi: float, sigma: int
-) -> float:
-    """Outcome variance for qubit eigenvalue sigma at LO angle phi.
-
-    Exact Gaussian propagation of the probe covariance through the
-    coefficients (A, σB), plus the resonator-vacuum term
-    u·(κ/2)(F² + G²), which is invariant under phi.
-    """
-    _check_sigma(sigma)
-    _check_phi(phi)
-    point = _evaluate("variance", _fields(t, probe, params, phi))
-    return point.variance_plus if sigma == 1 else point.variance_minus
-
-
 def _snr_evaluation(metric, t, probe, params, phi, t1_total=None) -> _Evaluation:
-    _check_phi(phi)
+    if not math.isfinite(phi):
+        raise ValidationError(f"phi must be finite, got {phi!r}")
     if t <= 0.0:
         raise UndefinedPointError(f"snr is undefined at t={t!r}; requires t > 0")
     return _evaluate(metric, _fields(t, probe, params, phi, t1_total))
@@ -296,6 +263,8 @@ class ReadoutPoint:
 
     t: float
     lo_phase: float
+    mean_plus: float
+    mean_minus: float
     contrast: float
     variance_plus: float
     variance_minus: float
@@ -310,15 +279,18 @@ def readout_point(
     phi: float,
     t1_total: float | None = None,
 ) -> ReadoutPoint:
-    """Evaluate contrast, variances, SNR and fidelity together at time t.
+    """Evaluate means, contrast, variances, SNR and fidelity together at time t.
 
     t1_total overrides the relaxation time used in the fidelity factor
     (same unit as t); default is the intrinsic T1 from params.
     """
     point = _snr_evaluation("fidelity", t, probe, params, phi, t1_total)
+    mean_plus, mean_minus = _means(point)
     return ReadoutPoint(
         t=t,
         lo_phase=wrap_angle(phi),
+        mean_plus=mean_plus,
+        mean_minus=mean_minus,
         contrast=point.contrast,
         variance_plus=point.variance_plus,
         variance_minus=point.variance_minus,

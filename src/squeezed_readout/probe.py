@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericalError, ValidationError
-from .params import wrap_angle
+from .params import _finite, wrap_angle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -80,9 +80,4 @@ def _rotated_moments(r: float, theta_xi: float, phi: float):
 
 def mean_photon_number(probe: ProbeState) -> float:
     """⟨b†b⟩ = α² + sinh²r for the displaced squeezed vacuum."""
-    try:
-        return probe.alpha**2 + math.sinh(probe.r) ** 2
-    except OverflowError:
-        raise NumericalError(
-            "mean photon number overflows: alpha^2 + sinh^2 r is too large"
-        ) from None
+    return _finite(lambda: probe.alpha**2 + math.sinh(probe.r) ** 2, "mean photon number")

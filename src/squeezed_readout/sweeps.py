@@ -17,6 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
+from numbers import Real
 from typing import NamedTuple
 
 from .dynamics import _response
@@ -58,7 +59,7 @@ class SweepFixed:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-variable sweep request."""
+    """One-variable sweep request; lo and hi are stored as floats."""
 
     variable: str
     lo: float
@@ -74,7 +75,9 @@ class SweepSpec:
             )
         _check_metric(self.metric)
         _check_points(self.points)
-        _check_range("range", self.lo, self.hi)
+        lo, hi = _check_range("range", self.lo, self.hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         floor = {"t": 0.0, "r": 0.0, "alpha": 0.0}.get(self.variable)
         if floor is not None and self.lo < floor:
             raise ValidationError(
@@ -253,10 +256,22 @@ def _check_points(points) -> None:
         )
 
 
-def _check_range(name: str, lo: float, hi: float) -> None:
-    """lo < hi, finite and a finite width apart, as _grid needs them."""
-    if not (lo < hi and math.isfinite(float(hi) - float(lo))):
+def _check_range(name: str, lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi) as floats, as _grid needs them.
+
+    Each end is a real number (an int or a float, numpy's too), not a
+    bool; lo < hi, finite and a finite width apart.
+    """
+    for end in (lo, hi):
+        if type(end) is not float and (isinstance(end, bool) or not isinstance(end, Real)):
+            raise ValidationError(f"{name} ends must be int or float, got [{lo!r}, {hi!r}]")
+    try:
+        x, y = float(lo), float(hi)
+    except OverflowError:  # an int past the double range
+        x = y = math.nan
+    if not (x < y and math.isfinite(y - x)):
         raise ValidationError(f"{name} must be finite with lo < hi, got [{lo!r}, {hi!r}]")
+    return x, y
 
 
 def _grid(lo: float, hi: float, points: int) -> list[float]:
@@ -312,7 +327,7 @@ def find_peak(
     failing point raises its own error.
     """
     lo, hi = bounds
-    _check_range("bounds", lo, hi)
+    lo, hi = _check_range("bounds", lo, hi)
     kernel = _kernel(metric, fixed, variable)
 
     def evaluate(x: float) -> float:

@@ -169,6 +169,16 @@ def displacement_from_squeezed_coherent(
     )
 
 
+def evaluation(t: float, probe: ProbeState, params: SystemParams, phi: float):
+    """The model at one point where readout_point raises.
+
+    One _evaluate under the metric variance, which forms no contrast and
+    no SNR, so its means and variances stay available at t = 0, where
+    the SNR is undefined, and at an alpha past the contrast overflow.
+    """
+    return _evaluate("variance", _fields(t, probe, params, phi))
+
+
 def reference_shot_weights(point: _Fields) -> dict:
     """{σ: (w_σ, mean_σ)}: the outcome as w_σ·z + mean_σ of four standard normals.
 
@@ -212,7 +222,7 @@ def reference_find_peak(metric, variable, bounds, fixed) -> PeakResult:
     its own error.
     """
     lo, hi = bounds
-    _check_range("bounds", lo, hi)
+    lo, hi = _check_range("bounds", lo, hi)
     base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
 
     def evaluate(x: float) -> float:

@@ -26,9 +26,8 @@ from squeezed_readout import (
     fidelity,
     find_peak,
     from_experimental,
-    integrated_variance,
-    measurement_mean,
     optimal_squeezing,
+    readout_point,
     sample_shots,
     signal_coefficients,
     snr,
@@ -216,11 +215,13 @@ def test_criterion_7_oracle_equivalence():
         batch = sample_shots(n, t, probe, params, phi, seed)
         result = classify(batch)
 
+        point = readout_point(t, probe, params, phi)
         means = {}
         sds = {}
-        for sigma, outcomes in ((+1, batch.outcomes_plus), (-1, batch.outcomes_minus)):
-            mean = measurement_mean(t, probe, params, phi, sigma)
-            var = integrated_variance(t, probe, params, phi, sigma)
+        for sigma, outcomes, mean, var in (
+            (+1, batch.outcomes_plus, point.mean_plus, point.variance_plus),
+            (-1, batch.outcomes_minus, point.mean_minus, point.variance_minus),
+        ):
             means[sigma], sds[sigma] = mean, math.sqrt(var)
             sample_mean = float(np.mean(outcomes))
             sample_var = float(np.var(outcomes, ddof=1))
@@ -230,7 +231,7 @@ def test_criterion_7_oracle_equivalence():
                 sigma,
             )
 
-        analytic_snr = snr(t, probe, params, phi)
+        analytic_snr = point.snr
         sd_sum = sds[+1] + sds[-1]
         snr_se = (
             math.sqrt((sds[+1] ** 2 + sds[-1] ** 2) * (1.0 + 0.5 * analytic_snr**2) / n)

@@ -200,6 +200,19 @@ _TILTED_LIKELIHOOD = "\ntheta_xi_rad = 1.1\nthreshold_policy = likelihood\nn_sho
 _LO_PHASE_OVERFLOWS = "numerical error: LO phase {!r} is too large: 2 phi overflows\n"
 
 
+# a finite contrast of 3.26e307 over a noise of 0.18: the SNR passes the double range
+_SNR_OVERFLOW = (
+    "kappa_over_chi = 2.0\nt1_ms = 3.0\nalpha = 10.0\nr = 0.74\nt_us = 0.714",
+    "kappa_over_chi = 4.0\nt1_ms = 3.0\nalpha = 6.3e307\nr = 2.0\n"
+    "theta_xi_rad = -0.1853539665617978\nvacuum_weight = 1e-300\n"
+    "t_us = 0.9018064313810423",
+)
+_SNR_OVERFLOWS = (
+    "numerical error: snr overflows: contrast 3.2610584207983337e+307"
+    " over noise 0.18038483594172144\n"
+)
+
+
 def _add(lines: str) -> tuple[str, str]:
     """An edit of MATCHED_CONFIG that appends lines after its last one."""
     return "t_us = 0.714", "t_us = 0.714\n" + lines
@@ -250,6 +263,9 @@ def _add(lines: str) -> tuple[str, str]:
             _add("lo_phase_rad = 1e308\nsweep_variable = r\nsweep_lo = 0\nsweep_hi = 2"),
             _LO_PHASE_OVERFLOWS.format(1e308),
         ),
+        ("snr", _SNR_OVERFLOW, _SNR_OVERFLOWS),
+        ("fidelity", _SNR_OVERFLOW, _SNR_OVERFLOWS),
+        ("shots", _SNR_OVERFLOW, _SNR_OVERFLOWS),
     ],
     ids=[
         "backaction-r400",
@@ -274,6 +290,9 @@ def _add(lines: str) -> tuple[str, str]:
         "optimize-lo-phase-1e308",
         "shots-lo-phase-1e308",
         "sweep-lo-phase-1e308",
+        "snr-snr-overflow",
+        "fidelity-snr-overflow",
+        "shots-snr-overflow",
     ],
 )
 def test_unrepresentable_probe_exits_2_without_a_traceback(
@@ -287,6 +306,25 @@ def test_unrepresentable_probe_exits_2_without_a_traceback(
     assert done.stderr.startswith("numerical error: ")
     assert fragment in done.stderr
     assert done.stderr.count("\n") == 1
+
+
+def test_variance_sweep_past_half_the_double_range_writes_finite_cells(tmp_path, capsys):
+    # each outcome variance is 9.8e307, so their sum overflows and their mean does not
+    text = MATCHED_CONFIG.replace("alpha = 10.0", "alpha = 1.0").replace(
+        "r = 0.74", "r = 0.5"
+    ).replace("t_us = 0.714", "t_us = 3.2") + (
+        "vacuum_weight = 1.79e308\nsweep_variable = r\nsweep_lo = 0\nsweep_hi = 1\n"
+        "sweep_points = 3\nsweep_metric = variance\n"
+    )
+    path = tmp_path / "variance.cfg"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "variance.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[-3:]]
+    assert [row[:2] for row in rows] == [
+        [r, "9.841678264033272e+307"] for r in ("0.0", "0.5", "1.0")
+    ]
+    assert not any("inf" in cell for row in rows for cell in row)
 
 
 _R_SWEEP = "sweep_variable = r\nsweep_lo = 0\nsweep_hi = 2\n"

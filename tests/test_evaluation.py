@@ -25,10 +25,7 @@ from squeezed_readout import (
     SweepSpec,
     SystemParams,
     classify,
-    contrast,
     find_peak,
-    integrated_variance,
-    measurement_mean,
     readout_point,
     reproduce_figure2,
     reproduce_figure3,
@@ -139,9 +136,6 @@ def test_one_evaluation_per_public_call(integral_calls, t_matched, probe_matched
         lambda: readout_point(*args),
         lambda: readout_point(*args, t1_total=100.0),
         lambda: snr(*args),
-        lambda: contrast(*args),
-        lambda: integrated_variance(*args, +1),
-        lambda: integrated_variance(*args, -1),
     ):
         integral_calls.clear()
         call()
@@ -230,9 +224,9 @@ def test_every_route_reads_the_same_evaluation(
     probe = ProbeState(alpha=alpha, theta_alpha=theta_alpha, r=r, theta_xi=theta_xi)
     fixed = SweepFixed(params=params, probe=probe, phi=phi, t=t)
     args = (t, probe, params, phi)
-    c = contrast(*args)
-    vp = integrated_variance(*args, +1)
-    vm = integrated_variance(*args, -1)
+    model = helpers.evaluation(*args)
+    vp, vm = model.variance_plus, model.variance_minus
+    c = _evaluate("contrast", _fields(*args)).contrast
 
     row = _row_at(fixed, r, "variance")
     assert (row.variance_plus, row.variance_minus) == (vp, vm)
@@ -245,6 +239,7 @@ def test_every_route_reads_the_same_evaluation(
         return
 
     point = readout_point(*args)
+    assert (point.mean_plus, point.mean_minus) == (model.mean_plus, model.mean_minus)
     assert (point.contrast, point.variance_plus, point.variance_minus) == (c, vp, vm)
     assert point.snr == snr(*args) == _row_at(fixed, r, "snr").metric_value
     assert point.fidelity == _row_at(fixed, r, "fidelity").metric_value
@@ -553,7 +548,7 @@ def test_kernel_points_equal_a_fresh_evaluation_at_the_edges(
 @pytest.mark.parametrize(
     "call",
     [
-        lambda t, probe, params: contrast(t, probe, params, PHI_DEFAULT),
+        lambda t, probe, params: readout_point(t, probe, params, PHI_DEFAULT).contrast,
         lambda t, probe, params: snr(t, probe, params, PHI_DEFAULT),
         lambda t, probe, params: sample_shots(10, t, probe, params, PHI_DEFAULT, 1),
     ],
@@ -566,14 +561,23 @@ def test_large_squeezing_is_a_numerical_error(call, t_matched, params_k2):
         call(t_matched, probe, params_k2)
 
 
+def _lo_phase_sweep(variable, metric, t, probe, params, phi):
+    fixed = SweepFixed(params=params, probe=probe, phi=phi, t=t)
+    return run_sweep(
+        SweepSpec(variable=variable, lo=0.0, hi=2.0, points=5, fixed=fixed, metric=metric)
+    )
+
+
 @pytest.mark.parametrize("phi", [1e308, -1e308])
 @pytest.mark.parametrize(
     "call",
     [
         lambda t, probe, params, phi: snr(t, probe, params, phi),
-        lambda t, probe, params, phi: contrast(t, probe, params, phi),
-        lambda t, probe, params, phi: measurement_mean(t, probe, params, phi, +1),
-        lambda t, probe, params, phi: integrated_variance(t, probe, params, phi, -1),
+        # the contrast and the variance as sweep metrics, on the kernels that
+        # compute the LO frame (r) or the rotated moments (alpha) once
+        lambda t, probe, params, phi: _lo_phase_sweep("r", "contrast", t, probe, params, phi),
+        lambda t, probe, params, phi: readout_point(t, probe, params, phi).mean_plus,
+        lambda t, probe, params, phi: _lo_phase_sweep("alpha", "variance", t, probe, params, phi),
         lambda t, probe, params, phi: readout_point(t, probe, params, phi),
         lambda t, probe, params, phi: sample_shots(10, t, probe, params, phi, 1),
         lambda t, probe, params, phi: find_peak(
@@ -692,8 +696,7 @@ def test_overflowing_variance_is_a_numerical_error_in_every_figure_of_merit(para
     for call in (
         lambda: snr(t, probe, params_k2, PHI_DEFAULT),
         lambda: readout_point(t, probe, params_k2, PHI_DEFAULT),
-        lambda: integrated_variance(t, probe, params_k2, PHI_DEFAULT, +1),
-        lambda: contrast(t, probe, params_k2, PHI_DEFAULT),
+        lambda: helpers.evaluation(t, probe, params_k2, PHI_DEFAULT),
     ):
         with pytest.raises(NumericalError, match="outcome variance overflows"):
             call()
@@ -708,13 +711,14 @@ _SEPARATION_OVERFLOWS = "contrast overflows at alpha = {!r}"
 def test_overflowing_separation_is_a_numerical_error(t_matched, params_k2):
     probe = ProbeState(alpha=1e308, r=0.74, theta_xi=math.pi)
     args = (t_matched, probe, params_k2, PHI_DEFAULT)
-    for call in (contrast, snr, readout_point):
+    for call in (snr, readout_point):
         with pytest.raises(NumericalError) as error:
             call(*args)
         assert str(error.value) == _SEPARATION_OVERFLOWS.format(1e308)
     # the means and variances read no separation
-    assert math.isfinite(measurement_mean(*args, +1))
-    assert math.isfinite(integrated_variance(*args, -1))
+    model = helpers.evaluation(*args)
+    assert math.isfinite(model.mean_plus)
+    assert math.isfinite(model.variance_minus)
     # in a time sweep the separation overflows at every point
     fixed = SweepFixed(params=params_k2, probe=probe, phi=PHI_DEFAULT, t=t_matched)
     spec = SweepSpec(variable="t", lo=0.5, hi=t_matched, points=2, fixed=fixed, metric="snr")
@@ -756,3 +760,55 @@ def test_overflowing_coefficient_is_a_numerical_error(probe_matched, params_k2):
     # B(t) grows like t, so B² overflows a double near t = 1e154
     with pytest.raises(NumericalError, match="response coefficients overflow: t is too"):
         snr(1e200, probe_matched, params_k2, PHI_DEFAULT)
+
+
+# a finite contrast of 3.26e307 over a noise of 0.18: the SNR passes the double
+# range from alpha = 6.27e307 on
+_SNR_OVERFLOW_FIXED = SweepFixed(
+    params=SystemParams(kappa=4.0, vacuum_weight=1e-300),
+    probe=ProbeState(alpha=6.3e307, r=2.0, theta_xi=-0.1853539665617978),
+    phi=PHI_DEFAULT,
+    t=0.8499325379360131,
+)
+
+
+@pytest.mark.parametrize("metric", ["snr", "fidelity"])
+def test_snr_that_overflows_is_a_numerical_error(metric):
+    fixed = _SNR_OVERFLOW_FIXED
+    args = (fixed.t, fixed.probe, fixed.params, fixed.phi)
+    alphas = sweeps._grid(6.2e307, 6.3e307, 5)
+    spec = SweepSpec(
+        variable="alpha", lo=alphas[0], hi=alphas[-1], points=5, fixed=fixed, metric=metric
+    )
+    coarse = sweeps._grid(6.2e307, 6.3e307, sweeps._COARSE_POINTS)
+    for call, first in (
+        (lambda: snr(*args), alphas[-1]),
+        (lambda: readout_point(*args), alphas[-1]),
+        (lambda: run_sweep(spec), alphas[3]),
+        (lambda: find_peak(metric, "alpha", (alphas[0], alphas[-1]), fixed), coarse[21]),
+    ):
+        with pytest.raises(NumericalError) as error:
+            call()
+        model = _evaluate("contrast", _fields(*args)._replace(alpha=first))
+        noise = math.sqrt(model.variance_plus) + math.sqrt(model.variance_minus)
+        assert str(error.value) == f"snr overflows: contrast {model.value!r} over noise {noise!r}"
+    # the point before the first that overflows is finite
+    assert math.isfinite(_evaluate("snr", _fields(*args)._replace(alpha=alphas[2])).value)
+
+
+def test_variance_metric_of_two_variances_past_half_the_double_range_is_finite():
+    # each variance is 9.8e307, so their sum overflows and their mean does not
+    fixed = SweepFixed(
+        params=SystemParams(kappa=2.0, vacuum_weight=1.79e308),
+        probe=ProbeState(alpha=1.0, r=0.5),
+        phi=PHI_DEFAULT,
+        t=3.0159289474462017,
+    )
+    spec = SweepSpec(variable="r", lo=0.0, hi=1.0, points=3, fixed=fixed, metric="variance")
+    rows = run_sweep(spec).rows
+    for row in rows:
+        assert row.variance_plus + row.variance_minus == math.inf
+        assert row.metric_value == 0.5 * row.variance_plus + 0.5 * row.variance_minus
+        assert math.isfinite(row.metric_value)
+    peak = find_peak("variance", "r", (0.0, 1.0), fixed)
+    assert (peak.location, peak.value, peak.flat) == (0.0, rows[0].metric_value, True)

@@ -13,11 +13,8 @@ from squeezed_readout import (
     SystemParams,
     UndefinedPointError,
     ValidationError,
-    contrast,
     fidelity,
     from_experimental,
-    integrated_variance,
-    measurement_mean,
     optimal_squeezing,
     optimal_time_estimate,
     phase_matching_residual,
@@ -44,13 +41,13 @@ FIDELITY_REF = 0.9995386643242705
 
 def test_mean_vanishes_without_displacement(t_matched, params_k2):
     probe = ProbeState(alpha=0.0, r=0.74)
-    assert measurement_mean(t_matched, probe, params_k2, 0.5 * math.pi, +1) == 0.0
-    assert measurement_mean(t_matched, probe, params_k2, 0.5 * math.pi, -1) == 0.0
+    point = readout_point(t_matched, probe, params_k2, 0.5 * math.pi)
+    assert point.mean_plus == point.mean_minus == 0.0
 
 
 def test_mean_outcomes_at_matched_point(t_matched, probe_matched, params_k2):
-    plus = measurement_mean(t_matched, probe_matched, params_k2, 0.5 * math.pi, +1)
-    minus = measurement_mean(t_matched, probe_matched, params_k2, 0.5 * math.pi, -1)
+    point = readout_point(t_matched, probe_matched, params_k2, 0.5 * math.pi)
+    plus, minus = point.mean_plus, point.mean_minus
     assert plus == pytest.approx(-MEAN_MINUS_REF, rel=1e-12)
     assert minus == pytest.approx(MEAN_MINUS_REF, rel=1e-12)
     # the separation is carried entirely by the B coefficient
@@ -60,10 +57,9 @@ def test_mean_outcomes_at_matched_point(t_matched, probe_matched, params_k2):
 
 def test_displacement_along_p_gives_no_separation(t_matched, params_k2):
     probe = ProbeState(alpha=10.0, theta_alpha=0.5 * math.pi, r=0.74, theta_xi=math.pi)
-    plus = measurement_mean(t_matched, probe, params_k2, 0.5 * math.pi, +1)
-    minus = measurement_mean(t_matched, probe, params_k2, 0.5 * math.pi, -1)
-    assert plus == pytest.approx(minus, abs=1e-12)
-    assert contrast(t_matched, probe, params_k2, 0.5 * math.pi) == 0.0
+    point = readout_point(t_matched, probe, params_k2, 0.5 * math.pi)
+    assert point.mean_plus == pytest.approx(point.mean_minus, abs=1e-12)
+    assert point.contrast == 0.0
 
 
 def test_measurement_mean_reduces_to_integrated_signal_mean(t_matched, params_k2):
@@ -78,10 +74,9 @@ def test_measurement_mean_reduces_to_integrated_signal_mean(t_matched, params_k2
             theta_xi=float(rng.uniform(-3.0, 3.0)),
         )
         mq, mp = _input_means(probe.alpha, probe.theta_alpha)
-        for sigma in (+1, -1):
-            assert measurement_mean(
-                t_matched, probe, params_k2, 0.5 * math.pi, sigma
-            ) == pytest.approx(
+        point = readout_point(t_matched, probe, params_k2, 0.5 * math.pi)
+        for sigma, mean in ((+1, point.mean_plus), (-1, point.mean_minus)):
+            assert mean == pytest.approx(
                 a_coef * mp - sigma * b_coef * mq,
                 rel=1e-12,
                 abs=1e-14,
@@ -89,9 +84,11 @@ def test_measurement_mean_reduces_to_integrated_signal_mean(t_matched, params_k2
 
 
 def test_contrast_frozen_value_and_periodicity(t_matched, probe_matched, params_k2):
-    value = contrast(t_matched, probe_matched, params_k2, PHI_DEFAULT)
+    value = readout_point(t_matched, probe_matched, params_k2, PHI_DEFAULT).contrast
     assert value == pytest.approx(CONTRAST_REF, rel=1e-10)
-    shifted = contrast(t_matched, probe_matched, params_k2, PHI_DEFAULT + math.pi)
+    shifted = readout_point(
+        t_matched, probe_matched, params_k2, PHI_DEFAULT + math.pi
+    ).contrast
     assert shifted == pytest.approx(value, rel=1e-12)
 
 
@@ -105,26 +102,25 @@ def test_contrast_equals_mean_separation(t_matched, params_k2):
             theta_xi=float(rng.uniform(-3.0, 3.0)),
         )
         phi = float(rng.uniform(-3.0, 3.0))
-        plus = measurement_mean(t_matched, probe, params_k2, phi, +1)
-        minus = measurement_mean(t_matched, probe, params_k2, phi, -1)
-        assert contrast(t_matched, probe, params_k2, phi) == pytest.approx(
-            abs(plus - minus), rel=1e-10, abs=1e-13
+        point = readout_point(t_matched, probe, params_k2, phi)
+        assert point.contrast == pytest.approx(
+            abs(point.mean_plus - point.mean_minus), rel=1e-10, abs=1e-13
         )
 
 
 def test_variance_frozen_values(t_matched, probe_matched, params_k2):
-    matched = integrated_variance(t_matched, probe_matched, params_k2, PHI_DEFAULT, +1)
-    assert matched == pytest.approx(VAR_MATCHED_REF, rel=1e-12)
+    matched = readout_point(t_matched, probe_matched, params_k2, PHI_DEFAULT)
+    assert matched.variance_plus == pytest.approx(VAR_MATCHED_REF, rel=1e-12)
     # rotating the squeezing ellipse by a quarter turn swaps which
     # coefficient sees the reduced quadrature
     anti = ProbeState(alpha=10.0, theta_alpha=0.0, r=0.74, theta_xi=0.0)
-    assert integrated_variance(
-        t_matched, anti, params_k2, PHI_DEFAULT, +1
-    ) == pytest.approx(VAR_ANTIMATCHED_REF, rel=1e-12)
+    assert readout_point(
+        t_matched, anti, params_k2, PHI_DEFAULT
+    ).variance_plus == pytest.approx(VAR_ANTIMATCHED_REF, rel=1e-12)
 
 
 def test_variance_coherent_closed_form(t_matched, probe_coherent, params_k2):
-    value = integrated_variance(t_matched, probe_coherent, params_k2, PHI_DEFAULT, +1)
+    value = readout_point(t_matched, probe_coherent, params_k2, PHI_DEFAULT).variance_plus
     assert value == pytest.approx(VAR_COHERENT_REF, rel=1e-12)
     big_f, big_g, a_coef, b_coef = _response(
         params_k2.kappa, params_k2.chi_s, t_matched
@@ -155,7 +151,8 @@ def test_variance_matches_matrix_quadratic_form(t_matched, params_k2):
             [[stats.var_q, stats.cov_qp], [stats.cov_qp, stats.var_p]]
         )
         phi = float(rng.uniform(-3.0, 3.0))
-        for sigma in (+1, -1):
+        point = readout_point(t_matched, probe, params_k2, phi)
+        for sigma, variance in ((+1, point.variance_plus), (-1, point.variance_minus)):
             w = np.array(
                 [
                     a_coef * math.cos(phi) - sigma * b_coef * math.sin(phi),
@@ -163,18 +160,17 @@ def test_variance_matches_matrix_quadratic_form(t_matched, params_k2):
                 ]
             )
             expected = float(w @ sigma_mat @ w) + vacuum
-            assert integrated_variance(
-                t_matched, probe, params_k2, phi, sigma
-            ) == pytest.approx(expected, rel=1e-12)
+            assert variance == pytest.approx(expected, rel=1e-12)
 
 
 def test_vacuum_weight_enters_additively(t_matched, probe_matched):
     quarter = from_experimental(0.15, 2.0, 3.0, u=0.25)
     full = from_experimental(0.15, 2.0, 3.0, u=1.0)
     big_f, big_g, _, _ = _response(quarter.kappa, quarter.chi_s, t_matched)
-    delta = integrated_variance(
-        t_matched, probe_matched, full, PHI_DEFAULT, +1
-    ) - integrated_variance(t_matched, probe_matched, quarter, PHI_DEFAULT, +1)
+    delta = (
+        readout_point(t_matched, probe_matched, full, PHI_DEFAULT).variance_plus
+        - readout_point(t_matched, probe_matched, quarter, PHI_DEFAULT).variance_plus
+    )
     assert delta == pytest.approx(
         0.75 * 0.5 * quarter.kappa * (big_f**2 + big_g**2), rel=1e-12
     )
@@ -182,15 +178,12 @@ def test_vacuum_weight_enters_additively(t_matched, probe_matched):
 
 def test_unsqueezed_variance_is_isotropic(t_matched, params_k2):
     base = ProbeState(alpha=10.0, theta_alpha=0.3, r=0.0, theta_xi=0.9)
-    reference = integrated_variance(t_matched, base, params_k2, 1.1, +1)
+    reference = readout_point(t_matched, base, params_k2, 1.1).variance_plus
     for theta_xi in (0.0, 1.7, -2.4):
         for phi in (0.0, 1.1, 2.2):
-            for sigma in (+1, -1):
-                probe = ProbeState(alpha=10.0, theta_alpha=0.3, theta_xi=theta_xi)
-                assert (
-                    integrated_variance(t_matched, probe, params_k2, phi, sigma)
-                    == reference
-                )
+            probe = ProbeState(alpha=10.0, theta_alpha=0.3, theta_xi=theta_xi)
+            point = readout_point(t_matched, probe, params_k2, phi)
+            assert point.variance_plus == point.variance_minus == reference
 
 
 def test_snr_frozen_values(t_matched, probe_matched, probe_coherent, params_k2):
@@ -431,20 +424,11 @@ def test_non_finite_phi_is_rejected(t_matched, probe_matched, params_k2, phi):
     args = (t_matched, probe_matched, params_k2, phi)
     for call in (
         lambda: snr(*args),
-        lambda: contrast(*args),
         lambda: readout_point(*args),
-        lambda: integrated_variance(*args, +1),
-        lambda: measurement_mean(*args, -1),
         lambda: SweepFixed(params=params_k2, probe=probe_matched, phi=phi, t=t_matched),
     ):
         with pytest.raises(ValidationError, match="phi"):
             call()
-
-
-def test_sigma_must_be_plus_or_minus_one(t_matched, probe_matched, params_k2):
-    for call in (measurement_mean, integrated_variance):
-        with pytest.raises(ValidationError, match="sigma must be"):
-            call(t_matched, probe_matched, params_k2, PHI_DEFAULT, 0)
 
 
 def test_readout_point_is_self_consistent(t_matched, probe_matched, params_k2):
@@ -470,6 +454,17 @@ def test_readout_point_t1_override(t_matched, probe_matched, params_k2):
     )
     assert shorter.fidelity < default.fidelity
     assert shorter.snr == default.snr
+
+
+def test_readout_point_mean_that_overflows_is_a_numerical_error():
+    # A ≈ t = 100 at kappa = 0.01 chi_s: A·√2·alpha overflows, while the
+    # contrast, which reads B ≈ 1 and a mismatch of 1e-15, stays finite
+    probe = ProbeState(alpha=6e307, theta_alpha=0.5 * math.pi + 1e-15, r=0.5)
+    args = (100.0, probe, SystemParams(kappa=0.01), 0.5 * math.pi)
+    assert math.isfinite(snr(*args))
+    with pytest.raises(NumericalError) as error:
+        readout_point(*args)
+    assert str(error.value) == "outcome mean overflows: got inf and inf"
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from squeezed_readout import (
     ProbeState,
     ValidationError,
     mean_photon_number,
-    measurement_mean,
+    readout_point,
 )
 from squeezed_readout.probe import _input_means, _rotated_moments
 
@@ -32,10 +32,9 @@ def test_means_unaffected_by_squeezing(t_matched, params_k2):
     base = ProbeState(alpha=3.0, theta_alpha=0.8)
     squeezed = dataclasses.replace(base, r=1.4, theta_xi=2.2)
     for phi in (0.0, PHI_DEFAULT, 2.9):
-        for sigma in (+1, -1):
-            assert measurement_mean(
-                t_matched, squeezed, params_k2, phi, sigma
-            ) == measurement_mean(t_matched, base, params_k2, phi, sigma)
+        plain = readout_point(t_matched, base, params_k2, phi)
+        point = readout_point(t_matched, squeezed, params_k2, phi)
+        assert (point.mean_plus, point.mean_minus) == (plain.mean_plus, plain.mean_minus)
 
 
 def test_vacuum_covariance():
@@ -198,7 +197,8 @@ def test_probe_state_validation():
 
 
 def test_mean_photon_number_overflow_is_a_numerical_error():
-    # sinh²r overflows a double above r = 355, sinh r itself above r = 710
-    for r in (400.0, 800.0):
+    # sinh²r overflows a double above r = 355, sinh r itself above r = 710;
+    # at alpha = 1.23e154, r = 355.4 each term is finite and their sum is not
+    for alpha, r in ((10.0, 400.0), (10.0, 800.0), (1.23e154, 355.4)):
         with pytest.raises(NumericalError, match="mean photon number overflows"):
-            mean_photon_number(ProbeState(alpha=10.0, r=r))
+            mean_photon_number(ProbeState(alpha=alpha, r=r))

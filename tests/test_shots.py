@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 from conftest import PHI_DEFAULT
-from helpers import input_covariance, reference_shot_weights
+from helpers import evaluation, input_covariance, reference_shot_weights
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +22,9 @@ from squeezed_readout import (
     ValidationError,
     classify,
     fidelity,
-    integrated_variance,
-    measurement_mean,
+    readout_point,
     sample_shots,
     signal_coefficients,
-    snr,
 )
 from squeezed_readout import shots
 from squeezed_readout.metrics import _evaluate, _fields
@@ -100,9 +98,8 @@ def test_classification_matches_analytic_model(t_matched, probe_matched, params_
     batch = sample_shots(n, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
     result = classify(batch)
 
-    analytic = snr(t_matched, probe_matched, params_k2, PHI_DEFAULT)
-    v_plus = integrated_variance(t_matched, probe_matched, params_k2, PHI_DEFAULT, +1)
-    v_minus = integrated_variance(t_matched, probe_matched, params_k2, PHI_DEFAULT, -1)
+    point = readout_point(t_matched, probe_matched, params_k2, PHI_DEFAULT)
+    analytic, v_plus, v_minus = point.snr, point.variance_plus, point.variance_minus
     sd_sum = math.sqrt(v_plus) + math.sqrt(v_minus)
     snr_se = math.sqrt((v_plus + v_minus) * (1.0 + 0.5 * analytic**2) / n) / sd_sum
     assert result.empirical_snr == pytest.approx(analytic, abs=5.0 * snr_se)
@@ -159,15 +156,13 @@ def test_likelihood_threshold_with_unequal_variances(t_matched, params_k2):
     # a squeezing ellipse tilted against the LO makes the sigma = +1 and
     # -1 variances differ, moving the equal-density point off midpoint
     probe = ProbeState(alpha=10.0, theta_alpha=0.0, r=0.74, theta_xi=0.5 * math.pi)
-    v_plus = integrated_variance(t_matched, probe, params_k2, PHI_DEFAULT, +1)
-    v_minus = integrated_variance(t_matched, probe, params_k2, PHI_DEFAULT, -1)
-    assert abs(v_plus - v_minus) > 1e-3
+    point = readout_point(t_matched, probe, params_k2, PHI_DEFAULT)
+    assert abs(point.variance_plus - point.variance_minus) > 1e-3
 
     batch = sample_shots(20000, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
     midpoint = classify(batch, threshold_policy="midpoint")
     likelihood = classify(batch, threshold_policy="likelihood")
-    m_plus = measurement_mean(t_matched, probe, params_k2, PHI_DEFAULT, +1)
-    m_minus = measurement_mean(t_matched, probe, params_k2, PHI_DEFAULT, -1)
+    m_plus, m_minus = point.mean_plus, point.mean_minus
     assert midpoint.threshold == pytest.approx(0.5 * (m_plus + m_minus), rel=1e-14)
     assert likelihood.threshold != midpoint.threshold
     lo, hi = sorted((m_plus, m_minus))
@@ -216,9 +211,11 @@ def test_moments_match_closed_forms_at_any_squeezing(r, theta_xi, t_matched, par
     probe = ProbeState(alpha=10.0, theta_alpha=0.0, r=r, theta_xi=theta_xi)
     n = 200_000
     batch = sample_shots(n, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
-    for sigma, outcomes in ((1, batch.outcomes_plus), (-1, batch.outcomes_minus)):
-        mean = measurement_mean(t_matched, probe, params_k2, PHI_DEFAULT, sigma)
-        var = integrated_variance(t_matched, probe, params_k2, PHI_DEFAULT, sigma)
+    point = readout_point(t_matched, probe, params_k2, PHI_DEFAULT)
+    for sigma, outcomes, mean, var in (
+        (1, batch.outcomes_plus, point.mean_plus, point.variance_plus),
+        (-1, batch.outcomes_minus, point.mean_minus, point.variance_minus),
+    ):
         mean_z = (float(np.mean(outcomes)) - mean) / math.sqrt(var / n)
         var_z = (float(np.var(outcomes, ddof=1)) - var) / (var * math.sqrt(2.0 / (n - 1)))
         assert abs(mean_z) < 5.0, (sigma, mean_z)
@@ -238,8 +235,11 @@ def test_outcome_variance_near_the_top_of_the_double_range_samples(params_k2):
     probe = ProbeState(alpha=10.0, r=300.0, theta_xi=1.1)
     t, n = 1.6e24, 20_000
     batch = sample_shots(n, t, probe, params_k2, PHI_DEFAULT, SEED)
-    for sigma, outcomes in ((1, batch.outcomes_plus), (-1, batch.outcomes_minus)):
-        var = integrated_variance(t, probe, params_k2, PHI_DEFAULT, sigma)
+    model = evaluation(t, probe, params_k2, PHI_DEFAULT)
+    for var, outcomes in (
+        (model.variance_plus, batch.outcomes_plus),
+        (model.variance_minus, batch.outcomes_minus),
+    ):
         assert 0.5 * sys.float_info.max < var < sys.float_info.max
         assert np.isfinite(outcomes).all()
         scaled_var = var * 2.0**-1024
@@ -331,7 +331,7 @@ def test_vacuum_probe_outcomes_are_symmetric(t_matched, params_k2):
     probe = ProbeState(alpha=0.0, r=0.0)
     n = 100000
     batch = sample_shots(n, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
-    v = integrated_variance(t_matched, probe, params_k2, PHI_DEFAULT, +1)
+    v = readout_point(t_matched, probe, params_k2, PHI_DEFAULT).variance_plus
     mean_se = math.sqrt(v / n)
     assert float(np.mean(batch.outcomes_plus)) == pytest.approx(0.0, abs=5 * mean_se)
     assert float(np.mean(batch.outcomes_minus)) == pytest.approx(0.0, abs=5 * mean_se)
@@ -489,16 +489,13 @@ def test_mean_that_overflows_is_a_numerical_error(t_matched, params_k2):
     # the LO quadrature is inf - inf
     probe = ProbeState(alpha=1.7e308, theta_alpha=3.0, r=0.74, theta_xi=math.pi)
     args = (t_matched, probe, params_k2, PHI_DEFAULT)
-    for call in (
-        lambda: measurement_mean(*args, +1),
-        lambda: measurement_mean(*args, -1),
-        lambda: sample_shots(10, *args, 1),
-    ):
-        with pytest.raises(NumericalError) as excinfo:
-            call()
-        assert str(excinfo.value) == "outcome mean overflows: got nan and nan"
+    with pytest.raises(NumericalError) as excinfo:
+        sample_shots(10, *args, 1)
+    assert str(excinfo.value) == "outcome mean overflows: got nan and nan"
     # the variances read no mean
-    assert integrated_variance(*args, +1) == integrated_variance(*args, -1) > 0.0
+    model = evaluation(*args)
+    assert model.variance_plus == model.variance_minus > 0.0
+    assert math.isnan(model.mean_plus) and math.isnan(model.mean_minus)
 
 
 def _plain(state):

@@ -13,13 +13,13 @@ from squeezed_readout import (
     SweepSpec,
     SystemParams,
     ValidationError,
-    contrast,
     find_peak,
     optimal_squeezing,
     render_figure_csv,
     render_sweep_csv,
     reproduce_figure2,
     reproduce_figure3,
+    readout_point,
     run_sweep,
     snr,
 )
@@ -160,7 +160,8 @@ def test_find_peak_reports_flat_metric(fixed, t_matched, params_k2, probe_matche
     assert peak.flat
     assert peak.location == 0.0
     assert peak.value == pytest.approx(
-        contrast(t_matched, probe_matched, params_k2, PHI_DEFAULT), rel=1e-12
+        readout_point(t_matched, probe_matched, params_k2, PHI_DEFAULT).contrast,
+        rel=1e-12,
     )
 
 
@@ -323,7 +324,48 @@ def test_range_whose_width_overflows_is_rejected(fixed):
         SweepSpec(lo=-1e308, hi=1e308, **args)
     with pytest.raises(ValidationError, match="bounds must be finite with lo < hi"):
         find_peak("snr", "delta_theta", (-1e308, 1e308), fixed)
+    # an int end past the double range has no float
+    with pytest.raises(ValidationError, match="bounds must be finite with lo < hi"):
+        find_peak("snr", "r", (0, 10**400), fixed)
     assert len(run_sweep(SweepSpec(lo=-1e307, hi=1e307, **args)).rows) == 4
+
+
+def test_int_range_ends_are_stored_as_floats(fixed):
+    spec = SweepSpec(variable="r", lo=0, hi=2, points=3, fixed=fixed, metric="snr")
+    assert (type(spec.lo), type(spec.hi)) == (float, float)
+    assert [row.value for row in run_sweep(spec).rows] == [0.0, 1.0, 2.0]
+    assert render_sweep_csv(run_sweep(spec)).splitlines()[-1].startswith("2.0,")
+    assert spec == dataclasses.replace(spec, lo=0.0, hi=2.0)
+    flat = find_peak("contrast", "r", (0, 2), fixed)
+    assert type(flat.location) is float
+    assert flat == find_peak("contrast", "r", (0.0, 2.0), fixed)
+    assert find_peak("snr", "r", (0, 2), fixed) == find_peak("snr", "r", (0.0, 2.0), fixed)
+    # a float end keeps its bits, and numpy's numbers are ints and floats too
+    lo = 0.1 + 0.2
+    assert SweepSpec(variable="r", lo=lo, hi=2, points=3, fixed=fixed, metric="snr").lo is lo
+    assert find_peak("snr", "r", (np.int64(0), np.float32(2)), fixed) == find_peak(
+        "snr", "r", (0.0, 2.0), fixed
+    )
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(True, 2.0), (0.0, True), (np.bool_(False), 2.0), ("0", 2.0), (0.0, "2"), (None, 2.0), (0.0, 2j)],
+)
+def test_range_ends_that_are_not_int_or_float_are_rejected(fixed, lo, hi):
+    args = {"variable": "r", "points": 3, "fixed": fixed, "metric": "snr"}
+    with pytest.raises(ValidationError, match=r"range ends must be int or float"):
+        SweepSpec(lo=lo, hi=hi, **args)
+    with pytest.raises(ValidationError, match=r"bounds ends must be int or float"):
+        find_peak("snr", "r", (lo, hi), fixed)
+
+
+def test_mismatch_whose_squeezing_phase_overflows_inside_the_bounds_is_rejected(fixed):
+    # theta_xi = 2(phi - x) is finite at the lower bound and -inf from
+    # x = 8.99e307 on: the kernel raises for that point what _with raises
+    with pytest.raises(ValidationError) as excinfo:
+        find_peak("snr", "delta_theta", (8e307, 1.7e308), fixed)
+    assert str(excinfo.value) == "theta_xi must be finite, got -inf"
 
 
 @pytest.mark.parametrize("points", [1, 0, -3, 2.5, "400", 2**20 + 1, 10**13])
