@@ -29,9 +29,9 @@ from .metrics import (
     readout_point,
     snr,
 )
-from .params import SystemParams, UnitContext, from_experimental
+from .params import UnitContext, from_experimental
 from .probe import ProbeState
-from .shots import classify, sample_shots
+from .shots import _sample, classify
 from .sweeps import (
     SweepFixed,
     SweepSpec,
@@ -352,12 +352,13 @@ def _cmd_optimize(config: RunConfig) -> int:
 def _cmd_shots(config: RunConfig) -> int:
     ti = _require_t(config)
     t1_internal, t1_source = _select_t1(config)
-    # the closed form fails first where the model does, before any sampling
+    # the closed form fails first where the model does, before any sampling;
+    # its one evaluation is the law the batch is drawn from
     analytic = readout_point(
         ti, config.probe, config.params, config.phi, t1_total=t1_internal
     )
-    batch = sample_shots(
-        config.n_shots, ti, config.probe, config.params, config.phi, config.seed
+    batch = _sample(
+        config.n_shots, ti, config.probe, config.params, config.phi, config.seed, analytic
     )
     result = classify(batch, config.threshold_policy, t1=t1_internal)
     if config.out:

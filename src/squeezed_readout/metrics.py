@@ -5,14 +5,18 @@ projects it onto the local-oscillator quadrature at angle phi.  For a
 qubit eigenvalue sigma = ±1 the outcome is Gaussian with
 
     mean      A·⟨Q'⟩ + σ·B·⟨P'⟩
-    variance  A²·Var(Q') + B²·Var(P') + 2σAB·Cov(Q',P')
-              + u·(κ/2)(F² + G²)
+    variance  ½(e^{−r}·a_σ)² + ½(e^{r}·b_σ)² + u·(κ/2)(F² + G²)
+              = e^{−2r}·½(A² + B²) + sinh 2r·b_σ² + u·(κ/2)(F² + G²)
+    a_σ = A cos δ − σB sin δ,  b_σ = A sin δ + σB cos δ
 
 where primes denote the input quadratures rotated by phi, A, B, F, G are
-the response coefficients of cavity_dynamics, and u is the vacuum-noise
-weight from SystemParams.  The cross term vanishes whenever the
-measurement frame is aligned with the squeezing ellipse, i.e. when
-Δθ = φ − θξ/2 is a multiple of π/2.
+the response coefficients of cavity_dynamics, u is the vacuum-noise
+weight from SystemParams and δ = φ − θξ/2 is the LO angle from the
+squeezed quadrature.  The probe terms lie on the axes of its squeeze
+ellipse (see probe).  The model evaluates the second line, which
+a_σ² + b_σ² = A² + B² gives: three nonnegative terms that cannot cancel,
+and free of the angle at r = 0.  The eigenvalues share one variance
+where δ is a multiple of π/2, the frame aligned with the ellipse.
 
 All functions here accept (t, params) in any consistent unit system and
 rescale to χs = 1 internally, so results depend only on χs·t and κ/χs.
@@ -27,8 +31,8 @@ from dataclasses import dataclass
 
 from .dynamics import _response, signal_coefficients
 from .errors import NumericalError, UndefinedPointError, ValidationError
-from .params import SystemParams, _finite, wrap_angle
-from .probe import SQRT2, ProbeState, _input_means, _rotated_moments
+from .params import SystemParams, _finite, _real, wrap_angle
+from .probe import SQRT2, ProbeState, _input_means, _lo_angle, _squeeze_factors
 
 _PHASE_TOL = 1e-9
 _INF = math.inf
@@ -57,22 +61,31 @@ def _fields(t, probe: ProbeState, params: SystemParams, phi, t1_total=None):
     return _Fields(t * c, internal.kappa, *state, phi, internal.vacuum_weight, t1)
 
 
-def _response_terms(response, kappa: float, u: float):
-    """(A², B², 2·A·B, vacuum term u·(κ/2)(F² + G²)) of the response F, G, A, B."""
+def _projections(response, kappa: float, u: float, angle):
+    """(½(A² + B²), b₊, b₋, vacuum term u·(κ/2)(F² + G²)) of the response F, G, A, B.
+
+    b_σ = A sin δ + σB cos δ, at the LO angle (cos δ, sin δ) of probe._lo_angle.
+    """
     big_f, big_g, a_coef, b_coef = response
-    try:
-        f2, g2, a2, b2 = big_f**2, big_g**2, a_coef**2, b_coef**2
-    except OverflowError:
-        raise NumericalError("response coefficients overflow: t is too large") from None
-    return a2, b2, 2.0 * a_coef * b_coef, u * 0.5 * kappa * (f2 + g2)
+    a2, b2 = a_coef * a_coef, b_coef * b_coef
+    if a2 == _INF or b2 == _INF:
+        raise NumericalError("response coefficients overflow: t is too large")
+    c, s = angle
+    a_s, b_c = a_coef * s, b_coef * c
+    vacuum = u * 0.5 * kappa * (big_f * big_f + big_g * big_g)
+    return 0.5 * a2 + 0.5 * b2, a_s + b_c, a_s - b_c, vacuum
 
 
-def _variances(terms, moments):
-    """(variance_plus, variance_minus); a NumericalError where one is not finite."""
-    (a2, b2, two_ab, vacuum), (var_q_rot, var_p_rot, cov_rot) = terms, moments
-    squeezed = a2 * var_q_rot + b2 * var_p_rot
-    cross = two_ab * cov_rot
-    vp, vm = squeezed + cross + vacuum, squeezed - cross + vacuum
+def _variances(projections, factors):
+    """(variance_plus, variance_minus); a NumericalError where one is not finite.
+
+    Each sums e^{−2r}·½(A² + B²), sinh 2r·b_σ² and the vacuum term left to right.
+    """
+    (half_norm, b_plus, b_minus, vacuum), (squeezed, excess) = projections, factors
+    base = squeezed * half_norm
+    # (sinh 2r·b)·b: finite wherever the term is
+    vp = base + (excess * b_plus) * b_plus + vacuum
+    vm = base + (excess * b_minus) * b_minus + vacuum
     if math.isfinite(vp) and math.isfinite(vm):
         return vp, vm
     raise NumericalError(
@@ -136,16 +149,17 @@ def _evaluate(metric: str, point: _Fields) -> _Evaluation:
     Every figure of merit, shot batch and classification reads this one
     evaluation, and every sweep, figure panel and peak-search point
     returns its first eight fields; phi is unchecked.  The stages run in
-    this order: the metric check, the response, the rotated moments, the
-    response terms, the variances, the separation and the row, then the
-    input means.  sweeps._kernel calls the same stage functions, so a
-    sweep point raises what this evaluation raises there.
+    this order: the metric check, the response, the squeeze factors, the
+    LO angle, the projections, the variances, the separation and the row,
+    then the input means.  sweeps._kernel calls the same stage functions,
+    so a sweep point raises what this evaluation raises there.
     """
     t, kappa, alpha, r, theta_xi, theta_alpha, phi, u, t1 = point
     _check_metric(metric)
     response = _response(kappa, 1.0, t)
-    moments = _rotated_moments(r, theta_xi, phi)
-    vp, vm = _variances(_response_terms(response, kappa, u), moments)
+    factors = _squeeze_factors(r)
+    angle = _lo_angle(theta_xi, phi)
+    vp, vm = _variances(_projections(response, kappa, u, angle), factors)
     sep = _separation(metric, alpha, response[3], theta_alpha, phi)
     row = _row(metric, t, response, sep, vp, vm, t1)
     mq, mp = _input_means(alpha, theta_alpha)
@@ -169,8 +183,7 @@ def _means(point: _Evaluation) -> tuple[float, float]:
 
 
 def _snr_evaluation(metric, t, probe, params, phi, t1_total=None) -> _Evaluation:
-    if not math.isfinite(phi):
-        raise ValidationError(f"phi must be finite, got {phi!r}")
+    phi = _real("phi", phi)
     if t <= 0.0:
         raise UndefinedPointError(f"snr is undefined at t={t!r}; requires t > 0")
     return _evaluate(metric, _fields(t, probe, params, phi, t1_total))
@@ -205,8 +218,7 @@ def fidelity(t: float, snr_value: float, t1_total: float) -> float:
 
 def optimal_time_estimate(r: float, params: SystemParams) -> float:
     """Estimated best integration time e^{−r}·√(6/(κχs))."""
-    if not math.isfinite(r) or r < 0.0:
-        raise ValidationError(f"r must be nonnegative and finite, got {r!r}")
+    r = _real("r", r, "nonnegative and finite")
     return _finite(
         lambda: math.exp(-r) * math.sqrt(6.0 / (params.kappa * params.chi_s)),
         "kappa*chi_s is too small: optimal time estimate",
@@ -248,9 +260,9 @@ def phase_matching_residual(
     matched when each is below 1e-9.  Jointly the two conditions are
     equivalent to 2θα − θξ ≡ π (mod 2π).
     """
-    for name, angle in zip(("theta_alpha", "theta_xi", "phi"), (theta_alpha, theta_xi, phi)):
-        if not math.isfinite(angle):
-            raise ValidationError(f"{name} must be finite, got {angle!r}")
+    theta_alpha = _real("theta_alpha", theta_alpha)
+    theta_xi = _real("theta_xi", theta_xi)
+    phi = _real("phi", phi)
     residual_1 = abs(math.remainder(theta_alpha - phi - 0.5 * math.pi, math.pi))
     residual_2 = abs(math.remainder(phi - 0.5 * theta_xi, math.pi))
     matched = residual_1 < _PHASE_TOL and residual_2 < _PHASE_TOL

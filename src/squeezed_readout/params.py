@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import NumericalError, ValidationError
 
@@ -38,9 +39,33 @@ def _finite(compute, label: str) -> float:
     return value
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+# what _real checks of a float, by the rule its message names
+_RULES = {
+    "finite": lambda x: True,
+    "nonnegative and finite": lambda x: x >= 0.0,
+    "positive and finite": lambda x: x > 0.0,
+    "nonzero and finite": lambda x: x != 0.0,
+}
+
+
+def _real(name: str, value, rule: str | None = "finite") -> float:
+    """value, a real number (an int or a float, numpy's too, not a bool), as a float.
+
+    A float keeps its object; an int past the double range is inf.  A
+    ValidationError '{name} must be {rule}, got {value!r}' where the float
+    is not finite or breaks the rule; a rule of None checks the type only.
+    """
+    x = value
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, Real):
+            raise ValidationError(f"{name} must be {rule or 'a real number'}, got {value!r}")
+        try:
+            x = float(x)
+        except OverflowError:
+            x = math.inf if x > 0 else -math.inf
+    if rule is None or (math.isfinite(x) and _RULES[rule](x)):
+        return x
+    raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,17 +92,11 @@ class SystemParams:
     vacuum_weight: float = 0.25
 
     def __post_init__(self) -> None:
-        _require_positive("chi_s", self.chi_s)
-        _require_positive("kappa", self.kappa)
-        _require_positive("t1_intrinsic", self.t1_intrinsic)
-        _require_positive("vacuum_weight", self.vacuum_weight)
-        if self.g_s is not None:
-            _require_positive("g_s", self.g_s)
-        if self.delta is not None:
-            if not math.isfinite(self.delta) or self.delta == 0.0:
-                raise ValidationError(
-                    f"delta must be nonzero and finite, got {self.delta!r}"
-                )
+        for name in ("chi_s", "kappa", "t1_intrinsic", "vacuum_weight", "g_s", "delta"):
+            value = getattr(self, name)
+            if value is not None or name not in ("g_s", "delta"):
+                rule = "nonzero and finite" if name == "delta" else "positive and finite"
+                object.__setattr__(self, name, _real(name, value, rule))
 
     @property
     def has_backaction(self) -> bool:
@@ -114,10 +133,10 @@ def from_experimental(
     :raises NumericalError: where t1_intrinsic = chi_s·T1 in internal units
         underflows to 0 or overflows.
     """
-    _require_positive("chi_over_2pi_mhz", chi_over_2pi_mhz)
-    _require_positive("kappa_over_chi", kappa_over_chi)
-    _require_positive("t1_ms", t1_ms)
-    _require_positive("vacuum_weight", u)
+    chi_over_2pi_mhz = _real("chi_over_2pi_mhz", chi_over_2pi_mhz, "positive and finite")
+    kappa_over_chi = _real("kappa_over_chi", kappa_over_chi, "positive and finite")
+    t1_ms = _real("t1_ms", t1_ms, "positive and finite")
+    u = _real("vacuum_weight", u, "positive and finite")
     chi_rad_per_s = TAU * chi_over_2pi_mhz * 1e6
     t1_intrinsic = chi_rad_per_s * t1_ms * 1e-3
     if not 0.0 < t1_intrinsic < math.inf:
@@ -141,7 +160,8 @@ class UnitContext:
     chi_over_2pi_hz: float
 
     def __post_init__(self) -> None:
-        _require_positive("chi_over_2pi_hz", self.chi_over_2pi_hz)
+        value = _real("chi_over_2pi_hz", self.chi_over_2pi_hz, "positive and finite")
+        object.__setattr__(self, "chi_over_2pi_hz", value)
 
     @property
     def chi_rad_per_us(self) -> float:

@@ -1,10 +1,19 @@
-"""Gaussian moments of the displaced squeezed vacuum probe.
+"""The displaced squeezed vacuum probe and its squeeze ellipse.
 
 Quadrature convention: Q = (b + b†)/√2, P = (b − b†)/(i√2), so the
 vacuum variance is 1/2.  A probe is parametrized by a displacement
 ``alpha``·e^{i·theta_alpha} and a squeezing amplitude ``r`` with phase
 ``theta_xi``; with this convention the quadrature squeezed below vacuum
 sits at angle theta_xi/2, so theta_xi = ±π squeezes P.
+
+Its covariance is an ellipse with the variance e^{−2r}/2 along the
+squeezed axis and e^{2r}/2 across it, so the quadrature at the LO angle
+δ = φ − θξ/2 from the squeezed axis has the variance
+
+    ½(e^{−2r}·cos²δ + e^{2r}·sin²δ) = ½e^{−2r} + sinh 2r·sin²δ.
+
+The model reads the probe through the squeeze factors (e^{−2r}, sinh 2r)
+and (cos δ, sin δ), from which metrics._variances forms the outcome variance.
 """
 
 from __future__ import annotations
@@ -12,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalError, ValidationError
-from .params import _finite, wrap_angle
+from .errors import NumericalError
+from .params import _finite, _real, wrap_angle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -34,48 +43,31 @@ class ProbeState:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "r"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValidationError(
-                    f"{name} must be nonnegative and finite, got {value!r}"
-                )
+            value = _real(name, getattr(self, name), "nonnegative and finite")
+            object.__setattr__(self, name, value)
         for name in ("theta_alpha", "theta_xi"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, wrap_angle(value))
+            object.__setattr__(self, name, wrap_angle(_real(name, getattr(self, name))))
 
 
 def _input_means(alpha: float, theta_alpha: float):
     return SQRT2 * alpha * math.cos(theta_alpha), SQRT2 * alpha * math.sin(theta_alpha)
 
 
-def _squeezing(r: float):
-    """(cosh 2r, sinh 2r)."""
+def _squeeze_factors(r: float):
+    """(e^{−2r}, sinh 2r); sinh 2r overflows where cosh 2r does (see ProbeState)."""
     try:
-        return math.cosh(2.0 * r), math.sinh(2.0 * r)
+        return math.exp(-2.0 * r), math.sinh(2.0 * r)
     except OverflowError:
         raise NumericalError("squeezing r is too large: cosh 2r overflows") from None
 
 
-def _frame(theta_xi: float, phi: float):
-    """(cos d, sin d, cos(d + π)) with d = 2φ − θξ."""
-    d = 2.0 * phi - theta_xi
+def _lo_angle(theta_xi: float, phi: float):
+    """(cos δ, sin δ) of the LO angle δ = ½(2φ − θξ) from the squeezed axis."""
+    delta = 0.5 * (2.0 * phi - theta_xi)
     try:
-        return math.cos(d), math.sin(d), math.cos(2.0 * (phi + 0.5 * math.pi) - theta_xi)
+        return math.cos(delta), math.sin(delta)
     except ValueError:  # cos(±inf): phi is finite, 2·phi is not
         raise NumericalError(f"LO phase {phi!r} is too large: 2 phi overflows") from None
-
-
-def _moments(squeezing, frame):
-    """Var(Q′), Var(P′), Cov(Q′, P′) from _squeezing and _frame."""
-    (ch, sh), (cos_d, sin_d, cos_d_pi) = squeezing, frame
-    return 0.5 * (ch - cos_d * sh), 0.5 * (ch - cos_d_pi * sh), 0.5 * sh * sin_d
-
-
-def _rotated_moments(r: float, theta_xi: float, phi: float):
-    """Var(Q′), Var(P′), Cov(Q′, P′) at LO angle phi."""
-    return _moments(_squeezing(r), _frame(theta_xi, phi))  # cosh 2r raises first
 
 
 def mean_photon_number(probe: ProbeState) -> float:

@@ -1,26 +1,16 @@
 """Single-shot Monte Carlo sampling of integrated homodyne outcomes.
 
 Within the linear model the integrated output is an exact linear map of
-four jointly Gaussian inputs: the two probe quadratures and the two
-quadratures of the initial resonator vacuum.  One shot's outcome is
-therefore a scalar Gaussian, and each shot draws one standard normal z
-and forms, for qubit eigenvalue σ,
+four jointly Gaussian inputs: the probe's draws along the two axes of
+its squeeze ellipse and the two quadratures of the initial resonator
+vacuum.  One shot's outcome is therefore a scalar Gaussian, and each
+shot draws one standard normal z and forms, for qubit eigenvalue σ,
 
     outcome_σ = mean_σ + sd_σ·z
-    sd_σ² = (e^{−r}·a_σ)²/2 + (e^{r}·b_σ)²/2 + v²·(F² + G²)
-    a_σ = A cos δ − σB sin δ,  b_σ = A sin δ + σB cos δ
 
-where δ = φ − θξ/2 is the LO angle measured from the squeezed
-quadrature (which sits at θξ/2) and v² = u·κ/2, in internal units.
-The first two terms are the probe's variance along the axes of its
-squeeze ellipse, e^{∓2r}/2, so sd_σ never forms the cancelling
-difference ½(cosh 2r − cos d·sinh 2r) and stays exact up to the
-overflow of cosh 2r (see ProbeState); the last is the resonator vacuum with
-variance u/2 per quadrature.  The terms are summed with math.fsum and
-the root taken with math.sqrt, both correctly rounded, so sd_σ has the
-same bits on every platform.  A, B, F, G and mean_σ come from the one
-model evaluation metrics._evaluate, so the sampled mean is the
-closed-form mean by construction and sd_σ² is the closed-form variance.
+where mean_σ and sd_σ² are the closed-form mean and variance of one
+model evaluation (metrics._evaluate), and sd_σ is its root by math.sqrt.
+The batch carries this law, and classify thresholds it.
 
 Randomness comes from numpy's counter-based Philox generator.  Shots
 are produced in fixed blocks of 8192; block j for σ = +1 uses the
@@ -47,8 +37,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import NumericalError, ValidationError
-from .metrics import _evaluate, _Fields, _fields, _means
-from .params import SystemParams
+from .metrics import _evaluate, _fields, _means
+from .params import SystemParams, _real
 from .probe import ProbeState
 
 BLOCK_SIZE = 8192
@@ -61,7 +51,7 @@ GENERATOR_ID = (
 
 @dataclass(frozen=True)
 class ShotBatch:
-    """Paired outcome samples for the two qubit eigenvalues."""
+    """Paired outcome samples for the two qubit eigenvalues, and their law."""
 
     outcomes_plus: np.ndarray
     outcomes_minus: np.ndarray
@@ -72,6 +62,7 @@ class ShotBatch:
     phi: float
     probe: ProbeState
     params: SystemParams
+    law: dict  # {σ: (sd_σ, mean_σ)}, as _shot_map returns it
 
 
 @dataclass(frozen=True)
@@ -85,33 +76,13 @@ class ClassificationResult:
     empirical_fidelity: float
 
 
-def _shot_map(point: _Fields) -> dict:
-    """{σ: (sd_σ, mean_σ)}, the law outcome_σ = mean_σ + sd_σ·z at one point."""
-    model = _evaluate("variance", point)
-    a_coef, b_coef = model.a_coef, model.b_coef
-    vacuum = 0.5 * point.u * point.kappa
-    resonator = (vacuum * (model.big_f * model.big_f), vacuum * (model.big_g * model.big_g))
-    delta = point.phi - 0.5 * point.theta_xi
-    c, s = math.cos(delta), math.sin(delta)
-    squeezed, anti = math.exp(-point.r), math.exp(point.r)
-    variances = {}
-    for sigma in (1, -1):
-        x = squeezed * (a_coef * c - sigma * b_coef * s)
-        y = anti * (a_coef * s + sigma * b_coef * c)
-        # halved before squaring, which rounds the same and keeps a variance
-        # between half the double range and its top finite
-        try:
-            variances[sigma] = math.fsum(((0.5 * x) * x, (0.5 * y) * y, *resonator))
-        except OverflowError:  # finite terms whose sum passes the double range
-            variances[sigma] = math.inf
-    if not (math.isfinite(variances[1]) and math.isfinite(variances[-1])):
-        raise NumericalError(
-            f"outcome variance overflows: got {variances[1]!r} and {variances[-1]!r}"
-        )
+def _shot_map(model) -> dict:
+    """{σ: (sd_σ, mean_σ)}, the law outcome_σ = mean_σ + sd_σ·z of an
+    _Evaluation or a ReadoutPoint; sd_σ is the root of its variance."""
     mean_plus, mean_minus = _means(model)
     return {
-        1: (math.sqrt(variances[1]), mean_plus),
-        -1: (math.sqrt(variances[-1]), mean_minus),
+        1: (math.sqrt(model.variance_plus), mean_plus),
+        -1: (math.sqrt(model.variance_minus), mean_minus),
     }
 
 
@@ -162,6 +133,12 @@ def sample_shots(
     seed: int,
 ) -> ShotBatch:
     """Generate n single-shot outcomes per qubit eigenvalue at time t."""
+    return _sample(n, t, probe, params, phi, seed)
+
+
+def _sample(n, t, probe, params, phi, seed, model=None) -> ShotBatch:
+    """sample_shots from the law of model, an evaluation or a ReadoutPoint there,
+    or from one evaluation after the checks."""
     import numpy as np
     if not isinstance(n, int) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
@@ -169,14 +146,13 @@ def sample_shots(
         raise ValidationError(
             f"n must be at most MAX_SHOTS = {MAX_SHOTS} per eigenstate, got {n!r}"
         )
-    if not math.isfinite(t) or t <= 0.0:
-        raise ValidationError(f"t must be positive and finite, got {t!r}")
-    if not math.isfinite(phi):
-        raise ValidationError(f"phi must be finite, got {phi!r}")
+    t, phi = _real("t", t, "positive and finite"), _real("phi", phi)
     if not isinstance(seed, int) or not 0 <= seed < 2**128:
         raise ValidationError(f"seed must be an integer in [0, 2^128), got {seed!r}")
 
-    maps = _shot_map(_fields(t, probe, params, phi))
+    if model is None:
+        model = _evaluate("variance", _fields(t, probe, params, phi))
+    law = _shot_map(model)
     outcomes = {sigma: np.empty(n) for sigma in (+1, -1)}
     tasks = [
         (sigma, block) for sigma in (+1, -1) for block in range(-(-n // BLOCK_SIZE))
@@ -189,7 +165,7 @@ def sample_shots(
         bit_generator = np.random.Philox(key=seed)
         rng, fresh = np.random.Generator(bit_generator), bit_generator.state
         for sigma, block in tasks[worker::workers]:
-            _fill_block(outcomes[sigma], sigma, block, rng, fresh, *maps[sigma])
+            _fill_block(outcomes[sigma], sigma, block, rng, fresh, *law[sigma])
 
     if workers == 1:
         run(0)
@@ -206,6 +182,7 @@ def sample_shots(
         phi=phi,
         probe=probe,
         params=params,
+        law=law,
     )
 
 
@@ -265,8 +242,8 @@ def classify(
     """Threshold the batch and report error fractions and empirical SNR.
 
     threshold_policy "midpoint" places the cut halfway between the two
-    analytic means, matching the equal-variance fidelity convention;
-    "likelihood" uses the equal-density point of the two analytic
+    means of the batch's law, matching the equal-variance fidelity
+    convention; "likelihood" uses the equal-density point of its two
     Gaussians, relevant when squeezing makes the variances unequal.
     The empirical fidelity (1 − error₊ − error₋)·exp(−t/2T₁) uses the
     batch's own t and T₁ = t1 in the unit of t, by default the intrinsic
@@ -283,13 +260,12 @@ def classify(
         t1 = batch.params.t1_intrinsic
     if not math.isfinite(t1) or t1 <= 0.0:
         raise ValidationError(f"t1 must be positive and finite, got {t1!r}")
-    point = _evaluate("variance", _fields(batch.t, batch.probe, batch.params, batch.phi))
-    m_plus, m_minus = point.mean_plus, point.mean_minus
+    (sd_plus, m_plus), (sd_minus, m_minus) = batch.law[1], batch.law[-1]
     if threshold_policy == "midpoint":
         threshold = 0.5 * (m_plus + m_minus)
     elif threshold_policy == "likelihood":
         threshold = _likelihood_threshold(
-            m_plus, point.variance_plus, m_minus, point.variance_minus
+            m_plus, sd_plus * sd_plus, m_minus, sd_minus * sd_minus
         )
     else:
         raise ValidationError(

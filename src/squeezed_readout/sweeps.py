@@ -17,16 +17,14 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
-from numbers import Real
 from typing import NamedTuple
 
 from .dynamics import _response
 from .errors import NumericalError, ReadoutError, ValidationError
 from .metrics import _check_metric, _evaluate, _fields, readout_point
-from .metrics import _response_terms, _row, _separation, _variances
-from .params import SystemParams, UnitContext, from_experimental, wrap_angle
-from .params import _require_positive
-from .probe import ProbeState, _frame, _moments, _rotated_moments, _squeezing
+from .metrics import _projections, _row, _separation, _variances
+from .params import SystemParams, UnitContext, _real, from_experimental, wrap_angle
+from .probe import ProbeState, _lo_angle, _squeeze_factors
 
 SWEEP_VARIABLES = ("t", "r", "delta_theta", "alpha", "kappa")
 
@@ -51,10 +49,8 @@ class SweepFixed:
     t: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.phi):
-            raise ValidationError(f"phi must be finite, got {self.phi!r}")
-        if not math.isfinite(self.t) or self.t < 0.0:
-            raise ValidationError(f"t must be nonnegative, got {self.t!r}")
+        object.__setattr__(self, "phi", _real("phi", self.phi))
+        object.__setattr__(self, "t", _real("t", self.t, "nonnegative and finite"))
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,7 @@ class SweepSpec:
             )
         _check_metric(self.metric)
         _check_points(self.points)
-        lo, hi = _check_range("range", self.lo, self.hi)
+        lo, hi = _check_range("range", (self.lo, self.hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         floor = {"t": 0.0, "r": 0.0, "alpha": 0.0}.get(self.variable)
@@ -137,11 +133,10 @@ def _with(fixed: SweepFixed, base, variable: str, value: float):
     elif variable not in ("t", "r", "alpha", "kappa"):
         raise ValidationError(f"unknown sweep variable {variable!r}")
     if variable == "kappa":
-        _require_positive("kappa", value)
-        _require_positive("kappa", value / chi_s)
-    elif not math.isfinite(value) or (value < 0.0 and variable != "theta_xi"):
-        rule = "finite" if variable == "theta_xi" else "nonnegative and finite"
-        raise ValidationError(f"{variable} must be {rule}, got {value!r}")
+        _real("kappa", value, "positive and finite")
+        _real("kappa", value / chi_s, "positive and finite")
+    else:
+        _real(variable, value, "finite" if variable == "theta_xi" else "nonnegative and finite")
     if variable == "t":
         value = value * chi_s
     elif variable == "kappa":
@@ -161,9 +156,9 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
     x)), or raises its error.  It checks x as _with does, then runs the
     stages x reaches; the others are computed here, once:
 
-    - r, delta_theta: the response, its terms and the separation; for r
-      also the frame, for delta_theta cosh 2r and sinh 2r;
-    - t, kappa: the rotated moments;
+    - r: the response, the LO angle, the projections and the separation;
+    - delta_theta: the response, the squeeze factors and the separation;
+    - t, kappa: the squeeze factors and the LO angle;
     - alpha: everything but the separation.
 
     A stage computed here that fails fails at every point, after the
@@ -180,17 +175,16 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
     try:
         _check_metric(metric)
         if variable in ("t", "kappa"):
-            moments = _rotated_moments(r, theta_xi, phi)
+            factors, angle = _squeeze_factors(r), _lo_angle(theta_xi, phi)
         elif variable in ("r", "delta_theta", "alpha"):
             response = _response(kappa, 1.0, t)
-            terms = _response_terms(response, kappa, u)
+            if variable != "r":
+                factors = _squeeze_factors(r)
+            if variable != "delta_theta":
+                projections = _projections(response, kappa, u, _lo_angle(theta_xi, phi))
             if variable == "alpha":
-                vp, vm = _variances(terms, _rotated_moments(r, theta_xi, phi))
+                vp, vm = _variances(projections, factors)
             else:
-                if variable == "r":
-                    frame = _frame(theta_xi, phi)
-                else:
-                    squeezing = _squeezing(r)
                 sep = _separation(metric, alpha, response[3], theta_alpha, phi)
         else:
             return fresh  # _with raises for an unknown variable
@@ -205,7 +199,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
                 _with(fixed, base, variable, x)
             t = x * chi_s
             response = _response(kappa, 1.0, t)
-            vp, vm = _variances(_response_terms(response, kappa, u), moments)
+            vp, vm = _variances(_projections(response, kappa, u, angle), factors)
             sep = _separation(metric, alpha, response[3], theta_alpha, phi)
             return _row(metric, t, response, sep, vp, vm, t1)
 
@@ -216,7 +210,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
             if not (0.0 < x < inf and 0.0 < k < inf):
                 _with(fixed, base, variable, x)
             response = _response(k, 1.0, t)
-            vp, vm = _variances(_response_terms(response, k, u), moments)
+            vp, vm = _variances(_projections(response, k, u, angle), factors)
             sep = _separation(metric, alpha, response[3], theta_alpha, phi)
             return _row(metric, t, response, sep, vp, vm, t1)
 
@@ -233,7 +227,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
         def at(x):
             if not 0.0 <= x < inf:
                 _with(fixed, base, variable, x)
-            vp, vm = _variances(terms, _moments(_squeezing(x), frame))
+            vp, vm = _variances(projections, _squeeze_factors(x))
             return _row(metric, t, response, sep, vp, vm, t1)
 
     else:
@@ -242,7 +236,8 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
             theta = 2.0 * (phi - x)
             if not -inf < theta < inf:
                 _with(fixed, base, variable, x)
-            vp, vm = _variances(terms, _moments(squeezing, _frame(wrap_angle(theta), phi)))
+            angle = _lo_angle(wrap_angle(theta), phi)
+            vp, vm = _variances(_projections(response, kappa, u, angle), factors)
             return _row(metric, t, response, sep, vp, vm, t1)
 
     return at
@@ -256,19 +251,22 @@ def _check_points(points) -> None:
         )
 
 
-def _check_range(name: str, lo: float, hi: float) -> tuple[float, float]:
-    """(lo, hi) as floats, as _grid needs them.
+def _check_range(name: str, bounds) -> tuple[float, float]:
+    """The pair bounds = (lo, hi) as floats, as _grid needs them.
 
-    Each end is a real number (an int or a float, numpy's too), not a
-    bool; lo < hi, finite and a finite width apart.
+    Each end is a real number (see params._real); lo < hi, finite and a
+    finite width apart.
     """
-    for end in (lo, hi):
-        if type(end) is not float and (isinstance(end, bool) or not isinstance(end, Real)):
-            raise ValidationError(f"{name} ends must be int or float, got [{lo!r}, {hi!r}]")
     try:
-        x, y = float(lo), float(hi)
-    except OverflowError:  # an int past the double range
-        x = y = math.nan
+        lo, hi = bounds
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a pair (lo, hi), got {bounds!r}") from None
+    try:
+        x, y = _real(name, lo, None), _real(name, hi, None)
+    except ValidationError:
+        raise ValidationError(
+            f"{name} ends must be int or float, got [{lo!r}, {hi!r}]"
+        ) from None
     if not (x < y and math.isfinite(y - x)):
         raise ValidationError(f"{name} must be finite with lo < hi, got [{lo!r}, {hi!r}]")
     return x, y
@@ -326,8 +324,7 @@ def find_peak(
     the variable reaches; points are evaluated in order, so the first
     failing point raises its own error.
     """
-    lo, hi = bounds
-    lo, hi = _check_range("bounds", lo, hi)
+    lo, hi = _check_range("bounds", bounds)
     kernel = _kernel(metric, fixed, variable)
 
     def evaluate(x: float) -> float:

@@ -78,6 +78,35 @@ def mp_integrals(a: float, b: float, t: float, dps: int = 50):
         return float(big_f), float(big_g), float(int_f), float(int_g)
 
 
+def mp_outcome_variance(point: _Fields, model, sigma: int, dps: int = 60):
+    """(variance, sensitivity) of eigenvalue sigma in mpmath arbitrary precision.
+
+    The variance is ½(e^{−r}a_σ)² + ½(e^{r}b_σ)² + u·(κ/2)(F² + G²) with
+    a_σ = A cos δ − σB sin δ, b_σ = A sin δ + σB cos δ and δ = φ − θξ/2,
+    from the model's own double response coefficients and the point's
+    inputs, all taken as exact.  The sensitivity e^{2r}·|b_σ|·(|A| + |B|)·(3 + |δ|)
+    bounds, in units of the double epsilon, what rounding δ and b_σ in
+    double precision moves the variance: |b_σ| moves by up to
+    ε·(|A| + |B|)·(3 + |δ|), and the variance by 2 sinh 2r·|b_σ| times that.
+    It is large against the variance only near the frame where b_σ
+    cancels and the anti-squeezed term still counts.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a_coef, b_coef, big_f, big_g = (
+            mp.mpf(x) for x in (model.a_coef, model.b_coef, model.big_f, model.big_g)
+        )
+        r = mp.mpf(point.r)
+        delta = mp.mpf(point.phi) - mp.mpf(point.theta_xi) / 2
+        a = a_coef * mp.cos(delta) - sigma * b_coef * mp.sin(delta)
+        b = a_coef * mp.sin(delta) + sigma * b_coef * mp.cos(delta)
+        vacuum = mp.mpf(point.u) * mp.mpf(point.kappa) / 2 * (big_f**2 + big_g**2)
+        variance = mp.exp(-2 * r) * a**2 / 2 + mp.exp(2 * r) * b**2 / 2 + vacuum
+        sensitivity = mp.exp(2 * r) * abs(b) * (abs(a_coef) + abs(b_coef)) * (3 + abs(delta))
+        return float(variance), float(sensitivity)
+
+
 def backaction_rates(params: SystemParams, r: float) -> tuple[float, float]:
     """(γ_pu, 2·γ_pu·cosh 2r) for the Purcell rate γ_pu = κ·(g_s/Δ)²."""
     gamma_pu = params.kappa * (params.g_s / params.delta) ** 2
@@ -123,6 +152,22 @@ def input_covariance(probe: ProbeState) -> QuadratureStats:
         var_p=0.5 * (ch + math.cos(probe.theta_xi) * sh),
         cov_qp=-0.5 * math.sin(probe.theta_xi) * sh,
     )
+
+
+def rotated_moments(r: float, theta_xi: float, phi: float) -> tuple[float, float, float]:
+    """Var(Q′), Var(P′), Cov(Q′, P′) of the probe at LO angle phi.
+
+    Var(Q′) = ½(cosh 2r − cos d · sinh 2r)
+    Var(P′) = ½(cosh 2r + cos d · sinh 2r)
+    Cov     = ½ sin d · sinh 2r,   d = 2φ − θξ
+
+    The (Q′, P′)-frame form of the moments, which the outcome variance
+    A²·Var(Q′) + B²·Var(P′) ± 2AB·Cov reads; its differences cancel their
+    digits at large r, so it is meant for r ≲ 2.
+    """
+    d = 2.0 * phi - theta_xi
+    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    return 0.5 * (ch - math.cos(d) * sh), 0.5 * (ch + math.cos(d) * sh), 0.5 * sh * math.sin(d)
 
 
 def envelopes(t: float, params: SystemParams) -> tuple[float, float]:
@@ -221,8 +266,7 @@ def reference_find_peak(metric, variable, bounds, fixed) -> PeakResult:
     The points are evaluated in order, so the first failing point raises
     its own error.
     """
-    lo, hi = bounds
-    lo, hi = _check_range("bounds", lo, hi)
+    lo, hi = _check_range("bounds", bounds)
     base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
 
     def evaluate(x: float) -> float:

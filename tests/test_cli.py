@@ -108,7 +108,7 @@ def test_snr_subcommand(config_path, capsys):
     assert main(["snr", "--config", config_path]) == 0
     block = _block(capsys)
     assert block["subcommand"] == "snr"
-    assert block["snr"] == "3.580922280271772"
+    assert block["snr"] == "3.580922280271773"
     assert block["contrast"] == "2.034049797191079"
     assert block["t_internal"] == "0.6729291463989336"
 
@@ -209,7 +209,7 @@ _SNR_OVERFLOW = (
 )
 _SNR_OVERFLOWS = (
     "numerical error: snr overflows: contrast 3.2610584207983337e+307"
-    " over noise 0.18038483594172144\n"
+    " over noise 0.18038483594172094\n"
 )
 
 
@@ -579,7 +579,7 @@ def test_shots_subcommand_and_seed_override(config_path, capsys):
     first = _block(capsys)
     assert first["seed"] == "777"
     assert first["n_shots"] == "2000"
-    assert first["analytic_snr"] == "3.580922280271772"
+    assert first["analytic_snr"] == "3.580922280271773"
     assert "philox" in first["generator_id"]
     assert abs(float(first["empirical_snr"]) - 3.580922280271772) < 0.5
 
@@ -724,7 +724,7 @@ def test_snr_out_file_carries_snapshot(config_path, tmp_path, capsys):
     # snapshot lines follow the schema order, leading with the rates
     assert text.startswith("# chi_over_2pi_mhz = 0.15\n")
     assert "# alpha = 10.0" in text
-    assert "snr = 3.580922280271772\n" in text
+    assert "snr = 3.580922280271773\n" in text
 
 
 # a value for every config key, none of them its default
@@ -783,7 +783,7 @@ def test_vacuum_weight_flag_equals_the_config_key(config_path, tmp_path, capsys)
     assert main(["snr", "--config", str(path)]) == 0
     assert capsys.readouterr().out == from_flag
     assert "snr = " in from_flag
-    assert "snr = 3.580922280271772\n" not in from_flag
+    assert "snr = 3.580922280271773\n" not in from_flag
 
 
 BACKACTION_T1 = "gs_over_delta = 0.01\nuse_backaction_t1 = true\n"

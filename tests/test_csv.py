@@ -118,13 +118,13 @@ def _sha256(text: str) -> str:
 
 def test_figure_tables_keep_their_bytes():
     assert _sha256(render_figure_csv(reproduce_figure2("panel_ab"))) == (
-        "3997d8903e9d81599eebbc77b9f16076783c8d58087d55ed7c0370199fbc7740"
+        "784d290a0d5e3c7b7af02e78493352c531a91f56b267d885b9c1d79d2896fd74"
     )
     assert _sha256(render_figure_csv(reproduce_figure2("panel_cd"))) == (
-        "31d49e202cbe5f92fef2213dfdd2d4149d5e6cfe87c2a561d7513f7d3cdfbe18"
+        "8c4475558f029b698694414fc36b3380d15fdad87a788f2a1689bd1b309e73c9"
     )
     assert _sha256(render_figure_csv(reproduce_figure3())) == (
-        "e64981c743cd25e35f62792583a7d43cc0279ac25adf609fe4c02f4e5f9a63cc"
+        "eb45802a15c074f8ab0454a04f400566a449ea68e28738f278de8a06e35a702d"
     )
 
 
@@ -137,26 +137,26 @@ _SWEEP_BOUNDS = {
 }
 
 _SWEEP_SHA256 = {
-    ("t", "snr"): "c3909659a0616b7942798ce806b122eb6b921bd0ed92e91b838279505819be99",
-    ("t", "fidelity"): "ccdd2663147089c01c27aa9c13980d0b07c4d3215bc3b9b9e7b5c01625982510",
-    ("t", "contrast"): "16489e3d5b831c500808e064cba7c9745b17478b2f3729abaac43978906486b0",
-    ("t", "variance"): "7b761788408e18ddd635a9dc1901c92701f62aed2eada6b0288a609876ef3207",
-    ("r", "snr"): "53fc7fb55616635fa5ca7e088f2a00a786a5891e56ff234a6f0d74364ff7d11d",
-    ("r", "fidelity"): "8afa80130fabe4231c4f45252631c11ff720ca6358f9805b0697b234f6fdd327",
-    ("r", "contrast"): "39fb3dc7ced2be39d83ad12973a30ccfa3e2daf5c96b7ec0b34dafa4db6ab03a",
-    ("r", "variance"): "070d0b75c6c07fa31954df925cc7603d79ad2910affb8059da48e79575a5a04d",
-    ("delta_theta", "snr"): "7c54c6b9cc861bc28263be6546aadd47a6a6b7dd9fdd07bca143dec8c4dd9847",
-    ("delta_theta", "fidelity"): "f7aa4227c8a70d1b728af2ce51975ea43da8f298b1cc3ad552c46414a332d8d3",
-    ("delta_theta", "contrast"): "679d3ee1a4244902a5b1e77174c714a15fcba4c9eda90eff0280ec32153d1247",
-    ("delta_theta", "variance"): "c83e9ee44e6f04c8cb1c2b72bb5a6c767570242cfe3a13f09bb7a5379b8cb687",
-    ("alpha", "snr"): "d380785bb0a8d4bb1dc7631ef2097cd1841953308e6daf594705a8df7fa9fee6",
-    ("alpha", "fidelity"): "e0cbf1f4ee86f25531df4dce54fb9925e5add8c6203eabb4c8b53ddc380a4b93",
-    ("alpha", "contrast"): "49e4580a6a58db0cbe8871f392839cef5c697ef442ab39d4c54a25165fa68aed",
-    ("alpha", "variance"): "9b7bc8cbb7ebec1df1229acb8501a93ea1288fddd69d855ff07c7102932eb724",
-    ("kappa", "snr"): "0be98f0b81ba192d3242a6e8c97f41a8b3b04ab252a7582ac5ee0dea1a0a4558",
-    ("kappa", "fidelity"): "9758c54f77a55b9a6320af9f9589da2b3709505f9b2a2af67a4a81d63f94b3be",
-    ("kappa", "contrast"): "4addd5d18d4b814cd8da8d4bd70eb139da50a31c03702c8de6298541bd80c14a",
-    ("kappa", "variance"): "e9b17ddd4f89aa61ccbc9993a8cc46f5cdab9666bcba468c51d90195fd02650a",
+    ("t", "snr"): "b80b5a71c4c1b2d59515a4a02c25c1f7b2f84f106280cfdd0dc2583200d4cee4",
+    ("t", "fidelity"): "86a4f42a26baecd6660ffcc4253c43f8f94177c3772f929448476a9075843323",
+    ("t", "contrast"): "cc5a9fc095792c048dc0f85eff883fabc53ca0ff4d6cd87f65f60b3467434438",
+    ("t", "variance"): "d6de1a942ea07c6de910c216577ae876807718c5218df0c27029d0e78aaab2bb",
+    ("r", "snr"): "632759ade83f3345425ecc856a1feea3f08eeedb52237f686de11d29c0d7061a",
+    ("r", "fidelity"): "642ac2668a050ad6c8cf7084c9a31e51335ee6f1147a5133b2367fdebeeb6114",
+    ("r", "contrast"): "b4a670bce8ad5c22353c070f2e90446e93d45d7bfcc004effe84eb105410e694",
+    ("r", "variance"): "3cafb08999650fba44563b88e56a565c429ac5e3db7234a83d46ca5717d56f79",
+    ("delta_theta", "snr"): "85dcf14a5fecf024b2357e9f6041a16bcc5f6feab6c7df6c9703147953e36cb5",
+    ("delta_theta", "fidelity"): "7b6f99f1d57c1c60edd2c575e192b8043410b4889a4a5a408fa3777da75c76e1",
+    ("delta_theta", "contrast"): "58079d38f153b2832dcaad2dd210d9650ad5005975e26310c8de1d37526c8aaa",
+    ("delta_theta", "variance"): "e9e6d1af96ebc30577ca68b6463086344fbfab652856b7c67b55417a289d750a",
+    ("alpha", "snr"): "4db6759a98a7406692bdcf6a936339bfc261402056ec3de9feaaf5ea94d1800b",
+    ("alpha", "fidelity"): "f6b6d5534797300cca25ab9d1ae78eac2a5ea2acadb234055cfddd95e4b93a88",
+    ("alpha", "contrast"): "602ff9407929e03a65e3c9af439b086923384445f341c69bf4fd26f2ee153158",
+    ("alpha", "variance"): "9f8cb6cf066baecf199c2066597711adee37183bb35ad5c33ad10f3ead8d101d",
+    ("kappa", "snr"): "c6f4138b894f43b40aa852bada9e7482fa69c6d9ae327ce7afb6a74c249841b0",
+    ("kappa", "fidelity"): "d0016691b730cf113b64b7dcb9e3130a3f5e7fe19c599b271019b71d34169145",
+    ("kappa", "contrast"): "72f7c4203d502e4e26d8f961a84ed4871a37340bbb54be1978164ff29a6a50d3",
+    ("kappa", "variance"): "73b9d9194dca06b8cb4766c7d045fdf0f613ecbbf7e536b9158bd409d417313e",
 }
 
 

@@ -33,8 +33,7 @@ from squeezed_readout import (
     sample_shots,
     snr,
 )
-from squeezed_readout import dynamics, sweeps
-from squeezed_readout import probe as probe_module
+from squeezed_readout import dynamics, metrics, sweeps
 from squeezed_readout.cli import main
 from squeezed_readout.metrics import METRICS, _evaluate, _fields
 from squeezed_readout.sweeps import SWEEP_VARIABLES
@@ -81,13 +80,14 @@ def _fail(*args):
 def _count_stages(patch, integral_calls) -> dict:
     """Lists that record each call of a stage a kernel may compute once.
 
-    The kernel forms the moments from their parts, or whole; a fresh
-    evaluation, which a kernel falls back on where a stage fails, fails.
+    The squeeze factors, the LO angle and the projections are counted
+    where _evaluate and the kernels call them; a fresh evaluation, which a
+    kernel falls back on where a stage fails, fails.
     """
-    calls = {"response": integral_calls, "moments": [], "squeezing": [], "frame": []}
-    _count(patch, calls["moments"], "_moments", probe_module, sweeps)
-    _count(patch, calls["squeezing"], "_squeezing", probe_module, sweeps)
-    _count(patch, calls["frame"], "_frame", probe_module, sweeps)
+    calls = {"response": integral_calls, "factors": [], "angle": [], "projections": []}
+    _count(patch, calls["factors"], "_squeeze_factors", metrics, sweeps)
+    _count(patch, calls["angle"], "_lo_angle", metrics, sweeps)
+    _count(patch, calls["projections"], "_projections", metrics, sweeps)
     patch.setattr(sweeps, "_evaluate", _fail)
     integral_calls.clear()
     return calls
@@ -96,11 +96,11 @@ def _count_stages(patch, integral_calls) -> dict:
 def _assert_hoisted(calls: dict, variable: str, kernels: int, points: int) -> None:
     """The stages the variable leaves alone ran once per kernel, the others once per point."""
     response_once = variable in ("r", "delta_theta", "alpha")
-    moments_once = variable in ("t", "kappa", "alpha")
+    projections_once = variable in ("r", "alpha")
     assert len(calls["response"]) == (kernels if response_once else points), variable
-    assert len(calls["moments"]) == (kernels if moments_once else points), variable
-    assert len(calls["squeezing"]) == (points if variable == "r" else kernels), variable
-    assert len(calls["frame"]) == (points if variable == "delta_theta" else kernels), variable
+    assert len(calls["factors"]) == (points if variable == "r" else kernels), variable
+    assert len(calls["angle"]) == (points if variable == "delta_theta" else kernels), variable
+    assert len(calls["projections"]) == (kernels if projections_once else points), variable
 
 
 _PEAK_BOUNDS = {
@@ -130,12 +130,24 @@ def test_one_evaluation_per_sweep_row(integral_calls, fixed, metric, variable, m
             assert all(getattr(row, name) is getattr(first, name) for row in result.rows)
 
 
-def test_one_evaluation_per_public_call(integral_calls, t_matched, probe_matched, params_k2):
+def test_one_evaluation_per_public_call(
+    integral_calls, t_matched, probe_matched, params_k2, tmp_path
+):
     args = (t_matched, probe_matched, params_k2, PHI_DEFAULT)
+    path = tmp_path / "shots.cfg"
+    path.write_text(
+        "chi_over_2pi_mhz = 0.15\nkappa_over_chi = 2.0\nt1_ms = 3.0\n"
+        "alpha = 10.0\nr = 0.74\nt_us = 0.714\nthreshold_policy = likelihood\n",
+        encoding="utf-8",
+    )
     for call in (
         lambda: readout_point(*args),
         lambda: readout_point(*args, t1_total=100.0),
         lambda: snr(*args),
+        # the batch carries the law of the sampler's evaluation, which
+        # classify thresholds; the CLI draws from its closed-form point
+        lambda: classify(sample_shots(1001, *args, 7), "likelihood"),
+        lambda: main(["shots", "--config", str(path), "--n-shots", "1001"]),
     ):
         integral_calls.clear()
         call()
@@ -186,10 +198,10 @@ def test_one_evaluation_per_figure_row(integral_calls, monkeypatch):
         # the coherent baseline shared by every row is one evaluation
         assert len(table.rows) == 100
         assert len(integral_calls) == 1 + 2
-        assert len(calls["moments"]) == 1 + 50 + 50
         # a delta_theta kernel and an r kernel, each of 50 points
-        assert len(calls["squeezing"]) == 1 + 1 + 50
-        assert len(calls["frame"]) == 1 + 50 + 1
+        assert len(calls["projections"]) == 1 + 50 + 1
+        assert len(calls["factors"]) == 1 + 1 + 50
+        assert len(calls["angle"]) == 1 + 50 + 1
     with monkeypatch.context() as patch:
         calls = _count_stages(patch, integral_calls)
         table = reproduce_figure2("panel_cd", points=50)
@@ -266,10 +278,12 @@ def test_optimize_reports_none_for_a_negative_r_star(tmp_path, capsys):
 def test_one_evaluation_per_classification(
     integral_calls, t_matched, probe_matched, params_k2, policy
 ):
-    batch = sample_shots(1001, t_matched, probe_matched, params_k2, PHI_DEFAULT, 7)
     integral_calls.clear()
+    batch = sample_shots(1001, t_matched, probe_matched, params_k2, PHI_DEFAULT, 7)
+    assert len(integral_calls) == 1
     classify(batch, policy)
-    # both means and both variances come from the same evaluation
+    # both means and both variances come from the batch's law: the
+    # sampler's one evaluation, and none inside classify
     assert len(integral_calls) == 1
 
 
@@ -574,7 +588,7 @@ def _lo_phase_sweep(variable, metric, t, probe, params, phi):
     [
         lambda t, probe, params, phi: snr(t, probe, params, phi),
         # the contrast and the variance as sweep metrics, on the kernels that
-        # compute the LO frame (r) or the rotated moments (alpha) once
+        # compute the LO angle (r) or the variances (alpha) once
         lambda t, probe, params, phi: _lo_phase_sweep("r", "contrast", t, probe, params, phi),
         lambda t, probe, params, phi: readout_point(t, probe, params, phi).mean_plus,
         lambda t, probe, params, phi: _lo_phase_sweep("alpha", "variance", t, probe, params, phi),
@@ -629,8 +643,13 @@ def test_large_squeezing_exits_2_without_a_traceback(tmp_path):
 
 
 # kappa = 0.5 chi_s, r = 100, theta_xi = 0.3, phi = pi/2: the outcome
-# variances are finite at t = 1e100, (inf, inf) at 1e111 and (inf, nan) at 1e112
-_OVERFLOWS = {1e111: "got inf and inf", 1e112: "got inf and nan"}
+# variances are finite at t = 1e100, (inf, 1.49e308) at 8e110 and (inf, inf)
+# from 1e111 on
+_OVERFLOWS = {
+    8e110: "got inf and 1.4877377873022377e+308",
+    1e111: "got inf and inf",
+    1e112: "got inf and inf",
+}
 
 
 _OVERFLOW_FIXED = SweepFixed(
@@ -677,7 +696,7 @@ def test_grid_names_the_first_failing_point_whichever_stage_fails(metric):
     with pytest.raises(NumericalError) as first:
         for r in values:
             _evaluate("variance", point._replace(r=r))
-    assert str(first.value) == "outcome variance overflows: got inf and nan"
+    assert str(first.value) == "outcome variance overflows: got inf and inf"
     assert r == 130.0
     spec = SweepSpec(
         variable="r", lo=0.0, hi=400.0, points=41, fixed=_OVERFLOW_FIXED, metric=metric

@@ -1,10 +1,13 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from conftest import PHI_DEFAULT
-from helpers import input_covariance
+from helpers import input_covariance, mp_outcome_variance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squeezed_readout import (
     NumericalError,
@@ -23,6 +26,7 @@ from squeezed_readout import (
     snr,
 )
 from squeezed_readout.dynamics import _response
+from squeezed_readout.metrics import _evaluate, _fields
 from squeezed_readout.probe import _input_means
 
 # frozen figures of merit at the matched point (kappa = 2 chi_s,
@@ -161,6 +165,56 @@ def test_variance_matches_matrix_quadratic_form(t_matched, params_k2):
             )
             expected = float(w @ sigma_mat @ w) + vacuum
             assert variance == pytest.approx(expected, rel=1e-12)
+
+
+_EPS = sys.float_info.epsilon
+
+
+def _variance_errors(t, kappa, u, r, theta_xi, phi):
+    """(σ, relative error, variance, sensitivity) of both outcome variances."""
+    params = SystemParams(kappa=kappa, vacuum_weight=u)
+    point = _fields(t, ProbeState(alpha=1.0, r=r, theta_xi=theta_xi), params, phi)
+    model = _evaluate("variance", point)
+    for sigma, value in ((1, model.variance_plus), (-1, model.variance_minus)):
+        exact, sensitivity = mp_outcome_variance(point, model, sigma)
+        yield sigma, abs(value - exact) / exact, exact, sensitivity
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=st.floats(min_value=0.05, max_value=5.0),
+    kappa=st.floats(min_value=0.1, max_value=10.0),
+    u=st.floats(min_value=1e-3, max_value=1.0),
+    r=st.floats(min_value=0.0, max_value=20.0),
+    theta_xi=st.floats(min_value=-20.0, max_value=20.0),
+    phi=st.floats(min_value=-20.0, max_value=20.0),
+)
+def test_variance_matches_mpmath_at_any_squeezing_and_angle(t, kappa, u, r, theta_xi, phi):
+    for sigma, error, exact, sensitivity in _variance_errors(t, kappa, u, r, theta_xi, phi):
+        # a few roundings of each term, and the rounding of b_σ as amplified
+        assert error * exact <= 4.0 * _EPS * (exact + sensitivity), (sigma, error)
+        if sensitivity <= 30.0 * exact:  # well conditioned
+            assert error <= 1e-14, (sigma, error)
+
+
+@pytest.mark.parametrize("r", [0.74, 2.0, 5.0, 8.0, 12.0, 20.0])
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_variance_near_the_cancelling_frame_matches_mpmath(r, sigma, t_matched):
+    # at tan δ = −σB/A the anti-squeezed weight b_σ cancels; off it by up
+    # to about e^{−2r} the anti-squeezed term is as large as the squeezed one
+    rng = np.random.default_rng(int(10 * r) + sigma)
+    _, _, a_coef, b_coef = _response(2.0, 1.0, t_matched)
+    for _ in range(100):
+        offset = float(rng.uniform(-4.0, 4.0)) * math.exp(-2.0 * r)
+        delta = math.atan2(-sigma * b_coef, a_coef) + offset
+        phi = float(rng.uniform(-math.pi, math.pi))
+        for s, error, exact, sensitivity in _variance_errors(
+            t_matched, 2.0, 0.25, r, 2.0 * (phi - delta), phi
+        ):
+            if s == sigma:
+                assert error * exact <= 4.0 * _EPS * (exact + sensitivity), (offset, error)
+                # a small multiple of e^{2r}·ε, relative
+                assert error <= 32.0 * math.exp(2.0 * r) * _EPS, (offset, error)
 
 
 def test_vacuum_weight_enters_additively(t_matched, probe_matched):

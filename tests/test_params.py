@@ -5,10 +5,14 @@ import pytest
 
 from squeezed_readout import (
     NumericalError,
+    ProbeState,
+    SweepFixed,
     SystemParams,
     UnitContext,
     ValidationError,
     from_experimental,
+    readout_point,
+    snr,
 )
 from squeezed_readout.params import wrap_angle
 
@@ -74,6 +78,49 @@ def test_system_params_validation_names_the_field():
         SystemParams(g_s=0.1, delta=0.0)
     with pytest.raises(ValidationError, match="kappa"):
         SystemParams(kappa=float("inf"))
+
+
+_POINT = (1.0, ProbeState(alpha=2.0), SystemParams())
+
+
+@pytest.mark.parametrize("value", ["1.0", None, True, False, 1j, [1.0]], ids=repr)
+@pytest.mark.parametrize(
+    "name,build",
+    [
+        ("kappa", lambda v: SystemParams(kappa=v)),
+        ("t1_intrinsic", lambda v: SystemParams(t1_intrinsic=v)),
+        ("alpha", lambda v: ProbeState(alpha=v)),
+        ("theta_xi", lambda v: ProbeState(theta_xi=v)),
+        ("phi", lambda v: SweepFixed(params=_POINT[2], probe=_POINT[1], phi=v, t=1.0)),
+        ("t", lambda v: SweepFixed(params=_POINT[2], probe=_POINT[1], phi=0.0, t=v)),
+        ("phi", lambda v: readout_point(*_POINT, v)),
+        ("phi", lambda v: snr(*_POINT, v)),
+    ],
+    ids=["kappa", "t1_intrinsic", "alpha", "theta_xi", "fixed-phi", "fixed-t", "readout_point", "snr"],
+)
+def test_a_value_that_is_not_a_real_number_is_a_validation_error(name, build, value):
+    # strings, None, bools and complex numbers are not real numbers, and a
+    # bool is not taken as 0 or 1
+    with pytest.raises(ValidationError, match=f"^{name} must be "):
+        build(value)
+
+
+def test_int_fields_are_stored_as_floats():
+    params = SystemParams(chi_s=2, kappa=3, t1_intrinsic=3000, vacuum_weight=1, g_s=1, delta=-5)
+    probe = ProbeState(alpha=2, theta_alpha=1, r=1, theta_xi=3)
+    fixed = SweepFixed(params=params, probe=probe, phi=1, t=1)
+    for holder, names in (
+        (params, ("chi_s", "kappa", "t1_intrinsic", "vacuum_weight", "g_s", "delta")),
+        (probe, ("alpha", "theta_alpha", "r", "theta_xi")),
+        (fixed, ("phi", "t")),
+        (UnitContext(150000), ("chi_over_2pi_hz",)),
+    ):
+        for name in names:
+            assert type(getattr(holder, name)) is float, name
+    assert params == SystemParams(
+        chi_s=2.0, kappa=3.0, t1_intrinsic=3000.0, vacuum_weight=1.0, g_s=1.0, delta=-5.0
+    )
+    assert readout_point(1.0, probe, params, 1) == readout_point(1.0, probe, params, 1.0)
 
 
 def test_has_backaction_requires_both_parameters():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from conftest import PHI_DEFAULT
-from helpers import displacement_from_squeezed_coherent, input_covariance
+from helpers import displacement_from_squeezed_coherent, input_covariance, rotated_moments
 
 from squeezed_readout import (
     NumericalError,
@@ -13,7 +13,7 @@ from squeezed_readout import (
     mean_photon_number,
     readout_point,
 )
-from squeezed_readout.probe import _input_means, _rotated_moments
+from squeezed_readout.probe import _input_means
 
 SQRT2 = math.sqrt(2.0)
 
@@ -92,7 +92,7 @@ def test_rotated_variance_matches_matrix_rotation():
         expected_cov = s * c * (stats.var_p - stats.var_q) + (
             c * c - s * s
         ) * stats.cov_qp
-        var_q_rot, var_p_rot, cov_rot = _rotated_moments(probe.r, probe.theta_xi, phi)
+        var_q_rot, var_p_rot, cov_rot = rotated_moments(probe.r, probe.theta_xi, phi)
         assert var_q_rot == pytest.approx(expected_var, rel=1e-12, abs=1e-12)
         assert var_p_rot == pytest.approx(expected_var_p, rel=1e-12, abs=1e-12)
         assert cov_rot == pytest.approx(expected_cov, rel=1e-12, abs=1e-12)
@@ -101,24 +101,24 @@ def test_rotated_variance_matches_matrix_rotation():
 def test_rotated_variance_special_angles():
     for r in (0.3, 0.85, 1.6):
         probe = ProbeState(alpha=0.0, r=r, theta_xi=math.pi)
-        assert _rotated_moments(probe.r, probe.theta_xi, 0.5 * math.pi)[0] == (
+        assert rotated_moments(probe.r, probe.theta_xi, 0.5 * math.pi)[0] == (
             pytest.approx(0.5 * math.exp(-2.0 * r), rel=1e-13)
         )
-        assert _rotated_moments(probe.r, probe.theta_xi, 0.0)[0] == pytest.approx(
+        assert rotated_moments(probe.r, probe.theta_xi, 0.0)[0] == pytest.approx(
             0.5 * math.exp(2.0 * r), rel=1e-13
         )
     vacuum = ProbeState(alpha=0.0, r=0.0)
     for phi in (0.0, 0.4, 1.1, 2.9):
-        assert _rotated_moments(vacuum.r, vacuum.theta_xi, phi)[0] == 0.5
+        assert rotated_moments(vacuum.r, vacuum.theta_xi, phi)[0] == 0.5
 
 
 def test_rotated_covariance_reduces_to_plain_covariance():
     probe = ProbeState(alpha=0.0, r=0.9, theta_xi=1.1)
     stats = input_covariance(probe)
-    assert _rotated_moments(probe.r, probe.theta_xi, 0.0)[2] == pytest.approx(
+    assert rotated_moments(probe.r, probe.theta_xi, 0.0)[2] == pytest.approx(
         stats.cov_qp, rel=1e-13
     )
-    assert _rotated_moments(probe.r, probe.theta_xi, 0.5 * math.pi)[2] == (
+    assert rotated_moments(probe.r, probe.theta_xi, 0.5 * math.pi)[2] == (
         pytest.approx(-stats.cov_qp, rel=1e-13)
     )
 

@@ -276,7 +276,7 @@ def test_shot_weights_carry_the_closed_form_moments():
             float(rng.uniform(0.05, 5.0)), probe, params, float(rng.uniform(-4.0, 4.0))
         )
         model = _evaluate("variance", point)
-        maps = shots._shot_map(point)
+        maps = shots._shot_map(model)
         for sigma, var, mean in (
             (1, model.variance_plus, model.mean_plus),
             (-1, model.variance_minus, model.mean_minus),
@@ -303,7 +303,7 @@ def test_shot_sd_is_the_norm_of_the_reference_weights(
     probe = ProbeState(alpha=10.0, theta_alpha=0.3, r=r, theta_xi=theta_xi)
     point = _fields(t_matched, probe, params, phi)
     reference = reference_shot_weights(point)
-    for sigma, (sd, mean) in shots._shot_map(point).items():
+    for sigma, (sd, mean) in shots._shot_map(_evaluate("variance", point)).items():
         weights, reference_mean = reference[sigma]
         reference_sd = math.sqrt(math.fsum(w * w for w in weights))
         assert mean == reference_mean

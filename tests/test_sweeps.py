@@ -186,6 +186,13 @@ def test_find_peak_validation(fixed):
         find_peak("snr", "theta_alpha", (0.0, 1.0), fixed)
 
 
+@pytest.mark.parametrize("bounds", [(0.0, 1.0, 2.0), (1.0,), None, 2.0], ids=repr)
+def test_find_peak_bounds_that_are_not_a_pair_are_rejected(fixed, bounds):
+    with pytest.raises(ValidationError) as excinfo:
+        find_peak("snr", "r", bounds, fixed)
+    assert str(excinfo.value) == f"bounds must be a pair (lo, hi), got {bounds!r}"
+
+
 def test_sweep_csv_round_trip(fixed, tmp_path):
     spec = SweepSpec(
         variable="r", lo=0.0, hi=1.5, points=7, fixed=fixed, metric="snr"
