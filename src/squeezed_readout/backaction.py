@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .params import SystemParams, _finite
+from .params import SystemParams, _finite, _real
 from .probe import ProbeState, mean_photon_number
 
 DEFAULT_RATIO_MAX = 0.1
@@ -30,7 +30,8 @@ def _rates(params: SystemParams, r: float) -> tuple[float, float]:
         )
     g_s, delta = params.g_s, params.delta
     gamma_pu = _finite(
-        lambda: params.kappa * g_s**2 / delta**2, "g_s/delta is too large: Purcell rate"
+        lambda: params.kappa * (g_s * g_s) / (delta * delta),
+        "g_s/delta is too large: Purcell rate",
     )
     cosh_2r = _finite(lambda: math.cosh(2.0 * r), "squeezing r is too large: cosh 2r")
     induced = _finite(lambda: 2.0 * gamma_pu * cosh_2r, "induced rate 2*gamma_pu*cosh 2r")
@@ -43,8 +44,7 @@ def total_t1(params: SystemParams, r: float) -> float:
     1/(1/T1_intrinsic + 2·γ_pu·cosh 2r) when g_s and Δ are available,
     otherwise the intrinsic T1 unchanged.
     """
-    if not math.isfinite(r) or r < 0.0:
-        raise ValidationError(f"r must be nonnegative and finite, got {r!r}")
+    r = _real("r", r, "nonnegative and finite")
     if not params.has_backaction:
         return params.t1_intrinsic
     _, induced = _rates(params, r)
@@ -73,15 +73,14 @@ def backaction_report(
     error: the formulas still evaluate, they just stop being trustworthy.
     A figure that is not finite raises a NumericalError.
     """
-    if not math.isfinite(ratio_max) or ratio_max <= 0.0:
-        raise ValidationError(f"ratio_max must be positive, got {ratio_max!r}")
+    ratio_max = _real("ratio_max", ratio_max, "positive and finite")
     gamma_pu, induced = _rates(params, probe.r)
     t1_induced = _finite(lambda: 1.0 / induced, "g_s/delta is too small: induced T1")
     penalty = _finite(
         lambda: math.exp(2.0 * probe.r), "squeezing r is too large: e^{2r}"
     )
     n_critical = _finite(
-        lambda: params.delta**2 / (4.0 * params.g_s**2),
+        lambda: params.delta * params.delta / (4.0 * (params.g_s * params.g_s)),
         "g_s/delta is too small: critical photon number",
     )
     ratio = _finite(

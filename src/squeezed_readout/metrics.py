@@ -183,7 +183,7 @@ def _means(point: _Evaluation) -> tuple[float, float]:
 
 
 def _snr_evaluation(metric, t, probe, params, phi, t1_total=None) -> _Evaluation:
-    phi = _real("phi", phi)
+    t, phi = _real("t", t, None), _real("phi", phi)
     if t <= 0.0:
         raise UndefinedPointError(f"snr is undefined at t={t!r}; requires t > 0")
     return _evaluate(metric, _fields(t, probe, params, phi, t1_total))
@@ -202,12 +202,9 @@ def fidelity(t: float, snr_value: float, t1_total: float) -> float:
     window; the formula assumes t ≪ T₁ and a warning is emitted past
     t/T₁ = 0.1.
     """
-    if not math.isfinite(t) or t < 0.0:
-        raise ValidationError(f"t must be nonnegative and finite, got {t!r}")
-    if not math.isfinite(t1_total) or t1_total <= 0.0:
-        raise ValidationError(f"t1_total must be positive, got {t1_total!r}")
-    if not math.isfinite(snr_value):
-        raise ValidationError(f"snr_value must be finite, got {snr_value!r}")
+    t = _real("t", t, "nonnegative and finite")
+    t1_total = _real("t1_total", t1_total, "positive and finite")
+    snr_value = _real("snr_value", snr_value)
     if t / t1_total > 0.1:
         warnings.warn(
             f"fidelity formula assumes t << T1; got t/T1 = {t / t1_total:.3g}",
@@ -234,6 +231,7 @@ def optimal_squeezing(t: float, params: SystemParams) -> float | None:
     coefficient) since no interior optimum exists there, and raises a
     NumericalError where A/B overflows, at a subnormal B.
     """
+    t = _real("t", t, None)
     if t <= 0.0:
         raise UndefinedPointError(
             f"optimal_squeezing is undefined at t={t!r}; requires t > 0"

@@ -169,14 +169,12 @@ class UnitContext:
 
     def to_internal_time(self, t_us: float) -> float:
         """Internal time chi_s*t for a duration given in microseconds."""
-        if not math.isfinite(t_us) or t_us < 0.0:
-            raise ValidationError(f"t_us must be nonnegative, got {t_us!r}")
+        t_us = _real("t_us", t_us, "nonnegative and finite")
         return self.chi_rad_per_us * t_us
 
     def to_physical_time(self, t_internal: float) -> float:
         """Duration in microseconds for an internal time chi_s*t."""
-        if not math.isfinite(t_internal) or t_internal < 0.0:
-            raise ValidationError(f"t_internal must be nonnegative, got {t_internal!r}")
+        t_internal = _real("t_internal", t_internal, "nonnegative and finite")
         return _finite(
             lambda: t_internal / self.chi_rad_per_us,
             f"chi_over_2pi_hz = {self.chi_over_2pi_hz!r} is too small: time in us",

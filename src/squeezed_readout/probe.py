@@ -72,4 +72,5 @@ def _lo_angle(theta_xi: float, phi: float):
 
 def mean_photon_number(probe: ProbeState) -> float:
     """⟨b†b⟩ = α² + sinh²r for the displaced squeezed vacuum."""
-    return _finite(lambda: probe.alpha**2 + math.sinh(probe.r) ** 2, "mean photon number")
+    sinh_r = _finite(lambda: math.sinh(probe.r), "mean photon number")
+    return _finite(lambda: probe.alpha * probe.alpha + sinh_r * sinh_r, "mean photon number")

@@ -140,14 +140,14 @@ def _sample(n, t, probe, params, phi, seed, model=None) -> ShotBatch:
     """sample_shots from the law of model, an evaluation or a ReadoutPoint there,
     or from one evaluation after the checks."""
     import numpy as np
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
     if n > MAX_SHOTS:
         raise ValidationError(
             f"n must be at most MAX_SHOTS = {MAX_SHOTS} per eigenstate, got {n!r}"
         )
     t, phi = _real("t", t, "positive and finite"), _real("phi", phi)
-    if not isinstance(seed, int) or not 0 <= seed < 2**128:
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**128:
         raise ValidationError(f"seed must be an integer in [0, 2^128), got {seed!r}")
 
     if model is None:
@@ -195,14 +195,7 @@ def _likelihood_threshold(
     overflow = "likelihood threshold overflows: the means are too large for their variances"
     a = 1.0 / v_plus - 1.0 / v_minus
     b = -2.0 * (m_plus / v_plus - m_minus / v_minus)
-    try:
-        c = (
-            m_plus**2 / v_plus
-            - m_minus**2 / v_minus
-            + math.log(v_plus / v_minus)
-        )
-    except OverflowError:  # a mean squared past the double range
-        c = math.inf
+    c = m_plus * m_plus / v_plus - m_minus * m_minus / v_minus + math.log(v_plus / v_minus)
     disc = b * b - 4.0 * a * c
     if not math.isfinite(disc):  # nor is a, b or c
         raise NumericalError(overflow)
@@ -258,8 +251,7 @@ def classify(
         )
     if t1 is None:
         t1 = batch.params.t1_intrinsic
-    if not math.isfinite(t1) or t1 <= 0.0:
-        raise ValidationError(f"t1 must be positive and finite, got {t1!r}")
+    t1 = _real("t1", t1, "positive and finite")
     (sd_plus, m_plus), (sd_minus, m_minus) = batch.law[1], batch.law[-1]
     if threshold_policy == "midpoint":
         threshold = 0.5 * (m_plus + m_minus)

@@ -478,9 +478,7 @@ def reproduce_figure2(
     _check_points(points)
     if r_values is None:
         r_values = FIG2_DEFAULT_R_VALUES
-    for r in r_values:
-        if not math.isfinite(r) or r < 0.0:
-            raise ValidationError(f"r values must be nonnegative, got {r!r}")
+    r_values = [_real("r values", r, "nonnegative and finite") for r in r_values]
     kappa_over_chi = kappa_by_variant[params_variant]
     params = from_experimental(_FIG_CHI_OVER_2PI_MHZ, kappa_over_chi, _FIG_T1_MS)
     units = UnitContext(_FIG_CHI_OVER_2PI_MHZ * 1e6)

@@ -62,11 +62,19 @@ def quad_signal_coefficients(kappa: float, chi: float, t: float) -> tuple[float,
     return t - kappa * int_f, kappa * int_g
 
 
-def mp_integrals(a: float, b: float, t: float, dps: int = 50):
-    """(F, G, ∫F, ∫G) from the closed forms in mpmath arbitrary precision."""
+def mp_integrals(a: float, b: float, t: float, dps: int = 60):
+    """(F, G, ∫F, ∫G, A, B) from the closed forms in mpmath arbitrary precision.
+
+    A = t − 2a·∫F and B = 2a·∫G.  At a small |zt| = t·|a − ib| the closed
+    forms cancel about three digits of ∫G per decade of |zt| below 1, so
+    they run with that many digits more than dps; each value is rounded
+    once to a double.
+    """
     import mpmath as mp
 
-    with mp.workdps(dps):
+    w = math.hypot(a * t, b * t)
+    lost = 3 * max(0, math.ceil(-math.log10(w))) if w > 0.0 else 0
+    with mp.workdps(dps + lost):
         am, bm, tm = mp.mpf(a), mp.mpf(b), mp.mpf(t)
         d = am * am + bm * bm
         e = mp.e ** (-am * tm)
@@ -75,7 +83,8 @@ def mp_integrals(a: float, b: float, t: float, dps: int = 50):
         big_g = (bm - e * (am * sb + bm * cb)) / d
         int_f = (am * tm - am * big_f + bm * big_g) / d
         int_g = (bm * tm - am * big_g - bm * big_f) / d
-        return float(big_f), float(big_g), float(int_f), float(int_g)
+        values = (big_f, big_g, int_f, int_g, tm - 2 * am * int_f, 2 * am * int_g)
+        return tuple(map(float, values))
 
 
 def mp_outcome_variance(point: _Fields, model, sigma: int, dps: int = 60):

@@ -118,10 +118,10 @@ def _sha256(text: str) -> str:
 
 def test_figure_tables_keep_their_bytes():
     assert _sha256(render_figure_csv(reproduce_figure2("panel_ab"))) == (
-        "784d290a0d5e3c7b7af02e78493352c531a91f56b267d885b9c1d79d2896fd74"
+        "b02a1c672d054bf20e778b4ae1d061c049832f8e8910cb8e92538a95bbe879c9"
     )
     assert _sha256(render_figure_csv(reproduce_figure2("panel_cd"))) == (
-        "8c4475558f029b698694414fc36b3380d15fdad87a788f2a1689bd1b309e73c9"
+        "367af8b0ae1e58b43577f0332543fe5966f4eb92dcc2f185344a50d11390a4e3"
     )
     assert _sha256(render_figure_csv(reproduce_figure3())) == (
         "eb45802a15c074f8ab0454a04f400566a449ea68e28738f278de8a06e35a702d"
@@ -137,10 +137,10 @@ _SWEEP_BOUNDS = {
 }
 
 _SWEEP_SHA256 = {
-    ("t", "snr"): "b80b5a71c4c1b2d59515a4a02c25c1f7b2f84f106280cfdd0dc2583200d4cee4",
-    ("t", "fidelity"): "86a4f42a26baecd6660ffcc4253c43f8f94177c3772f929448476a9075843323",
-    ("t", "contrast"): "cc5a9fc095792c048dc0f85eff883fabc53ca0ff4d6cd87f65f60b3467434438",
-    ("t", "variance"): "d6de1a942ea07c6de910c216577ae876807718c5218df0c27029d0e78aaab2bb",
+    ("t", "snr"): "580f783ad798983e6811cd40e1b11f59fc139e3a064ad8367cb94a3bd4c80659",
+    ("t", "fidelity"): "5eb67cd5d804b1bdb290a50c38e552451e848deec71548df7b1680ceea3971a4",
+    ("t", "contrast"): "b8692d66a37de9c5722de8f728adc255082703f9f11b8ac0034e986c66de4fe4",
+    ("t", "variance"): "c29f747acf9ded3fc44496add0d35e0d97f10d86366c8094e9a000b943da35b8",
     ("r", "snr"): "632759ade83f3345425ecc856a1feea3f08eeedb52237f686de11d29c0d7061a",
     ("r", "fidelity"): "642ac2668a050ad6c8cf7084c9a31e51335ee6f1147a5133b2367fdebeeb6114",
     ("r", "contrast"): "b4a670bce8ad5c22353c070f2e90446e93d45d7bfcc004effe84eb105410e694",
@@ -153,10 +153,10 @@ _SWEEP_SHA256 = {
     ("alpha", "fidelity"): "f6b6d5534797300cca25ab9d1ae78eac2a5ea2acadb234055cfddd95e4b93a88",
     ("alpha", "contrast"): "602ff9407929e03a65e3c9af439b086923384445f341c69bf4fd26f2ee153158",
     ("alpha", "variance"): "9f8cb6cf066baecf199c2066597711adee37183bb35ad5c33ad10f3ead8d101d",
-    ("kappa", "snr"): "c6f4138b894f43b40aa852bada9e7482fa69c6d9ae327ce7afb6a74c249841b0",
-    ("kappa", "fidelity"): "d0016691b730cf113b64b7dcb9e3130a3f5e7fe19c599b271019b71d34169145",
-    ("kappa", "contrast"): "72f7c4203d502e4e26d8f961a84ed4871a37340bbb54be1978164ff29a6a50d3",
-    ("kappa", "variance"): "73b9d9194dca06b8cb4766c7d045fdf0f613ecbbf7e536b9158bd409d417313e",
+    ("kappa", "snr"): "d7ecdd58ee4ae3cfe7ef2a707286cd706fb8678b11ec8a255a26c460a79ba411",
+    ("kappa", "fidelity"): "ab5d56dd0aaa1c85e063896132390e539a937a56a0a9252e4b9cf4e01832f86e",
+    ("kappa", "contrast"): "9aaa11c768e7d044349abdcfec11ec974aaf118bb9143c76d1f37317426594d9",
+    ("kappa", "variance"): "b62a827dafa7af4e8914129ddf85a9f7da477352f425f912a22ccf0db62e14b3",
 }
 
 

@@ -14,6 +14,7 @@ from helpers import (
 from scipy.integrate import simpson
 
 from squeezed_readout import NumericalError, SystemParams, ValidationError, signal_coefficients
+from squeezed_readout import dynamics
 from squeezed_readout.dynamics import _response
 
 # all six coefficients at the matched point kappa = 2, chi_s = 1,
@@ -151,35 +152,61 @@ def test_envelopes_bounded_by_damping():
         assert f * f + g * g == pytest.approx(math.exp(-kappa * t), rel=1e-12)
 
 
+# |zt| = t·|κ/2 − iχs| on both sides of the seam at 0.7, where the φ₂
+# series hands over to the closed forms, and at the matched point (0.95)
+_SEAM_RADII = (0.69, 0.7, 0.71, 0.95)
+
+
+def _assert_response_matches_mpmath(a, b, t):
+    ref_f, ref_g, _, _, ref_a, ref_b = mp_integrals(a, b, t)
+    response = _response(2.0 * a, b, t)
+    for value, reference in zip(response, (ref_f, ref_g, ref_a, ref_b)):
+        assert rel_err(value, reference) < 1e-14, (a, b, t)
+
+
 def test_tiny_time_series_matches_arbitrary_precision():
-    # below a*t, b*t = 1e-2 the code switches to the Taylor expansion;
-    # compare against 50-digit evaluation of the closed forms; deep in
-    # the series domain the truncation terms are negligible
+    # tiny times, the larger of a·t and b·t at 9e-3, and |zt| around the seam
     for a, b in ((1.0, 1.0), (0.5, 1.0), (2.0, 0.7), (1.0, 3.5)):
-        params = SystemParams(chi_s=b, kappa=2.0 * a)
-        for t in (1e-9, 1e-6, 2e-5, 9e-3 / max(a, b)):
-            ref_f, ref_g, ref_int_f, ref_int_g = mp_integrals(a, b, t)
-            big_f, big_g, a_coef, b_coef = _response(params.kappa, params.chi_s, t)
-            tol = 1e-13 if max(a, b) * t < 1e-3 else 2e-9
-            assert rel_err(big_f, ref_f) < tol
-            assert rel_err(big_g, ref_g) < tol
-            assert rel_err(a_coef, t - 2.0 * a * ref_int_f) < tol
-            assert rel_err(b_coef, 2.0 * a * ref_int_g) < max(tol, 1e-12)
+        radius = math.hypot(a, b)
+        times = (1e-9, 1e-6, 2e-5, 9e-3 / max(a, b), *(w / radius for w in _SEAM_RADII))
+        for t in times:
+            _assert_response_matches_mpmath(a, b, t)
 
 
 def test_series_to_closed_form_crossover_is_continuous():
-    # at the switch the series truncation (below) and the closed-form
-    # cancellation (above) meet; the worst case is B, which is O(t^3)
-    # assembled from O(t) terms, with both error sources near 1e-9
+    # |zt| = 0.7 ± 1%: the φ₂ series below, the closed forms above
     a = b = 1.0
-    params = SystemParams(chi_s=b, kappa=2.0 * a)
-    for t in (0.99e-2, 1.01e-2):
-        ref_f, ref_g, ref_int_f, ref_int_g = mp_integrals(a, b, t)
-        big_f, big_g, a_coef, b_coef = _response(params.kappa, params.chi_s, t)
-        assert rel_err(big_f, ref_f) < 1e-12
-        assert rel_err(big_g, ref_g) < 2e-9
-        assert rel_err(a_coef, t - 2.0 * a * ref_int_f) < 1e-12
-        assert rel_err(b_coef, 2.0 * a * ref_int_g) < 1e-8
+    for w in (0.693, 0.707):
+        _assert_response_matches_mpmath(a, b, w / math.hypot(a, b))
+
+
+def _seam_points(rng, n, lo, hi):
+    """n (a, b, t): |zt| log-uniform on [lo, hi], arg z uniform, t in [0.1, 10]."""
+    radius = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+    angle = rng.uniform(0.0, 0.5 * math.pi, n)
+    t = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+    a, b = radius * np.cos(angle) / t, radius * np.sin(angle) / t
+    return [(float(x), float(y), float(s)) for x, y, s in zip(a, b, t)]
+
+
+def test_integrals_hold_1e14_on_both_sides_of_the_seam():
+    # 5,000 points: 2,000 within a factor 2 of the old switch at a·t, b·t
+    # = 1e-2, 2,000 with |zt| in [0.4, 1.1] and 1,000 deep in the series;
+    # F is held to |F + iG|: near a zero of F its relative error is the
+    # problem's own conditioning
+    rng = np.random.default_rng(22)
+    points = (
+        _seam_points(rng, 2000, 5e-3, 2e-2)
+        + _seam_points(rng, 2000, 0.4, 1.1)
+        + _seam_points(rng, 1000, 1e-12, 0.4)
+    )
+    for a, b, t in points:
+        big_f, big_g, int_f, int_g = dynamics._integrals(a, b, t)
+        ref_f, ref_g, ref_int_f, ref_int_g = mp_integrals(a, b, t)[:4]
+        assert abs(big_f - ref_f) < 1e-14 * math.hypot(ref_f, ref_g), (a, b, t)
+        assert rel_err(big_g, ref_g) < 1e-14, (a, b, t)
+        assert rel_err(int_f, ref_int_f) < 1e-14, (a, b, t)
+        assert rel_err(int_g, ref_int_g) < 1e-14, (a, b, t)
 
 
 def test_propagator_properties(params):
@@ -240,19 +267,30 @@ def test_negative_time_rejected(params):
 @pytest.mark.parametrize(
     "t,params,message",
     [
-        (1e199, SystemParams(chi_s=1e-200, kappa=1e-200), "(kappa/2)^2 + chi_s^2 underflows"),
+        # |zt| = 1.1 puts the point on the closed forms, and their
+        # denominator (kappa/2)^2 + chi_s^2 underflows to 0
+        (1e201, SystemParams(chi_s=1e-200, kappa=1e-200), "(kappa/2)^2 + chi_s^2 underflows"),
         # cos(chi_s*t) of an infinite argument is undefined
         (1.7e308, SystemParams(chi_s=1e300, kappa=1e-8), "chi_s*t is too large"),
-        # a*t and b*t are tiny, so the series runs, and its t**3 overflows
-        (1e150, SystemParams(chi_s=1e-310, kappa=1e-310), "t**3 is too large"),
-        # (kappa/2)^2 + chi_s^2 is subnormal, not 0, and the closed forms
-        # divide by it past the double range
+        # |zt| = 0.14: the series runs, and t·(t·φ₂) overflows in both parts
         (1e159, SystemParams(chi_s=1e-160, kappa=2e-160), "got A = -inf and B = inf"),
     ],
-    ids=["denominator-underflows", "rotation-overflows", "series-overflows", "quotient-overflows"],
+    ids=["denominator-underflows", "rotation-overflows", "quotient-overflows"],
 )
 def test_coefficients_past_the_double_range_are_a_numerical_error(t, params, message):
     with pytest.raises(NumericalError) as excinfo:
         signal_coefficients(t, params)
     assert str(excinfo.value) == f"response coefficients overflow: {message}"
 
+
+def test_series_keeps_the_integrals_finite_where_t_cubed_overflows():
+    # ∫G = χs·t³/6 to leading order is formed as t·(t·φ₂), so it stays a
+    # finite double at t = 1e150, where t³ overflows, and B = κ∫G is tiny
+    kappa = chi_s = 1e-310
+    t = 1e150
+    params = SystemParams(chi_s=chi_s, kappa=kappa)
+    assert signal_coefficients(t, params) == (1e150, 1.6666666666666564e-171)
+    a = 0.5 * kappa
+    integrals = dynamics._integrals(a, chi_s, t)
+    for value, reference in zip(integrals, mp_integrals(a, chi_s, t)):
+        assert rel_err(value, reference) < 1e-14

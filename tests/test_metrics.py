@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from squeezed_readout import (
     NumericalError,
     ProbeState,
+    ReadoutError,
     SweepFixed,
     SystemParams,
     UndefinedPointError,
@@ -529,3 +532,86 @@ def test_optimal_time_estimate_past_the_double_range_is_a_numerical_error(chi_s,
     with pytest.raises(NumericalError) as excinfo:
         optimal_time_estimate(0.0, SystemParams(chi_s=chi_s, kappa=kappa))
     assert str(excinfo.value) == "kappa*chi_s is too small: optimal time estimate overflows"
+
+
+# every double a field accepts, from the smallest subnormal to the top of the range
+_rate = st.floats(min_value=5e-324, max_value=1.7e308)
+_nonnegative = st.floats(min_value=0.0, max_value=1.7e308)
+_angle = st.floats(min_value=-1.7e308, max_value=1.7e308)
+_domain = {
+    "t": _nonnegative,
+    "chi_s": _rate,
+    "kappa": _rate,
+    "u": _rate,
+    "t1": _rate,
+    "alpha": _nonnegative,
+    "r": _nonnegative,
+    "theta_alpha": _angle,
+    "theta_xi": _angle,
+    "phi": _angle,
+}
+
+
+def _operating_point(t, chi_s, kappa, u, t1, alpha, r, theta_alpha, theta_xi, phi):
+    params = SystemParams(chi_s=chi_s, kappa=kappa, t1_intrinsic=t1, vacuum_weight=u)
+    probe = ProbeState(alpha=alpha, theta_alpha=theta_alpha, r=r, theta_xi=theta_xi)
+    return t, probe, params, phi
+
+
+@settings(max_examples=400, deadline=None)
+@given(**_domain)
+def test_every_call_is_finite_or_a_readout_error_over_the_accepted_domain(**point):
+    t, probe, params, phi = _operating_point(**point)
+    calls = (
+        lambda: signal_coefficients(t, params),
+        lambda: (optimal_squeezing(t, params),),
+        lambda: dataclasses.astuple(readout_point(t, probe, params, phi)),
+        lambda: tuple(_evaluate("variance", _fields(t, probe, params, phi))[1:7]),
+    )
+    for call in calls:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # fidelity past t/T1 = 0.1
+                values = call()
+        except ReadoutError:
+            continue
+        assert all(v is None or math.isfinite(v) for v in values), values
+
+
+@settings(max_examples=400, deadline=None)
+@given(**_domain)
+def test_variances_are_at_least_the_vacuum_term_over_the_accepted_domain(**point):
+    try:
+        fields = _fields(*_operating_point(**point))
+        model = _evaluate("variance", fields)
+    except ReadoutError:  # as_internal's rescaled rates, too, may leave the range
+        return
+    big_f, big_g = model.big_f, model.big_g
+    vacuum = fields.u * 0.5 * fields.kappa * (big_f * big_f + big_g * big_g)
+    assert model.variance_plus >= vacuum
+    assert model.variance_minus >= vacuum
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    t=st.floats(min_value=1e-3, max_value=10.0),
+    kappa=st.floats(min_value=0.1, max_value=10.0),
+    u=st.floats(min_value=1e-3, max_value=1.0),
+    alpha=st.floats(min_value=0.1, max_value=100.0),
+    r=st.floats(min_value=0.0, max_value=20.0),
+    theta_alpha=st.floats(min_value=-20.0, max_value=20.0),
+    phi=st.floats(min_value=-20.0, max_value=20.0),
+    mismatch=st.floats(min_value=-20.0, max_value=20.0),
+)
+def test_snr_is_pi_periodic_in_the_mismatch(t, kappa, u, alpha, r, theta_alpha, phi, mismatch):
+    params = SystemParams(kappa=kappa, vacuum_weight=u)
+
+    def at(x):
+        probe = ProbeState(alpha=alpha, theta_alpha=theta_alpha, r=r, theta_xi=2.0 * (phi - x))
+        return snr(t, probe, params, phi)
+
+    here, there = at(mismatch), at(mismatch + math.pi)
+    # the two squeezing phases 2(φ − δθ) round apart by a few ε·(|φ| + |δθ| + π);
+    # near the frame of least noise the SNR amplifies that by up to e^{2r}
+    bound = 2.0 * math.exp(2.0 * r) * _EPS * (abs(phi) + abs(mismatch) + 4.0)
+    assert abs(here - there) <= bound * here, (here, there)

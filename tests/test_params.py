@@ -1,18 +1,32 @@
 import dataclasses
+import functools
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squeezed_readout import (
+    MAX_SHOTS,
     NumericalError,
     ProbeState,
+    ReadoutError,
     SweepFixed,
     SystemParams,
     UnitContext,
     ValidationError,
+    backaction_report,
+    classify,
+    fidelity,
     from_experimental,
+    optimal_squeezing,
     readout_point,
+    reproduce_figure2,
+    sample_shots,
+    signal_coefficients,
     snr,
+    total_t1,
 )
 from squeezed_readout.params import wrap_angle
 
@@ -103,6 +117,61 @@ def test_a_value_that_is_not_a_real_number_is_a_validation_error(name, build, va
     # bool is not taken as 0 or 1
     with pytest.raises(ValidationError, match=f"^{name} must be "):
         build(value)
+
+
+# one argument as a caller may pass it: any double (subnormals, the top of
+# the range, ±inf, NaN), ints past the double range, bools, strings, None
+_ANY_VALUE = st.one_of(
+    st.floats(),
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+)
+_FUZZ_PARAMS = SystemParams(kappa=2.0, g_s=0.01, delta=1.0)
+_FUZZ_PROBE = ProbeState(alpha=3.0, r=0.5)
+_FUZZ_POINT = (_FUZZ_PROBE, _FUZZ_PARAMS, 0.5 * math.pi)
+
+
+@functools.cache
+def _fuzz_batch():
+    return sample_shots(16, 1.0, *_FUZZ_POINT, 7)
+
+
+_FUZZED = {
+    # a valid n of more than 64 shots is left out: it only allocates
+    "sample_shots-n": lambda v: sample_shots(v, 1.0, *_FUZZ_POINT, 7),
+    "sample_shots-seed": lambda v: sample_shots(2, 1.0, *_FUZZ_POINT, v),
+    "readout_point-t": lambda v: readout_point(v, *_FUZZ_POINT),
+    "snr-t": lambda v: snr(v, *_FUZZ_POINT),
+    "optimal_squeezing-t": lambda v: optimal_squeezing(v, _FUZZ_PARAMS),
+    "signal_coefficients-t": lambda v: signal_coefficients(v, _FUZZ_PARAMS),
+    "fidelity-t": lambda v: fidelity(v, 1.0, 10.0),
+    "fidelity-snr_value": lambda v: fidelity(1.0, v, 10.0),
+    "fidelity-t1_total": lambda v: fidelity(1.0, 1.0, v),
+    "total_t1-r": lambda v: total_t1(_FUZZ_PARAMS, v),
+    "backaction_report-ratio_max": lambda v: backaction_report(_FUZZ_PROBE, _FUZZ_PARAMS, v),
+    "classify-t1": lambda v: classify(_fuzz_batch(), t1=v),
+    "reproduce_figure2-r_values": lambda v: reproduce_figure2("panel_ab", (v,), points=2),
+    "to_internal_time": lambda v: UnitContext(0.15e6).to_internal_time(v),
+    "to_physical_time": lambda v: UnitContext(0.15e6).to_physical_time(v),
+}
+
+
+@pytest.mark.parametrize("call", list(_FUZZED))
+@settings(max_examples=60, deadline=None)
+@given(value=_ANY_VALUE)
+def test_every_argument_returns_a_value_or_raises_a_readout_error(call, value):
+    if call == "sample_shots-n" and type(value) is int and 64 < value <= MAX_SHOTS:
+        return
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the fidelity past t/T1 = 0.1
+            _FUZZED[call](value)
+    except ReadoutError:
+        return
+    # a bool, a string and None are never taken as a number; None is classify's default t1
+    assert type(value) in (int, float) or (call, value) == ("classify-t1", None), value
 
 
 def test_int_fields_are_stored_as_floats():
