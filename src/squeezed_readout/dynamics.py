@@ -25,8 +25,9 @@ used; they cancel their leading digits only at small |w|, and from the
 seam on they keep ∫G, the worst of the four, within about 7e-15.
 Against 60-digit arithmetic on the same doubles all four integrals
 hold 1e-14 relative on both sides of the seam (F relative to |F + iG|).
-Where a² + b² underflows to 0 or χs·t overflows, the closed forms
-raise a NumericalError instead of a Python exception;
+Where a² + b² underflows to 0 or overflows, or χs·t overflows, the
+closed forms raise a NumericalError instead of a Python exception or a
+silent A = t, B = 0;
 signal_coefficients raises one too where A or B is not finite.
 """
 
@@ -52,13 +53,14 @@ def _integrals(a: float, b: float, t: float):
         first = t * (1.0 + w * phi2)
         second = t * (t * phi2)  # not t²·φ₂: t² may overflow where ∫G does not
         return first.real, first.imag, second.real, second.imag
-    d = a * a + b * b
-    if d == 0.0:
-        raise NumericalError("response coefficients overflow: (kappa/2)^2 + chi_s^2 underflows")
     try:
         e, cb, sb = math.exp(-at), math.cos(bt), math.sin(bt)
     except ValueError:  # cos(inf)
         raise NumericalError("response coefficients overflow: chi_s*t is too large") from None
+    d = a * a + b * b
+    if not 0.0 < d < math.inf:  # at inf the integrals below would be 0: A = t, B = 0
+        fault = "underflows" if d == 0.0 else "overflows"
+        raise NumericalError(f"response coefficients overflow: (kappa/2)^2 + chi_s^2 {fault}")
     big_f = (a - e * (a * cb - b * sb)) / d
     big_g = (b - e * (a * sb + b * cb)) / d
     int_f = (at - a * big_f + b * big_g) / d

@@ -54,9 +54,21 @@ _Evaluation = namedtuple(
 
 
 def _fields(t, probe: ProbeState, params: SystemParams, phi, t1_total=None):
-    """Model inputs at an operating point; t1_total (unit of t) overrides T1."""
+    """Model inputs at an operating point; t1_total (unit of t) overrides T1.
+
+    t1_total is checked here, once, and so is χs·t1_total, which may
+    underflow to 0 or overflow.
+    """
     c, internal = params.chi_s, params.as_internal()
-    t1 = internal.t1_intrinsic if t1_total is None else t1_total * c
+    t1 = internal.t1_intrinsic
+    if t1_total is not None:
+        t1_total = _real("t1_total", t1_total, "positive and finite")
+        t1 = t1_total * c
+        if not 0.0 < t1 < _INF:
+            fault = "underflows to 0" if t1 == 0.0 else "overflows"
+            raise NumericalError(
+                f"chi_s·t1_total {fault}: chi_s = {c!r}, t1_total = {t1_total!r}"
+            )
     state = (probe.alpha, probe.r, probe.theta_xi, probe.theta_alpha)
     return _Fields(t * c, internal.kappa, *state, phi, internal.vacuum_weight, t1)
 
@@ -139,7 +151,7 @@ def _row(metric: str, t: float, response, separation, vp: float, vm: float, t1: 
             noise = math.sqrt(vp) + math.sqrt(vm)
             raise NumericalError(f"snr overflows: contrast {separation!r} over noise {noise!r}")
         if metric == "fidelity":
-            value = fidelity(t, snr, t1)
+            value = _fidelity(t, snr, t1)
     return value, big_f, big_g, a_coef, b_coef, vp, vm, snr
 
 
@@ -151,8 +163,9 @@ def _evaluate(metric: str, point: _Fields) -> _Evaluation:
     returns its first eight fields; phi is unchecked.  The stages run in
     this order: the metric check, the response, the squeeze factors, the
     LO angle, the projections, the variances, the separation and the row,
-    then the input means.  sweeps._kernel calls the same stage functions,
-    so a sweep point raises what this evaluation raises there.
+    then the input means.  sweeps._kernel and sweeps.reproduce_figure2
+    call the same stage functions, so a sweep or figure point raises what
+    this evaluation raises there.
     """
     t, kappa, alpha, r, theta_xi, theta_alpha, phi, u, t1 = point
     _check_metric(metric)
@@ -205,12 +218,16 @@ def fidelity(t: float, snr_value: float, t1_total: float) -> float:
     t = _real("t", t, "nonnegative and finite")
     t1_total = _real("t1_total", t1_total, "positive and finite")
     snr_value = _real("snr_value", snr_value)
-    if t / t1_total > 0.1:
+    return _fidelity(t, snr_value, t1_total)
+
+
+def _fidelity(t: float, snr_value: float, t1: float) -> float:
+    """fidelity on checked floats; the warning names the caller of fidelity or _row."""
+    if t / t1 > 0.1:
         warnings.warn(
-            f"fidelity formula assumes t << T1; got t/T1 = {t / t1_total:.3g}",
-            stacklevel=2,
+            f"fidelity formula assumes t << T1; got t/T1 = {t / t1:.3g}", stacklevel=3
         )
-    return math.exp(-0.5 * t / t1_total) * math.erf(snr_value / SQRT2)
+    return math.exp(-0.5 * t / t1) * math.erf(snr_value / SQRT2)
 
 
 def optimal_time_estimate(r: float, params: SystemParams) -> float:

@@ -170,7 +170,11 @@ class UnitContext:
     def to_internal_time(self, t_us: float) -> float:
         """Internal time chi_s*t for a duration given in microseconds."""
         t_us = _real("t_us", t_us, "nonnegative and finite")
-        return self.chi_rad_per_us * t_us
+        return _finite(
+            lambda: self.chi_rad_per_us * t_us,
+            f"chi_over_2pi_hz = {self.chi_over_2pi_hz!r} is too large for t_us = {t_us!r}: "
+            "internal time",
+        )
 
     def to_physical_time(self, t_internal: float) -> float:
         """Duration in microseconds for an internal time chi_s*t."""

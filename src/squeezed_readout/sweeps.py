@@ -484,14 +484,26 @@ def reproduce_figure2(
     units = UnitContext(_FIG_CHI_OVER_2PI_MHZ * 1e6)
     alpha = math.sqrt(30.0)
     phi = 0.5 * math.pi
+    # chi_s = 1, so the internal model inputs are the params' own fields
+    kappa, u, t1 = params.kappa, params.vacuum_weight, params.t1_intrinsic
     t_us = _grid(0.0, 2.0, points)
-    chi_t = [units.chi_rad_per_us * t for t in t_us]
+    # the stages r leaves alone, once per grid time for every r curve; at
+    # these fixed rates and times none of them fails, so each r curve
+    # raises what its own t kernel would
+    angle = _lo_angle(math.pi, phi)
+    shared = []
+    for t in t_us:
+        x = units.chi_rad_per_us * t
+        response = _response(kappa, 1.0, x)
+        projections = _projections(response, kappa, u, angle)
+        sep = _separation("fidelity", alpha, response[3], 0.0, phi)
+        shared.append((t, x, response, projections, sep))
     rows = []
     for r in r_values:
-        probe = ProbeState(alpha=alpha, theta_alpha=0.0, r=r, theta_xi=math.pi)
-        at = _kernel("fidelity", SweepFixed(params=params, probe=probe, phi=phi, t=0.0), "t")
-        for t, x in zip(t_us, chi_t):
-            row = at(x)
+        factors = _squeeze_factors(r)
+        for t, x, response, projections, sep in shared:
+            vp, vm = _variances(projections, factors)
+            row = _row("fidelity", x, response, sep, vp, vm, t1)
             value, snr = row[0], row[7]
             rows.append((t, r, 0.0 if snr is None else snr, 0.0 if value is None else value))
     meta = {

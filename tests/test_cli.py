@@ -914,8 +914,22 @@ def test_relaxation_rate_that_overflows_exits_2_without_a_traceback(
              ("t1_ms = 3.0", "t1_ms = 1e-315")],
             "t1_intrinsic = chi_s·T1 underflows to 0: ",
         ),
+        # (kappa/2)^2 overflows, where A = t and B = 0 came out silently
+        (
+            "snr",
+            [("kappa_over_chi = 2.0", "kappa_over_chi = 1e200")],
+            "response coefficients overflow: (kappa/2)^2 + chi_s^2 overflows\n",
+        ),
+        # chi_s·t in internal time overflows; neither factor does
+        (
+            "snr",
+            [("chi_over_2pi_mhz = 0.15", "chi_over_2pi_mhz = 1e300"),
+             ("t_us = 0.714", "t_us = 1e10")],
+            "chi_over_2pi_hz = 1e+306 is too large for t_us = 10000000000.0: "
+            "internal time overflows\n",
+        ),
     ],
-    ids=["optimize-r-star", "backaction-t1-underflow"],
+    ids=["optimize-r-star", "backaction-t1-underflow", "snr-kappa-1e200", "snr-chi-t-overflows"],
 )
 def test_numerical_failure_is_not_reported_as_an_input_error(
     tmp_path, subcommand, edits, message
@@ -930,3 +944,12 @@ def test_numerical_failure_is_not_reported_as_an_input_error(
     assert done.stdout == ""
     assert done.stderr.startswith(f"numerical error: {message}")
     assert done.stderr.count("\n") == 1
+
+
+def test_figure2_with_an_r_past_cosh_overflow_exits_2_with_one_line(tmp_path):
+    path = tmp_path / "fig2.cfg"
+    path.write_text(MATCHED_CONFIG + "fig2_r_values = 0.0, 400\n", encoding="utf-8")
+    done = _run_cli(["figures", "fig2", "--config", str(path)])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "numerical error: squeezing r is too large: cosh 2r overflows\n"

@@ -270,12 +270,23 @@ def test_negative_time_rejected(params):
         # |zt| = 1.1 puts the point on the closed forms, and their
         # denominator (kappa/2)^2 + chi_s^2 underflows to 0
         (1e201, SystemParams(chi_s=1e-200, kappa=1e-200), "(kappa/2)^2 + chi_s^2 underflows"),
+        # the denominator overflows past kappa/2 or chi_s ≈ 1.3e154, where
+        # every integral would come out 0, A = t and B = 0 (mpmath: A = -0.5,
+        # B = 2e-200 at kappa = 1e200)
+        (0.5, SystemParams(kappa=1e200), "(kappa/2)^2 + chi_s^2 overflows"),
+        (1e-150, SystemParams(chi_s=1e155, kappa=1.0), "(kappa/2)^2 + chi_s^2 overflows"),
         # cos(chi_s*t) of an infinite argument is undefined
         (1.7e308, SystemParams(chi_s=1e300, kappa=1e-8), "chi_s*t is too large"),
         # |zt| = 0.14: the series runs, and t·(t·φ₂) overflows in both parts
         (1e159, SystemParams(chi_s=1e-160, kappa=2e-160), "got A = -inf and B = inf"),
     ],
-    ids=["denominator-underflows", "rotation-overflows", "quotient-overflows"],
+    ids=[
+        "denominator-underflows",
+        "denominator-overflows-kappa",
+        "denominator-overflows-chi",
+        "rotation-overflows",
+        "quotient-overflows",
+    ],
 )
 def test_coefficients_past_the_double_range_are_a_numerical_error(t, params, message):
     with pytest.raises(NumericalError) as excinfo:

@@ -1,10 +1,11 @@
 """One model evaluation per operating point, and hoisted stages per kernel.
 
 Every figure of merit reads a single evaluation of the response
-coefficients.  A sweep, a figure panel and a peak search evaluate their
+coefficients.  A sweep, a fig3 panel and a peak search evaluate their
 points one by one through the kernel of their variable, and the stages
-the variable leaves alone once.  These tests count the evaluations and
-check that every route to a number returns the same bits.
+the variable leaves alone once; fig2 evaluates the stages r leaves alone
+once per grid time for all its r curves.  These tests count the
+evaluations and check that every route to a number returns the same bits.
 """
 
 import math
@@ -24,8 +25,11 @@ from squeezed_readout import (
     SweepFixed,
     SweepSpec,
     SystemParams,
+    UnitContext,
     classify,
+    fidelity,
     find_peak,
+    from_experimental,
     readout_point,
     reproduce_figure2,
     reproduce_figure3,
@@ -205,9 +209,62 @@ def test_one_evaluation_per_figure_row(integral_calls, monkeypatch):
     with monkeypatch.context() as patch:
         calls = _count_stages(patch, integral_calls)
         table = reproduce_figure2("panel_cd", points=50)
-        # one t kernel of 50 points per r value; zero-time rows carry the limit 0
+        # 50 grid times shared by 4 r curves; zero-time rows carry the limit 0
         assert len(table.rows) == 200
-        _assert_hoisted(calls, "t", kernels=4, points=200)
+        # the response and projections once per grid time, the LO angle once
+        # per panel and the squeeze factors once per r curve
+        assert len(integral_calls) == 50
+        assert len(calls["projections"]) == 50
+        assert len(calls["angle"]) == 1
+        assert len(calls["factors"]) == 4
+
+
+@pytest.mark.parametrize("variant,kappa_over_chi", [("panel_ab", 1.0), ("panel_cd", 2.0)])
+def test_figure2_rows_are_fresh_evaluations(variant, kappa_over_chi):
+    # a repeated r and an r past the matched one; every row holds the bits
+    # of a fresh evaluation at its own operating point
+    r_values = (0.0, 1.7, 0.425, 1.7)
+    table = reproduce_figure2(variant, r_values=r_values, points=23)
+    params = from_experimental(0.15, kappa_over_chi, 3.0)
+    units = UnitContext(0.15e6)
+    rows = iter(table.rows)
+    for r in r_values:
+        probe = ProbeState(alpha=math.sqrt(30.0), theta_alpha=0.0, r=r, theta_xi=math.pi)
+        for t_us in sweeps._grid(0.0, 2.0, 23):
+            fields = _fields(units.to_internal_time(t_us), probe, params, 0.5 * math.pi)
+            point = _evaluate("fidelity", fields)
+            # zero-time rows carry the continuous limit 0
+            snr_value = 0.0 if point.snr is None else point.snr
+            expected = (t_us, r, snr_value, 0.0 if point.value is None else point.value)
+            assert all(map(_same, next(rows), expected)), (r, t_us)
+    assert next(rows, None) is None
+
+
+def test_fidelity_past_a_tenth_of_t1_warns_the_same_text_on_every_route(probe_matched):
+    # t/T1 = 0.5 and 0.6 with T1 = 100 in the unit of t
+    params = SystemParams(kappa=2.0, t1_intrinsic=100.0)
+    fixed = SweepFixed(params=params, probe=probe_matched, phi=PHI_DEFAULT, t=50.0)
+    spec = SweepSpec(variable="t", lo=50.0, hi=60.0, points=2, fixed=fixed, metric="fidelity")
+    routes = {
+        "fidelity": lambda: fidelity(50.0, 3.0, 100.0),
+        "readout_point": lambda: readout_point(50.0, probe_matched, params, PHI_DEFAULT),
+        "readout_point t1_total": lambda: readout_point(
+            50.0, probe_matched, SystemParams(kappa=2.0), PHI_DEFAULT, t1_total=100.0
+        ),
+        "run_sweep": lambda: run_sweep(spec),
+    }
+    for name, route in routes.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            route()
+        texts = ["fidelity formula assumes t << T1; got t/T1 = 0.5"]
+        if name == "run_sweep":
+            texts.append("fidelity formula assumes t << T1; got t/T1 = 0.6")
+        assert [str(w.message) for w in caught] == texts, name
+        assert all(w.category is UserWarning for w in caught), name
+        if name == "fidelity":
+            # the public function names its caller
+            assert caught[0].filename == __file__
 
 
 def _row_at(fixed: SweepFixed, r: float, metric: str):

@@ -513,6 +513,30 @@ def test_readout_point_t1_override(t_matched, probe_matched, params_k2):
     assert shorter.snr == default.snr
 
 
+@pytest.mark.parametrize("t1_total", ["3", -1.0, 0.0, math.inf, math.nan])
+def test_readout_point_checks_t1_total(t_matched, probe_matched, params_k2, t1_total):
+    args = (t_matched, probe_matched, params_k2, PHI_DEFAULT)
+    with pytest.raises(ValidationError) as excinfo:
+        readout_point(*args, t1_total=t1_total)
+    if type(t1_total) is float:
+        assert str(excinfo.value) == f"t1_total must be positive and finite, got {t1_total!r}"
+
+
+@pytest.mark.parametrize(
+    "chi_s,t1_total,fault",
+    [(1e-300, 1e-300, "underflows to 0"), (1e300, 1e300, "overflows")],
+)
+def test_readout_point_t1_total_in_internal_time_is_a_numerical_error(
+    probe_matched, chi_s, t1_total, fault
+):
+    params = SystemParams(chi_s=chi_s, kappa=2.0 * chi_s)
+    with pytest.raises(NumericalError) as excinfo:
+        readout_point(1.0 / chi_s, probe_matched, params, PHI_DEFAULT, t1_total=t1_total)
+    assert str(excinfo.value) == (
+        f"chi_s·t1_total {fault}: chi_s = {chi_s!r}, t1_total = {t1_total!r}"
+    )
+
+
 def test_readout_point_mean_that_overflows_is_a_numerical_error():
     # A ≈ t = 100 at kappa = 0.01 chi_s: A·√2·alpha overflows, while the
     # contrast, which reads B ≈ 1 and a mismatch of 1e-15, stays finite

@@ -245,6 +245,16 @@ def test_physical_time_past_the_double_range_is_a_numerical_error(chi_over_2pi_h
     )
 
 
+def test_internal_time_past_the_double_range_is_a_numerical_error():
+    # chi_s·t of 6.3e300 rad/us by 1e10 us overflows; t_us itself is fine
+    with pytest.raises(NumericalError) as excinfo:
+        UnitContext(1e306).to_internal_time(1e10)
+    assert str(excinfo.value) == (
+        "chi_over_2pi_hz = 1e+306 is too large for t_us = 10000000000.0: "
+        "internal time overflows"
+    )
+
+
 @pytest.mark.parametrize(
     ("chi_over_2pi_mhz", "t1_ms", "fault"),
     [(1e-320, 1e-315, "underflows to 0"), (1e300, 1e300, "overflows")],
