@@ -31,7 +31,7 @@ from .metrics import (
 )
 from .params import UnitContext, from_experimental
 from .probe import ProbeState
-from .shots import _sample, classify
+from .shots import _POLICIES, _POLICY_NAMES, _sample, classify
 from .sweeps import (
     SweepFixed,
     SweepSpec,
@@ -153,9 +153,9 @@ def _make_config(values: dict) -> RunConfig:
             "n_shots must be >= 2 (an empirical SNR needs two shots per eigenstate), "
             f"got {effective['n_shots']!r}"
         )
-    if effective["threshold_policy"] not in ("midpoint", "likelihood"):
+    if effective["threshold_policy"] not in _POLICIES:
         raise ValidationError(
-            f"threshold_policy must be 'midpoint' or 'likelihood', "
+            f"threshold_policy must be {_POLICY_NAMES}, "
             f"got {effective['threshold_policy']!r}"
         )
     if not math.isfinite(effective["nd_ratio_max"]) or effective["nd_ratio_max"] <= 0.0:

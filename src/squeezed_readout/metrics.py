@@ -25,6 +25,7 @@ rescale to χs = 1 internally, so results depend only on χs·t and κ/χs.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -222,10 +223,13 @@ def fidelity(t: float, snr_value: float, t1_total: float) -> float:
 
 
 def _fidelity(t: float, snr_value: float, t1: float) -> float:
-    """fidelity on checked floats; the warning names the caller of fidelity or _row."""
+    """fidelity on checked floats; the warning names the first caller outside the package."""
     if t / t1 > 0.1:
+        frame, level = sys._getframe(), 1
+        while frame.f_back and frame.f_globals.get("__name__", "").startswith(f"{__package__}."):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
-            f"fidelity formula assumes t << T1; got t/T1 = {t / t1:.3g}", stacklevel=3
+            f"fidelity formula assumes t << T1; got t/T1 = {t / t1:.3g}", stacklevel=level
         )
     return math.exp(-0.5 * t / t1) * math.erf(snr_value / SQRT2)
 

@@ -44,6 +44,9 @@ from .probe import ProbeState
 BLOCK_SIZE = 8192
 # shots per eigenstate a batch may hold: 512 MiB of float64 outcomes each
 MAX_SHOTS = 2**26
+# the threshold policies of classify, and the values of the threshold_policy key
+_POLICIES = ("midpoint", "likelihood")
+_POLICY_NAMES = " or ".join(map(repr, _POLICIES))
 GENERATOR_ID = (
     "numpy-philox4x64-ziggurat/block8192/jumped(2j+{0:plus,1:minus})/one-normal"
 )
@@ -186,31 +189,34 @@ def _sample(n, t, probe, params, phi, seed, model=None) -> ShotBatch:
     )
 
 
-def _likelihood_threshold(
-    m_plus: float, v_plus: float, m_minus: float, v_minus: float
-) -> float:
-    """Equal-density crossing of two Gaussians, taken between the means."""
-    if math.isclose(v_plus, v_minus, rel_tol=1e-12):
-        return 0.5 * (m_plus + m_minus)
-    overflow = "likelihood threshold overflows: the means are too large for their variances"
-    a = 1.0 / v_plus - 1.0 / v_minus
-    b = -2.0 * (m_plus / v_plus - m_minus / v_minus)
-    c = m_plus * m_plus / v_plus - m_minus * m_minus / v_minus + math.log(v_plus / v_minus)
-    disc = b * b - 4.0 * a * c
-    if not math.isfinite(disc):  # nor is a, b or c
-        raise NumericalError(overflow)
-    if disc < 0.0:
-        raise NumericalError(
-            "likelihood threshold has no real crossing between the two Gaussians"
-        )
-    root = math.sqrt(disc)
-    candidates = ((-b + root) / (2.0 * a), (-b - root) / (2.0 * a))
-    lo, hi = min(m_plus, m_minus), max(m_plus, m_minus)
-    inside = [x for x in candidates if lo <= x <= hi]
+def _threshold(policy: str, law: dict) -> float:
+    """The cut of the threshold policy between the two Gaussians of law.
+
+    "midpoint" is m = (m₊ + m₋)/2.  "likelihood" is m + s·z, their equal-density
+    point nearest m, in units of the wider sd s: with h = (m₋ − m₊)/2s,
+    p = (s/sd₊)², q = (s/sd₋)², a = p − q, ℓ = ln(v₊/v₋), b = h(p + q) and
+    c = h²a + ℓ, z = −c/(b + sgn(b)·√(4h²pq − aℓ)) is the root of
+    a·z² + 2b·z + c = 0 nearest 0.  a and ℓ never share a sign, so neither sum
+    cancels (Higham 2002, §1.8).  Equal variances give c = 0, the midpoint's
+    own bits, and identical laws a zero denominator and z = 0.
+    """
+    if policy not in _POLICIES:
+        raise ValidationError(f"unknown threshold_policy {policy!r}; expected {_POLICY_NAMES}")
+    (sd_plus, m_plus), (sd_minus, m_minus) = law[1], law[-1]
     midpoint = 0.5 * (m_plus + m_minus)
-    threshold = inside[0] if inside else min(candidates, key=lambda x: abs(x - midpoint))
+    if policy == "midpoint":
+        return midpoint
+    s = max(sd_plus, sd_minus)
+    h, p, q = 0.5 * (m_minus - m_plus) / s, (s / sd_plus) ** 2, (s / sd_minus) ** 2
+    a, ell = p - q, 2.0 * math.log(sd_plus / sd_minus)
+    b, c = h * (p + q), h * (h * a) + ell
+    root = math.hypot(2.0 * h * math.sqrt(p * q), math.sqrt(-a * ell))
+    denominator = b + math.copysign(root, b)
+    threshold = midpoint - s * (c / denominator if denominator else 0.0)
     if not math.isfinite(threshold):
-        raise NumericalError(overflow)
+        raise NumericalError(
+            "likelihood threshold overflows: the means are too large for their variances"
+        )
     return threshold
 
 
@@ -252,21 +258,10 @@ def classify(
     if t1 is None:
         t1 = batch.params.t1_intrinsic
     t1 = _real("t1", t1, "positive and finite")
-    (sd_plus, m_plus), (sd_minus, m_minus) = batch.law[1], batch.law[-1]
-    if threshold_policy == "midpoint":
-        threshold = 0.5 * (m_plus + m_minus)
-    elif threshold_policy == "likelihood":
-        threshold = _likelihood_threshold(
-            m_plus, sd_plus * sd_plus, m_minus, sd_minus * sd_minus
-        )
-    else:
-        raise ValidationError(
-            f"unknown threshold_policy {threshold_policy!r}; "
-            "expected 'midpoint' or 'likelihood'"
-        )
+    threshold = _threshold(threshold_policy, batch.law)
 
     plus, minus = batch.outcomes_plus, batch.outcomes_minus
-    if m_plus >= m_minus:
+    if batch.law[1][1] >= batch.law[-1][1]:
         wrong_plus, wrong_minus = plus <= threshold, minus > threshold
     else:
         wrong_plus, wrong_minus = plus >= threshold, minus < threshold

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .dynamics import _response
 from .errors import NumericalError, ReadoutError, ValidationError
-from .metrics import _check_metric, _evaluate, _fields, readout_point
+from .metrics import _check_metric, _evaluate, _fields
 from .metrics import _projections, _row, _separation, _variances
 from .params import SystemParams, UnitContext, _real, from_experimental, wrap_angle
 from .probe import ProbeState, _lo_angle, _squeeze_factors
@@ -541,16 +541,15 @@ def reproduce_figure3(points: int = _FIGURE_POINTS) -> FigureTable:
     phi = 0.5 * math.pi
     alpha = 10.0
     t = units.to_internal_time(_FIG3_T_US)
-    baseline_probe = ProbeState(alpha=alpha, theta_alpha=0.0, r=0.0, theta_xi=math.pi)
-    baseline = readout_point(t, baseline_probe, params, phi)
     probe = ProbeState(alpha=alpha, theta_alpha=0.0, r=_FIG3_R, theta_xi=math.pi)
     fixed = SweepFixed(params=params, probe=probe, phi=phi, t=t)
+    kernels = {panel: _kernel("fidelity", fixed, panel) for panel in ("delta_theta", "r")}
+    baseline = kernels["r"](0.0)  # the coherent baseline: the r panel at r = 0
     rows = []
     for panel, lo, hi in (("delta_theta", -math.pi, math.pi), ("r", 0.0, 2.0)):
-        at = _kernel("fidelity", fixed, panel)
         for x in _grid(lo, hi, points):
-            row = at(x)
-            rows.append((panel, x, row[7], row[0], baseline.snr, baseline.fidelity))
+            row = kernels[panel](x)
+            rows.append((panel, x, row[7], row[0], baseline[7], baseline[0]))
     meta = {
         "alpha": alpha,
         "chi_over_2pi_mhz": _FIG_CHI_OVER_2PI_MHZ,

@@ -116,6 +116,49 @@ def mp_outcome_variance(point: _Fields, model, sigma: int, dps: int = 60):
         return float(variance), float(sensitivity)
 
 
+def mp_likelihood_crossing(law: dict, dps: int = 80) -> float:
+    """Equal-density point of the two Gaussians of law = {σ: (sd_σ, mean_σ)}
+    nearest their midpoint, in mpmath arbitrary precision.
+
+    Equal densities mean (x − m₊)²/v₊ + ln v₊ = (x − m₋)²/v₋ + ln v₋, a
+    quadratic A·x² + B·x + C = 0 in x itself; the textbook roots
+    (−B ± √(B² − 4AC))/2A cancel many digits near equal variances and far
+    from x = 0, which the working precision absorbs.  sd and mean are
+    taken as exact; the root is rounded once to a double.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        (sd_plus, m_plus), (sd_minus, m_minus) = (
+            tuple(map(mp.mpf, law[sigma])) for sigma in (1, -1)
+        )
+        v_plus, v_minus = sd_plus**2, sd_minus**2
+        a = 1 / v_plus - 1 / v_minus
+        b = -2 * (m_plus / v_plus - m_minus / v_minus)
+        c = m_plus**2 / v_plus - m_minus**2 / v_minus + mp.log(v_plus / v_minus)
+        midpoint = (m_plus + m_minus) / 2
+        if a == 0:
+            return float(-c / b)
+        root = mp.sqrt(b * b - 4 * a * c)
+        crossings = ((-b + root) / (2 * a), (-b - root) / (2 * a))
+        return float(min(crossings, key=lambda x: abs(x - midpoint)))
+
+
+def policy_error_rates(threshold: float, law: dict) -> tuple[float, float]:
+    """(p₊, p₋), the exact error rates of a cut at threshold on the two
+    Gaussians of law = {σ: (sd_σ, mean_σ)}.
+
+    An outcome of σ is wrong on the far side of the cut from its own mean,
+    the side classify counts: the cut itself is wrong for σ = +1 when
+    m₊ ≥ m₋ and for σ = −1 otherwise, a set of probability zero here.
+    """
+    (sd_plus, m_plus), (sd_minus, m_minus) = law[1], law[-1]
+    side = 1.0 if m_plus >= m_minus else -1.0
+    p_plus = 0.5 * math.erfc(side * (m_plus - threshold) / (sd_plus * math.sqrt(2.0)))
+    p_minus = 0.5 * math.erfc(side * (threshold - m_minus) / (sd_minus * math.sqrt(2.0)))
+    return p_plus, p_minus
+
+
 def backaction_rates(params: SystemParams, r: float) -> tuple[float, float]:
     """(γ_pu, 2·γ_pu·cosh 2r) for the Purcell rate γ_pu = κ·(g_s/Δ)²."""
     gamma_pu = params.kappa * (params.g_s / params.delta) ** 2

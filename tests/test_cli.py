@@ -238,11 +238,6 @@ def _add(lines: str) -> tuple[str, str]:
             ("alpha = 10.0", "alpha = 1e160" + _TILTED_LIKELIHOOD),
             "likelihood threshold overflows",
         ),
-        (
-            "shots",
-            ("alpha = 10.0", "alpha = 1e154" + _TILTED_LIKELIHOOD),
-            "likelihood threshold overflows",
-        ),
         ("sweep", _add(_HUGE_ALPHA_SWEEP), "contrast overflows"),
         (
             "sweep",
@@ -281,7 +276,6 @@ def _add(lines: str) -> tuple[str, str]:
         "fidelity-alpha-1e308",
         "shots-alpha-1e308",
         "shots-likelihood-alpha-1e160",
-        "shots-likelihood-alpha-1e154",
         "sweep-snr-alpha-1e308",
         "sweep-contrast-alpha-1e308",
         "snr-lo-phase-1e308",

@@ -199,13 +199,13 @@ def test_one_evaluation_per_figure_row(integral_calls, monkeypatch):
     with monkeypatch.context() as patch:
         calls = _count_stages(patch, integral_calls)
         table = reproduce_figure3(points=50)
-        # the coherent baseline shared by every row is one evaluation
         assert len(table.rows) == 100
-        assert len(integral_calls) == 1 + 2
-        # a delta_theta kernel and an r kernel, each of 50 points
-        assert len(calls["projections"]) == 1 + 50 + 1
-        assert len(calls["factors"]) == 1 + 1 + 50
-        assert len(calls["angle"]) == 1 + 50 + 1
+        assert len(integral_calls) == 2
+        # a delta_theta kernel and an r kernel, each of 50 points; the
+        # coherent baseline shared by every row is one more r kernel point
+        assert len(calls["projections"]) == 50 + 1
+        assert len(calls["factors"]) == 1 + 50 + 1
+        assert len(calls["angle"]) == 50 + 1
     with monkeypatch.context() as patch:
         calls = _count_stages(patch, integral_calls)
         table = reproduce_figure2("panel_cd", points=50)
@@ -240,9 +240,16 @@ def test_figure2_rows_are_fresh_evaluations(variant, kappa_over_chi):
     assert next(rows, None) is None
 
 
-def test_fidelity_past_a_tenth_of_t1_warns_the_same_text_on_every_route(probe_matched):
-    # t/T1 = 0.5 and 0.6 with T1 = 100 in the unit of t
+def test_fidelity_past_a_tenth_of_t1_warns_the_same_text_on_every_route(probe_matched, tmp_path):
+    # t/T1 = 0.5 and 0.6 with T1 = 100 in the unit of t; the CLI's T1 is
+    # twice its 0.714 us readout time
     params = SystemParams(kappa=2.0, t1_intrinsic=100.0)
+    path = tmp_path / "short_t1.cfg"
+    path.write_text(
+        "chi_over_2pi_mhz = 0.15\nkappa_over_chi = 2.0\nt1_ms = 0.001428\n"
+        "alpha = 10.0\nr = 0.74\nt_us = 0.714\n",
+        encoding="utf-8",
+    )
     fixed = SweepFixed(params=params, probe=probe_matched, phi=PHI_DEFAULT, t=50.0)
     spec = SweepSpec(variable="t", lo=50.0, hi=60.0, points=2, fixed=fixed, metric="fidelity")
     routes = {
@@ -252,6 +259,7 @@ def test_fidelity_past_a_tenth_of_t1_warns_the_same_text_on_every_route(probe_ma
             50.0, probe_matched, SystemParams(kappa=2.0), PHI_DEFAULT, t1_total=100.0
         ),
         "run_sweep": lambda: run_sweep(spec),
+        "cli fidelity": lambda: main(["fidelity", "--config", str(path)]),
     }
     for name, route in routes.items():
         with warnings.catch_warnings(record=True) as caught:
@@ -262,9 +270,8 @@ def test_fidelity_past_a_tenth_of_t1_warns_the_same_text_on_every_route(probe_ma
             texts.append("fidelity formula assumes t << T1; got t/T1 = 0.6")
         assert [str(w.message) for w in caught] == texts, name
         assert all(w.category is UserWarning for w in caught), name
-        if name == "fidelity":
-            # the public function names its caller
-            assert caught[0].filename == __file__
+        # every route names its caller outside the package
+        assert all(w.filename == __file__ for w in caught), name
 
 
 def _row_at(fixed: SweepFixed, r: float, metric: str):

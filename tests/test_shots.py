@@ -8,7 +8,13 @@ import sys
 import numpy as np
 import pytest
 from conftest import PHI_DEFAULT
-from helpers import evaluation, input_covariance, reference_shot_weights
+from helpers import (
+    evaluation,
+    input_covariance,
+    mp_likelihood_crossing,
+    policy_error_rates,
+    reference_shot_weights,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +33,7 @@ from squeezed_readout import (
     signal_coefficients,
 )
 from squeezed_readout import shots
+from squeezed_readout.cli import main, parse_config
 from squeezed_readout.metrics import _evaluate, _fields
 
 SEED = 987654321
@@ -171,15 +178,172 @@ def test_likelihood_threshold_with_unequal_variances(t_matched, params_k2):
         classify(batch, threshold_policy="otsu")
 
 
-@pytest.mark.parametrize("alpha", [1e160, 1e154])
+@pytest.mark.parametrize("alpha", [1e160])
 def test_overflowing_likelihood_threshold_is_a_numerical_error(t_matched, params_k2, alpha):
-    # m² overflows at 1e160; at 1e154 only the discriminant's b² does,
-    # and the threshold came out -inf with every sigma = +1 shot wrong
+    # the squared half gap h² of the likelihood root overflows at 1e160
     probe = ProbeState(alpha=alpha, theta_alpha=0.0, r=0.74, theta_xi=1.1)
     batch = sample_shots(1000, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
     assert math.isfinite(classify(batch, threshold_policy="midpoint").threshold)
     with pytest.raises(NumericalError, match="likelihood threshold overflows"):
         classify(batch, threshold_policy="likelihood")
+
+
+def _crossing_tolerance(law: dict, crossing: float) -> float:
+    """1e-12 of the larger sd, 4 ulp of the crossing, or, past 1e4 gaps
+    over the sd, where the rounding of the half gap itself dominates,
+    1e-16 of the mean gap: whichever is most."""
+    (sd_plus, m_plus), (sd_minus, m_minus) = law[1], law[-1]
+    return max(
+        1e-12 * max(sd_plus, sd_minus), 4.0 * math.ulp(crossing), 1e-16 * abs(m_plus - m_minus)
+    )
+
+
+def test_likelihood_threshold_at_a_huge_displacement_is_the_crossing(t_matched, params_k2):
+    # the textbook discriminant's b² overflowed here and the cut came out
+    # -inf; the centred root squares only the half gap over the sd
+    probe = ProbeState(alpha=1e154, theta_alpha=0.0, r=0.74, theta_xi=1.1)
+    batch = sample_shots(1000, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
+    cut = classify(batch, threshold_policy="likelihood").threshold
+    crossing = mp_likelihood_crossing(batch.law)
+    assert abs(cut - crossing) <= _crossing_tolerance(batch.law, crossing)
+    assert 0.0 < cut < 1e152
+
+
+def _oracle_laws():
+    """2,160 laws {σ: (sd_σ, mean_σ)}: variance ratios v₊/v₋ from 1 ± 1e-13
+    to 10, gaps m₊ − m₋ of either sign from 0.01 to 30 of the larger sd,
+    midpoints up to 1e12 gaps from 0, and sds from 1e-150 to 1e150."""
+    ratios = (1 - 1e-13, 1 + 1e-13, 1 - 1e-9, 1 + 1e-9, 1 - 1e-5, 1 + 1e-5)
+    ratios += (0.99, 1.01, 0.5, 2.0, 0.1, 10.0)
+    gaps = (-30.0, -2.0, -0.01, 0.01, 1.0, 6.0)
+    centres = (0.0, 1.0, -1e3, 1e6, -1e9, 1e12)
+    scales = (1e-150, 1e-6, 1.0, 1e3, 1e150)
+    for ratio, gap, centre, sd_minus in itertools.product(ratios, gaps, centres, scales):
+        sd_plus = sd_minus * math.sqrt(ratio)
+        width = gap * max(sd_plus, sd_minus)
+        middle = centre * abs(width)
+        yield {1: (sd_plus, middle + 0.5 * width), -1: (sd_minus, middle - 0.5 * width)}
+
+
+def test_likelihood_threshold_is_the_mpmath_crossing():
+    misses = []
+    for law in _oracle_laws():
+        crossing = mp_likelihood_crossing(law)
+        cut = shots._threshold("likelihood", law)
+        if not abs(cut - crossing) <= _crossing_tolerance(law, crossing):
+            misses.append((law, cut, crossing))
+    assert misses == []
+
+
+@pytest.mark.parametrize("sd", [1e-150, 0.37, 1.0, 1e150])
+@pytest.mark.parametrize("means", [(2.5, -1.0), (-1e12, 1e12 + 4096.0), (0.0, 5e-324)])
+def test_equal_variances_give_the_midpoint_bits(sd, means):
+    m_plus, m_minus = means
+    law = {1: (sd, m_plus), -1: (sd, m_minus)}
+    midpoint = shots._threshold("midpoint", law)
+    assert midpoint == 0.5 * (m_plus + m_minus)
+    assert shots._threshold("likelihood", law) == midpoint
+
+
+@pytest.mark.parametrize("law", [{1: (1.0, 3.0), -1: (1.0, 3.0)}, {1: (2.0, 0.0), -1: (2.0, 0.0)}])
+def test_identical_laws_give_the_midpoint(law):
+    # zero half gap and equal variances: the root's denominator is 0
+    assert shots._threshold("likelihood", law) == law[1][1]
+
+
+@pytest.mark.parametrize("ratio", [1e-6, 0.25, 0.99, 1.01, 4.0, 1e6])
+@pytest.mark.parametrize("mean", [0.0, -7.5, 1e9])
+def test_equal_means_cut_at_the_crossing_on_the_side_of_minus_ell(ratio, mean):
+    # with no contrast the crossings sit at mean ± √(v₊v₋·ln(v₋/v₊)/(v₋ − v₊)),
+    # equally near the midpoint; the cut takes the one on the side of
+    # sgn(−ℓ) = sgn(v₋ − v₊), where the textbook roots followed rounding
+    sd_minus = 1.3
+    sd_plus = sd_minus * math.sqrt(ratio)
+    law = {1: (sd_plus, mean), -1: (sd_minus, mean)}
+    v_plus, v_minus = sd_plus * sd_plus, sd_minus * sd_minus
+    offset = math.sqrt(v_plus * v_minus * math.log(v_minus / v_plus) / (v_minus - v_plus))
+    cut = shots._threshold("likelihood", law)
+    assert math.isfinite(cut)
+    assert cut == pytest.approx(mean + math.copysign(offset, v_minus - v_plus), rel=1e-13)
+
+
+def test_a_batch_without_contrast_cuts_on_the_side_of_minus_ell(t_matched, params_k2):
+    # no displacement: both outcome means are exactly 0, and the tilted
+    # ellipse still makes the two variances differ
+    probe = ProbeState(alpha=0.0, theta_alpha=0.0, r=0.74, theta_xi=1.1)
+    batch = sample_shots(1000, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
+    (sd_plus, m_plus), (sd_minus, m_minus) = batch.law[1], batch.law[-1]
+    assert m_plus == m_minus == 0.0 and sd_plus != sd_minus
+    cut = classify(batch, threshold_policy="likelihood").threshold
+    assert math.isfinite(cut) and cut != 0.0
+    assert math.copysign(1.0, cut) == math.copysign(1.0, sd_minus - sd_plus)
+
+
+_SNR_18_CONFIG = """\
+chi_over_2pi_mhz = 0.15
+kappa_over_chi = 2.0
+t1_ms = 3.0
+alpha = 5252319833.663278
+theta_alpha_rad = 1.5707963105728593
+r = 0.74
+theta_xi_rad = 1.1
+t_us = 0.714
+threshold_policy = likelihood
+n_shots = 1000
+"""
+
+
+@pytest.mark.parametrize(
+    ("text", "printed"),
+    [
+        (_SNR_18_CONFIG, "2362106172.6916113"),
+        (
+            _SNR_18_CONFIG.replace("alpha = 5252319833.663278", "alpha = 1e154")
+            .replace("theta_alpha_rad = 1.5707963105728593", "theta_alpha_rad = 0.0"),
+            None,
+        ),
+    ],
+    ids=["snr-18", "alpha-1e154"],
+)
+def test_shots_command_prints_the_likelihood_crossing(tmp_path, capsys, text, printed):
+    # the textbook root's discriminant came out negative at SNR 18 through
+    # rounding, and overflowed at alpha = 1e154: both runs exited 2
+    path = tmp_path / "likelihood.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["shots", "--config", str(path)]) == 0
+    block = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    config = parse_config(text)
+    t = config.units.to_internal_time(config.t_us)
+    law = shots._shot_map(readout_point(t, config.probe, config.params, config.phi))
+    cut, crossing = float(block["threshold"]), mp_likelihood_crossing(law)
+    assert abs(cut - crossing) <= _crossing_tolerance(law, crossing)
+    assert min(law[1][1], law[-1][1]) < cut < max(law[1][1], law[-1][1])
+    if printed is not None:
+        assert block["threshold"] == printed
+
+
+_TILTED_POINTS = [(0.5 * math.pi, PHI_DEFAULT), (0.5 * math.pi, PHI_DEFAULT + math.pi)]
+_TILTED_POINTS += [(1.1, PHI_DEFAULT), (2.0, PHI_DEFAULT)]
+
+
+@pytest.mark.parametrize("policy", shots._POLICIES)
+@pytest.mark.parametrize(("theta_xi", "phi"), _TILTED_POINTS)
+def test_error_counts_follow_each_policys_exact_rates(t_matched, params_k2, policy, theta_xi, phi):
+    # each eigenstate's error count is binomial(n, p) with p the closed-form
+    # rate of the policy's cut on the batch's law
+    from scipy.stats import binom
+
+    n = 200_000
+    probe = ProbeState(alpha=10.0, theta_alpha=0.0, r=0.74, theta_xi=theta_xi)
+    batch = sample_shots(n, t_matched, probe, params_k2, phi, SEED)
+    (sd_plus, _), (sd_minus, _) = batch.law[1], batch.law[-1]
+    assert abs(sd_plus - sd_minus) > 1e-3 * max(sd_plus, sd_minus)
+    result = classify(batch, threshold_policy=policy)
+    rates = policy_error_rates(result.threshold, batch.law)
+    for error, p in zip((result.error_plus, result.error_minus), rates):
+        count = round(error * n)
+        lo, hi = binom.interval(1.0 - 1e-6, n, p)
+        assert n * p > 50 and lo <= count <= hi, (policy, count, n * p)
 
 
 def test_degenerate_batch_is_rejected(t_matched, probe_matched, params_k2):
