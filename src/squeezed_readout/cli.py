@@ -500,11 +500,6 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--vacuum-weight", type=float, help="override the vacuum-noise weight u"
     )
-    common.add_argument(
-        "--u-literal",
-        action="store_true",
-        help="use the literal vacuum weight u = 1 instead of the calibrated 0.25",
-    )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for name, text in (
         ("snr", "analytic contrast, variances and SNR at t_us"),
@@ -529,8 +524,6 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.u_literal and args.vacuum_weight is not None:
-        raise ValidationError("--u-literal conflicts with --vacuum-weight")
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
@@ -552,8 +545,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for key, value in vars(args).items():
         if key in _SCHEMA and value is not None:
             values[key] = value
-    if args.u_literal:
-        values["vacuum_weight"] = 1.0
     return _make_config(values)
 
 

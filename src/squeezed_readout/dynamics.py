@@ -27,8 +27,9 @@ Against 60-digit arithmetic on the same doubles all four integrals
 hold 1e-14 relative on both sides of the seam (F relative to |F + iG|).
 Where a² + b² underflows to 0 or overflows, or χs·t overflows, the
 closed forms raise a NumericalError instead of a Python exception or a
-silent A = t, B = 0;
-signal_coefficients raises one too where A or B is not finite.
+silent A = t, B = 0; so does _response at an internal time χs·t that
+is already inf.  signal_coefficients raises one too where A or B is
+not finite.
 """
 
 from __future__ import annotations
@@ -69,8 +70,10 @@ def _integrals(a: float, b: float, t: float):
 
 
 def _response(kappa: float, chi_s: float, t: float):
-    """(F, G, A, B) at time t."""
-    if not math.isfinite(t) or t < 0.0:
+    """(F, G, A, B) at time t; an infinite t is χs·t past the double range."""
+    if not 0.0 <= t < math.inf:
+        if t == math.inf:
+            raise NumericalError("response coefficients overflow: chi_s*t is too large")
         raise ValidationError(f"t must be nonnegative and finite, got {t!r}")
     big_f, big_g, int_f, int_g = _integrals(0.5 * kappa, chi_s, t)
     return big_f, big_g, t - kappa * int_f, kappa * int_g
@@ -78,7 +81,11 @@ def _response(kappa: float, chi_s: float, t: float):
 
 def signal_coefficients(t: float, params: SystemParams) -> tuple[float, float]:
     """(A, B) = (t − κ∫₀ᵗF, κ∫₀ᵗG), the integrated-signal weights."""
-    t = _real("t", t, "nonnegative and finite")
+    return _signal(_real("t", t, "nonnegative and finite"), params)
+
+
+def _signal(t: float, params: SystemParams) -> tuple[float, float]:
+    """signal_coefficients at a checked t, which may be χs·t past the double range."""
     a_coef, b_coef = _response(params.kappa, params.chi_s, t)[2:]
     # the series' t·(t·φ₂) or a subnormal (κ/2)² + χs² in the closed forms
     # takes A or B past the double range; the model's own stages meet this

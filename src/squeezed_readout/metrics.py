@@ -30,7 +30,7 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .dynamics import _response, signal_coefficients
+from .dynamics import _response, _signal
 from .errors import NumericalError, UndefinedPointError, ValidationError
 from .params import SystemParams, _finite, _real, wrap_angle
 from .probe import SQRT2, ProbeState, _input_means, _lo_angle, _squeeze_factors
@@ -200,6 +200,7 @@ def _snr_evaluation(metric, t, probe, params, phi, t1_total=None) -> _Evaluation
     t, phi = _real("t", t, None), _real("phi", phi)
     if t <= 0.0:
         raise UndefinedPointError(f"snr is undefined at t={t!r}; requires t > 0")
+    t = _real("t", t, "nonnegative and finite")  # an inf χs·t is _response's to raise
     return _evaluate(metric, _fields(t, probe, params, phi, t1_total))
 
 
@@ -257,7 +258,8 @@ def optimal_squeezing(t: float, params: SystemParams) -> float | None:
         raise UndefinedPointError(
             f"optimal_squeezing is undefined at t={t!r}; requires t > 0"
         )
-    a_coef, b_coef = signal_coefficients(t * params.chi_s, params.as_internal())
+    t = _real("t", t, "nonnegative and finite")  # an inf χs·t is _response's to raise
+    a_coef, b_coef = _signal(t * params.chi_s, params.as_internal())
     if b_coef == 0.0 or a_coef / b_coef <= 0.0:
         return None
     r_star = 0.5 * math.log(a_coef / b_coef)

@@ -55,7 +55,12 @@ class SweepFixed:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-variable sweep request; lo and hi are stored as floats."""
+    """One-variable sweep request; lo and hi are stored as floats.
+
+    Each end gets the checks of _with, lo then hi: every check of _with
+    is monotone in x, so an end fails where any point does, before a
+    point in between fails numerically.
+    """
 
     variable: str
     lo: float
@@ -74,13 +79,10 @@ class SweepSpec:
         lo, hi = _check_range("range", (self.lo, self.hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        floor = {"t": 0.0, "r": 0.0, "alpha": 0.0}.get(self.variable)
-        if floor is not None and self.lo < floor:
-            raise ValidationError(
-                f"{self.variable} sweep requires lo >= {floor}, got {self.lo!r}"
-            )
-        if self.variable == "kappa" and self.lo <= 0.0:
-            raise ValidationError(f"kappa sweep requires lo > 0, got {self.lo!r}")
+        fixed = self.fixed
+        base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
+        for x in (lo, hi):
+            _with(fixed, base, self.variable, x)
 
 
 class SweepRow(NamedTuple):
@@ -143,8 +145,7 @@ def _with(fixed: SweepFixed, base, variable: str, value: float):
         value = value / chi_s
     elif variable == "theta_xi":
         value = wrap_angle(value)
-    i = base._fields.index(variable)
-    return base._make((*base[:i], value, *base[i + 1 :]))
+    return base._replace(**{variable: value})
 
 
 def _kernel(metric: str, fixed: SweepFixed, variable: str):
@@ -286,15 +287,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     t = 0) are kept as rows with a NaN metric and the skipped flag set,
     so grids may start at zero time.  Each point is one call of the
     kernel of the variable, in order, so the first failing point raises
-    its own error.  The range's ends are checked first, lo then hi:
-    every check of _with is monotone in x, so an end fails where any
-    point does, before a point in between fails numerically.
+    its own error.  The spec has checked the range's ends already.
     """
-    metric, fixed, variable = spec.metric, spec.fixed, spec.variable
-    base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
-    for x in (spec.lo, spec.hi):
-        _with(fixed, base, variable, x)
-    at, make = _kernel(metric, fixed, variable), SweepRow._make
+    at, make = _kernel(spec.metric, spec.fixed, spec.variable), SweepRow._make
     rows = []
     for x in _grid(spec.lo, spec.hi, spec.points):
         value, big_f, big_g, a_coef, b_coef, vp, vm, _ = at(x)
@@ -333,8 +328,6 @@ def find_peak(
             raise NumericalError(
                 f"metric {metric!r} is undefined inside the bounds at {x!r}"
             )
-        if not math.isfinite(value):
-            raise NumericalError(f"metric {metric!r} is not finite at {x!r}")
         return value
 
     xs = _grid(lo, hi, _COARSE_POINTS)

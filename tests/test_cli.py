@@ -121,7 +121,7 @@ def test_fidelity_subcommand(config_path, capsys):
 
 
 def test_u_literal_changes_the_answer(config_path, capsys):
-    assert main(["snr", "--config", config_path, "--u-literal"]) == 0
+    assert main(["snr", "--config", config_path, "--vacuum-weight", "1"]) == 0
     block = _block(capsys)
     params_u1 = from_experimental(0.15, 2.0, 3.0, u=1.0)
     probe = ProbeState(alpha=10.0, r=0.74, theta_xi=math.pi)
@@ -141,11 +141,6 @@ def test_error_exit_codes(config_path, tmp_path, capsys):
 
     assert main(["backaction", "--config", config_path]) == 1
     assert "gs_over_delta" in capsys.readouterr().err
-
-    assert main(
-        ["snr", "--config", config_path, "--u-literal", "--vacuum-weight", "0.5"]
-    ) == 1
-    assert "conflicts" in capsys.readouterr().err
 
     zero_t = tmp_path / "zero_t.cfg"
     zero_t.write_text(
@@ -516,7 +511,7 @@ def test_optimize_stdout_is_golden(tmp_path, capsys, text):
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
-    main(["figures", "fig3", "--u-literal"])  # builds the parser if nothing has yet
+    main(["figures", "fig3", "--vacuum-weight", "1"])  # builds the parser if nothing has yet
     built = []
     init = cli._Parser.__init__
 
@@ -525,7 +520,7 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    assert main(["figures", "fig3", "--u-literal"]) == 1
+    assert main(["figures", "fig3", "--vacuum-weight", "1"]) == 1
     capsys.readouterr()
     with pytest.raises(SystemExit) as excinfo:
         main(["transmogrify"])
@@ -706,7 +701,7 @@ def test_figures_respect_r_values_from_config(config_path, tmp_path, capsys):
 
 
 def test_figures_pin_the_vacuum_weight(capsys):
-    assert main(["figures", "fig3", "--u-literal"]) == 1
+    assert main(["figures", "fig3", "--vacuum-weight", "1"]) == 1
     assert "vacuum_weight" in capsys.readouterr().err
 
 

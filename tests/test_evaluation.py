@@ -26,15 +26,18 @@ from squeezed_readout import (
     SweepSpec,
     SystemParams,
     UnitContext,
+    ValidationError,
     classify,
     fidelity,
     find_peak,
     from_experimental,
+    optimal_squeezing,
     readout_point,
     reproduce_figure2,
     reproduce_figure3,
     run_sweep,
     sample_shots,
+    signal_coefficients,
     snr,
 )
 from squeezed_readout import dynamics, metrics, sweeps
@@ -843,6 +846,84 @@ def test_overflowing_coefficient_is_a_numerical_error(probe_matched, params_k2):
     # B(t) grows like t, so B² overflows a double near t = 1e154
     with pytest.raises(NumericalError, match="response coefficients overflow: t is too"):
         snr(1e200, probe_matched, params_k2, PHI_DEFAULT)
+
+
+# t = 1e300 and chi_s = 1e10 are finite, the internal time chi_s*t is not
+_CHI_T_FIXED = SweepFixed(
+    params=SystemParams(chi_s=1e10, kappa=2e10),
+    probe=ProbeState(alpha=10.0, r=0.74),
+    phi=PHI_DEFAULT,
+    t=1e300,
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: readout_point(f.t, f.probe, f.params, f.phi),
+        lambda f: snr(f.t, f.probe, f.params, f.phi),
+        lambda f: sample_shots(10, f.t, f.probe, f.params, f.phi, 1),
+        lambda f: optimal_squeezing(f.t, f.params),
+        lambda f: find_peak("snr", "r", (0.0, 2.0), f),
+        lambda f: run_sweep(
+            SweepSpec(variable="r", lo=0.0, hi=2.0, points=5, fixed=f, metric="snr")
+        ),
+        lambda f: signal_coefficients(f.t, f.params),
+    ],
+    ids=[
+        "readout_point",
+        "snr",
+        "sample_shots",
+        "optimal_squeezing",
+        "find_peak",
+        "run_sweep",
+        "signal_coefficients",
+    ],
+)
+def test_internal_time_past_the_double_range_is_a_numerical_error(call):
+    # the caller's t is valid, so no route may name an inf t it never passed
+    with pytest.raises(NumericalError) as error:
+        call(_CHI_T_FIXED)
+    assert str(error.value) == "response coefficients overflow: chi_s*t is too large"
+
+
+@pytest.mark.parametrize(
+    "t,shown", [(math.inf, "inf"), (math.nan, "nan"), (10**400, "inf")], ids=["inf", "nan", "int"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t, f: readout_point(t, f.probe, f.params, f.phi),
+        lambda t, f: snr(t, f.probe, f.params, f.phi),
+        lambda t, f: optimal_squeezing(t, f.params),
+    ],
+    ids=["readout_point", "snr", "optimal_squeezing"],
+)
+def test_a_time_the_caller_passes_past_the_double_range_is_a_validation_error(call, t, shown):
+    # the same routes name the caller's own t where that is what fails
+    with pytest.raises(ValidationError) as error:
+        call(t, _CHI_T_FIXED)
+    assert str(error.value) == f"t must be nonnegative and finite, got {shown}"
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize(
+    "variable,bounds",
+    [
+        # chi_s*x is finite up to x ≈ 1.8e298, where A² has long overflowed
+        ("t", (1e290, 1e300)),
+        ("r", (0.0, 2.0)),
+        ("delta_theta", (-1.0, 1.0)),
+        ("alpha", (0.0, 12.0)),
+        ("kappa", (1e9, 1e11)),
+    ],
+    ids=["t", "r", "delta_theta", "alpha", "kappa"],
+)
+def test_kernel_points_equal_a_fresh_evaluation_past_the_internal_time(metric, variable, bounds):
+    _kernel_points_equal_a_fresh_evaluation(metric, variable, bounds, _CHI_T_FIXED)
+    kernel = sweeps._kernel(metric, _CHI_T_FIXED, variable)
+    with pytest.raises(NumericalError, match=r"chi_s\*t is too large"):
+        kernel(bounds[1])
 
 
 # a finite contrast of 3.26e307 over a noise of 0.18: the SNR passes the double

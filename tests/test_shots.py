@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import os
+import random
 import sys
 
 import numpy as np
@@ -28,6 +29,7 @@ from squeezed_readout import (
     ValidationError,
     classify,
     fidelity,
+    from_experimental,
     readout_point,
     sample_shots,
     signal_coefficients,
@@ -35,6 +37,7 @@ from squeezed_readout import (
 from squeezed_readout import shots
 from squeezed_readout.cli import main, parse_config
 from squeezed_readout.metrics import _evaluate, _fields
+from squeezed_readout.sweeps import _grid
 
 SEED = 987654321
 
@@ -344,6 +347,99 @@ def test_error_counts_follow_each_policys_exact_rates(t_matched, params_k2, poli
         count = round(error * n)
         lo, hi = binom.interval(1.0 - 1e-6, n, p)
         assert n * p > 50 and lo <= count <= hi, (policy, count, n * p)
+
+
+def _sigma_weighted_fidelity(point, t: float, t1: float):
+    """(fidelity, rates) of the σ-weighted cut x_w = (m₊σ₋ + m₋σ₊)/(σ₊ + σ₋)
+    on the outcome law of a ReadoutPoint: (1 − p₊ − p₋)·e^{−t/2T₁}, with
+    (p₊, p₋) the closed-form rates of that cut."""
+    sd_plus, sd_minus = math.sqrt(point.variance_plus), math.sqrt(point.variance_minus)
+    m_plus, m_minus = point.mean_plus, point.mean_minus
+    cut = (m_plus * sd_minus + m_minus * sd_plus) / (sd_plus + sd_minus)
+    rates = policy_error_rates(cut, {1: (sd_plus, m_plus), -1: (sd_minus, m_minus)})
+    return (1.0 - rates[0] - rates[1]) * math.exp(-0.5 * t / t1), rates
+
+
+def test_fidelity_is_what_the_sigma_weighted_cut_achieves_on_fig3(t_matched, params_k2):
+    # both error rates of the σ-weighted cut are Φ(−SNR), so the paper's
+    # erf(SNR/√2)·e^{−t/2T₁} is what that cut achieves at any two variances:
+    # both fig3 panels, their coherent baseline and the README point
+    phi = PHI_DEFAULT
+    probes = [
+        ProbeState(alpha=10.0, r=0.74, theta_xi=2.0 * (phi - x))
+        for x in _grid(-math.pi, math.pi, 400)
+    ]
+    probes += [ProbeState(alpha=10.0, r=x, theta_xi=math.pi) for x in _grid(0.0, 2.0, 400)]
+    probes.append(ProbeState(alpha=10.0, r=0.0, theta_xi=math.pi))
+    probes.append(ProbeState(alpha=10.0, theta_alpha=0.0, r=0.74, theta_xi=math.pi))
+    t1 = params_k2.t1_intrinsic
+    for probe in probes:
+        point = readout_point(t_matched, probe, params_k2, phi)
+        achieved, _ = _sigma_weighted_fidelity(point, t_matched, t1)
+        assert abs(achieved - point.fidelity) <= 2.0 * math.ulp(point.fidelity), probe
+
+
+def test_fidelity_is_what_the_sigma_weighted_cut_achieves_at_tilted_points(units):
+    # 5,000 seeded points with the squeeze ellipse tilted off the LO frame,
+    # so the two variances differ, and the contrast phase matched; SNRs from
+    # about 6e-10 to 45.  Besides 4 ulp, the bound holds two separate
+    # roundings of one quantity: the contrast against |m₊ − m₋| in erf(SNR/√2),
+    # and each closed-form rate's last bit, which 1 − p₊ − p₋ keeps
+    # absolutely where the SNR is small and the rates are near ½
+    rng = random.Random(20261019)
+    for _ in range(5000):
+        params = from_experimental(0.15, rng.uniform(0.5, 4.0), 3.0)
+        probe = ProbeState(
+            alpha=10.0 ** rng.uniform(-6.0, 1.5),
+            theta_alpha=0.0,
+            r=rng.uniform(0.0, 2.0),
+            theta_xi=rng.uniform(-math.pi, math.pi),
+        )
+        t = units.to_internal_time(rng.uniform(0.05, 2.0))
+        point = readout_point(t, probe, params, PHI_DEFAULT)
+        achieved, (p_plus, p_minus) = _sigma_weighted_fidelity(point, t, params.t1_intrinsic)
+        decay = math.exp(-0.5 * t / params.t1_intrinsic)
+        gap_snr = abs(point.mean_plus - point.mean_minus) / (
+            math.sqrt(point.variance_plus) + math.sqrt(point.variance_minus)
+        )
+        contrast_change = abs(
+            math.erf(point.snr / math.sqrt(2.0)) - math.erf(gap_snr / math.sqrt(2.0))
+        )
+        bound = 4.0 * math.ulp(point.fidelity) + decay * (
+            contrast_change + math.ulp(p_plus) + math.ulp(p_minus)
+        )
+        assert abs(achieved - point.fidelity) <= bound, (probe, t, point.snr)
+
+
+def test_policy_error_rates_are_the_mpmath_rates():
+    # each rate ½·erfc(z/√2) at the standardized distance z = |m_σ − cut|/sd_σ,
+    # on both policies' cuts of the 2,160 oracle laws, against 50-digit
+    # mpmath on the same doubles.  z/√2 carries about four roundings (2ε),
+    # which erfc amplifies by its condition number 1 + z² at most, and erfc
+    # adds its own ulp: (3 + 2z²)·ε ≤ 3(1 + z²)·ε relative.  Past z ≈ 37.5
+    # the rate is below the normal range, where the double holds it to
+    # 2^-1074 absolutely (or is 0)
+    import mpmath as mp
+
+    eps, smallest = sys.float_info.epsilon, math.ulp(0.0)
+    misses = []
+    for law in _oracle_laws():
+        (sd_plus, m_plus), (sd_minus, m_minus) = law[1], law[-1]
+        side = 1 if m_plus >= m_minus else -1
+        for policy in shots._POLICIES:
+            cut = shots._threshold(policy, law)
+            rates = policy_error_rates(cut, law)
+            with mp.workdps(50):
+                distances = (
+                    side * (mp.mpf(m_plus) - mp.mpf(cut)) / mp.mpf(sd_plus),
+                    side * (mp.mpf(cut) - mp.mpf(m_minus)) / mp.mpf(sd_minus),
+                )
+                for rate, z in zip(rates, distances):
+                    exact = mp.erfc(z / mp.sqrt(2)) / 2
+                    bound = 3.0 * (1.0 + float(z) ** 2) * eps * exact + smallest
+                    if not abs(mp.mpf(rate) - exact) <= bound:
+                        misses.append((policy, law, rate, float(exact)))
+    assert misses == []
 
 
 def test_degenerate_batch_is_rejected(t_matched, probe_matched, params_k2):

@@ -108,7 +108,7 @@ def test_variance_metric_symmetrizes(fixed, t_matched, params_k2, probe_matched)
 def test_sweep_spec_validation(fixed):
     with pytest.raises(ValidationError, match="kappa"):
         SweepSpec(variable="kappa", lo=0.0, hi=2.0, points=10, fixed=fixed, metric="snr")
-    with pytest.raises(ValidationError, match="lo >= 0"):
+    with pytest.raises(ValidationError, match=r"^r must be nonnegative and finite, got -0\.5$"):
         SweepSpec(variable="r", lo=-0.5, hi=1.0, points=10, fixed=fixed, metric="snr")
     with pytest.raises(ValidationError, match="points"):
         SweepSpec(variable="r", lo=0.0, hi=1.0, points=1, fixed=fixed, metric="snr")
@@ -419,7 +419,8 @@ def test_two_points_make_the_smallest_grid(fixed):
 )
 def test_an_end_of_the_range_fails_before_any_point(variable, lo, hi, params, probe, t, message):
     fixed = SweepFixed(params=params, probe=probe, phi=PHI_DEFAULT, t=t)
-    spec = SweepSpec(variable=variable, lo=lo, hi=hi, points=50, fixed=fixed, metric="snr")
     with pytest.raises(ValidationError) as excinfo:
-        run_sweep(spec)
+        run_sweep(
+            SweepSpec(variable=variable, lo=lo, hi=hi, points=50, fixed=fixed, metric="snr")
+        )
     assert str(excinfo.value) == message
