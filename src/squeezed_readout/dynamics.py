@@ -81,12 +81,12 @@ def _response(kappa: float, chi_s: float, t: float):
 
 def signal_coefficients(t: float, params: SystemParams) -> tuple[float, float]:
     """(A, B) = (t − κ∫₀ᵗF, κ∫₀ᵗG), the integrated-signal weights."""
-    return _signal(_real("t", t, "nonnegative and finite"), params)
+    return _signal(_real("t", t, "nonnegative and finite"), params.kappa, params.chi_s)
 
 
-def _signal(t: float, params: SystemParams) -> tuple[float, float]:
+def _signal(t: float, kappa: float, chi_s: float) -> tuple[float, float]:
     """signal_coefficients at a checked t, which may be χs·t past the double range."""
-    a_coef, b_coef = _response(params.kappa, params.chi_s, t)[2:]
+    a_coef, b_coef = _response(kappa, chi_s, t)[2:]
     # the series' t·(t·φ₂) or a subnormal (κ/2)² + χs² in the closed forms
     # takes A or B past the double range; the model's own stages meet this
     # in their variance check

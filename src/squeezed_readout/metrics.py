@@ -4,7 +4,7 @@ The measurement integrates the leaked output field for a time t and
 projects it onto the local-oscillator quadrature at angle phi.  For a
 qubit eigenvalue sigma = ±1 the outcome is Gaussian with
 
-    mean      A·⟨Q'⟩ + σ·B·⟨P'⟩
+    mean      A·⟨Q'⟩ + σ·B·⟨P'⟩ = √2α·(A·cos(θα − φ) + σ·B·sin(θα − φ))
     variance  ½(e^{−r}·a_σ)² + ½(e^{r}·b_σ)² + u·(κ/2)(F² + G²)
               = e^{−2r}·½(A² + B²) + sinh 2r·b_σ² + u·(κ/2)(F² + G²)
     a_σ = A cos δ − σB sin δ,  b_σ = A sin δ + σB cos δ
@@ -12,7 +12,9 @@ qubit eigenvalue sigma = ±1 the outcome is Gaussian with
 where primes denote the input quadratures rotated by phi, A, B, F, G are
 the response coefficients of cavity_dynamics, u is the vacuum-noise
 weight from SystemParams and δ = φ − θξ/2 is the LO angle from the
-squeezed quadrature.  The probe terms lie on the axes of its squeeze
+squeezed quadrature.  The model forms the mean as along + σ·across
+with across = (√2α·B)·sin(θα − φ), the one product that also gives the
+contrast 2·|across|.  The probe terms lie on the axes of its squeeze
 ellipse (see probe).  The model evaluates the second line, which
 a_σ² + b_σ² = A² + B² gives: three nonnegative terms that cannot cancel,
 and free of the angle at r = 0.  The eigenvalues share one variance
@@ -32,9 +34,10 @@ from dataclasses import dataclass
 
 from .dynamics import _response, _signal
 from .errors import NumericalError, UndefinedPointError, ValidationError
-from .params import SystemParams, _finite, _real, wrap_angle
-from .probe import SQRT2, ProbeState, _input_means, _lo_angle, _squeeze_factors
+from .params import SystemParams, _finite, _real, _rescaled, wrap_angle
+from .probe import ProbeState, _lo_angle, _squeeze_factors
 
+SQRT2 = math.sqrt(2.0)
 _PHASE_TOL = 1e-9
 _INF = math.inf
 
@@ -57,21 +60,17 @@ _Evaluation = namedtuple(
 def _fields(t, probe: ProbeState, params: SystemParams, phi, t1_total=None):
     """Model inputs at an operating point; t1_total (unit of t) overrides T1.
 
-    t1_total is checked here, once, and so is χs·t1_total, which may
-    underflow to 0 or overflow.
+    t1_total is checked here, once.  κ/χs and χs·T1 are formed here, by
+    params._rescaled; χs·t is _response's to check.
     """
-    c, internal = params.chi_s, params.as_internal()
-    t1 = internal.t1_intrinsic
-    if t1_total is not None:
-        t1_total = _real("t1_total", t1_total, "positive and finite")
-        t1 = t1_total * c
-        if not 0.0 < t1 < _INF:
-            fault = "underflows to 0" if t1 == 0.0 else "overflows"
-            raise NumericalError(
-                f"chi_s·t1_total {fault}: chi_s = {c!r}, t1_total = {t1_total!r}"
-            )
+    c = params.chi_s
+    kappa = _rescaled("kappa", params.kappa, c)
+    if t1_total is None:
+        t1 = _rescaled("t1_intrinsic", params.t1_intrinsic, c)
+    else:
+        t1 = _rescaled("t1_total", _real("t1_total", t1_total, "positive and finite"), c)
     state = (probe.alpha, probe.r, probe.theta_xi, probe.theta_alpha)
-    return _Fields(t * c, internal.kappa, *state, phi, internal.vacuum_weight, t1)
+    return _Fields(t * c, kappa, *state, phi, params.vacuum_weight, t1)
 
 
 def _projections(response, kappa: float, u: float, angle):
@@ -107,16 +106,18 @@ def _variances(projections, factors):
 
 
 def _separation(metric: str, alpha: float, b_coef: float, theta_alpha: float, phi: float):
-    """2√2·α·|B|·|sin(θα − φ)|; a NumericalError where it is not finite.
+    """(across, contrast): across = (√2α·B)·sin(θα − φ), half the gap m₊ − m₋.
 
-    None for the metric variance, which reads no separation: it overflows
+    The contrast 2·|across| is a NumericalError where it is not finite,
+    and None for the metric variance, which reads none: it overflows
     first at huge alpha.
     """
+    across = ((SQRT2 * alpha) * b_coef) * math.sin(theta_alpha - phi)
     if metric == "variance":
-        return None
-    sep = 2.0 * SQRT2 * alpha * abs(b_coef) * abs(math.sin(theta_alpha - phi))
+        return across, None
+    sep = 2.0 * abs(across)
     if math.isfinite(sep):
-        return sep
+        return across, sep
     raise NumericalError(f"contrast overflows at alpha = {float(alpha)!r}")
 
 
@@ -164,9 +165,10 @@ def _evaluate(metric: str, point: _Fields) -> _Evaluation:
     returns its first eight fields; phi is unchecked.  The stages run in
     this order: the metric check, the response, the squeeze factors, the
     LO angle, the projections, the variances, the separation and the row,
-    then the input means.  sweeps._kernel and sweeps.reproduce_figure2
-    call the same stage functions, so a sweep or figure point raises what
-    this evaluation raises there.
+    then the means along ± across, with along = (√2α·A)·cos(θα − φ).
+    sweeps._kernel and sweeps.reproduce_figure2 call the same stage
+    functions, so a sweep or figure point raises what this evaluation
+    raises there.
     """
     t, kappa, alpha, r, theta_xi, theta_alpha, phi, u, t1 = point
     _check_metric(metric)
@@ -174,19 +176,16 @@ def _evaluate(metric: str, point: _Fields) -> _Evaluation:
     factors = _squeeze_factors(r)
     angle = _lo_angle(theta_xi, phi)
     vp, vm = _variances(_projections(response, kappa, u, angle), factors)
-    sep = _separation(metric, alpha, response[3], theta_alpha, phi)
+    across, sep = _separation(metric, alpha, response[3], theta_alpha, phi)
     row = _row(metric, t, response, sep, vp, vm, t1)
-    mq, mp = _input_means(alpha, theta_alpha)
-    c, s = math.cos(phi), math.sin(phi)
-    along = response[2] * (mq * c + mp * s)
-    across = response[3] * (-mq * s + mp * c)
+    along = ((SQRT2 * alpha) * response[2]) * math.cos(theta_alpha - phi)
     return _Evaluation(*row, along + across, along - across, sep)
 
 
 def _means(point: _Evaluation) -> tuple[float, float]:
     """(mean_plus, mean_minus); a NumericalError where one is not finite.
 
-    At a huge alpha the input means overflow and their projection can be
+    At a huge alpha √2α·A or √2α·B overflows and along ± across can be
     inf − inf; the variances, which read no mean, stay available there.
     """
     if math.isfinite(point.mean_plus) and math.isfinite(point.mean_minus):
@@ -259,7 +258,8 @@ def optimal_squeezing(t: float, params: SystemParams) -> float | None:
             f"optimal_squeezing is undefined at t={t!r}; requires t > 0"
         )
     t = _real("t", t, "nonnegative and finite")  # an inf χs·t is _response's to raise
-    a_coef, b_coef = _signal(t * params.chi_s, params.as_internal())
+    c = params.chi_s
+    a_coef, b_coef = _signal(t * c, _rescaled("kappa", params.kappa, c), 1.0)
     if b_coef == 0.0 or a_coef / b_coef <= 0.0:
         return None
     r_star = 0.5 * math.log(a_coef / b_coef)

@@ -10,7 +10,6 @@ microseconds to internal time and back.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -37,6 +36,20 @@ def _finite(compute, label: str) -> float:
     if not math.isfinite(value):
         raise NumericalError(f"{label} overflows")
     return value
+
+
+def _rescaled(name: str, value: float, chi_s: float) -> float:
+    """value at chi_s = 1: kappa/chi_s for the rate kappa, chi_s·value for a time.
+
+    value is a checked positive float.  A NumericalError naming chi_s and
+    value where the result underflows to 0 or overflows.
+    """
+    x = value / chi_s if name == "kappa" else value * chi_s
+    if 0.0 < x < math.inf:
+        return x
+    label = "kappa/chi_s" if name == "kappa" else f"chi_s·{name}"
+    fault = "underflows to 0" if x == 0.0 else "overflows"
+    raise NumericalError(f"{label} {fault}: chi_s = {chi_s!r}, {name} = {value!r}")
 
 
 # what _real checks of a float, by the rule its message names
@@ -102,20 +115,6 @@ class SystemParams:
     def has_backaction(self) -> bool:
         """True when both back-action parameters (g_s, delta) are set."""
         return self.g_s is not None and self.delta is not None
-
-    def as_internal(self) -> "SystemParams":
-        """Rescale so that chi_s = 1 (rates divided, times multiplied by chi_s)."""
-        if self.chi_s == 1.0:
-            return self
-        c = self.chi_s
-        return dataclasses.replace(
-            self,
-            chi_s=1.0,
-            kappa=self.kappa / c,
-            t1_intrinsic=self.t1_intrinsic * c,
-            g_s=None if self.g_s is None else self.g_s / c,
-            delta=None if self.delta is None else self.delta / c,
-        )
 
 
 def from_experimental(

@@ -13,7 +13,9 @@ squeezed axis and e^{2r}/2 across it, so the quadrature at the LO angle
     ½(e^{−2r}·cos²δ + e^{2r}·sin²δ) = ½e^{−2r} + sinh 2r·sin²δ.
 
 The model reads the probe through the squeeze factors (e^{−2r}, sinh 2r)
-and (cos δ, sin δ), from which metrics._variances forms the outcome variance.
+and (cos δ, sin δ), from which metrics._variances forms the outcome variance;
+its mean, √2α·(cos θα, sin θα), enters the outcome means only through
+√2α and θα − φ (see metrics._separation).
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from dataclasses import dataclass
 
 from .errors import NumericalError
 from .params import _finite, _real, wrap_angle
-
-SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,6 @@ class ProbeState:
             object.__setattr__(self, name, value)
         for name in ("theta_alpha", "theta_xi"):
             object.__setattr__(self, name, wrap_angle(_real(name, getattr(self, name))))
-
-
-def _input_means(alpha: float, theta_alpha: float):
-    return SQRT2 * alpha * math.cos(theta_alpha), SQRT2 * alpha * math.sin(theta_alpha)
 
 
 def _squeeze_factors(r: float):

@@ -23,7 +23,7 @@ from .dynamics import _response
 from .errors import NumericalError, ReadoutError, ValidationError
 from .metrics import _check_metric, _evaluate, _fields
 from .metrics import _projections, _row, _separation, _variances
-from .params import SystemParams, UnitContext, _real, from_experimental, wrap_angle
+from .params import SystemParams, UnitContext, _real, _rescaled, from_experimental, wrap_angle
 from .probe import ProbeState, _lo_angle, _squeeze_factors
 
 SWEEP_VARIABLES = ("t", "r", "delta_theta", "alpha", "kappa")
@@ -127,7 +127,8 @@ class FigureTable:
 def _with(fixed: SweepFixed, base, variable: str, value: float):
     """base, the model inputs of fixed, with one sweep variable set to value.
 
-    value gets the checks of ProbeState and SystemParams.
+    value gets the checks of ProbeState and SystemParams, and κ/χs the
+    rule of metrics._fields.
     """
     chi_s = fixed.params.chi_s
     if variable == "delta_theta":
@@ -136,13 +137,11 @@ def _with(fixed: SweepFixed, base, variable: str, value: float):
         raise ValidationError(f"unknown sweep variable {variable!r}")
     if variable == "kappa":
         _real("kappa", value, "positive and finite")
-        _real("kappa", value / chi_s, "positive and finite")
+        value = _rescaled("kappa", value, chi_s)
     else:
         _real(variable, value, "finite" if variable == "theta_xi" else "nonnegative and finite")
     if variable == "t":
         value = value * chi_s
-    elif variable == "kappa":
-        value = value / chi_s
     elif variable == "theta_xi":
         value = wrap_angle(value)
     return base._replace(**{variable: value})
@@ -186,7 +185,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
             if variable == "alpha":
                 vp, vm = _variances(projections, factors)
             else:
-                sep = _separation(metric, alpha, response[3], theta_alpha, phi)
+                sep = _separation(metric, alpha, response[3], theta_alpha, phi)[1]
         else:
             return fresh  # _with raises for an unknown variable
     except ReadoutError:
@@ -201,7 +200,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
             t = x * chi_s
             response = _response(kappa, 1.0, t)
             vp, vm = _variances(_projections(response, kappa, u, angle), factors)
-            sep = _separation(metric, alpha, response[3], theta_alpha, phi)
+            sep = _separation(metric, alpha, response[3], theta_alpha, phi)[1]
             return _row(metric, t, response, sep, vp, vm, t1)
 
     elif variable == "kappa":
@@ -212,7 +211,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
                 _with(fixed, base, variable, x)
             response = _response(k, 1.0, t)
             vp, vm = _variances(_projections(response, k, u, angle), factors)
-            sep = _separation(metric, alpha, response[3], theta_alpha, phi)
+            sep = _separation(metric, alpha, response[3], theta_alpha, phi)[1]
             return _row(metric, t, response, sep, vp, vm, t1)
 
     elif variable == "alpha":
@@ -220,7 +219,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
         def at(x):
             if not 0.0 <= x < inf:
                 _with(fixed, base, variable, x)
-            sep = _separation(metric, x, response[3], theta_alpha, phi)
+            sep = _separation(metric, x, response[3], theta_alpha, phi)[1]
             return _row(metric, t, response, sep, vp, vm, t1)
 
     elif variable == "r":
@@ -489,7 +488,7 @@ def reproduce_figure2(
         x = units.chi_rad_per_us * t
         response = _response(kappa, 1.0, x)
         projections = _projections(response, kappa, u, angle)
-        sep = _separation("fidelity", alpha, response[3], 0.0, phi)
+        sep = _separation("fidelity", alpha, response[3], 0.0, phi)[1]
         shared.append((t, x, response, projections, sep))
     rows = []
     for r in r_values:

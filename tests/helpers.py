@@ -185,6 +185,12 @@ class QuadratureStats:
         return self.var_q * self.var_p - self.cov_qp**2
 
 
+def input_means(alpha: float, theta_alpha: float) -> tuple[float, float]:
+    """(⟨Q⟩, ⟨P⟩) = √2α·(cos θα, sin θα), the probe's means in the unrotated frame."""
+    root = math.sqrt(2.0) * alpha
+    return root * math.cos(theta_alpha), root * math.sin(theta_alpha)
+
+
 def input_covariance(probe: ProbeState) -> QuadratureStats:
     """Full Gaussian moments of the probe in the unrotated (Q, P) frame.
 
@@ -194,8 +200,7 @@ def input_covariance(probe: ProbeState) -> QuadratureStats:
 
     The differences cancel their digits at large r; meant for r ≲ 2.
     """
-    mq = math.sqrt(2.0) * probe.alpha * math.cos(probe.theta_alpha)
-    mp = math.sqrt(2.0) * probe.alpha * math.sin(probe.theta_alpha)
+    mq, mp = input_means(probe.alpha, probe.theta_alpha)
     ch, sh = math.cosh(2.0 * probe.r), math.sinh(2.0 * probe.r)
     return QuadratureStats(
         mean_q=mq,

@@ -186,7 +186,9 @@ def test_non_utf8_config_is_a_config_error(tmp_path):
     assert done.stderr.count("\n") == 1
 
 
-_HUGE_ALPHA_SWEEP = "sweep_variable = alpha\nsweep_lo = 1e307\nsweep_hi = 1e308\nsweep_points = 5"
+_HUGE_ALPHA_SWEEP = (
+    "sweep_variable = alpha\nsweep_lo = 1e308\nsweep_hi = 1.7e308\nsweep_points = 5"
+)
 _WITH_T1 = "\nuse_backaction_t1 = true"
 _TILTED_LIKELIHOOD = "\ntheta_xi_rad = 1.1\nthreshold_policy = likelihood\nn_shots = 1000"
 
@@ -225,9 +227,9 @@ def _add(lines: str) -> tuple[str, str]:
         ("fidelity", _add("gs_over_delta = 1e200" + _WITH_T1), "Purcell rate"),
         ("fidelity", _add("gs_over_delta = 1e154" + _WITH_T1), "Purcell rate"),
         ("shots", _add("gs_over_delta = 1e154" + _WITH_T1), "Purcell rate"),
-        ("snr", ("alpha = 10.0", "alpha = 1e308"), "contrast overflows"),
-        ("fidelity", ("alpha = 10.0", "alpha = 1e308"), "contrast overflows"),
-        ("shots", ("alpha = 10.0", "alpha = 1e308"), "contrast overflows"),
+        ("snr", ("alpha = 10.0", "alpha = 1.5e308"), "contrast overflows"),
+        ("fidelity", ("alpha = 10.0", "alpha = 1.5e308"), "contrast overflows"),
+        ("shots", ("alpha = 10.0", "alpha = 1.5e308"), "contrast overflows"),
         (
             "shots",
             ("alpha = 10.0", "alpha = 1e160" + _TILTED_LIKELIHOOD),
@@ -267,12 +269,12 @@ def _add(lines: str) -> tuple[str, str]:
         "fidelity-coupling-1e200",
         "fidelity-coupling-1e154",
         "shots-coupling-1e154",
-        "snr-alpha-1e308",
-        "fidelity-alpha-1e308",
-        "shots-alpha-1e308",
+        "snr-alpha-1.5e308",
+        "fidelity-alpha-1.5e308",
+        "shots-alpha-1.5e308",
         "shots-likelihood-alpha-1e160",
-        "sweep-snr-alpha-1e308",
-        "sweep-contrast-alpha-1e308",
+        "sweep-snr-alpha-1.7e308",
+        "sweep-contrast-alpha-1.7e308",
         "snr-lo-phase-1e308",
         "snr-lo-phase-minus-1e308",
         "fidelity-lo-phase-1e308",

@@ -8,6 +8,7 @@ once per grid time for all its r curves.  These tests count the
 evaluations and check that every route to a number returns the same bits.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -502,8 +503,8 @@ def test_peak_search_equals_the_reference(
 @pytest.mark.parametrize(
     "variable,bounds,r",
     [
-        # the separation overflows from coarse[19] on; the variance metric reads none
-        ("alpha", (1e307, 1e308), 0.74),
+        # the separation overflows from coarse[13] on; the variance metric reads none
+        ("alpha", (1e308, 1.7e308), 0.74),
         # cosh 2r overflows at every point, but the first point's t or kappa fails first
         ("t", (-0.5, 1.0), 400.0),
         ("kappa", (-0.5, 1.0), 400.0),
@@ -521,7 +522,7 @@ def test_peak_search_past_the_double_range_equals_the_reference(
     _same_outcome(_outcome(lambda: find_peak(*args)), reference)
     if variable == "alpha" and metric != "variance":
         coarse = sweeps._grid(*bounds, sweeps._COARSE_POINTS)
-        assert str(reference) == _SEPARATION_OVERFLOWS.format(coarse[19])
+        assert str(reference) == _SEPARATION_OVERFLOWS.format(coarse[13])
     elif variable != "alpha":
         assert ("too large" in str(reference)) is (bounds[0] > 0.0)
 
@@ -590,18 +591,18 @@ def test_kernel_points_equal_a_fresh_evaluation(
         ("delta_theta", (-1.0, 1.0), 1e200, 10.0, 0.74),
         ("alpha", (-1.0, 12.0), 1e200, 10.0, 0.74),
         # the separation overflows at every point of an r or delta_theta
-        # search at alpha = 9e307, and from coarse[19] on of an alpha search
-        ("r", (-0.5, 2.0), None, 9e307, 0.74),
-        ("delta_theta", (-1.0, 1.0), None, 9e307, 0.74),
-        ("alpha", (1e307, 1e308), None, 10.0, 0.74),
+        # search at alpha = 1.5e308, and from coarse[13] on of an alpha search
+        ("r", (-0.5, 2.0), None, 1.5e308, 0.74),
+        ("delta_theta", (-1.0, 1.0), None, 1.5e308, 0.74),
+        ("alpha", (1e308, 1.7e308), None, 10.0, 0.74),
         # cosh 2r overflows at r = 400, after a negative t or kappa fails
         ("t", (-0.5, 1.0), None, 10.0, 400.0),
         ("kappa", (-0.5, 1.0), None, 10.0, 400.0),
         # stages that t and kappa reach fail: A² from t ≈ 1e154 on, the
-        # separation at every point at alpha = 9e307, after A² where both do
+        # separation at every point at alpha = 1.5e308, after A² where both do
         ("t", (0.0, 1e200), None, 10.0, 0.74),
-        ("t", (0.0, 1e200), None, 9e307, 0.74),
-        ("kappa", (-0.5, 4.0), None, 9e307, 0.74),
+        ("t", (0.0, 1e200), None, 1.5e308, 0.74),
+        ("kappa", (-0.5, 4.0), None, 1.5e308, 0.74),
         # nothing fails; fidelity warns past t/T1 = 0.1, t ≈ 283 here
         ("r", (0.0, 2.0), 600.0, 10.0, 0.74),
         ("t", (100.0, 1000.0), None, 10.0, 0.74),
@@ -788,29 +789,37 @@ def test_overflowing_variance_is_a_numerical_error_in_every_figure_of_merit(para
             call()
 
 
-# 2*sqrt(2)*alpha overflows a double above alpha = 6.4e307, although the
-# contrast at the matched point (about 2e307 at alpha = 1e308) would fit
-_HUGE_ALPHAS = sweeps._grid(1e307, 1e308, 5)
+# sqrt(2)*alpha overflows a double above alpha = 1.27e308; the contrast
+# at the matched point is about 2e307 at alpha = 1e308 and fits
+_HUGE_ALPHAS = sweeps._grid(1e308, 1.7e308, 5)
 _SEPARATION_OVERFLOWS = "contrast overflows at alpha = {!r}"
 
 
-def test_overflowing_separation_is_a_numerical_error(t_matched, params_k2):
+def test_contrast_that_fits_below_the_overflow_of_root_2_alpha_is_finite(t_matched, params_k2):
+    # 2*sqrt(2)*alpha alone overflows here; the contrast does not
     probe = ProbeState(alpha=1e308, r=0.74, theta_xi=math.pi)
+    point = readout_point(t_matched, probe, params_k2, PHI_DEFAULT)
+    assert point.contrast == 2.034049797191079e307
+    assert point.mean_minus - point.mean_plus == point.contrast
+
+
+def test_overflowing_separation_is_a_numerical_error(t_matched, params_k2):
+    probe = ProbeState(alpha=1.5e308, r=0.74, theta_xi=math.pi)
     args = (t_matched, probe, params_k2, PHI_DEFAULT)
     for call in (snr, readout_point):
         with pytest.raises(NumericalError) as error:
             call(*args)
-        assert str(error.value) == _SEPARATION_OVERFLOWS.format(1e308)
-    # the means and variances read no separation
+        assert str(error.value) == _SEPARATION_OVERFLOWS.format(1.5e308)
+    # the variances read no separation; the means read its across term
     model = helpers.evaluation(*args)
-    assert math.isfinite(model.mean_plus)
     assert math.isfinite(model.variance_minus)
+    assert not math.isfinite(model.mean_plus)
     # in a time sweep the separation overflows at every point
     fixed = SweepFixed(params=params_k2, probe=probe, phi=PHI_DEFAULT, t=t_matched)
     spec = SweepSpec(variable="t", lo=0.5, hi=t_matched, points=2, fixed=fixed, metric="snr")
     with pytest.raises(NumericalError) as error:
         run_sweep(spec)
-    assert str(error.value) == _SEPARATION_OVERFLOWS.format(1e308)
+    assert str(error.value) == _SEPARATION_OVERFLOWS.format(1.5e308)
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -819,7 +828,7 @@ def test_overflowing_separation_on_a_grid_names_the_first_bad_point(
 ):
     fixed = SweepFixed(params=params_k2, probe=probe_matched, phi=PHI_DEFAULT, t=t_matched)
     spec = SweepSpec(
-        variable="alpha", lo=1e307, hi=1e308, points=5, fixed=fixed, metric=metric
+        variable="alpha", lo=1e308, hi=1.7e308, points=5, fixed=fixed, metric=metric
     )
     base = _fields(t_matched, probe_matched, params_k2, PHI_DEFAULT)
 
@@ -831,11 +840,11 @@ def test_overflowing_separation_on_a_grid_names_the_first_bad_point(
         assert all(math.isfinite(row.metric_value) for row in run_sweep(spec).rows)
         return
     # no RuntimeWarning on the way: the suite turns one into an error
-    coarse = sweeps._grid(1e307, 1e308, sweeps._COARSE_POINTS)
+    coarse = sweeps._grid(1e308, 1.7e308, sweeps._COARSE_POINTS)
     for call, first in (
-        (each_point, _HUGE_ALPHAS[3]),
-        (lambda: run_sweep(spec), _HUGE_ALPHAS[3]),
-        (lambda: find_peak(metric, "alpha", (1e307, 1e308), fixed), coarse[19]),
+        (each_point, _HUGE_ALPHAS[2]),
+        (lambda: run_sweep(spec), _HUGE_ALPHAS[2]),
+        (lambda: find_peak(metric, "alpha", (1e308, 1.7e308), fixed), coarse[13]),
     ):
         with pytest.raises(NumericalError) as error:
             call()
@@ -904,6 +913,78 @@ def test_a_time_the_caller_passes_past_the_double_range_is_a_validation_error(ca
     with pytest.raises(ValidationError) as error:
         call(t, _CHI_T_FIXED)
     assert str(error.value) == f"t must be nonnegative and finite, got {shown}"
+
+
+# chi_s and the caller's kappa or T1 are valid, kappa/chi_s or chi_s·T1 is not
+_RESCALE_FAULTS = [
+    (
+        SystemParams(chi_s=1e-300, kappa=1e10),
+        "kappa/chi_s overflows: chi_s = 1e-300, kappa = 10000000000.0",
+    ),
+    (
+        SystemParams(chi_s=1e300, kappa=1e-30),
+        "kappa/chi_s underflows to 0: chi_s = 1e+300, kappa = 1e-30",
+    ),
+    (
+        SystemParams(chi_s=1e300, t1_intrinsic=1e10),
+        "chi_s·t1_intrinsic overflows: chi_s = 1e+300, t1_intrinsic = 10000000000.0",
+    ),
+    (
+        SystemParams(chi_s=1e-300, t1_intrinsic=1e-30),
+        "chi_s·t1_intrinsic underflows to 0: chi_s = 1e-300, t1_intrinsic = 1e-30",
+    ),
+]
+_RESCALE_IDS = ["kappa-overflows", "kappa-underflows", "t1-overflows", "t1-underflows"]
+
+
+def _kappa_route(params):
+    """(bounds, fixed): a kappa range from the kappa of params, at a valid fixed kappa."""
+    fixed = SweepFixed(
+        params=dataclasses.replace(params, kappa=2.0 * params.chi_s),
+        probe=ProbeState(alpha=10.0, r=0.74),
+        phi=PHI_DEFAULT,
+        t=1.0 / params.chi_s,
+    )
+    return (params.kappa, 2.0 * params.kappa), fixed
+
+
+def _kappa_sweep(params):
+    (lo, hi), fixed = _kappa_route(params)
+    return SweepSpec(variable="kappa", lo=lo, hi=hi, points=5, fixed=fixed, metric="snr")
+
+
+@pytest.mark.parametrize(("params", "message"), _RESCALE_FAULTS, ids=_RESCALE_IDS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: readout_point(1.0 / p.chi_s, ProbeState(alpha=10.0), p, PHI_DEFAULT),
+        lambda p: snr(1.0 / p.chi_s, ProbeState(alpha=10.0), p, PHI_DEFAULT),
+        lambda p: sample_shots(10, 1.0 / p.chi_s, ProbeState(alpha=10.0), p, PHI_DEFAULT, 1),
+        _kappa_sweep,
+        lambda p: find_peak("snr", "kappa", *_kappa_route(p)),
+    ],
+    ids=["readout_point", "snr", "sample_shots", "kappa_sweep_end", "find_peak"],
+)
+def test_a_rate_or_time_past_the_double_range_at_chi_s_1_is_a_numerical_error(
+    call, params, message
+):
+    # the caller's values are valid, so no route may name a rescaled one
+    with pytest.raises(NumericalError) as error:
+        call(params)
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize(("params", "message"), _RESCALE_FAULTS, ids=_RESCALE_IDS)
+def test_optimal_squeezing_rescales_kappa_and_reads_no_t1(params, message):
+    t = 1.0 / params.chi_s
+    if message.startswith("kappa"):
+        with pytest.raises(NumericalError) as error:
+            optimal_squeezing(t, params)
+        assert str(error.value) == message
+    else:  # at kappa/chi_s = 2, as at a T1 that fits
+        params = dataclasses.replace(params, kappa=2.0 * params.chi_s)
+        plain = dataclasses.replace(params, t1_intrinsic=1.0 / params.chi_s)
+        assert optimal_squeezing(t, params) == optimal_squeezing(t, plain) > 0.0
 
 
 @pytest.mark.parametrize("metric", METRICS)

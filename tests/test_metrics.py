@@ -2,12 +2,13 @@ import dataclasses
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from conftest import PHI_DEFAULT
-from helpers import input_covariance, mp_outcome_variance
+from helpers import evaluation, input_covariance, input_means, mp_outcome_variance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,6 @@ from squeezed_readout import (
 )
 from squeezed_readout.dynamics import _response
 from squeezed_readout.metrics import _evaluate, _fields
-from squeezed_readout.probe import _input_means
 
 # frozen figures of merit at the matched point (kappa = 2 chi_s,
 # t = 0.714 us, alpha = 10, r = 0.74, theta_xi = pi, phi = pi/2),
@@ -80,7 +80,7 @@ def test_measurement_mean_reduces_to_integrated_signal_mean(t_matched, params_k2
             r=float(rng.uniform(0.0, 1.5)),
             theta_xi=float(rng.uniform(-3.0, 3.0)),
         )
-        mq, mp = _input_means(probe.alpha, probe.theta_alpha)
+        mq, mp = input_means(probe.alpha, probe.theta_alpha)
         point = readout_point(t_matched, probe, params_k2, 0.5 * math.pi)
         for sigma, mean in ((+1, point.mean_plus), (-1, point.mean_minus)):
             assert mean == pytest.approx(
@@ -99,20 +99,53 @@ def test_contrast_frozen_value_and_periodicity(t_matched, probe_matched, params_
     assert shifted == pytest.approx(value, rel=1e-12)
 
 
-def test_contrast_equals_mean_separation(t_matched, params_k2):
+def _gap_points():
+    """(alpha, theta_alpha, phi): random phases, and theta_alpha − phi within 1e-12 of 0 and π."""
     rng = np.random.default_rng(21)
-    for _ in range(15):
-        probe = ProbeState(
-            alpha=float(rng.uniform(0.0, 8.0)),
-            theta_alpha=float(rng.uniform(-3.0, 3.0)),
-            r=float(rng.uniform(0.0, 1.5)),
-            theta_xi=float(rng.uniform(-3.0, 3.0)),
+    points = [
+        (float(alpha), float(theta_alpha), float(phi))
+        for alpha, theta_alpha, phi in rng.uniform((0.0, -3.0, -3.0), (8.0, 3.0, 3.0), (200, 3))
+    ]
+    for phi in (0.3, 1.0, -2.2):
+        for d in rng.uniform(-1e-12, 1e-12, 20):
+            points += [(10.0, phi + d, phi), (10.0, phi + math.pi + d, phi)]
+    return points
+
+
+@pytest.mark.parametrize("t", [0.5, 3.0])
+def test_mean_gap_equals_the_contrast(t, params_k2):
+    # the means are along ± across, each rounded once, and the contrast is
+    # 2·|across|: the exact gap is off by at most half an ulp of each mean
+    for alpha, theta_alpha, phi in _gap_points():
+        probe = ProbeState(alpha=alpha, theta_alpha=theta_alpha, r=0.74, theta_xi=1.1)
+        point = readout_point(t, probe, params_k2, phi)
+        gap = abs(Fraction(point.mean_plus) - Fraction(point.mean_minus))
+        ulp = math.ulp(max(abs(point.mean_plus), abs(point.mean_minus)))
+        assert abs(gap - Fraction(point.contrast)) <= Fraction(1.5) * Fraction(ulp), (
+            alpha, theta_alpha, phi
         )
-        phi = float(rng.uniform(-3.0, 3.0))
-        point = readout_point(t_matched, probe, params_k2, phi)
-        assert point.contrast == pytest.approx(
-            abs(point.mean_plus - point.mean_minus), rel=1e-10, abs=1e-13
-        )
+
+
+_MEAN_POINTS = [(phi, phi + d) for phi in (0.3, 1.0, -2.2) for d in (1e-3, 1e-5, 1e-9)]
+
+
+@pytest.mark.parametrize(
+    ("phi", "theta_alpha"), [*_MEAN_POINTS, (0.0, 0.0), (0.0, 0.5 * math.pi)]
+)
+def test_means_match_50_digit_arithmetic(phi, theta_alpha, params_k2):
+    # on the model's A and B: m± = √2α·(A·cos(θα − φ) ± B·sin(θα − φ)),
+    # where θα − φ is exact in the double subtraction here
+    probe = ProbeState(alpha=10.0, theta_alpha=theta_alpha, r=0.74, theta_xi=1.1)
+    assert Fraction(probe.theta_alpha) - Fraction(phi) == Fraction(probe.theta_alpha - phi)
+    model = evaluation(3.0, probe, params_k2, phi)
+    with mpmath.workdps(50):
+        diff = mpmath.mpf(probe.theta_alpha) - mpmath.mpf(phi)
+        root = mpmath.sqrt(2) * probe.alpha
+        along = root * model.a_coef * mpmath.cos(diff)
+        across = root * model.b_coef * mpmath.sin(diff)
+        bound = 4.0 * _EPS * float(abs(along) + abs(across))
+        for mean, exact in ((model.mean_plus, along + across), (model.mean_minus, along - across)):
+            assert abs(mean - exact) <= bound, (mean, exact)
 
 
 def test_variance_frozen_values(t_matched, probe_matched, params_k2):
@@ -597,7 +630,9 @@ def test_every_call_is_finite_or_a_readout_error_over_the_accepted_domain(**poin
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # fidelity past t/T1 = 0.1
                 values = call()
-        except ReadoutError:
+        except ReadoutError as error:
+            # every input is valid, so a failure is numerical, never a ValidationError
+            assert not isinstance(error, ValidationError), error
             continue
         assert all(v is None or math.isfinite(v) for v in values), values
 
@@ -608,7 +643,7 @@ def test_variances_are_at_least_the_vacuum_term_over_the_accepted_domain(**point
     try:
         fields = _fields(*_operating_point(**point))
         model = _evaluate("variance", fields)
-    except ReadoutError:  # as_internal's rescaled rates, too, may leave the range
+    except ReadoutError:  # κ/χs and χs·T1, too, may leave the double range
         return
     big_f, big_g = model.big_f, model.big_g
     vacuum = fields.u * 0.5 * fields.kappa * (big_f * big_f + big_g * big_g)

@@ -28,6 +28,7 @@ from squeezed_readout import (
     snr,
     total_t1,
 )
+from squeezed_readout.metrics import _fields
 from squeezed_readout.params import wrap_angle
 
 
@@ -199,22 +200,16 @@ def test_has_backaction_requires_both_parameters():
     assert SystemParams(g_s=0.1, delta=10.0).has_backaction
 
 
-def test_as_internal_rescales_rates_and_times():
-    params = SystemParams(
-        chi_s=3.0, kappa=6.0, t1_intrinsic=10.0, g_s=0.3, delta=30.0
-    )
-    internal = params.as_internal()
-    assert internal.chi_s == 1.0
-    assert internal.kappa == pytest.approx(2.0, rel=1e-15)
-    assert internal.t1_intrinsic == pytest.approx(30.0, rel=1e-15)
-    assert internal.g_s == pytest.approx(0.1, rel=1e-15)
-    assert internal.delta == pytest.approx(10.0, rel=1e-15)
-    assert internal.vacuum_weight == params.vacuum_weight
-
-
-def test_as_internal_is_identity_when_already_internal():
+def test_model_inputs_rescale_rates_and_times_to_chi_s_1():
+    params = SystemParams(chi_s=3.0, kappa=6.0, t1_intrinsic=10.0, g_s=0.3, delta=30.0)
+    point = _fields(0.5, ProbeState(alpha=1.0), params, 0.2)
+    assert (point.t, point.kappa, point.t1) == (1.5, 2.0, 30.0)
+    assert point.u == params.vacuum_weight
+    assert _fields(0.5, ProbeState(alpha=1.0), params, 0.2, t1_total=4.0).t1 == 12.0
+    # at chi_s = 1 the rates and times keep their bits
     params = from_experimental(0.15, 2.0, 3.0)
-    assert params.as_internal() is params
+    point = _fields(0.5, ProbeState(alpha=1.0), params, 0.2)
+    assert (point.t, point.kappa, point.t1) == (0.5, params.kappa, params.t1_intrinsic)
 
 
 def test_params_are_frozen():

@@ -13,19 +13,6 @@ from squeezed_readout import (
     mean_photon_number,
     readout_point,
 )
-from squeezed_readout.probe import _input_means
-
-SQRT2 = math.sqrt(2.0)
-
-
-def test_means_scale_with_displacement_and_phase():
-    mq, mp = _input_means(10.0, 0.0)
-    assert mq == pytest.approx(14.142135623730951, rel=1e-15)
-    assert mp == 0.0
-    mq, mp = _input_means(10.0, 0.5 * math.pi)
-    assert mq == pytest.approx(0.0, abs=1e-12)
-    assert mp == pytest.approx(14.142135623730951, rel=1e-15)
-    assert _input_means(0.0, 1.3) == (0.0, 0.0)
 
 
 def test_means_unaffected_by_squeezing(t_matched, params_k2):

@@ -400,26 +400,28 @@ def test_two_points_make_the_smallest_grid(fixed):
 
 
 @pytest.mark.parametrize(
-    "variable,lo,hi,params,probe,t,message",
+    "variable,lo,hi,params,probe,t,error,message",
     [
         # kappa/chi_s overflows at the far end, and A² from the first point on
         (
             "kappa", 0.5, 1e307, SystemParams(chi_s=0.01, kappa=0.02),
             ProbeState(alpha=10.0, r=0.74), 1e200,
-            "kappa must be positive and finite, got inf",
+            NumericalError, "kappa/chi_s overflows: chi_s = 0.01, kappa = 1e+307",
         ),
         # 2(phi - x) overflows at the far end; the variances overflow earlier
         (
             "delta_theta", 0.0, 1e308, SystemParams(kappa=2.0),
             ProbeState(alpha=10.0, r=354.0), 10.0,
-            "theta_xi must be finite, got -inf",
+            ValidationError, "theta_xi must be finite, got -inf",
         ),
     ],
     ids=["kappa", "delta_theta"],
 )
-def test_an_end_of_the_range_fails_before_any_point(variable, lo, hi, params, probe, t, message):
+def test_an_end_of_the_range_fails_before_any_point(
+    variable, lo, hi, params, probe, t, error, message
+):
     fixed = SweepFixed(params=params, probe=probe, phi=PHI_DEFAULT, t=t)
-    with pytest.raises(ValidationError) as excinfo:
+    with pytest.raises(error) as excinfo:
         run_sweep(
             SweepSpec(variable=variable, lo=lo, hi=hi, points=50, fixed=fixed, metric="snr")
         )
