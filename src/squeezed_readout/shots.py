@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import NumericalError, ValidationError
@@ -42,6 +41,9 @@ from .params import SystemParams, _real
 from .probe import ProbeState
 
 BLOCK_SIZE = 8192
+# elements per leaf of classify's walk over a batch: 256 KB of float64
+# squares; at least numpy's pairwise block of 128, which it sums whole
+_LEAF = 1 << 15
 # shots per eigenstate a batch may hold: 512 MiB of float64 outcomes each
 MAX_SHOTS = 2**26
 # the threshold policies of classify, and the values of the threshold_policy key
@@ -173,6 +175,8 @@ def _sample(n, t, probe, params, phi, seed, model=None) -> ShotBatch:
     if workers == 1:
         run(0)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(run, range(workers)))  # re-raises a worker's exception
     return ShotBatch(
@@ -220,19 +224,53 @@ def _threshold(policy: str, law: dict) -> float:
     return threshold
 
 
-def _mean_sd(x: np.ndarray) -> tuple[float, float]:
-    """(np.mean(x), np.std(x, ddof=1)) bit for bit, from one sum of x.
+def _squares_sum(x, lo: int, hi: int, mean, leaf_buffer) -> float:
+    """numpy's pairwise sum of (x[lo:hi] − mean)², one leaf at a time.
 
-    The steps are numpy's own: the pairwise sum divided by n, then the
-    pairwise sum of the squared deviations from that mean divided by
-    n − 1, and its correctly rounded root.
+    numpy sums a node of more than 128 elements as its halves split at
+    m//2 − (m//2) % 8; this walk splits the same way down to leaves of at
+    most _LEAF elements, squares each leaf into leaf_buffer and sums it
+    with np.add.reduce, and adds the leaf sums in the order of the tree.
+    """
+    import numpy as np
+    m = hi - lo
+    if m <= _LEAF:
+        leaf = leaf_buffer[:m]
+        np.subtract(x[lo:hi], mean, out=leaf)
+        np.multiply(leaf, leaf, out=leaf)
+        return float(np.add.reduce(leaf))
+    half = m // 2
+    half -= half % 8
+    return _squares_sum(x, lo, lo + half, mean, leaf_buffer) + _squares_sum(
+        x, lo + half, hi, mean, leaf_buffer
+    )
+
+
+def _mean_sd(x: np.ndarray) -> tuple[float, float]:
+    """(np.mean(x), np.std(x, ddof=1)) bit for bit, in O(_LEAF) memory.
+
+    The steps are numpy's own: the pairwise sum of x divided by n, then
+    the pairwise sum of the squared deviations from that mean divided by
+    n − 1, and its correctly rounded root.  The squares are never held
+    whole: _squares_sum walks numpy's summation tree and squares one leaf
+    at a time into one buffer of at most _LEAF floats.
     """
     import numpy as np
     n = x.size
     mean = np.add.reduce(x) / n
-    deviation = x - mean
-    np.multiply(deviation, deviation, out=deviation)
-    return float(mean), math.sqrt(np.add.reduce(deviation) / (n - 1))
+    squares = _squares_sum(x, 0, n, mean, np.empty(min(n, _LEAF)))
+    return float(mean), math.sqrt(squares / (n - 1))
+
+
+def _count_wrong(x: np.ndarray, compare, threshold: float, mask: np.ndarray) -> int:
+    """The number of x with compare(x, threshold), counted _LEAF at a time into mask."""
+    import numpy as np
+    wrong = 0
+    for lo in range(0, x.size, _LEAF):
+        chunk = mask[: min(x.size - lo, _LEAF)]
+        compare(x[lo : lo + _LEAF], threshold, out=chunk)
+        wrong += int(np.count_nonzero(chunk))
+    return wrong
 
 
 def classify(
@@ -262,12 +300,13 @@ def classify(
 
     plus, minus = batch.outcomes_plus, batch.outcomes_minus
     if batch.law[1][1] >= batch.law[-1][1]:
-        wrong_plus, wrong_minus = plus <= threshold, minus > threshold
+        wrong_plus, wrong_minus = np.less_equal, np.greater
     else:
-        wrong_plus, wrong_minus = plus >= threshold, minus < threshold
+        wrong_plus, wrong_minus = np.greater_equal, np.less
     # the exact count divided once by n, as np.mean gives it, without a float sum
-    error_plus = float(np.count_nonzero(wrong_plus) / plus.size)
-    error_minus = float(np.count_nonzero(wrong_minus) / minus.size)
+    mask = np.empty(min(max(plus.size, minus.size), _LEAF), dtype=bool)
+    error_plus = _count_wrong(plus, wrong_plus, threshold, mask) / plus.size
+    error_minus = _count_wrong(minus, wrong_minus, threshold, mask) / minus.size
 
     # at huge outcomes the sums inside mean and sd overflow; that is
     # reported below as one error, not as numpy warnings and a NaN

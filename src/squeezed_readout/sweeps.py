@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -79,10 +79,9 @@ class SweepSpec:
         lo, hi = _check_range("range", (self.lo, self.hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        fixed = self.fixed
-        base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
+        base = _base(self.fixed, self.variable)
         for x in (lo, hi):
-            _with(fixed, base, self.variable, x)
+            _with(self.fixed, base, self.variable, x)
 
 
 class SweepRow(NamedTuple):
@@ -122,6 +121,19 @@ class FigureTable:
     meta: dict
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
+
+
+def _base(fixed: SweepFixed, variable: str):
+    """The model inputs of fixed that every point of a sweep of variable starts from.
+
+    Each point of a kappa sweep sets its own κ/χs (_with), so its base
+    holds κ = χs, κ/χs = 1, in place of the fixed κ, whose κ/χs no point
+    uses and may leave the double range.
+    """
+    params = fixed.params
+    if variable == "kappa":
+        params = replace(params, kappa=params.chi_s)
+    return _fields(fixed.t, fixed.probe, params, fixed.phi)
 
 
 def _with(fixed: SweepFixed, base, variable: str, value: float):
@@ -165,7 +177,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
     stages x reaches that precede it; the closure then evaluates each
     point afresh, so that each raises its own first error.
     """
-    base = _fields(fixed.t, fixed.probe, fixed.params, fixed.phi)
+    base = _base(fixed, variable)
     t, kappa, alpha, r, theta_xi, theta_alpha, phi, u, t1 = base
     chi_s, inf = fixed.params.chi_s, math.inf
 

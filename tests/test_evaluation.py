@@ -974,6 +974,32 @@ def test_a_rate_or_time_past_the_double_range_at_chi_s_1_is_a_numerical_error(
     assert str(error.value) == message
 
 
+# the fixed kappa/chi_s overflows, and every point replaces that kappa
+_FIXED_KAPPA_PAST_THE_RANGE = SweepFixed(
+    params=SystemParams(chi_s=1e-300, kappa=1e10), probe=ProbeState(alpha=1.0), phi=0.5, t=1e300
+)
+
+
+def test_a_kappa_sweep_reads_no_fixed_kappa():
+    fixed = _FIXED_KAPPA_PAST_THE_RANGE
+    valid = dataclasses.replace(fixed, params=dataclasses.replace(fixed.params, kappa=2e-300))
+    rows = [
+        run_sweep(
+            SweepSpec(variable="kappa", lo=1e-300, hi=4e-300, points=5, fixed=f, metric="snr")
+        ).rows
+        for f in (fixed, valid)
+    ]
+    assert rows[0] == rows[1]
+
+
+def test_a_kappa_peak_search_reads_no_fixed_kappa():
+    fixed = _FIXED_KAPPA_PAST_THE_RANGE
+    valid = dataclasses.replace(fixed, params=dataclasses.replace(fixed.params, kappa=2e-300))
+    peak = find_peak("snr", "kappa", (1e-300, 4e-300), fixed)
+    assert peak == find_peak("snr", "kappa", (1e-300, 4e-300), valid)
+    assert not peak.flat
+
+
 @pytest.mark.parametrize(("params", "message"), _RESCALE_FAULTS, ids=_RESCALE_IDS)
 def test_optimal_squeezing_rescales_kappa_and_reads_no_t1(params, message):
     t = 1.0 / params.chi_s

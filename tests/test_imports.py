@@ -1,4 +1,5 @@
-"""numpy is imported by shot batches and classification only.
+"""numpy is imported by shot batches and classification only, and the
+thread pool by a threaded batch only.
 
 Each check runs in a fresh interpreter, since this process has numpy
 loaded already.
@@ -42,6 +43,20 @@ def _fresh(code: str) -> str:
 def test_importing_the_package_leaves_numpy_unloaded():
     code = "import sys, squeezed_readout; print('numpy' in sys.modules)"
     assert _fresh(code) == "False\n"
+
+
+def test_importing_the_package_leaves_the_thread_pool_unloaded():
+    code = (
+        "import sys, squeezed_readout.cli\n"
+        "print('concurrent.futures' in sys.modules)\n"
+        "from squeezed_readout import ProbeState, SystemParams, sample_shots\n"
+        "sample_shots(8192, 0.67, ProbeState(alpha=10.0), SystemParams(), 1.2, 1)\n"
+        "print('concurrent.futures' in sys.modules)\n"
+        "sample_shots(8193, 0.67, ProbeState(alpha=10.0), SystemParams(), 1.2, 1)\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    threaded = (os.cpu_count() or 1) > 1
+    assert _fresh(code) == f"False\nFalse\n{threaded}\n"
 
 
 @pytest.mark.parametrize(

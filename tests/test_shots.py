@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -5,6 +6,7 @@ import math
 import os
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -724,7 +726,8 @@ def test_one_block_batch_runs_on_the_calling_thread(
             raise AssertionError("thread pool started")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(shots, "ThreadPoolExecutor", NoPool)
+    # _sample imports the executor where a threaded batch starts
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
     args = (t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
     for n in (1, BLOCK_SIZE):
         assert sample_shots(n, *args).outcomes_plus.size == n
@@ -805,25 +808,99 @@ def test_a_batch_builds_one_generator_per_worker(
     assert 1 <= len(built) <= cpus
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=300)
-    | st.builds(
-        lambda n, seed, scale, loc: (
-            np.random.default_rng(seed).standard_normal(n) * scale + loc
-        ).tolist(),
-        st.integers(2, 20_000),
-        st.integers(0, 2**32 - 1),
-        st.floats(0.0, 1e300),
-        st.floats(-1e300, 1e300),
-    )
+_MOMENT_INPUTS = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=300
+) | st.builds(
+    lambda n, seed, scale, loc: (
+        np.random.default_rng(seed).standard_normal(n) * scale + loc
+    ).tolist(),
+    st.integers(2, 20_000),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1e300),
+    st.floats(-1e300, 1e300),
 )
-def test_classify_moments_are_numpys_bit_for_bit(values):
+
+
+def _moments_are_numpys(values):
     x = np.array(values)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = (float(np.mean(x)), float(np.std(x, ddof=1)))
         got = shots._mean_sd(x)
     assert repr(got) == repr(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_MOMENT_INPUTS)
+def test_classify_moments_are_numpys_bit_for_bit(values):
+    _moments_are_numpys(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_MOMENT_INPUTS)
+def test_classify_moments_in_128_element_leaves_are_numpys_bit_for_bit(values):
+    # these inputs fit in one real leaf; at 128 elements the walk splits them
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shots, "_LEAF", 128)
+        _moments_are_numpys(values)
+
+
+def test_the_leaf_is_a_node_numpy_sums_whole():
+    # numpy sums a node of at most 128 elements without splitting it
+    assert shots._LEAF >= 128
+
+
+_LEAF_SIZES = [shots._LEAF - 1, shots._LEAF, shots._LEAF + 1, 2 * shots._LEAF + 7, 1_000_003]
+
+
+@pytest.mark.parametrize("n", _LEAF_SIZES)
+def test_moments_across_leaves_are_numpys_bit_for_bit(n):
+    x = np.random.default_rng(n).standard_normal(n) * 3.7 + 1e3
+    for view in (x, x[::3]):
+        expected = (float(np.mean(view)), float(np.std(view, ddof=1)))
+        assert repr(shots._mean_sd(view)) == repr(expected)
+
+
+def _mask_errors(batch, threshold):
+    """(error_plus, error_minus) counted from whole-batch masks."""
+    plus, minus = batch.outcomes_plus, batch.outcomes_minus
+    if batch.law[1][1] >= batch.law[-1][1]:
+        wrong = (plus <= threshold, minus > threshold)
+    else:
+        wrong = (plus >= threshold, minus < threshold)
+    return tuple(np.count_nonzero(mask) / mask.size for mask in wrong)
+
+
+@pytest.mark.parametrize("policy", ["midpoint", "likelihood"])
+@pytest.mark.parametrize("theta_alpha", [0.0, math.pi], ids=["plus-below", "plus-above"])
+@pytest.mark.parametrize("n", [2, shots._LEAF + 1, 2 * shots._LEAF + 7])
+def test_error_counts_equal_whole_batch_masks(policy, theta_alpha, n, t_matched, params_k2):
+    # a third of each side planted exactly at the cut, spread over every leaf
+    probe = ProbeState(alpha=1.0, theta_alpha=theta_alpha, r=0.74, theta_xi=1.1)
+    batch = sample_shots(n, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
+    assert (batch.law[1][1] > batch.law[-1][1]) == (theta_alpha == math.pi)
+    cut = shots._threshold(policy, batch.law)
+    plus, minus = batch.outcomes_plus.copy(), batch.outcomes_minus.copy()
+    plus[::3] = cut
+    minus[1::3] = cut
+    planted = dataclasses.replace(batch, outcomes_plus=plus, outcomes_minus=minus)
+    result = classify(planted, threshold_policy=policy)
+    assert result.threshold == cut
+    assert (result.error_plus, result.error_minus) == _mask_errors(planted, cut)
+    assert all(type(value) is float for value in dataclasses.astuple(result))
+
+
+def test_classify_traces_less_than_a_megabyte(t_matched, probe_matched, params_k2):
+    # numpy reports its buffers to tracemalloc; whole-batch masks and
+    # squares would trace 1 MB and 8 MB here
+    batch = sample_shots(1_000_003, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
+    tracemalloc.start()
+    try:
+        for policy in ("midpoint", "likelihood"):
+            classify(batch, threshold_policy=policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @settings(max_examples=100, deadline=None)
