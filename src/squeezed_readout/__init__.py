@@ -7,7 +7,6 @@ merit; sweep and reference-table generation with a CLI front end.
 """
 
 from .backaction import BackactionReport, backaction_report, total_t1
-from .dynamics import signal_coefficients
 from .errors import (
     NumericalError,
     ReadoutError,
@@ -88,7 +87,6 @@ __all__ = [
     "reproduce_figure3",
     "run_sweep",
     "sample_shots",
-    "signal_coefficients",
     "snr",
     "total_t1",
 ]

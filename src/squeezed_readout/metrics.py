@@ -32,7 +32,7 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .dynamics import _response, _signal
+from .dynamics import _response
 from .errors import NumericalError, UndefinedPointError, ValidationError
 from .params import SystemParams, _finite, _real, _rescaled, wrap_angle
 from .probe import ProbeState, _lo_angle, _squeeze_factors
@@ -172,7 +172,7 @@ def _evaluate(metric: str, point: _Fields) -> _Evaluation:
     """
     t, kappa, alpha, r, theta_xi, theta_alpha, phi, u, t1 = point
     _check_metric(metric)
-    response = _response(kappa, 1.0, t)
+    response = _response(kappa, t)
     factors = _squeeze_factors(r)
     angle = _lo_angle(theta_xi, phi)
     vp, vm = _variances(_projections(response, kappa, u, angle), factors)
@@ -249,8 +249,9 @@ def optimal_squeezing(t: float, params: SystemParams) -> float | None:
     Balances the squeezed A² term against the anti-squeezed B² term;
     independent of the probe amplitude and of the vacuum weight.  Returns
     None when A/B ≤ 0 (past the first zero crossing of either
-    coefficient) since no interior optimum exists there, and raises a
-    NumericalError where A/B overflows, at a subnormal B.
+    coefficient) since no interior optimum exists there.  Raises a
+    NumericalError where A or B is not finite, and where A/B overflows:
+    at a subnormal B, or at a B that has underflowed to 0 where A > 0.
     """
     t = _real("t", t, None)
     if t <= 0.0:
@@ -259,11 +260,19 @@ def optimal_squeezing(t: float, params: SystemParams) -> float | None:
         )
     t = _real("t", t, "nonnegative and finite")  # an inf χs·t is _response's to raise
     c = params.chi_s
-    a_coef, b_coef = _signal(t * c, _rescaled("kappa", params.kappa, c), 1.0)
-    if b_coef == 0.0 or a_coef / b_coef <= 0.0:
+    a_coef, b_coef = _response(_rescaled("kappa", params.kappa, c), t * c)[2:]
+    # (κ/2)·t past the double range makes the closed forms' ∫F inf and A = −inf
+    if not (math.isfinite(a_coef) and math.isfinite(b_coef)):
+        raise NumericalError(
+            f"response coefficients overflow: got A = {a_coef!r} and B = {b_coef!r}"
+        )
+    if b_coef == 0.0 and a_coef > 0.0:  # B ≈ κt³/6 has underflowed
+        r_star = math.inf
+    elif b_coef == 0.0 or a_coef / b_coef <= 0.0:
         return None
-    r_star = 0.5 * math.log(a_coef / b_coef)
-    if math.isinf(r_star):  # A/B overflows where B is subnormal
+    else:
+        r_star = 0.5 * math.log(a_coef / b_coef)
+    if math.isinf(r_star):
         raise NumericalError(
             f"optimal squeezing ½·ln(A/B) overflows: got A = {a_coef!r} and B = {b_coef!r}"
         )

@@ -189,7 +189,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
         if variable in ("t", "kappa"):
             factors, angle = _squeeze_factors(r), _lo_angle(theta_xi, phi)
         elif variable in ("r", "delta_theta", "alpha"):
-            response = _response(kappa, 1.0, t)
+            response = _response(kappa, t)
             if variable != "r":
                 factors = _squeeze_factors(r)
             if variable != "delta_theta":
@@ -210,7 +210,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
             if not 0.0 <= x < inf:
                 _with(fixed, base, variable, x)
             t = x * chi_s
-            response = _response(kappa, 1.0, t)
+            response = _response(kappa, t)
             vp, vm = _variances(_projections(response, kappa, u, angle), factors)
             sep = _separation(metric, alpha, response[3], theta_alpha, phi)[1]
             return _row(metric, t, response, sep, vp, vm, t1)
@@ -221,7 +221,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
             k = x / chi_s
             if not (0.0 < x < inf and 0.0 < k < inf):
                 _with(fixed, base, variable, x)
-            response = _response(k, 1.0, t)
+            response = _response(k, t)
             vp, vm = _variances(_projections(response, k, u, angle), factors)
             sep = _separation(metric, alpha, response[3], theta_alpha, phi)[1]
             return _row(metric, t, response, sep, vp, vm, t1)
@@ -498,7 +498,7 @@ def reproduce_figure2(
     shared = []
     for t in t_us:
         x = units.chi_rad_per_us * t
-        response = _response(kappa, 1.0, x)
+        response = _response(kappa, x)
         projections = _projections(response, kappa, u, angle)
         sep = _separation("fidelity", alpha, response[3], 0.0, phi)[1]
         shared.append((t, x, response, projections, sep))

@@ -898,6 +898,12 @@ def test_relaxation_rate_that_overflows_exits_2_without_a_traceback(
             [("kappa_over_chi = 2.0", "kappa_over_chi = 1e-320")],
             "optimal squeezing ½·ln(A/B) overflows: got A = ",
         ),
+        # B ≈ kappa·t³/6 underflows to 0 where A = t does not
+        (
+            "optimize",
+            [("t_us = 0.714", "t_us = 1e-140")],
+            "optimal squeezing ½·ln(A/B) overflows: got A = 9.42477796076938e-141 and B = 0.0\n",
+        ),
         # chi_s·T1 underflows to 0 in internal units
         (
             "backaction",
@@ -920,7 +926,7 @@ def test_relaxation_rate_that_overflows_exits_2_without_a_traceback(
             "internal time overflows\n",
         ),
     ],
-    ids=["optimize-r-star", "backaction-t1-underflow", "snr-kappa-1e200", "snr-chi-t-overflows"],
+    ids=["optimize-r-star", "optimize-b-underflows", "backaction-t1-underflow", "snr-kappa-1e200", "snr-chi-t-overflows"],
 )
 def test_numerical_failure_is_not_reported_as_an_input_error(
     tmp_path, subcommand, edits, message

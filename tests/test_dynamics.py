@@ -13,7 +13,7 @@ from helpers import (
 )
 from scipy.integrate import simpson
 
-from squeezed_readout import NumericalError, SystemParams, ValidationError, signal_coefficients
+from squeezed_readout import NumericalError, SystemParams, ValidationError, optimal_squeezing
 from squeezed_readout import dynamics
 from squeezed_readout.dynamics import _response
 
@@ -35,18 +35,16 @@ def params():
 
 def test_everything_vanishes_at_time_zero(params):
     assert envelopes(0.0, params) == (1.0, 0.0)
-    assert _response(params.kappa, params.chi_s, 0.0) == (0.0, 0.0, 0.0, 0.0)
-    assert signal_coefficients(0.0, params) == (0.0, 0.0)
+    assert _response(params.kappa, 0.0) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_reference_point_values(params):
     f, g = envelopes(T_REF, params)
     assert f == pytest.approx(SMALL_F_REF, rel=1e-13)
     assert g == pytest.approx(SMALL_G_REF, rel=1e-13)
-    big_f, big_g, a_coef, b_coef = _response(params.kappa, params.chi_s, T_REF)
+    big_f, big_g, a_coef, b_coef = _response(params.kappa, T_REF)
     assert big_f == pytest.approx(F_REF, rel=1e-12)
     assert big_g == pytest.approx(G_REF, rel=1e-12)
-    assert (a_coef, b_coef) == signal_coefficients(T_REF, params)
     assert a_coef == pytest.approx(A_REF, rel=1e-12)
     assert b_coef == pytest.approx(B_REF, rel=1e-12)
 
@@ -56,20 +54,22 @@ def test_structural_identities_at_equal_damping_and_rotation(params):
     # B = t - F - G exactly
     for t in (0.3, T_REF, 1.7, 2.9):
         f, g = envelopes(t, params)
-        big_f, big_g, a_coef, b_coef = _response(params.kappa, params.chi_s, t)
+        big_f, big_g, a_coef, b_coef = _response(params.kappa, t)
         assert a_coef == pytest.approx(g, rel=1e-12)
         assert b_coef == pytest.approx(t - big_f - big_g, rel=1e-11)
 
 
 def test_first_integrals_match_quadrature_on_random_grid():
+    # each drawn (kappa, chi_s, t) at chi_s = 1: kappa/chi_s and chi_s*t
+    # keep |zt| and arg z
     rng = np.random.default_rng(7)
     for _ in range(30):
         chi = float(rng.uniform(0.25, 4.0))
         kappa = chi * float(rng.uniform(0.5, 4.0))
         t = float(rng.uniform(0.05, 3.0)) / chi
-        params = SystemParams(chi_s=chi, kappa=kappa)
-        big_f, big_g, _, _ = _response(kappa, chi, t)
-        ref_f, ref_g = quad_first_integrals(0.5 * kappa, chi, t)
+        kappa, t = kappa / chi, chi * t
+        big_f, big_g, _, _ = _response(kappa, t)
+        ref_f, ref_g = quad_first_integrals(0.5 * kappa, 1.0, t)
         assert rel_err(big_f, ref_f) < 1e-10
         assert rel_err(big_g, ref_g) < 1e-10
 
@@ -80,9 +80,9 @@ def test_signal_coefficients_match_double_integral_oracle():
         chi = float(rng.uniform(0.25, 4.0))
         kappa = chi * float(rng.uniform(0.5, 4.0))
         t = float(rng.uniform(0.05, 3.0)) / chi
-        params = SystemParams(chi_s=chi, kappa=kappa)
-        a_coef, b_coef = signal_coefficients(t, params)
-        ref_a, ref_b = quad_signal_coefficients(kappa, chi, t)
+        kappa, t = kappa / chi, chi * t
+        a_coef, b_coef = _response(kappa, t)[2:]
+        ref_a, ref_b = quad_signal_coefficients(kappa, 1.0, t)
         assert rel_err(a_coef, ref_a) < 1e-9
         assert rel_err(b_coef, ref_b) < 1e-9
 
@@ -91,9 +91,9 @@ def test_signal_coefficients_match_simpson_on_dense_grid(params):
     # independent route: Simpson integration of F itself
     t = 1.3
     grid = np.linspace(0.0, t, 4001)
-    big_f_values = [_response(params.kappa, params.chi_s, float(s))[0] for s in grid]
+    big_f_values = [_response(params.kappa, float(s))[0] for s in grid]
     int_f = simpson(big_f_values, x=grid)
-    a_coef, _ = signal_coefficients(t, params)
+    a_coef = _response(params.kappa, t)[2]
     assert a_coef == pytest.approx(t - params.kappa * int_f, abs=1e-8)
 
 
@@ -101,8 +101,8 @@ def test_derivatives_of_first_integrals_are_envelopes(params):
     h = 1e-6
     for t in (0.2, 0.9, 2.4):
         f, g = envelopes(t, params)
-        fp = _response(params.kappa, params.chi_s, t + h)
-        fm = _response(params.kappa, params.chi_s, t - h)
+        fp = _response(params.kappa, t + h)
+        fm = _response(params.kappa, t - h)
         assert (fp[0] - fm[0]) / (2.0 * h) == pytest.approx(f, abs=1e-6)
         assert (fp[1] - fm[1]) / (2.0 * h) == pytest.approx(g, abs=1e-6)
 
@@ -117,18 +117,10 @@ def test_rate_time_homogeneity():
         assert envelopes(lam * t, scaled) == pytest.approx(
             envelopes(t, base), rel=1e-12
         )
-        f1 = _response(base.kappa, base.chi_s, t)
-        f2 = _response(scaled.kappa, scaled.chi_s, lam * t)
-        assert f2[0] == pytest.approx(lam * f1[0], rel=1e-12)
-        assert f2[1] == pytest.approx(lam * f1[1], rel=1e-12)
-        s1 = signal_coefficients(t, base)
-        s2 = signal_coefficients(lam * t, scaled)
-        assert s2[0] == pytest.approx(lam * s1[0], rel=1e-11, abs=1e-13)
-        assert s2[1] == pytest.approx(lam * s1[1], rel=1e-11, abs=1e-13)
 
 
 def test_long_time_limits(params):
-    big_f, big_g, _, _ = _response(params.kappa, params.chi_s, 50.0)
+    big_f, big_g, _, _ = _response(params.kappa, 50.0)
     a, b = 0.5 * params.kappa, params.chi_s
     f_inf, g_inf = a / (a * a + b * b), b / (a * a + b * b)
     assert f_inf == pytest.approx(0.5, rel=1e-15)
@@ -158,10 +150,11 @@ _SEAM_RADII = (0.69, 0.7, 0.71, 0.95)
 
 
 def _assert_response_matches_mpmath(a, b, t):
-    ref_f, ref_g, _, _, ref_a, ref_b = mp_integrals(a, b, t)
-    response = _response(2.0 * a, b, t)
+    a, t = a / b, b * t  # at b = 1: the same |zt| and arg z
+    ref_f, ref_g, _, _, ref_a, ref_b = mp_integrals(a, 1.0, t)
+    response = _response(2.0 * a, t)
     for value, reference in zip(response, (ref_f, ref_g, ref_a, ref_b)):
-        assert rel_err(value, reference) < 1e-14, (a, b, t)
+        assert rel_err(value, reference) < 1e-14, (a, t)
 
 
 def test_tiny_time_series_matches_arbitrary_precision():
@@ -201,12 +194,13 @@ def test_integrals_hold_1e14_on_both_sides_of_the_seam():
         + _seam_points(rng, 1000, 1e-12, 0.4)
     )
     for a, b, t in points:
-        big_f, big_g, int_f, int_g = dynamics._integrals(a, b, t)
-        ref_f, ref_g, ref_int_f, ref_int_g = mp_integrals(a, b, t)[:4]
-        assert abs(big_f - ref_f) < 1e-14 * math.hypot(ref_f, ref_g), (a, b, t)
-        assert rel_err(big_g, ref_g) < 1e-14, (a, b, t)
-        assert rel_err(int_f, ref_int_f) < 1e-14, (a, b, t)
-        assert rel_err(int_g, ref_int_g) < 1e-14, (a, b, t)
+        a, t = a / b, b * t  # at b = 1: the same |zt| and arg z
+        big_f, big_g, int_f, int_g = dynamics._integrals(a, t)
+        ref_f, ref_g, ref_int_f, ref_int_g = mp_integrals(a, 1.0, t)[:4]
+        assert abs(big_f - ref_f) < 1e-14 * math.hypot(ref_f, ref_g), (a, t)
+        assert rel_err(big_g, ref_g) < 1e-14, (a, t)
+        assert rel_err(int_f, ref_int_f) < 1e-14, (a, t)
+        assert rel_err(int_g, ref_int_g) < 1e-14, (a, t)
 
 
 def test_propagator_properties(params):
@@ -255,11 +249,10 @@ def test_rotated_coefficients_preserve_magnitude():
 
 
 def test_negative_time_rejected(params):
-    for fn in (envelopes, signal_coefficients):
-        with pytest.raises(ValidationError, match="t must"):
-            fn(-0.1, params)
     with pytest.raises(ValidationError, match="t must"):
-        _response(params.kappa, params.chi_s, -0.1)
+        envelopes(-0.1, params)
+    with pytest.raises(ValidationError, match="t must"):
+        _response(params.kappa, -0.1)
     with pytest.raises(ValidationError, match="t must"):
         propagator(-0.1, params, +1)
 
@@ -267,41 +260,18 @@ def test_negative_time_rejected(params):
 @pytest.mark.parametrize(
     "t,params,message",
     [
-        # |zt| = 1.1 puts the point on the closed forms, and their
-        # denominator (kappa/2)^2 + chi_s^2 underflows to 0
-        (1e201, SystemParams(chi_s=1e-200, kappa=1e-200), "(kappa/2)^2 + chi_s^2 underflows"),
-        # the denominator overflows past kappa/2 or chi_s ≈ 1.3e154, where
-        # every integral would come out 0, A = t and B = 0 (mpmath: A = -0.5,
-        # B = 2e-200 at kappa = 1e200)
+        # the denominator (kappa/2)^2 + chi_s^2 overflows past kappa/2 ≈ 1.3e154
+        # chi_s, where every integral would come out 0, A = t and B = 0
+        # (mpmath: A = -0.5, B = 2e-200 at kappa = 1e200)
         (0.5, SystemParams(kappa=1e200), "(kappa/2)^2 + chi_s^2 overflows"),
-        (1e-150, SystemParams(chi_s=1e155, kappa=1.0), "(kappa/2)^2 + chi_s^2 overflows"),
-        # cos(chi_s*t) of an infinite argument is undefined
+        # the internal time chi_s*t is past the double range
         (1.7e308, SystemParams(chi_s=1e300, kappa=1e-8), "chi_s*t is too large"),
-        # |zt| = 0.14: the series runs, and t·(t·φ₂) overflows in both parts
-        (1e159, SystemParams(chi_s=1e-160, kappa=2e-160), "got A = -inf and B = inf"),
+        # (kappa/2)*t overflows in the closed forms: ∫F is inf and A = -inf
+        (1e300, SystemParams(kappa=1e10), "got A = -inf and B = 4e+290"),
     ],
-    ids=[
-        "denominator-underflows",
-        "denominator-overflows-kappa",
-        "denominator-overflows-chi",
-        "rotation-overflows",
-        "quotient-overflows",
-    ],
+    ids=["denominator-overflows-kappa", "rotation-overflows", "a-overflows"],
 )
 def test_coefficients_past_the_double_range_are_a_numerical_error(t, params, message):
     with pytest.raises(NumericalError) as excinfo:
-        signal_coefficients(t, params)
+        optimal_squeezing(t, params)
     assert str(excinfo.value) == f"response coefficients overflow: {message}"
-
-
-def test_series_keeps_the_integrals_finite_where_t_cubed_overflows():
-    # ∫G = χs·t³/6 to leading order is formed as t·(t·φ₂), so it stays a
-    # finite double at t = 1e150, where t³ overflows, and B = κ∫G is tiny
-    kappa = chi_s = 1e-310
-    t = 1e150
-    params = SystemParams(chi_s=chi_s, kappa=kappa)
-    assert signal_coefficients(t, params) == (1e150, 1.6666666666666564e-171)
-    a = 0.5 * kappa
-    integrals = dynamics._integrals(a, chi_s, t)
-    for value, reference in zip(integrals, mp_integrals(a, chi_s, t)):
-        assert rel_err(value, reference) < 1e-14

@@ -38,7 +38,6 @@ from squeezed_readout import (
     reproduce_figure3,
     run_sweep,
     sample_shots,
-    signal_coefficients,
     snr,
 )
 from squeezed_readout import dynamics, metrics, sweeps
@@ -51,15 +50,15 @@ from squeezed_readout.sweeps import SWEEP_VARIABLES
 def integral_calls(monkeypatch):
     """Records every call of the coefficient integrals.
 
-    _response and signal_coefficients both go through them, so the
-    count is the number of coefficient evaluations.
+    _response goes through them, so the count is the number of
+    coefficient evaluations.
     """
     calls = []
     inner = dynamics._integrals
 
-    def counting(a, b, t):
+    def counting(a, t):
         calls.append(t)
-        return inner(a, b, t)
+        return inner(a, t)
 
     monkeypatch.setattr(dynamics, "_integrals", counting)
     return calls
@@ -877,7 +876,6 @@ _CHI_T_FIXED = SweepFixed(
         lambda f: run_sweep(
             SweepSpec(variable="r", lo=0.0, hi=2.0, points=5, fixed=f, metric="snr")
         ),
-        lambda f: signal_coefficients(f.t, f.params),
     ],
     ids=[
         "readout_point",
@@ -886,7 +884,6 @@ _CHI_T_FIXED = SweepFixed(
         "optimal_squeezing",
         "find_peak",
         "run_sweep",
-        "signal_coefficients",
     ],
 )
 def test_internal_time_past_the_double_range_is_a_numerical_error(call):

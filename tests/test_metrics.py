@@ -26,7 +26,6 @@ from squeezed_readout import (
     optimal_time_estimate,
     phase_matching_residual,
     readout_point,
-    signal_coefficients,
     snr,
 )
 from squeezed_readout.dynamics import _response
@@ -58,7 +57,7 @@ def test_mean_outcomes_at_matched_point(t_matched, probe_matched, params_k2):
     assert plus == pytest.approx(-MEAN_MINUS_REF, rel=1e-12)
     assert minus == pytest.approx(MEAN_MINUS_REF, rel=1e-12)
     # the separation is carried entirely by the B coefficient
-    _, b_coef = signal_coefficients(t_matched, params_k2)
+    b_coef = _response(params_k2.kappa, t_matched)[3]
     assert minus == pytest.approx(math.sqrt(2.0) * 10.0 * b_coef, rel=1e-12)
 
 
@@ -71,7 +70,7 @@ def test_displacement_along_p_gives_no_separation(t_matched, params_k2):
 
 def test_measurement_mean_reduces_to_integrated_signal_mean(t_matched, params_k2):
     # at phi = pi/2 the mean is the integrated signal A<P> - sigma B<Q>
-    a_coef, b_coef = signal_coefficients(t_matched, params_k2)
+    a_coef, b_coef = _response(params_k2.kappa, t_matched)[2:]
     rng = np.random.default_rng(20)
     for _ in range(10):
         probe = ProbeState(
@@ -162,9 +161,7 @@ def test_variance_frozen_values(t_matched, probe_matched, params_k2):
 def test_variance_coherent_closed_form(t_matched, probe_coherent, params_k2):
     value = readout_point(t_matched, probe_coherent, params_k2, PHI_DEFAULT).variance_plus
     assert value == pytest.approx(VAR_COHERENT_REF, rel=1e-12)
-    big_f, big_g, a_coef, b_coef = _response(
-        params_k2.kappa, params_k2.chi_s, t_matched
-    )
+    big_f, big_g, a_coef, b_coef = _response(params_k2.kappa, t_matched)
     expected = 0.5 * (a_coef**2 + b_coef**2) + 0.25 * 0.5 * params_k2.kappa * (
         big_f**2 + big_g**2
     )
@@ -175,9 +172,7 @@ def test_variance_matches_matrix_quadratic_form(t_matched, params_k2):
     # independent route: propagate the full input covariance through the
     # weight vector of the measured quadrature
     rng = np.random.default_rng(22)
-    big_f, big_g, a_coef, b_coef = _response(
-        params_k2.kappa, params_k2.chi_s, t_matched
-    )
+    big_f, big_g, a_coef, b_coef = _response(params_k2.kappa, t_matched)
     vacuum = 0.25 * 0.5 * params_k2.kappa * (big_f**2 + big_g**2)
     for _ in range(15):
         probe = ProbeState(
@@ -239,7 +234,7 @@ def test_variance_near_the_cancelling_frame_matches_mpmath(r, sigma, t_matched):
     # at tan δ = −σB/A the anti-squeezed weight b_σ cancels; off it by up
     # to about e^{−2r} the anti-squeezed term is as large as the squeezed one
     rng = np.random.default_rng(int(10 * r) + sigma)
-    _, _, a_coef, b_coef = _response(2.0, 1.0, t_matched)
+    _, _, a_coef, b_coef = _response(2.0, t_matched)
     for _ in range(100):
         offset = float(rng.uniform(-4.0, 4.0)) * math.exp(-2.0 * r)
         delta = math.atan2(-sigma * b_coef, a_coef) + offset
@@ -256,7 +251,7 @@ def test_variance_near_the_cancelling_frame_matches_mpmath(r, sigma, t_matched):
 def test_vacuum_weight_enters_additively(t_matched, probe_matched):
     quarter = from_experimental(0.15, 2.0, 3.0, u=0.25)
     full = from_experimental(0.15, 2.0, 3.0, u=1.0)
-    big_f, big_g, _, _ = _response(quarter.kappa, quarter.chi_s, t_matched)
+    big_f, big_g, _, _ = _response(quarter.kappa, t_matched)
     delta = (
         readout_point(t_matched, probe_matched, full, PHI_DEFAULT).variance_plus
         - readout_point(t_matched, probe_matched, quarter, PHI_DEFAULT).variance_plus
@@ -454,11 +449,25 @@ def test_optimal_squeezing_independent_of_probe_and_vacuum(t_matched):
 def test_optimal_squeezing_past_the_double_range_is_a_numerical_error(t_matched):
     # B = kappa·∫G is subnormal, so A/B and r* = ½·ln(A/B) overflow
     params = SystemParams(chi_s=1.0, kappa=1e-320)
-    a_coef, b_coef = signal_coefficients(t_matched, params)
+    a_coef, b_coef = _response(params.kappa, t_matched)[2:]
     with pytest.raises(NumericalError) as excinfo:
         optimal_squeezing(t_matched, params)
     assert str(excinfo.value) == (
         f"optimal squeezing ½·ln(A/B) overflows: got A = {a_coef!r} and B = {b_coef!r}"
+    )
+
+
+def test_optimal_squeezing_where_b_underflows_is_a_numerical_error():
+    # at kappa = 2 chi_s, B ≈ kappa·t³/6 is subnormal at t = 1e-106 and
+    # rounds to 0 by t = 1e-140, where A = t: A/B overflows, no optimum is lost
+    params = SystemParams(kappa=2.0)
+    assert 0.0 < _response(2.0, 1e-106)[3] < sys.float_info.min
+    assert math.isfinite(optimal_squeezing(1e-106, params))
+    assert _response(2.0, 1e-140)[2:] == (1e-140, 0.0)
+    with pytest.raises(NumericalError) as excinfo:
+        optimal_squeezing(1e-140, params)
+    assert str(excinfo.value) == (
+        "optimal squeezing ½·ln(A/B) overflows: got A = 1e-140 and B = 0.0"
     )
 
 
@@ -620,7 +629,6 @@ def _operating_point(t, chi_s, kappa, u, t1, alpha, r, theta_alpha, theta_xi, ph
 def test_every_call_is_finite_or_a_readout_error_over_the_accepted_domain(**point):
     t, probe, params, phi = _operating_point(**point)
     calls = (
-        lambda: signal_coefficients(t, params),
         lambda: (optimal_squeezing(t, params),),
         lambda: dataclasses.astuple(readout_point(t, probe, params, phi)),
         lambda: tuple(_evaluate("variance", _fields(t, probe, params, phi))[1:7]),

@@ -24,7 +24,6 @@ from squeezed_readout import (
     readout_point,
     reproduce_figure2,
     sample_shots,
-    signal_coefficients,
     snr,
     total_t1,
 )
@@ -146,7 +145,6 @@ _FUZZED = {
     "readout_point-t": lambda v: readout_point(v, *_FUZZ_POINT),
     "snr-t": lambda v: snr(v, *_FUZZ_POINT),
     "optimal_squeezing-t": lambda v: optimal_squeezing(v, _FUZZ_PARAMS),
-    "signal_coefficients-t": lambda v: signal_coefficients(v, _FUZZ_PARAMS),
     "fidelity-t": lambda v: fidelity(v, 1.0, 10.0),
     "fidelity-snr_value": lambda v: fidelity(1.0, v, 10.0),
     "fidelity-t1_total": lambda v: fidelity(1.0, 1.0, v),

@@ -34,10 +34,10 @@ from squeezed_readout import (
     from_experimental,
     readout_point,
     sample_shots,
-    signal_coefficients,
 )
 from squeezed_readout import shots
 from squeezed_readout.cli import main, parse_config
+from squeezed_readout.dynamics import _response
 from squeezed_readout.metrics import _evaluate, _fields
 from squeezed_readout.sweeps import _grid
 
@@ -82,7 +82,7 @@ def test_sampler_draws_follow_probe_covariance(t_matched):
         return z[:, 0] * w0 + z[:, 1] * w1 + z[:, 2] * w2 + z[:, 3] * w3 + mean
 
     m_q, m_p = outcomes(0.0), outcomes(0.5 * math.pi)
-    a_coef, b_coef = signal_coefficients(t_matched, params)
+    a_coef, b_coef = _response(params.kappa, t_matched)[2:]
     det = a_coef**2 + b_coef**2
     q = (a_coef * m_q - b_coef * m_p) / det
     p = (b_coef * m_q + a_coef * m_p) / det
