@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -171,6 +172,18 @@ def test_series_to_closed_form_crossover_is_continuous():
     a = b = 1.0
     for w in (0.693, 0.707):
         _assert_response_matches_mpmath(a, b, w / math.hypot(a, b))
+
+
+def test_series_holds_1e14_where_t_cubed_nears_the_double_floor():
+    # deep in the φ₂ series, down to t = 1e-102, where ∫G ≈ t³/6 is near the
+    # smallest normal double, all four integrals and A, B hold 1e-14
+    for a in (0.5, 1.0, 3.0):
+        for t in (1e-20, 1e-50, 1e-100, 1e-102):
+            ref = mp_integrals(a, 1.0, t)
+            values = dynamics._integrals(a, t) + _response(2.0 * a, t)[2:]
+            assert min(map(abs, ref)) > sys.float_info.min, (a, t)
+            for value, reference in zip(values, ref):
+                assert rel_err(value, reference, sys.float_info.min) < 1e-14, (a, t)
 
 
 def _seam_points(rng, n, lo, hi):

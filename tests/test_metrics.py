@@ -446,6 +446,33 @@ def test_optimal_squeezing_independent_of_probe_and_vacuum(t_matched):
     assert optimal_squeezing(t_matched, quarter) == optimal_squeezing(t_matched, full)
 
 
+def test_optimal_squeezing_invariant_under_unit_rescaling(t_matched):
+    # A and B are read at kappa/chi_s and chi_s·t only
+    for lam in (0.1, 3.7, 942477.7960769379):
+        params = SystemParams(chi_s=lam, kappa=2.0 * lam)
+        assert optimal_squeezing(t_matched / lam, params) == pytest.approx(
+            R_STAR_REF, rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("k", [-40, -1, 1, 40])
+def test_a_power_of_two_unit_change_moves_no_bit(k, t_matched, probe_matched, params_k2):
+    # kappa/chi_s, chi_s·t and chi_s·T1 are exact under chi_s -> 2^k·chi_s,
+    # so every figure of merit comes out as the same double
+    lam = 2.0**k
+    scaled = SystemParams(
+        chi_s=lam * params_k2.chi_s,
+        kappa=lam * params_k2.kappa,
+        t1_intrinsic=params_k2.t1_intrinsic / lam,
+    )
+    t = t_matched / lam
+    base = readout_point(t_matched, probe_matched, params_k2, PHI_DEFAULT)
+    assert readout_point(t, probe_matched, scaled, PHI_DEFAULT) == dataclasses.replace(
+        base, t=t
+    )
+    assert optimal_squeezing(t, scaled) == optimal_squeezing(t_matched, params_k2)
+
+
 def test_optimal_squeezing_past_the_double_range_is_a_numerical_error(t_matched):
     # B = kappa·∫G is subnormal, so A/B and r* = ½·ln(A/B) overflow
     params = SystemParams(chi_s=1.0, kappa=1e-320)

@@ -145,6 +145,8 @@ _FUZZED = {
     "readout_point-t": lambda v: readout_point(v, *_FUZZ_POINT),
     "snr-t": lambda v: snr(v, *_FUZZ_POINT),
     "optimal_squeezing-t": lambda v: optimal_squeezing(v, _FUZZ_PARAMS),
+    "snr-phi": lambda v: snr(1.0, _FUZZ_PROBE, _FUZZ_PARAMS, v),
+    "readout_point-t1_total": lambda v: readout_point(1.0, *_FUZZ_POINT, v),
     "fidelity-t": lambda v: fidelity(v, 1.0, 10.0),
     "fidelity-snr_value": lambda v: fidelity(1.0, v, 10.0),
     "fidelity-t1_total": lambda v: fidelity(1.0, 1.0, v),
@@ -169,8 +171,10 @@ def test_every_argument_returns_a_value_or_raises_a_readout_error(call, value):
             _FUZZED[call](value)
     except ReadoutError:
         return
-    # a bool, a string and None are never taken as a number; None is classify's default t1
-    assert type(value) in (int, float) or (call, value) == ("classify-t1", None), value
+    # a bool, a string and None are never taken as a number; None is the default
+    # of classify's t1 and of readout_point's t1_total
+    defaults = (("classify-t1", None), ("readout_point-t1_total", None))
+    assert type(value) in (int, float) or (call, value) in defaults, value
 
 
 def test_int_fields_are_stored_as_floats():
