@@ -57,11 +57,19 @@ _Evaluation = namedtuple(
 )
 
 
+def _internal_time(t, chi_s: float) -> float:
+    """χs·t; a NumericalError from params._rescaled where a t > 0 underflows
+    to 0, which the model would read as the point t = 0.  t = 0 stays that
+    point, and an inf χs·t is _response's to raise."""
+    x = t * chi_s
+    return _rescaled("t", t, chi_s) if x == 0.0 < t else x
+
+
 def _fields(t, probe: ProbeState, params: SystemParams, phi, t1_total=None):
     """Model inputs at an operating point; t1_total (unit of t) overrides T1.
 
     t1_total is checked here, once.  κ/χs and χs·T1 are formed here, by
-    params._rescaled; χs·t is _response's to check.
+    params._rescaled, and χs·t by _internal_time.
     """
     c = params.chi_s
     kappa = _rescaled("kappa", params.kappa, c)
@@ -70,7 +78,7 @@ def _fields(t, probe: ProbeState, params: SystemParams, phi, t1_total=None):
     else:
         t1 = _rescaled("t1_total", _real("t1_total", t1_total, "positive and finite"), c)
     state = (probe.alpha, probe.r, probe.theta_xi, probe.theta_alpha)
-    return _Fields(t * c, kappa, *state, phi, params.vacuum_weight, t1)
+    return _Fields(_internal_time(t, c), kappa, *state, phi, params.vacuum_weight, t1)
 
 
 def _projections(response, kappa: float, u: float, angle):
@@ -260,7 +268,7 @@ def optimal_squeezing(t: float, params: SystemParams) -> float | None:
         )
     t = _real("t", t, "nonnegative and finite")  # an inf χs·t is _response's to raise
     c = params.chi_s
-    a_coef, b_coef = _response(_rescaled("kappa", params.kappa, c), t * c)[2:]
+    a_coef, b_coef = _response(_rescaled("kappa", params.kappa, c), _internal_time(t, c))[2:]
     # (κ/2)·t past the double range makes the closed forms' ∫F inf and A = −inf
     if not (math.isfinite(a_coef) and math.isfinite(b_coef)):
         raise NumericalError(

@@ -10,7 +10,9 @@ shot draws one standard normal z and forms, for qubit eigenvalue σ,
 
 where mean_σ and sd_σ² are the closed-form mean and variance of one
 model evaluation (metrics._evaluate), and sd_σ is its root by math.sqrt.
-The batch carries this law, and classify thresholds it.
+The batch carries this law, and classify thresholds it.  The outcome
+arrays are read-only, so classify can keep its one pass over them on the
+batch for every later call.
 
 Randomness comes from numpy's counter-based Philox generator.  Shots
 are produced in fixed blocks of 8192; block j for σ = +1 uses the
@@ -41,8 +43,7 @@ from .params import SystemParams, _real
 from .probe import ProbeState
 
 BLOCK_SIZE = 8192
-# elements per leaf of classify's walk over a batch: 256 KB of float64
-# squares; at least numpy's pairwise block of 128, which it sums whole
+# shots per leaf of classify's pass over a side: 256 KB of float64 deviations
 _LEAF = 1 << 15
 # shots per eigenstate a batch may hold: 512 MiB of float64 outcomes each
 MAX_SHOTS = 2**26
@@ -56,7 +57,13 @@ GENERATOR_ID = (
 
 @dataclass(frozen=True)
 class ShotBatch:
-    """Paired outcome samples for the two qubit eigenvalues, and their law."""
+    """Paired outcome samples for the two qubit eigenvalues, and their law.
+
+    sample_shots returns the outcome arrays read-only, and classify keeps
+    its one pass over them on the batch, outside the fields.  A batch
+    rebuilt with writable arrays (dataclasses.replace) is read again on
+    every classify call.
+    """
 
     outcomes_plus: np.ndarray
     outcomes_minus: np.ndarray
@@ -179,6 +186,8 @@ def _sample(n, t, probe, params, phi, seed, model=None) -> ShotBatch:
 
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(run, range(workers)))  # re-raises a worker's exception
+    for x in outcomes.values():
+        x.flags.writeable = False
     return ShotBatch(
         outcomes_plus=outcomes[+1],
         outcomes_minus=outcomes[-1],
@@ -224,53 +233,105 @@ def _threshold(policy: str, law: dict) -> float:
     return threshold
 
 
-def _squares_sum(x, lo: int, hi: int, mean, leaf_buffer) -> float:
-    """numpy's pairwise sum of (x[lo:hi] − mean)², one leaf at a time.
+def _squares(leaf, centre: float, d) -> tuple[float, float]:
+    """(Σd, Σd²) of the deviations d = leaf − centre, formed in the buffer d."""
+    import numpy as np
+    np.subtract(leaf, centre, out=d)
+    drift = float(np.add.reduce(d))
+    np.multiply(d, d, out=d)
+    return drift, float(np.add.reduce(d))
 
-    numpy sums a node of more than 128 elements as its halves split at
-    m//2 − (m//2) % 8; this walk splits the same way down to leaves of at
-    most _LEAF elements, squares each leaf into leaf_buffer and sums it
-    with np.add.reduce, and adds the leaf sums in the order of the tree.
+
+def _leaf(leaf, d, whole: bool) -> tuple[int | None, float]:
+    """(s, q) of one leaf of m shots: its sum s in counts of 2^-1074, None
+    where its pairwise sum S overflows, and the sum q of its squared
+    deviations d = x − c, formed in the buffer d, from its mean c = S/m as
+    np.mean rounds it.
+
+    A leaf that is a whole side takes np.mean and np.std(ddof=1)'s own two
+    passes: s = S and q = Σd², so a side of up to _LEAF shots keeps their
+    bits.  In a merge, where √Σd² ≤ |c|/4, every x lies within |c|/4 of c
+    and every d is exact (Sterbenz), so s = m·c + Σd and q = Σd² − (Σd)²/m,
+    the squares about the exact mean; elsewhere the d round as much as S
+    does, and s = S and q = Σd².  Squares that overflow about a c rounded
+    far from the mean, as near 1e300, are taken once more about c + Σd/m,
+    and kept if finite.
     """
     import numpy as np
-    m = hi - lo
-    if m <= _LEAF:
-        leaf = leaf_buffer[:m]
-        np.subtract(x[lo:hi], mean, out=leaf)
-        np.multiply(leaf, leaf, out=leaf)
-        return float(np.add.reduce(leaf))
-    half = m // 2
-    half -= half % 8
-    return _squares_sum(x, lo, lo + half, mean, leaf_buffer) + _squares_sum(
-        x, lo + half, hi, mean, leaf_buffer
-    )
+    m = leaf.size
+    total = float(np.add.reduce(leaf))
+    centre = total / m
+    drift, q = _squares(leaf, centre, d)
+    if not math.isfinite(total):
+        return None, q
+    if not whole:
+        if q == math.inf and math.isfinite(drift):
+            again = centre + drift / m
+            redrift, req = _squares(leaf, again, d)
+            if math.isfinite(req):
+                centre, drift, q = again, redrift, req
+        if math.sqrt(q) <= 0.25 * abs(centre):  # False at a NaN
+            return m * _units(centre) + _units(drift), max(q - drift * (drift / m), 0.0)
+    return _units(total), q
 
 
-def _mean_sd(x: np.ndarray) -> tuple[float, float]:
-    """(np.mean(x), np.std(x, ddof=1)) bit for bit, in O(_LEAF) memory.
+def _units(x: float) -> int:
+    """The finite double x as an integer count of 2^-1074, exactly."""
+    numerator, denominator = x.as_integer_ratio()
+    return numerator << (1075 - denominator.bit_length())
 
-    The steps are numpy's own: the pairwise sum of x divided by n, then
-    the pairwise sum of the squared deviations from that mean divided by
-    n − 1, and its correctly rounded root.  The squares are never held
-    whole: _squares_sum walks numpy's summation tree and squares one leaf
-    at a time into one buffer of at most _LEAF floats.
+
+def _ratio(numerator: int, denominator: int) -> float:
+    """numerator/denominator rounded once, ±inf past the double range."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
+
+
+def _side(x: np.ndarray, compare, cuts: dict) -> tuple[float, float, dict]:
+    """(mean, sd, {policy: number of x with compare(x, cut)}) of one side of a
+    batch, in one pass over leaves of _LEAF shots and O(_LEAF) memory.
+
+    While a leaf is in cache the pass counts it against each cut and takes
+    its sum and squares (_leaf).  The leaf sums add up exactly, in integer
+    counts of 2^-1074, so the mean and each gap between a leaf's mean and
+    the mean before it are rounded once, however far below the ulp of the
+    mean the gap lies.  The squares merge in index order by Chan, Golub
+    and LeVeque (1983): a leaf of m shots whose mean lies δ from the mean
+    of the n shots before it adds its squares and δ²·n·m/(n + m), and
+    math.fsum sums them once.  A leaf whose sum overflows leaves the mean
+    and sd NaN.
     """
     import numpy as np
-    n = x.size
-    mean = np.add.reduce(x) / n
-    squares = _squares_sum(x, 0, n, mean, np.empty(min(n, _LEAF)))
-    return float(mean), math.sqrt(squares / (n - 1))
-
-
-def _count_wrong(x: np.ndarray, compare, threshold: float, mask: np.ndarray) -> int:
-    """The number of x with compare(x, threshold), counted _LEAF at a time into mask."""
-    import numpy as np
-    wrong = 0
+    deviations = np.empty(min(x.size, _LEAF))
+    mask = np.empty(deviations.size, dtype=bool)
+    wrong = dict.fromkeys(cuts, 0)
+    n, total, finite, squares = 0, 0, True, []
     for lo in range(0, x.size, _LEAF):
-        chunk = mask[: min(x.size - lo, _LEAF)]
-        compare(x[lo : lo + _LEAF], threshold, out=chunk)
-        wrong += int(np.count_nonzero(chunk))
-    return wrong
+        leaf = x[lo : lo + _LEAF]
+        m = leaf.size
+        for policy, cut in cuts.items():
+            compare(leaf, cut, out=mask[:m])
+            wrong[policy] += int(np.count_nonzero(mask[:m]))
+        leaf_sum, leaf_squares = _leaf(leaf, deviations[:m], m == x.size)
+        finite = finite and leaf_sum is not None
+        if not finite:  # the counts go on; the moments are lost
+            continue
+        if n:
+            delta = _ratio(leaf_sum * n - total * m, (n * m) << 1074)
+            # δ·(δ·f), not δ²·f: finite wherever the term is, as f may be below 1
+            squares.append(delta * (delta * (n * m / (n + m))))
+        squares.append(leaf_squares)
+        n += m
+        total += leaf_sum
+    if not finite:
+        return math.nan, math.nan, wrong
+    try:
+        squares_sum = math.fsum(squares)
+    except OverflowError:  # finite terms whose sum passes the double range
+        squares_sum = math.inf
+    return _ratio(total, n << 1074), math.sqrt(squares_sum / (n - 1)), wrong
 
 
 def classify(
@@ -286,6 +347,11 @@ def classify(
     batch's own t and T₁ = t1 in the unit of t, by default the intrinsic
     T1 of the batch's params; it converges to the analytic
     erf(SNR/√2)·exp(−t/2T₁) for equal-variance Gaussians as n grows.
+
+    Each side is read once (_side) for its mean, its sd and its error
+    counts under every policy whose cut is finite.  While both outcome
+    arrays are read-only, as sample_shots returns them, the batch keeps
+    that result, so a second call, under either policy, reads no outcome.
     """
     import numpy as np
     if batch.n < 2 or batch.outcomes_plus.size < 2:
@@ -299,20 +365,31 @@ def classify(
     threshold = _threshold(threshold_policy, batch.law)
 
     plus, minus = batch.outcomes_plus, batch.outcomes_minus
-    if batch.law[1][1] >= batch.law[-1][1]:
-        wrong_plus, wrong_minus = np.less_equal, np.greater
-    else:
-        wrong_plus, wrong_minus = np.greater_equal, np.less
+    kept = not (plus.flags.writeable or minus.flags.writeable)
+    sides = getattr(batch, "_sides", None) if kept else None
+    if sides is None:
+        cuts = {}
+        for policy in _POLICIES:
+            try:
+                cuts[policy] = _threshold(policy, batch.law)
+            except NumericalError:  # raised where that policy is asked for
+                pass
+        if batch.law[1][1] >= batch.law[-1][1]:
+            wrong_plus, wrong_minus = np.less_equal, np.greater
+        else:
+            wrong_plus, wrong_minus = np.greater_equal, np.less
+        # at huge outcomes the sums inside mean and sd overflow; that is
+        # reported below as one error, not as numpy warnings and a NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            sides = (_side(plus, wrong_plus, cuts), _side(minus, wrong_minus, cuts))
+        if kept:
+            # not a field, so fields, replace, == and repr do not see it
+            object.__setattr__(batch, "_sides", sides)
+    (mean_plus, sd_plus, counts_plus), (mean_minus, sd_minus, counts_minus) = sides
     # the exact count divided once by n, as np.mean gives it, without a float sum
-    mask = np.empty(min(max(plus.size, minus.size), _LEAF), dtype=bool)
-    error_plus = _count_wrong(plus, wrong_plus, threshold, mask) / plus.size
-    error_minus = _count_wrong(minus, wrong_minus, threshold, mask) / minus.size
+    error_plus = counts_plus[threshold_policy] / plus.size
+    error_minus = counts_minus[threshold_policy] / minus.size
 
-    # at huge outcomes the sums inside mean and sd overflow; that is
-    # reported below as one error, not as numpy warnings and a NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_plus, sd_plus = _mean_sd(plus)
-        mean_minus, sd_minus = _mean_sd(minus)
     separation = abs(mean_plus - mean_minus)
     spread = sd_plus + sd_minus
     # a finite difference needs both means finite, a finite sum both spreads
@@ -332,4 +409,3 @@ def classify(
         empirical_snr=empirical_snr,
         empirical_fidelity=(1.0 - error_plus - error_minus) * survival,
     )
-

@@ -26,6 +26,7 @@ from squeezed_readout import (
     SweepFixed,
     SweepSpec,
     SystemParams,
+    UndefinedPointError,
     UnitContext,
     ValidationError,
     classify,
@@ -910,6 +911,45 @@ def test_a_time_the_caller_passes_past_the_double_range_is_a_validation_error(ca
     with pytest.raises(ValidationError) as error:
         call(t, _CHI_T_FIXED)
     assert str(error.value) == f"t must be nonnegative and finite, got {shown}"
+
+
+# t = 1e-320 is positive, the internal time chi_s*t underflows to 0
+_CHI_T_UNDERFLOWS = dataclasses.replace(
+    _CHI_T_FIXED, params=SystemParams(chi_s=1e-10, kappa=2e-10), t=1e-320
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: readout_point(f.t, f.probe, f.params, f.phi),
+        lambda f: snr(f.t, f.probe, f.params, f.phi),
+        lambda f: sample_shots(10, f.t, f.probe, f.params, f.phi, 1),
+        lambda f: optimal_squeezing(f.t, f.params),
+        lambda f: find_peak("snr", "r", (0.0, 2.0), f),
+        lambda f: run_sweep(
+            SweepSpec(variable="r", lo=0.0, hi=2.0, points=5, fixed=f, metric="snr")
+        ),
+    ],
+    ids=["readout_point", "snr", "sample_shots", "optimal_squeezing", "find_peak", "run_sweep"],
+)
+def test_internal_time_that_underflows_is_a_numerical_error(call):
+    # read as t = 0 it gave None, all-zero moments and a batch of zeros
+    with pytest.raises(NumericalError) as error:
+        call(_CHI_T_UNDERFLOWS)
+    assert str(error.value) == "chi_s·t underflows to 0: chi_s = 1e-10, t = 1e-320"
+
+
+def test_time_zero_at_a_small_chi_s_stays_the_point_t_zero():
+    f = dataclasses.replace(_CHI_T_UNDERFLOWS, t=0.0)
+    for call in (
+        lambda: snr(f.t, f.probe, f.params, f.phi),
+        lambda: optimal_squeezing(f.t, f.params),
+    ):
+        with pytest.raises(UndefinedPointError, match="undefined at t=0.0"):
+            call()
+    table = run_sweep(SweepSpec(variable="r", lo=0.0, hi=2.0, points=3, fixed=f, metric="snr"))
+    assert [row.skipped for row in table.rows] == [True] * 3
 
 
 # chi_s and the caller's kappa or T1 are valid, kappa/chi_s or chi_s·T1 is not

@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -821,43 +822,80 @@ _MOMENT_INPUTS = st.lists(
 )
 
 
-def _moments_are_numpys(values):
-    x = np.array(values)
+def _exact_moments(x) -> tuple[float, float]:
+    """(mean, sd) of x from exact integer sums, each within an ulp; inf where
+    the sd passes the double range.
+
+    With every element a·2^-k for one k, mean = Σa·2^-k/n and
+    sd² = (nΣa² − (Σa)²)·2^-2k/(n(n − 1)).
+    """
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    scale = max(q for _, q in ratios)
+    ints = [p * (scale // q) for p, q in ratios]
+    n, total = len(ints), sum(ints)
+    numerator, denominator = n * sum(a * a for a in ints) - total * total, n * (n - 1)
+    # a quotient of at least 256 bits, whose root keeps 128 before it rounds
+    shift = max(0, (256 - numerator.bit_length() + denominator.bit_length()) // 2 + 1)
+    root = math.isqrt((numerator << (2 * shift)) // denominator)
+    try:
+        sd = root / (scale << shift)
+    except OverflowError:
+        sd = math.inf
+    return total / (n * scale), sd
+
+
+def _moments_are_as_accurate_as_numpys(x):
+    # the pass's mean and sd lie no farther from the exact ones than
+    # np.mean and np.std(ddof=1) do, plus 2 ulp: of the sd for the sd, and
+    # of the mean of |x| for the mean, the scale at which any sum of x
+    # rounds (a mean far below the sd is noise whose ulp no summation order
+    # but numpy's own can hold); where the exact sd or numpy's value passes
+    # the double range there is nothing to compare
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = (float(np.mean(x)), float(np.std(x, ddof=1)))
-        got = shots._mean_sd(x)
-    assert repr(got) == repr(expected)
+        numpys = (float(np.mean(x)), float(np.std(x, ddof=1)))
+        got = shots._side(x, np.less, {})[:2]
+        scales = (float(np.mean(np.abs(x))), None)
+    for name, ours, theirs, exact, scale in zip(
+        ("mean", "sd"), got, numpys, _exact_moments(x), scales
+    ):
+        if math.isfinite(exact) and math.isfinite(theirs):
+            ulp = math.ulp(exact if scale is None else max(scale, abs(exact)))
+            assert abs(ours - exact) <= abs(theirs - exact) + 2.0 * ulp, (name, ours, theirs, exact)
 
 
 @settings(max_examples=200, deadline=None)
 @given(values=_MOMENT_INPUTS)
-def test_classify_moments_are_numpys_bit_for_bit(values):
-    _moments_are_numpys(values)
+def test_classify_moments_are_as_accurate_as_numpys(values):
+    _moments_are_as_accurate_as_numpys(np.array(values))
 
 
 @settings(max_examples=200, deadline=None)
 @given(values=_MOMENT_INPUTS)
-def test_classify_moments_in_128_element_leaves_are_numpys_bit_for_bit(values):
-    # these inputs fit in one real leaf; at 128 elements the walk splits them
+def test_classify_moments_in_128_element_leaves_are_as_accurate_as_numpys(values):
+    # these inputs fit in one real leaf; at 128 elements the pass merges them
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(shots, "_LEAF", 128)
-        _moments_are_numpys(values)
-
-
-def test_the_leaf_is_a_node_numpy_sums_whole():
-    # numpy sums a node of at most 128 elements without splitting it
-    assert shots._LEAF >= 128
+        _moments_are_as_accurate_as_numpys(np.array(values))
 
 
 _LEAF_SIZES = [shots._LEAF - 1, shots._LEAF, shots._LEAF + 1, 2 * shots._LEAF + 7, 1_000_003]
 
 
 @pytest.mark.parametrize("n", _LEAF_SIZES)
-def test_moments_across_leaves_are_numpys_bit_for_bit(n):
+def test_moments_across_leaves_are_as_accurate_as_numpys(n):
     x = np.random.default_rng(n).standard_normal(n) * 3.7 + 1e3
     for view in (x, x[::3]):
-        expected = (float(np.mean(view)), float(np.std(view, ddof=1)))
-        assert repr(shots._mean_sd(view)) == repr(expected)
+        _moments_are_as_accurate_as_numpys(view)
+
+
+@pytest.mark.parametrize("ratio", [-1e6, 1e2, 1e4, 1e6])
+def test_moments_far_from_zero_are_as_accurate_as_numpys(ratio):
+    # leaf means rounded to doubles lose the gaps between leaves here:
+    # merged as plain doubles, the sd at |mean|/sd = 1e6 landed 674 ulp
+    # from the exact one
+    x = np.random.default_rng(7).standard_normal(1_000_003) * 3.7 + 3.7 * ratio
+    for view in (x, x[::3]):
+        _moments_are_as_accurate_as_numpys(view)
 
 
 def _mask_errors(batch, threshold):
@@ -901,6 +939,78 @@ def test_classify_traces_less_than_a_megabyte(t_matched, probe_matched, params_k
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [2, 3 * BLOCK_SIZE])
+def test_sample_shots_returns_read_only_outcomes(n, t_matched, probe_matched, params_k2):
+    batch = sample_shots(n, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
+    for outcomes in (batch.outcomes_plus, batch.outcomes_minus):
+        assert not outcomes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            outcomes[0] = 0.0
+
+
+_ORDERS = [("midpoint", "likelihood"), ("likelihood", "midpoint")]
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+def test_the_second_policy_reads_the_kept_pass(order, monkeypatch, t_matched, params_k2):
+    # unequal variances, so the two cuts differ, and several leaves a side
+    probe = ProbeState(alpha=10.0, theta_alpha=0.0, r=0.74, theta_xi=0.5 * math.pi)
+    args = (2 * shots._LEAF + 7, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
+    fresh = {policy: repr(classify(sample_shots(*args), policy)) for policy in order}
+    batch = sample_shots(*args)
+    shown, passes, side = repr(batch), [], shots._side
+    monkeypatch.setattr(shots, "_side", lambda *pass_args: passes.append(1) or side(*pass_args))
+    assert {policy: repr(classify(batch, policy)) for policy in order} == fresh
+    assert len(passes) == 2  # one per side, for both policies
+    assert repr(batch) == shown
+    assert "_sides" not in vars(dataclasses.replace(batch))
+
+
+def test_a_batch_with_writable_outcomes_is_read_on_every_call(
+    t_matched, probe_matched, params_k2
+):
+    batch = sample_shots(
+        2 * shots._LEAF + 7, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED
+    )
+    cut = shots._threshold("midpoint", batch.law)
+    planted = dataclasses.replace(
+        batch, outcomes_plus=batch.outcomes_plus.copy(), outcomes_minus=batch.outcomes_minus.copy()
+    )
+    first = classify(planted)
+    plus = planted.outcomes_plus
+    wrong = plus <= cut if batch.law[1][1] >= batch.law[-1][1] else plus >= cut
+    # the last right outcome moves onto the cut, which is wrong on either side
+    plus[np.flatnonzero(~wrong)[-1]] = cut
+    second = classify(planted)
+    assert (second.error_plus, second.error_minus) == _mask_errors(planted, cut)
+    assert round(second.error_plus * plus.size) == round(first.error_plus * plus.size) + 1
+    assert second.error_minus == first.error_minus
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+def test_a_cut_that_overflows_raises_only_for_its_policy(order, t_matched, params_k2):
+    # the batch of test_overflowing_likelihood_threshold_is_a_numerical_error
+    probe = ProbeState(alpha=1e160, theta_alpha=0.0, r=0.74, theta_xi=1.1)
+    batch = sample_shots(1000, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
+    for policy in order:
+        if policy == "midpoint":
+            assert math.isfinite(classify(batch, threshold_policy=policy).threshold)
+        else:
+            with pytest.raises(NumericalError, match="likelihood threshold overflows"):
+                classify(batch, threshold_policy=policy)
+
+
+def test_a_classified_batch_holds_no_reference_to_its_outcomes(
+    t_matched, probe_matched, params_k2
+):
+    batch = sample_shots(1000, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
+    for policy in shots._POLICIES:
+        classify(batch, threshold_policy=policy)
+    outcomes = weakref.ref(batch.outcomes_plus)
+    del batch
+    assert outcomes() is None
 
 
 @settings(max_examples=100, deadline=None)
