@@ -242,20 +242,18 @@ def _squares(leaf, centre: float, d) -> tuple[float, float]:
     return drift, float(np.add.reduce(d))
 
 
-def _leaf(leaf, d, whole: bool) -> tuple[int | None, float]:
+def _leaf(leaf, d) -> tuple[int | None, float]:
     """(s, q) of one leaf of m shots: its sum s in counts of 2^-1074, None
     where its pairwise sum S overflows, and the sum q of its squared
     deviations d = x − c, formed in the buffer d, from its mean c = S/m as
     np.mean rounds it.
 
-    A leaf that is a whole side takes np.mean and np.std(ddof=1)'s own two
-    passes: s = S and q = Σd², so a side of up to _LEAF shots keeps their
-    bits.  In a merge, where √Σd² ≤ |c|/4, every x lies within |c|/4 of c
-    and every d is exact (Sterbenz), so s = m·c + Σd and q = Σd² − (Σd)²/m,
-    the squares about the exact mean; elsewhere the d round as much as S
-    does, and s = S and q = Σd².  Squares that overflow about a c rounded
-    far from the mean, as near 1e300, are taken once more about c + Σd/m,
-    and kept if finite.
+    Where √Σd² ≤ |c|/4, every x lies within |c|/4 of c and every d is
+    exact (Sterbenz), so s = m·c + Σd and q = Σd² − (Σd)²/m, the squares
+    about the exact mean; a leaf of one repeated double has q = 0.
+    Elsewhere the d round as much as S does, and s = S and q = Σd².
+    Squares that overflow about a c rounded far from the mean, as near
+    1e300, are taken once more about c + Σd/m, and kept if finite.
     """
     import numpy as np
     m = leaf.size
@@ -264,14 +262,13 @@ def _leaf(leaf, d, whole: bool) -> tuple[int | None, float]:
     drift, q = _squares(leaf, centre, d)
     if not math.isfinite(total):
         return None, q
-    if not whole:
-        if q == math.inf and math.isfinite(drift):
-            again = centre + drift / m
-            redrift, req = _squares(leaf, again, d)
-            if math.isfinite(req):
-                centre, drift, q = again, redrift, req
-        if math.sqrt(q) <= 0.25 * abs(centre):  # False at a NaN
-            return m * _units(centre) + _units(drift), max(q - drift * (drift / m), 0.0)
+    if q == math.inf and math.isfinite(drift):
+        again = centre + drift / m
+        redrift, req = _squares(leaf, again, d)
+        if math.isfinite(req):
+            centre, drift, q = again, redrift, req
+    if math.sqrt(q) <= 0.25 * abs(centre):  # False at a NaN
+        return m * _units(centre) + _units(drift), max(q - drift * (drift / m), 0.0)
     return _units(total), q
 
 
@@ -314,7 +311,7 @@ def _side(x: np.ndarray, compare, cuts: dict) -> tuple[float, float, dict]:
         for policy, cut in cuts.items():
             compare(leaf, cut, out=mask[:m])
             wrong[policy] += int(np.count_nonzero(mask[:m]))
-        leaf_sum, leaf_squares = _leaf(leaf, deviations[:m], m == x.size)
+        leaf_sum, leaf_squares = _leaf(leaf, deviations[:m])
         finite = finite and leaf_sum is not None
         if not finite:  # the counts go on; the moments are lost
             continue

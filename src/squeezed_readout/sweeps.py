@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .dynamics import _response
 from .errors import NumericalError, ReadoutError, ValidationError
-from .metrics import _check_metric, _evaluate, _fields
+from .metrics import _check_metric, _evaluate, _fields, _internal_time
 from .metrics import _projections, _row, _separation, _variances
 from .params import SystemParams, UnitContext, _real, _rescaled, from_experimental, wrap_angle
 from .probe import ProbeState, _lo_angle, _squeeze_factors
@@ -153,7 +153,7 @@ def _with(fixed: SweepFixed, base, variable: str, value: float):
     else:
         _real(variable, value, "finite" if variable == "theta_xi" else "nonnegative and finite")
     if variable == "t":
-        value = value * chi_s
+        value = _internal_time(value, chi_s)
     elif variable == "theta_xi":
         value = wrap_angle(value)
     return base._replace(**{variable: value})
@@ -291,6 +291,27 @@ def _grid(lo: float, hi: float, points: int) -> list[float]:
     return values
 
 
+def _in_time_order(at, xs, chi_s: float):
+    """at(x) for each x of the ascending t grid xs, in order, with
+    metrics._internal_time's check of the first positive x just before at(x);
+    the points from there on are evaluated as they are read.
+
+    χs·x grows with x, so where χs·x underflows to 0 at some x > 0 of xs, it
+    does at the first, and the one check stands for the whole grid; the
+    kernel, which would read such a point as t = 0, needs none.
+    """
+    k = 0
+    while k < len(xs) and not xs[k] > 0.0:
+        k += 1
+    if k == 0:  # a grid from t > 0, as most are
+        _internal_time(xs[0], chi_s)
+        return map(at, xs)
+    head = list(map(at, xs[:k]))
+    if k < len(xs):
+        _internal_time(xs[k], chi_s)
+    return chain(head, map(at, xs[k:]))
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the metric on the uniform grid of the spec.
 
@@ -298,12 +319,18 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     t = 0) are kept as rows with a NaN metric and the skipped flag set,
     so grids may start at zero time.  Each point is one call of the
     kernel of the variable, in order, so the first failing point raises
-    its own error.  The spec has checked the range's ends already.
+    its own error.  The spec has checked the range's ends already, and a
+    t sweep checks its first positive point for an underflowing χs·t
+    (_in_time_order).
     """
     at, make = _kernel(spec.metric, spec.fixed, spec.variable), SweepRow._make
     rows = []
-    for x in _grid(spec.lo, spec.hi, spec.points):
-        value, big_f, big_g, a_coef, b_coef, vp, vm, _ = at(x)
+    xs = _grid(spec.lo, spec.hi, spec.points)
+    if spec.variable == "t":
+        points = _in_time_order(at, xs, spec.fixed.params.chi_s)
+    else:
+        points = map(at, xs)
+    for x, (value, big_f, big_g, a_coef, b_coef, vp, vm, _) in zip(xs, points):
         skipped = value is None
         metric_value = math.nan if skipped else value
         rows.append(make((x, metric_value, a_coef, b_coef, big_f, big_g, vp, vm, skipped)))
@@ -328,7 +355,10 @@ def find_peak(
     Every point, coarse or golden-section, is one float call of the
     kernel of the variable (_kernel), which recomputes only the stages
     the variable reaches; points are evaluated in order, so the first
-    failing point raises its own error.
+    failing point raises its own error.  A t search checks the lowest
+    positive point of its coarse scan for an underflowing χs·t
+    (_in_time_order).  Every golden-section point lies above that point,
+    except in a bracket that starts at t = 0, where each point is checked.
     """
     lo, hi = _check_range("bounds", bounds)
     kernel = _kernel(metric, fixed, variable)
@@ -341,8 +371,15 @@ def find_peak(
             )
         return value
 
+    def checked(x: float) -> float:
+        _internal_time(x, fixed.params.chi_s)
+        return evaluate(x)
+
     xs = _grid(lo, hi, _COARSE_POINTS)
-    ys = list(map(evaluate, xs))
+    if variable == "t":
+        ys = list(_in_time_order(evaluate, xs, fixed.params.chi_s))
+    else:
+        ys = list(map(evaluate, xs))
 
     spread = max(ys) - min(ys)
     scale = max(1.0, abs(max(ys)), abs(min(ys)))
@@ -361,24 +398,25 @@ def find_peak(
     best = ys.index(max(ys))
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, len(xs) - 1)]
+    step = checked if variable == "t" and a == 0.0 else evaluate
 
     h = b - a
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
-    yc, yd = evaluate(c), evaluate(d)
+    yc, yd = step(c), step(d)
     while h > _PEAK_TOL:
         if yc > yd:
             b, d, yd = d, c, yc
             h = b - a
             c = a + _INVPHI2 * h
-            yc = evaluate(c)
+            yc = step(c)
         else:
             a, c, yc = c, d, yd
             h = b - a
             d = a + _INVPHI * h
-            yd = evaluate(d)
+            yd = step(d)
     location = 0.5 * (a + b)
-    return PeakResult(location=location, value=evaluate(location), flat=False)
+    return PeakResult(location=location, value=step(location), flat=False)
 
 
 def _fmt(value) -> str:
@@ -424,10 +462,15 @@ def _csv_body(columns) -> str:
     return ((",".join(fields) + "\n") * rows) % tuple(cells)
 
 
-def _render_csv(meta: dict, columns: tuple[str, ...], rows) -> str:
+def _csv_head(meta: dict, columns: tuple[str, ...]) -> str:
+    """The header of a table's CSV: its meta lines by key, then the column names."""
     lines = [f"# {key} = {_fmt(meta[key])}" for key in sorted(meta)]
     lines.append(",".join(columns))
-    return "\n".join(lines) + "\n" + _csv_body(list(zip(*rows)))
+    return "\n".join(lines) + "\n"
+
+
+def _render_csv(meta: dict, columns: tuple[str, ...], rows) -> str:
+    return _csv_head(meta, columns) + _csv_body(list(zip(*rows)))
 
 
 def render_sweep_csv(result: SweepResult) -> str:
@@ -458,8 +501,44 @@ def render_sweep_csv(result: SweepResult) -> str:
     return _render_csv(meta, columns, result.rows)
 
 
+def _same(column, other) -> bool:
+    """Whether two columns hold the same objects, in order: identity, not equality."""
+    return len(column) == len(other) and all(map(operator.is_, column, other))
+
+
 def render_figure_csv(table: FigureTable) -> str:
-    return _render_csv(table.meta, table.columns, table.rows)
+    """The CSV of a figure table, one curve at a time; _render_csv's bytes.
+
+    A curve is a run of meta["points"] rows: one r over the times of a
+    figure-2 panel, one figure-3 panel over its x values.  Within a curve
+    _csv_body spells a column of one object (fig2's r, fig3's panel) into
+    the line template once.  A column that holds the same objects as the
+    curve before or after it, as fig2's shared time grid does, is spelled
+    once, as _csv_body would spell it, and each curve of the run fills
+    those strings into a %s slot.
+    """
+    rows, points = table.rows, table.meta.get("points")
+    if not isinstance(points, int) or points < 1:
+        points = len(rows) or 1
+    curves = [list(zip(*rows[lo : lo + points])) for lo in range(0, len(rows), points)]
+    spelled = {}  # column index: (the objects, their strings) of the curve before
+    body = []
+    for k, columns in enumerate(curves):
+        after = curves[k + 1] if k + 1 < len(curves) else None
+        cells = list(columns)
+        for i, column in enumerate(columns):
+            objects, strings = spelled.pop(i, ((), None))
+            if not _same(column, objects):
+                if after is None or not _same(column, after[i]):
+                    continue
+                if all(map(operator.is_, column, repeat(column[0]))):
+                    continue  # _csv_body spells it into the template
+                kinds = set(map(type, column))
+                strings = list(map(repr if kinds <= _REPR_TYPES else _fmt, column))
+            spelled[i] = column, strings
+            cells[i] = strings
+        body.append(_csv_body(cells))
+    return _csv_head(table.meta, table.columns) + "".join(body)
 
 
 def reproduce_figure2(

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezed_readout import (
+    FigureTable,
     ProbeState,
     SweepFixed,
     SweepSpec,
@@ -110,6 +111,85 @@ def test_a_column_of_one_object_is_formatted_once(monkeypatch):
     body = sweeps._csv_body(([cell] * 50, [float(i) for i in range(50)]))
     assert calls == [cell]
     assert body == "".join(f"0.25,{float(i)!r}\n" for i in range(50))
+
+
+def _row_wise(table: FigureTable) -> str:
+    """The table rendered in one pass over all its rows, the oracle of the
+    curve-by-curve render_figure_csv."""
+    return sweeps._render_csv(table.meta, table.columns, table.rows)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        lambda: reproduce_figure2("panel_ab"),
+        lambda: reproduce_figure2("panel_cd"),
+        lambda: reproduce_figure2("panel_ab", points=2),
+        lambda: reproduce_figure2("panel_cd", r_values=(0.74,)),
+        lambda: reproduce_figure3(),
+        lambda: reproduce_figure3(points=2),
+    ],
+    ids=["fig2-ab", "fig2-cd", "fig2-two-points", "fig2-one-curve", "fig3", "fig3-two-points"],
+)
+def test_figure_tables_render_curve_by_curve_as_row_by_row(table):
+    table = table()
+    assert render_figure_csv(table) == _row_wise(table)
+
+
+def test_signed_zeros_and_repeated_r_values_keep_their_spelling():
+    # 0.0 and -0.0 are two objects and two curves; 0.5 given twice makes
+    # two curves of one object
+    table = reproduce_figure2("panel_ab", r_values=(0.0, -0.0, 0.5, 0.5), points=3)
+    text = render_figure_csv(table)
+    assert text == _row_wise(table)
+    rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")][1:]
+    assert [row[1] for row in rows] == ["0.0"] * 3 + ["-0.0"] * 3 + ["0.5"] * 6
+    assert [row[0] for row in rows] == ["0.0", "1.0", "2.0"] * 4
+
+
+def test_a_grid_shared_by_its_curves_is_spelled_once(monkeypatch):
+    # numpy floats go through _fmt, so its calls count the spellings
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return fmt(value)
+
+    fmt = sweeps._fmt
+    grid = [np.float64(i / 4) for i in range(5)]
+    rows = tuple((x, curve, float(i)) for curve in ("a", "b", "c") for i, x in enumerate(grid))
+    table = FigureTable(name="grid", meta={"points": 5}, columns=("x", "curve", "y"), rows=rows)
+    expected = _row_wise(table)
+    monkeypatch.setattr(sweeps, "_fmt", counting)
+    assert render_figure_csv(table) == expected
+    assert [value for value in calls if isinstance(value, np.float64)] == grid
+
+
+def test_equal_grids_that_are_not_the_same_objects_keep_their_own_spelling():
+    # -0.0 == 0.0, so the grids are equal but hold other objects: identity,
+    # not equality, shares a grid's strings
+    grids = ([-0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [-0.0, 1.0, 2.0])
+    rows = tuple((x, curve, 2.0 * curve) for curve, grid in enumerate(grids) for x in grid)
+    table = FigureTable(name="grids", meta={"points": 3}, columns=("x", "curve", "y"), rows=rows)
+    text = render_figure_csv(table)
+    assert text == _row_wise(table)
+    assert [line.split(",")[0] for line in text.splitlines()[2:]] == [
+        "-0.0", "1.0", "2.0", "0.0", "1.0", "2.0", "-0.0", "1.0", "2.0"
+    ]
+
+
+_R_VALUES = st.floats(min_value=0.0, max_value=3.0) | st.sampled_from((0.0, -0.0, 0.5, 1.275))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from(("panel_ab", "panel_cd")),
+    r_values=st.lists(_R_VALUES, min_size=1, max_size=5),
+    points=st.integers(min_value=2, max_value=12),
+)
+def test_figure2_renders_curve_by_curve_as_row_by_row(variant, r_values, points):
+    table = reproduce_figure2(variant, r_values=tuple(r_values), points=points)
+    assert render_figure_csv(table) == _row_wise(table)
 
 
 def _sha256(text: str) -> str:

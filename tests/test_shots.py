@@ -186,12 +186,28 @@ def test_likelihood_threshold_with_unequal_variances(t_matched, params_k2):
 
 @pytest.mark.parametrize("alpha", [1e160])
 def test_overflowing_likelihood_threshold_is_a_numerical_error(t_matched, params_k2, alpha):
-    # the squared half gap h² of the likelihood root overflows at 1e160
+    # the squared half gap h² of the likelihood root overflows at 1e160;
+    # the cut is raised before the batch's outcomes are read
     probe = ProbeState(alpha=alpha, theta_alpha=0.0, r=0.74, theta_xi=1.1)
     batch = sample_shots(1000, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
-    assert math.isfinite(classify(batch, threshold_policy="midpoint").threshold)
+    assert math.isfinite(shots._threshold("midpoint", batch.law))
+    with pytest.raises(NumericalError, match="likelihood threshold overflows"):
+        shots._threshold("likelihood", batch.law)
     with pytest.raises(NumericalError, match="likelihood threshold overflows"):
         classify(batch, threshold_policy="likelihood")
+
+
+@pytest.mark.parametrize("n", [2, 1000, shots._LEAF, shots._LEAF + 1, 40000])
+@pytest.mark.parametrize("alpha", [1e154, 1e160])
+def test_a_batch_of_one_repeated_double_has_zero_spread(t_matched, params_k2, alpha, n):
+    # the sd is far below an ulp of the mean, so each side is one double
+    # repeated: its spread is 0 at any n, not the rounding of its mean
+    probe = ProbeState(alpha=alpha, theta_alpha=0.0, r=0.74, theta_xi=1.1)
+    batch = sample_shots(n, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
+    for x in (batch.outcomes_plus, batch.outcomes_minus):
+        assert np.all(x == x[0])
+    with pytest.raises(NumericalError, match="batch has zero spread"):
+        classify(batch, threshold_policy="midpoint")
 
 
 def _crossing_tolerance(law: dict, crossing: float) -> float:
@@ -209,7 +225,7 @@ def test_likelihood_threshold_at_a_huge_displacement_is_the_crossing(t_matched, 
     # -inf; the centred root squares only the half gap over the sd
     probe = ProbeState(alpha=1e154, theta_alpha=0.0, r=0.74, theta_xi=1.1)
     batch = sample_shots(1000, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
-    cut = classify(batch, threshold_policy="likelihood").threshold
+    cut = shots._threshold("likelihood", batch.law)
     crossing = mp_likelihood_crossing(batch.law)
     assert abs(cut - crossing) <= _crossing_tolerance(batch.law, crossing)
     assert 0.0 < cut < 1e152
@@ -313,19 +329,27 @@ n_shots = 1000
 )
 def test_shots_command_prints_the_likelihood_crossing(tmp_path, capsys, text, printed):
     # the textbook root's discriminant came out negative at SNR 18 through
-    # rounding, and overflowed at alpha = 1e154: both runs exited 2
-    path = tmp_path / "likelihood.cfg"
-    path.write_text(text, encoding="utf-8")
-    assert main(["shots", "--config", str(path)]) == 0
-    block = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    # rounding, and overflowed at alpha = 1e154: both runs exited 2.  The
+    # cut of the run's law is the crossing; the SNR-18 run prints it, and
+    # the alpha = 1e154 run, whose sides are each one repeated double,
+    # exits 2 on their zero spread
     config = parse_config(text)
     t = config.units.to_internal_time(config.t_us)
     law = shots._shot_map(readout_point(t, config.probe, config.params, config.phi))
-    cut, crossing = float(block["threshold"]), mp_likelihood_crossing(law)
+    cut, crossing = shots._threshold(config.threshold_policy, law), mp_likelihood_crossing(law)
     assert abs(cut - crossing) <= _crossing_tolerance(law, crossing)
     assert min(law[1][1], law[-1][1]) < cut < max(law[1][1], law[-1][1])
-    if printed is not None:
-        assert block["threshold"] == printed
+    path = tmp_path / "likelihood.cfg"
+    path.write_text(text, encoding="utf-8")
+    status = main(["shots", "--config", str(path)])
+    out, err = capsys.readouterr()
+    if printed is None:
+        assert status == 2
+        assert err == "numerical error: batch has zero spread; empirical SNR is undefined\n"
+    else:
+        assert status == 0
+        block = dict(line.split(" = ", 1) for line in out.splitlines())
+        assert block["threshold"] == printed == repr(cut)
 
 
 _TILTED_POINTS = [(0.5 * math.pi, PHI_DEFAULT), (0.5 * math.pi, PHI_DEFAULT + math.pi)]
@@ -991,9 +1015,16 @@ def test_a_batch_with_writable_outcomes_is_read_on_every_call(
 
 @pytest.mark.parametrize("order", _ORDERS)
 def test_a_cut_that_overflows_raises_only_for_its_policy(order, t_matched, params_k2):
-    # the batch of test_overflowing_likelihood_threshold_is_a_numerical_error
+    # the law of test_overflowing_likelihood_threshold_is_a_numerical_error;
+    # its sides, each one repeated double, have every other shot moved an
+    # ulp up, so that the midpoint policy meets a spread and classifies
     probe = ProbeState(alpha=1e160, theta_alpha=0.0, r=0.74, theta_xi=1.1)
     batch = sample_shots(1000, t_matched, probe, params_k2, PHI_DEFAULT, SEED)
+    sides = [x.copy() for x in (batch.outcomes_plus, batch.outcomes_minus)]
+    for x in sides:
+        x[::2] = np.nextafter(x[::2], math.inf)
+        x.flags.writeable = False
+    batch = dataclasses.replace(batch, outcomes_plus=sides[0], outcomes_minus=sides[1])
     for policy in order:
         if policy == "midpoint":
             assert math.isfinite(classify(batch, threshold_policy=policy).threshold)

@@ -426,3 +426,62 @@ def test_an_end_of_the_range_fails_before_any_point(
             SweepSpec(variable=variable, lo=lo, hi=hi, points=50, fixed=fixed, metric="snr")
         )
     assert str(excinfo.value) == message
+
+
+_SLOW_CHI = SystemParams(chi_s=1e-10, kappa=2e-10)
+
+
+def _slow_fixed() -> SweepFixed:
+    return SweepFixed(params=_SLOW_CHI, probe=ProbeState(alpha=10.0, r=0.74), phi=0.5, t=1e-5)
+
+
+@pytest.mark.parametrize("metric", ["snr", "variance"])
+def test_a_t_sweep_whose_chi_s_t_underflows_raises(metric):
+    # chi_s·t rounds to 0 at the grid's first positive point, 1e-314, and
+    # is positive at the end 4e-314: the model would read that point as t = 0
+    spec = SweepSpec(variable="t", lo=0.0, hi=4e-314, points=5, fixed=_slow_fixed(), metric=metric)
+    with pytest.raises(NumericalError) as excinfo:
+        run_sweep(spec)
+    assert str(excinfo.value) == "chi_s·t underflows to 0: chi_s = 1e-10, t = 1e-314"
+
+
+@pytest.mark.parametrize(("lo", "hi", "t"), [(0.0, 4e-320, 4e-320), (1e-320, 4e-320, 1e-320)])
+def test_a_t_sweep_end_whose_chi_s_t_underflows_raises(lo, hi, t):
+    # t = 0 is a point of its own; an end t > 0 whose chi_s·t is 0 is not
+    with pytest.raises(NumericalError) as excinfo:
+        SweepSpec(variable="t", lo=lo, hi=hi, points=5, fixed=_slow_fixed(), metric="snr")
+    assert str(excinfo.value) == f"chi_s·t underflows to 0: chi_s = 1e-10, t = {t!r}"
+
+
+def test_a_t_sweep_from_zero_keeps_its_skipped_origin_at_a_small_chi_s():
+    spec = SweepSpec(variable="t", lo=0.0, hi=3e-5, points=4, fixed=_slow_fixed(), metric="snr")
+    rows = run_sweep(spec).rows
+    assert rows[0].skipped and not any(row.skipped for row in rows[1:])
+
+
+@pytest.mark.parametrize(
+    ("metric", "bounds", "t"),
+    [("snr", (1e-320, 4e-320), 1e-320), ("contrast", (0.0, 4e-320), 1.29e-321)],
+)
+def test_a_t_peak_search_whose_chi_s_t_underflows_raises(metric, bounds, t):
+    # the lowest positive point of the coarse scan is checked, after any
+    # point before it: 1e-320, or 4e-320/31 after t = 0
+    with pytest.raises(NumericalError) as excinfo:
+        find_peak(metric, "t", bounds, _slow_fixed())
+    assert str(excinfo.value) == f"chi_s·t underflows to 0: chi_s = 1e-10, t = {t!r}"
+
+
+def test_a_t_peak_search_from_zero_is_undefined_there_before_it_underflows():
+    with pytest.raises(NumericalError, match="metric 'snr' is undefined inside the bounds at 0.0"):
+        find_peak("snr", "t", (0.0, 4e-320), _slow_fixed())
+
+
+def test_a_golden_section_bracket_from_t_zero_checks_its_points(monkeypatch):
+    # a kernel peaked at 1e-316: the coarse scan's points, 0 and multiples
+    # of 1e-312/31, keep chi_s·t > 0; the best is t = 0, and the bracket
+    # [0, 1e-312/31] evaluates points whose chi_s·t underflows
+    monkeypatch.setattr(sweeps, "_kernel", lambda *args: lambda x: (-1e310 * abs(x - 1e-316),))
+    with pytest.raises(NumericalError, match="chi_s·t underflows to 0: chi_s = 1e-10, t = 1.2"):
+        find_peak("contrast", "t", (0.0, 1e-312), _slow_fixed())
+    fixed = dataclasses.replace(_slow_fixed(), params=SystemParams())
+    assert not find_peak("contrast", "t", (0.0, 1e-312), fixed).flat
