@@ -165,8 +165,9 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
     The row is (value, F, G, A, B, variance_plus, variance_minus, snr),
     as metrics._row returns it.  The closure returns the bits of the
     first eight fields of _evaluate(metric, _with(fixed, base, variable,
-    x)), or raises its error.  It checks x as _with does, then runs the
-    stages x reaches; the others are computed here, once:
+    x)), or raises its error.  It checks x as _with does, an underflow of
+    χs·x to 0 included, then runs the stages x reaches; the others are
+    computed here, once:
 
     - r: the response, the LO angle, the projections and the separation;
     - delta_theta: the response, the squeeze factors and the separation;
@@ -203,13 +204,14 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
     except ReadoutError:
         return fresh
 
-    # each test of x below is _with's check; _with raises the error of a failing x
+    # each test of x below fails where _with raises, and _with then raises
+    # the error of x; an overflowing χs·x fails it too, and is _response's to raise
     if variable == "t":
 
         def at(x):
-            if not 0.0 <= x < inf:
-                _with(fixed, base, variable, x)
             t = x * chi_s
+            if not (0.0 < t < inf or x == 0.0):
+                _with(fixed, base, variable, x)
             response = _response(kappa, t)
             vp, vm = _variances(_projections(response, kappa, u, angle), factors)
             sep = _separation(metric, alpha, response[3], theta_alpha, phi)[1]
@@ -219,7 +221,7 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
 
         def at(x):
             k = x / chi_s
-            if not (0.0 < x < inf and 0.0 < k < inf):
+            if not 0.0 < k < inf:
                 _with(fixed, base, variable, x)
             response = _response(k, t)
             vp, vm = _variances(_projections(response, k, u, angle), factors)
@@ -291,27 +293,6 @@ def _grid(lo: float, hi: float, points: int) -> list[float]:
     return values
 
 
-def _in_time_order(at, xs, chi_s: float):
-    """at(x) for each x of the ascending t grid xs, in order, with
-    metrics._internal_time's check of the first positive x just before at(x);
-    the points from there on are evaluated as they are read.
-
-    χs·x grows with x, so where χs·x underflows to 0 at some x > 0 of xs, it
-    does at the first, and the one check stands for the whole grid; the
-    kernel, which would read such a point as t = 0, needs none.
-    """
-    k = 0
-    while k < len(xs) and not xs[k] > 0.0:
-        k += 1
-    if k == 0:  # a grid from t > 0, as most are
-        _internal_time(xs[0], chi_s)
-        return map(at, xs)
-    head = list(map(at, xs[:k]))
-    if k < len(xs):
-        _internal_time(xs[k], chi_s)
-    return chain(head, map(at, xs[k:]))
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the metric on the uniform grid of the spec.
 
@@ -319,18 +300,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     t = 0) are kept as rows with a NaN metric and the skipped flag set,
     so grids may start at zero time.  Each point is one call of the
     kernel of the variable, in order, so the first failing point raises
-    its own error.  The spec has checked the range's ends already, and a
-    t sweep checks its first positive point for an underflowing χs·t
-    (_in_time_order).
+    its own error.
     """
     at, make = _kernel(spec.metric, spec.fixed, spec.variable), SweepRow._make
     rows = []
     xs = _grid(spec.lo, spec.hi, spec.points)
-    if spec.variable == "t":
-        points = _in_time_order(at, xs, spec.fixed.params.chi_s)
-    else:
-        points = map(at, xs)
-    for x, (value, big_f, big_g, a_coef, b_coef, vp, vm, _) in zip(xs, points):
+    for x, (value, big_f, big_g, a_coef, b_coef, vp, vm, _) in zip(xs, map(at, xs)):
         skipped = value is None
         metric_value = math.nan if skipped else value
         rows.append(make((x, metric_value, a_coef, b_coef, big_f, big_g, vp, vm, skipped)))
@@ -355,10 +330,7 @@ def find_peak(
     Every point, coarse or golden-section, is one float call of the
     kernel of the variable (_kernel), which recomputes only the stages
     the variable reaches; points are evaluated in order, so the first
-    failing point raises its own error.  A t search checks the lowest
-    positive point of its coarse scan for an underflowing χs·t
-    (_in_time_order).  Every golden-section point lies above that point,
-    except in a bracket that starts at t = 0, where each point is checked.
+    failing point raises its own error.
     """
     lo, hi = _check_range("bounds", bounds)
     kernel = _kernel(metric, fixed, variable)
@@ -371,15 +343,8 @@ def find_peak(
             )
         return value
 
-    def checked(x: float) -> float:
-        _internal_time(x, fixed.params.chi_s)
-        return evaluate(x)
-
     xs = _grid(lo, hi, _COARSE_POINTS)
-    if variable == "t":
-        ys = list(_in_time_order(evaluate, xs, fixed.params.chi_s))
-    else:
-        ys = list(map(evaluate, xs))
+    ys = list(map(evaluate, xs))
 
     spread = max(ys) - min(ys)
     scale = max(1.0, abs(max(ys)), abs(min(ys)))
@@ -398,25 +363,24 @@ def find_peak(
     best = ys.index(max(ys))
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, len(xs) - 1)]
-    step = checked if variable == "t" and a == 0.0 else evaluate
 
     h = b - a
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
-    yc, yd = step(c), step(d)
+    yc, yd = evaluate(c), evaluate(d)
     while h > _PEAK_TOL:
         if yc > yd:
             b, d, yd = d, c, yc
             h = b - a
             c = a + _INVPHI2 * h
-            yc = step(c)
+            yc = evaluate(c)
         else:
             a, c, yc = c, d, yd
             h = b - a
             d = a + _INVPHI * h
-            yd = step(d)
+            yd = evaluate(d)
     location = 0.5 * (a + b)
-    return PeakResult(location=location, value=step(location), flat=False)
+    return PeakResult(location=location, value=evaluate(location), flat=False)
 
 
 def _fmt(value) -> str:
@@ -469,10 +433,6 @@ def _csv_head(meta: dict, columns: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(meta: dict, columns: tuple[str, ...], rows) -> str:
-    return _csv_head(meta, columns) + _csv_body(list(zip(*rows)))
-
-
 def render_sweep_csv(result: SweepResult) -> str:
     spec = result.spec
     params, probe = spec.fixed.params, spec.fixed.probe
@@ -498,7 +458,9 @@ def render_sweep_csv(result: SweepResult) -> str:
             meta[name] = getattr(params, name)
     # a SweepRow's fields in order, headed by the variable and metric names
     columns = (spec.variable, spec.metric, *SweepRow._fields[2:])
-    return _render_csv(meta, columns, result.rows)
+    # one curve of spec.points rows
+    table = FigureTable("sweep", meta, columns, result.rows)
+    return render_figure_csv(table)
 
 
 def _same(column, other) -> bool:
@@ -507,10 +469,12 @@ def _same(column, other) -> bool:
 
 
 def render_figure_csv(table: FigureTable) -> str:
-    """The CSV of a figure table, one curve at a time; _render_csv's bytes.
+    """The CSV of a table, one curve at a time: its meta lines by key, the
+    column names, then a line per row, each cell as _fmt spells it.
 
-    A curve is a run of meta["points"] rows: one r over the times of a
-    figure-2 panel, one figure-3 panel over its x values.  Within a curve
+    A curve is a run of meta["points"] rows (all the rows where meta has
+    no positive int "points"): one r over the times of a figure-2 panel,
+    one figure-3 panel over its x values, a whole sweep.  Within a curve
     _csv_body spells a column of one object (fig2's r, fig3's panel) into
     the line template once.  A column that holds the same objects as the
     curve before or after it, as fig2's shared time grid does, is spelled

@@ -1,5 +1,5 @@
-"""CSV bytes: the one-pass table formatter against a cell-by-cell join,
-and the sha256 of reference tables, sweeps and a shot file.
+"""CSV bytes: the curve-by-curve table formatter against a cell-by-cell
+join, and the sha256 of reference tables, sweeps and a shot file.
 
 The pinned digests were taken from the cell-by-cell formatter, so they
 hold any change of the formatter to the bytes it used to write.
@@ -56,6 +56,18 @@ def _equal_copy(cell):
     return cell
 
 
+def _equal_other(cell):
+    """A cell equal to cell but spelled otherwise, where one is: -0.0 for
+    0.0, 1.0 for 1, 1 for True; else an equal copy."""
+    if type(cell) is float and cell == 0.0:
+        return -cell
+    if type(cell) is bool:
+        return int(cell)
+    if type(cell) is int and abs(cell) <= 2**53:
+        return float(cell)
+    return _equal_copy(cell)
+
+
 @st.composite
 def _tables(draw):
     rows = draw(st.integers(min_value=0, max_value=6))
@@ -76,12 +88,17 @@ def _tables(draw):
     return list(zip(*columns)), tuple(f"c{i}" for i in range(len(columns)))
 
 
+def _one_curve(meta: dict, columns: tuple[str, ...], rows) -> str:
+    """rows rendered as the one curve of a table, as a sweep is."""
+    return render_figure_csv(FigureTable(name="table", meta=meta, columns=columns, rows=rows))
+
+
 @settings(max_examples=400, deadline=None)
 @given(_tables())
 def test_render_csv_matches_the_cell_by_cell_join(table):
     rows, columns = table
     meta = {"name": "x%sy", "points": len(rows), "value": -0.0}
-    assert sweeps._render_csv(meta, columns, rows) == reference_render_csv(meta, columns, rows)
+    assert _one_curve(meta, columns, rows) == reference_render_csv(meta, columns, rows)
 
 
 @pytest.mark.parametrize(
@@ -95,7 +112,7 @@ def test_render_csv_matches_the_cell_by_cell_join(table):
 )
 def test_small_tables_match_the_cell_by_cell_join(rows):
     columns = tuple(f"c{i}" for i in range(len(rows[0]) if rows else 3))
-    assert sweeps._render_csv({}, columns, rows) == reference_render_csv({}, columns, rows)
+    assert _one_curve({}, columns, rows) == reference_render_csv({}, columns, rows)
 
 
 def test_a_column_of_one_object_is_formatted_once(monkeypatch):
@@ -114,9 +131,60 @@ def test_a_column_of_one_object_is_formatted_once(monkeypatch):
 
 
 def _row_wise(table: FigureTable) -> str:
-    """The table rendered in one pass over all its rows, the oracle of the
+    """The table joined row by row and cell by cell, the oracle of the
     curve-by-curve render_figure_csv."""
-    return sweeps._render_csv(table.meta, table.columns, table.rows)
+    return reference_render_csv(table.meta, table.columns, table.rows)
+
+
+@st.composite
+def _figure_tables(draw):
+    """Tables of 1-4 curves of 1-4 rows, meta["points"] rows a curve.
+
+    A column holds, per curve, fresh cells; cells of one list shared by
+    identity, equal copies of them, equal cells spelled otherwise or fresh
+    ones; one object repeated across every curve; or equal copies of one
+    cell.
+    """
+    curves = draw(st.integers(min_value=1, max_value=4))
+    points = draw(st.integers(min_value=1, max_value=4))
+    cells = st.lists(_CELLS, min_size=points, max_size=points)
+    columns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(("mixed", "shared", "one object", "equal objects")))
+        if kind == "mixed":
+            column = [draw(cells) for _ in range(curves)]
+        elif kind == "shared":
+            grid = draw(cells)
+            column = []
+            for _ in range(curves):
+                use = draw(st.sampled_from(("same", "copy", "other", "fresh")))
+                if use == "same":
+                    column.append(grid)
+                elif use == "copy":
+                    column.append([_equal_copy(cell) for cell in grid])
+                elif use == "other":
+                    column.append([_equal_other(cell) for cell in grid])
+                else:
+                    column.append(draw(cells))
+        elif kind == "one object":
+            cell = draw(_CELLS)
+            column = [[cell] * points for _ in range(curves)]
+        else:
+            cell = draw(_CELLS)
+            column = [[_equal_copy(cell) for _ in range(points)] for _ in range(curves)]
+        columns.append(column)
+    rows = tuple(
+        tuple(column[k][i] for column in columns) for k in range(curves) for i in range(points)
+    )
+    names = tuple(f"c{i}" for i in range(len(columns)))
+    meta = {"name": "x%sy", "points": points}
+    return FigureTable(name="curves", meta=meta, columns=names, rows=rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_figure_tables())
+def test_figure_tables_of_many_curves_match_the_cell_by_cell_join(table):
+    assert render_figure_csv(table) == _row_wise(table)
 
 
 @pytest.mark.parametrize(

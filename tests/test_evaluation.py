@@ -627,6 +627,16 @@ def test_kernel_points_equal_a_fresh_evaluation_at_the_edges(
         _same_outcome(_outcome(lambda: find_peak(*args)), reference)
 
 
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("bounds", [(0.0, 4e-320), (1e-320, 4e-320)], ids=["from-zero", "positive"])
+def test_kernel_points_equal_a_fresh_evaluation_where_chi_s_t_underflows(metric, bounds):
+    # at chi_s = 1e-10, chi_s·t rounds to 0 at every positive point below
+    # about 2.5e-314: each such point raises, and t = 0 stays a point
+    params = SystemParams(chi_s=1e-10, kappa=2e-10)
+    fixed = SweepFixed(params=params, probe=ProbeState(alpha=10.0, r=0.74), phi=0.5, t=1e-5)
+    _kernel_points_equal_a_fresh_evaluation(metric, "t", bounds, fixed)
+
+
 @pytest.mark.parametrize(
     "call",
     [

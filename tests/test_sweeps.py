@@ -464,8 +464,8 @@ def test_a_t_sweep_from_zero_keeps_its_skipped_origin_at_a_small_chi_s():
     [("snr", (1e-320, 4e-320), 1e-320), ("contrast", (0.0, 4e-320), 1.29e-321)],
 )
 def test_a_t_peak_search_whose_chi_s_t_underflows_raises(metric, bounds, t):
-    # the lowest positive point of the coarse scan is checked, after any
-    # point before it: 1e-320, or 4e-320/31 after t = 0
+    # the coarse scan evaluates its points in order, and the first whose
+    # chi_s·t underflows raises: 1e-320, or 4e-320/31 after t = 0
     with pytest.raises(NumericalError) as excinfo:
         find_peak(metric, "t", bounds, _slow_fixed())
     assert str(excinfo.value) == f"chi_s·t underflows to 0: chi_s = 1e-10, t = {t!r}"
@@ -474,14 +474,3 @@ def test_a_t_peak_search_whose_chi_s_t_underflows_raises(metric, bounds, t):
 def test_a_t_peak_search_from_zero_is_undefined_there_before_it_underflows():
     with pytest.raises(NumericalError, match="metric 'snr' is undefined inside the bounds at 0.0"):
         find_peak("snr", "t", (0.0, 4e-320), _slow_fixed())
-
-
-def test_a_golden_section_bracket_from_t_zero_checks_its_points(monkeypatch):
-    # a kernel peaked at 1e-316: the coarse scan's points, 0 and multiples
-    # of 1e-312/31, keep chi_s·t > 0; the best is t = 0, and the bracket
-    # [0, 1e-312/31] evaluates points whose chi_s·t underflows
-    monkeypatch.setattr(sweeps, "_kernel", lambda *args: lambda x: (-1e310 * abs(x - 1e-316),))
-    with pytest.raises(NumericalError, match="chi_s·t underflows to 0: chi_s = 1e-10, t = 1.2"):
-        find_peak("contrast", "t", (0.0, 1e-312), _slow_fixed())
-    fixed = dataclasses.replace(_slow_fixed(), params=SystemParams())
-    assert not find_peak("contrast", "t", (0.0, 1e-312), fixed).flat
