@@ -37,6 +37,8 @@ from .sweeps import (
     SweepSpec,
     _csv_body,
     _fmt,
+    _lines,
+    _spelling,
     find_peak,
     render_figure_csv,
     render_sweep_csv,
@@ -78,7 +80,7 @@ _SCHEMA = {
 
 # Validated configuration ready to run a subcommand: the model built from
 # the config, then every _SCHEMA key by name with its effective value.
-RunConfig = namedtuple("RunConfig", ("params", "probe", "phi", "units", "snapshot", *_SCHEMA))
+RunConfig = namedtuple("RunConfig", ("params", "probe", "phi", "units", *_SCHEMA))
 
 
 def _finite(text: str) -> float:
@@ -184,19 +186,11 @@ def _make_config(values: dict) -> RunConfig:
         r=effective["r"],
         theta_xi=effective["theta_xi_rad"],
     )
-    # the output path is excluded so identical settings produce identical
-    # bytes wherever the file lands; values are spelled as the config reads them
-    snapshot = tuple(
-        (key, ", ".join(map(_fmt, value)) if type(value) is tuple else _fmt(value))
-        for key, value in effective.items()
-        if key != "out" and value is not None
-    )
     return RunConfig(
         params,
         probe,
         effective["lo_phase_rad"],
         UnitContext(effective["chi_over_2pi_mhz"] * 1e6),
-        snapshot,
         **effective,
     )
 
@@ -207,15 +201,21 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _snapshot_header(config: RunConfig) -> str:
-    return "".join(f"# {key} = {value}\n" for key, value in config.snapshot)
-
-
-def _render_block(lines: list[tuple[str, object]]) -> str:
-    return "".join(f"{key} = {_fmt(value)}\n" for key, value in lines)
+    """The set config keys in _SCHEMA order as '# ' lines the config reads back,
+    but the output path, so identical settings write identical bytes anywhere."""
+    values = ((key, getattr(config, key)) for key in _SCHEMA if key != "out")
+    return _lines(
+        (
+            (key, ", ".join(map(_fmt, value)) if type(value) is tuple else value)
+            for key, value in values
+            if value is not None
+        ),
+        "# ",
+    )
 
 
 def _emit_block(config: RunConfig, lines: list[tuple[str, object]]) -> None:
-    block = _render_block(lines)
+    block = _lines(lines)
     sys.stdout.write(block)
     if config.out:
         _write_text(config.out, _snapshot_header(config) + block)
@@ -362,16 +362,14 @@ def _cmd_shots(config: RunConfig) -> int:
     )
     result = classify(batch, config.threshold_policy, t1=t1_internal)
     if config.out:
-        # one eigenstate's outcomes at a time as Python floats, for a low peak memory
+        # one eigenstate's outcomes at a time as Python floats, for a low peak
+        # memory; the state, one object, is spelled once into every line
         body = "".join(
-            _csv_body(([state] * len(outcomes), outcomes.tolist()))
-            for state, outcomes in ((1, batch.outcomes_plus), (-1, batch.outcomes_minus))
+            _csv_body((_spelling([state]), _spelling(x.tolist())), len(x))
+            for state, x in ((1, batch.outcomes_plus), (-1, batch.outcomes_minus))
         )
-        _write_text(
-            config.out,
-            f"{_snapshot_header(config)}# generator_id = {batch.generator_id}\n"
-            f"state,outcome\n{body}",
-        )
+        head = _snapshot_header(config) + _lines([("generator_id", batch.generator_id)], "# ")
+        _write_text(config.out, f"{head}state,outcome\n{body}")
     block = [
         ("subcommand", "shots"),
         ("t_us", config.t_us),
@@ -388,7 +386,7 @@ def _cmd_shots(config: RunConfig) -> int:
         ("analytic_fidelity", analytic.fidelity),
         ("t1_source", t1_source),
     ]
-    sys.stdout.write(_render_block(block))
+    sys.stdout.write(_lines(block))
     return 0
 
 
@@ -396,6 +394,11 @@ def _cmd_sweep(config: RunConfig) -> int:
     if config.sweep_variable is None or config.sweep_lo is None or config.sweep_hi is None:
         raise ValidationError(
             "sweep requires sweep_variable, sweep_lo and sweep_hi in the config"
+        )
+    if config.use_backaction_t1 and config.sweep_metric == "fidelity":
+        # a back-action T1 varies with r and kappa, and a sweep holds one T1
+        raise ValidationError(
+            "a fidelity sweep reads the intrinsic T1: set use_backaction_t1 = false"
         )
     lo, hi = config.sweep_lo, config.sweep_hi
     if config.sweep_variable == "t":
@@ -423,7 +426,7 @@ def _cmd_sweep(config: RunConfig) -> int:
     if config.out:
         _write_text(config.out, csv_text)
         sys.stdout.write(
-            f"subcommand = sweep\nrows = {spec.points}\nwrote = {config.out}\n"
+            _lines([("subcommand", "sweep"), ("rows", spec.points), ("wrote", config.out)])
         )
     else:
         sys.stdout.write(csv_text)
@@ -453,7 +456,7 @@ def _cmd_figures(config: RunConfig, which: str, variant: str) -> int:
         if config.out:
             path = _figure_out_path(config.out, table.name, len(tables) > 1)
             _write_text(path, text)
-            sys.stdout.write(f"wrote = {path}\n")
+            sys.stdout.write(_lines([("wrote", path)]))
         else:
             sys.stdout.write(text)
     return 0

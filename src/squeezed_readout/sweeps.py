@@ -392,45 +392,45 @@ def _fmt(value) -> str:
     return "none" if value is None else str(value)
 
 
+def _lines(pairs, prefix: str = "") -> str:
+    """One 'key = value' line per pair, the value as _fmt spells it, each after prefix."""
+    return "".join(f"{prefix}{key} = {_fmt(value)}\n" for key, value in pairs)
+
+
 # the types whose repr is their _fmt spelling
 _REPR_TYPES = frozenset((float, bool, int))
 
 
-def _csv_body(columns) -> str:
-    """The CSV lines of a table given by its columns, each cell as _fmt spells it.
+def _spelling(column, curves: int = 1):
+    """(field, cells): a CSV column's field of the line template and the cells
+    that fill it, for a column that fills that many curves.
 
-    The columns are of one length, at least 1.  One line template serves every row, and one % operation fills it.  A
-    column that holds one object is spelled into the template once; a
-    column of exact floats, bools and ints gets a %r slot and a column of
-    strings a %s slot, as repr and str spell those types like _fmt does;
-    any other column goes through _fmt first.  Identity, not equality,
-    makes a column constant, so 0.0 beside -0.0 and distinct NaNs stay
-    apart.
+    A column of one object is spelled into the field and fills nothing
+    (None); identity, not equality, decides, so 0.0 beside -0.0 and distinct
+    NaNs stay apart.  Exact floats, bools and ints get a %r field, spelled
+    by repr once into a %s field where they fill many curves; strings get a
+    %s field, as does any other column after _fmt.
     """
-    fields, slots = [], []
-    for column in columns:
-        first = column[0]
-        if all(map(operator.is_, column, repeat(first))):
-            fields.append(_fmt(first).replace("%", "%%"))
-            continue
-        kinds = set(map(type, column))
-        if kinds <= _REPR_TYPES:
-            fields.append("%r")
-        else:
-            if kinds != {str}:
-                column = list(map(_fmt, column))
-            fields.append("%s")
-        slots.append(column)
-    rows = len(columns[0]) if columns else 0
+    first = column[0]
+    if all(map(operator.is_, column, repeat(first))):
+        return _fmt(first).replace("%", "%%"), None
+    kinds = set(map(type, column))
+    if kinds <= _REPR_TYPES:
+        return ("%r", column) if curves == 1 else ("%s", list(map(repr, column)))
+    return "%s", column if kinds == {str} else list(map(_fmt, column))
+
+
+def _csv_body(spellings, rows: int) -> str:
+    """rows CSV lines from the spellings of their columns: one % fills one line template."""
+    fields = [field for field, _ in spellings]
+    slots = [cells for _, cells in spellings if cells is not None]
     cells = slots[0] if len(slots) == 1 else chain.from_iterable(zip(*slots))
     return ((",".join(fields) + "\n") * rows) % tuple(cells)
 
 
 def _csv_head(meta: dict, columns: tuple[str, ...]) -> str:
     """The header of a table's CSV: its meta lines by key, then the column names."""
-    lines = [f"# {key} = {_fmt(meta[key])}" for key in sorted(meta)]
-    lines.append(",".join(columns))
-    return "\n".join(lines) + "\n"
+    return _lines(((key, meta[key]) for key in sorted(meta)), "# ") + ",".join(columns) + "\n"
 
 
 def render_sweep_csv(result: SweepResult) -> str:
@@ -474,34 +474,24 @@ def render_figure_csv(table: FigureTable) -> str:
 
     A curve is a run of meta["points"] rows (all the rows where meta has
     no positive int "points"): one r over the times of a figure-2 panel,
-    one figure-3 panel over its x values, a whole sweep.  Within a curve
-    _csv_body spells a column of one object (fig2's r, fig3's panel) into
-    the line template once.  A column that holds the same objects as the
-    curve before or after it, as fig2's shared time grid does, is spelled
-    once, as _csv_body would spell it, and each curve of the run fills
-    those strings into a %s slot.
+    one figure-3 panel over its x values, a whole sweep.  _spelling spells
+    each column of a curve; a column that holds the same objects in every
+    curve, as fig2's time grid does, is spelled once and fills every curve.
     """
     rows, points = table.rows, table.meta.get("points")
     if not isinstance(points, int) or points < 1:
         points = len(rows) or 1
-    curves = [list(zip(*rows[lo : lo + points])) for lo in range(0, len(rows), points)]
-    spelled = {}  # column index: (the objects, their strings) of the curve before
-    body = []
-    for k, columns in enumerate(curves):
-        after = curves[k + 1] if k + 1 < len(curves) else None
-        cells = list(columns)
-        for i, column in enumerate(columns):
-            objects, strings = spelled.pop(i, ((), None))
-            if not _same(column, objects):
-                if after is None or not _same(column, after[i]):
-                    continue
-                if all(map(operator.is_, column, repeat(column[0]))):
-                    continue  # _csv_body spells it into the template
-                kinds = set(map(type, column))
-                strings = list(map(repr if kinds <= _REPR_TYPES else _fmt, column))
-            spelled[i] = column, strings
-            cells[i] = strings
-        body.append(_csv_body(cells))
+    chunks = [rows[lo : lo + points] for lo in range(0, len(rows), points)]
+    curves = [list(zip(*chunk)) for chunk in chunks]
+    shared = {
+        i: _spelling(column, len(curves))
+        for i, column in enumerate(curves[0] if curves else ())
+        if all(_same(column, curve[i]) for curve in curves[1:])
+    }
+    body = (
+        _csv_body([shared.get(i) or _spelling(c) for i, c in enumerate(columns)], len(chunk))
+        for chunk, columns in zip(chunks, curves)
+    )
     return _csv_head(table.meta, table.columns) + "".join(body)
 
 
@@ -559,7 +549,7 @@ def reproduce_figure2(
         "kappa_over_chi": kappa_over_chi,
         "lo_phase": phi,
         "points": points,
-        "r_values": ";".join(repr(float(r)) for r in r_values),
+        "r_values": ";".join(map(_fmt, r_values)),
         "t1_ms": _FIG_T1_MS,
         "theta_alpha": 0.0,
         "theta_xi": math.pi,

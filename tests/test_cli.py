@@ -68,8 +68,6 @@ def test_parse_config_defaults():
     assert config.sweep_metric == "snr"
     assert config.t_us == 0.714
     assert config.out is None
-    assert ("out", "none") not in config.snapshot
-    assert ("alpha", "10.0") in config.snapshot
 
 
 def test_parse_config_reports_missing_keys():
@@ -714,8 +712,28 @@ def test_snr_out_file_carries_snapshot(config_path, tmp_path, capsys):
     text = out.read_text(encoding="utf-8")
     # snapshot lines follow the schema order, leading with the rates
     assert text.startswith("# chi_over_2pi_mhz = 0.15\n")
-    assert "# alpha = 10.0" in text
+    header = [line for line in text.splitlines() if line.startswith("# ")]
+    assert "# alpha = 10.0" in header
+    # the output path is no part of the snapshot
+    assert not any(line.startswith("# out") for line in header)
     assert "snr = 3.580922280271773\n" in text
+
+
+def test_shots_and_snr_write_one_snapshot(tmp_path, capsys):
+    path = tmp_path / "every.cfg"
+    path.write_text(EVERY_KEY_CONFIG, encoding="utf-8")
+    snapshots = []
+    for subcommand in ("snr", "shots"):
+        out = tmp_path / f"{subcommand}.txt"
+        assert main([subcommand, "--config", str(path), "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        snapshots.append([line for line in lines if line.startswith("# ")])
+    capsys.readouterr()
+    snr_header, shots_header = snapshots
+    # the shot file adds the stream that drew it after the config
+    assert shots_header[:-1] == snr_header
+    assert shots_header[-1].startswith("# generator_id = ")
+    assert "# fig2_r_values = 0.0, 0.5" in snr_header
 
 
 # a value for every config key, none of them its default
@@ -807,6 +825,35 @@ def test_backaction_t1_requires_the_coupling(tmp_path, capsys, subcommand):
     assert main([subcommand, "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == "error: use_backaction_t1 requires gs_over_delta in the config\n"
+
+
+# a fidelity sweep would read the intrinsic T1 (2827 internal) where the
+# fidelity command reads the back-action one (42.6 internal) at gs/Δ = 0.05
+_BACKACTION_SWEEP = MATCHED_CONFIG + (
+    "gs_over_delta = 0.05\nuse_backaction_t1 = true\n"
+    "sweep_variable = alpha\nsweep_lo = 1\nsweep_hi = 10\nsweep_points = 10\n"
+)
+
+
+def test_a_fidelity_sweep_refuses_the_backaction_t1(tmp_path):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(_BACKACTION_SWEEP + "sweep_metric = fidelity\n", encoding="utf-8")
+    done = _run_cli(["sweep", "--config", str(path)])
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: a fidelity sweep reads the intrinsic T1: set use_backaction_t1 = false\n"
+    )
+
+
+def test_an_snr_sweep_takes_the_backaction_t1_config(tmp_path, capsys):
+    # the SNR reads no T1, so the same config sweeps
+    path = tmp_path / "sweep.cfg"
+    path.write_text(_BACKACTION_SWEEP + "sweep_metric = snr\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1].startswith("10.0,3.580922280271773,")
 
 
 @pytest.mark.parametrize(

@@ -125,7 +125,8 @@ def test_a_column_of_one_object_is_formatted_once(monkeypatch):
     fmt = sweeps._fmt
     monkeypatch.setattr(sweeps, "_fmt", counting)
     cell = np.float64(0.25)
-    body = sweeps._csv_body(([cell] * 50, [float(i) for i in range(50)]))
+    columns = ([cell] * 50, [float(i) for i in range(50)])
+    body = sweeps._csv_body([sweeps._spelling(column) for column in columns], 50)
     assert calls == [cell]
     assert body == "".join(f"0.25,{float(i)!r}\n" for i in range(50))
 
