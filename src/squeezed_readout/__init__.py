@@ -37,12 +37,10 @@ from .sweeps import (
     FigureTable,
     PeakResult,
     SweepFixed,
-    SweepResult,
     SweepRow,
     SweepSpec,
     find_peak,
     render_figure_csv,
-    render_sweep_csv,
     reproduce_figure2,
     reproduce_figure3,
     run_sweep,
@@ -64,7 +62,6 @@ __all__ = [
     "ReadoutPoint",
     "ShotBatch",
     "SweepFixed",
-    "SweepResult",
     "SweepRow",
     "SweepSpec",
     "SystemParams",
@@ -82,7 +79,6 @@ __all__ = [
     "phase_matching_residual",
     "readout_point",
     "render_figure_csv",
-    "render_sweep_csv",
     "reproduce_figure2",
     "reproduce_figure3",
     "run_sweep",

@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from itertools import chain
 
 from .backaction import backaction_report, total_t1
 from .errors import NumericalError, ValidationError
@@ -41,7 +42,6 @@ from .sweeps import (
     _spelling,
     find_peak,
     render_figure_csv,
-    render_sweep_csv,
     reproduce_figure2,
     reproduce_figure3,
     run_sweep,
@@ -218,13 +218,14 @@ def _emit_block(config: RunConfig, lines: list[tuple[str, object]]) -> None:
     block = _lines(lines)
     sys.stdout.write(block)
     if config.out:
-        _write_text(config.out, _snapshot_header(config) + block)
+        _write_text(config.out, (_snapshot_header(config), block))
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks) -> None:
+    """Write the strings of the iterable chunks to path, one at a time, as UTF-8."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         raise ValidationError(f"cannot write output: {exc}") from exc
 
@@ -362,14 +363,14 @@ def _cmd_shots(config: RunConfig) -> int:
     )
     result = classify(batch, config.threshold_policy, t1=t1_internal)
     if config.out:
-        # one eigenstate's outcomes at a time as Python floats, for a low peak
-        # memory; the state, one object, is spelled once into every line
-        body = "".join(
+        head = _snapshot_header(config) + _lines([("generator_id", batch.generator_id)], "# ")
+        # one eigenstate's outcomes at a time as Python floats, spelled and written
+        # before the next; the state, one object, is spelled once into every line
+        body = (
             _csv_body((_spelling([state]), _spelling(x.tolist())), len(x))
             for state, x in ((1, batch.outcomes_plus), (-1, batch.outcomes_minus))
         )
-        head = _snapshot_header(config) + _lines([("generator_id", batch.generator_id)], "# ")
-        _write_text(config.out, f"{head}state,outcome\n{body}")
+        _write_text(config.out, chain((head, "state,outcome\n"), body))
     block = [
         ("subcommand", "shots"),
         ("t_us", config.t_us),
@@ -422,9 +423,9 @@ def _cmd_sweep(config: RunConfig) -> int:
         ),
         metric=config.sweep_metric,
     )
-    csv_text = render_sweep_csv(run_sweep(spec))
+    csv_text = render_figure_csv(run_sweep(spec))
     if config.out:
-        _write_text(config.out, csv_text)
+        _write_text(config.out, (csv_text,))
         sys.stdout.write(
             _lines([("subcommand", "sweep"), ("rows", spec.points), ("wrote", config.out)])
         )
@@ -455,7 +456,7 @@ def _cmd_figures(config: RunConfig, which: str, variant: str) -> int:
         text = render_figure_csv(table)
         if config.out:
             path = _figure_out_path(config.out, table.name, len(tables) > 1)
-            _write_text(path, text)
+            _write_text(path, (text,))
             sys.stdout.write(_lines([("wrote", path)]))
         else:
             sys.stdout.write(text)

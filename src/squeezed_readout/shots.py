@@ -67,7 +67,6 @@ class ShotBatch:
 
     outcomes_plus: np.ndarray
     outcomes_minus: np.ndarray
-    n: int
     seed: int
     generator_id: str
     t: float
@@ -191,7 +190,6 @@ def _sample(n, t, probe, params, phi, seed, model=None) -> ShotBatch:
     return ShotBatch(
         outcomes_plus=outcomes[+1],
         outcomes_minus=outcomes[-1],
-        n=n,
         seed=seed,
         generator_id=GENERATOR_ID,
         t=t,
@@ -351,9 +349,11 @@ def classify(
     that result, so a second call, under either policy, reads no outcome.
     """
     import numpy as np
-    if batch.n < 2 or batch.outcomes_plus.size < 2:
+    plus, minus = batch.outcomes_plus, batch.outcomes_minus
+    n = min(plus.size, minus.size)
+    if n < 2:
         raise ValidationError(
-            f"cannot classify a batch of {batch.n} shot(s) per eigenstate; "
+            f"cannot classify a batch of {n} shot(s) per eigenstate; "
             "an empirical SNR needs at least 2"
         )
     if t1 is None:
@@ -361,7 +361,6 @@ def classify(
     t1 = _real("t1", t1, "positive and finite")
     threshold = _threshold(threshold_policy, batch.law)
 
-    plus, minus = batch.outcomes_plus, batch.outcomes_minus
     kept = not (plus.flags.writeable or minus.flags.writeable)
     sides = getattr(batch, "_sides", None) if kept else None
     if sides is None:

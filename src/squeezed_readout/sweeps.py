@@ -108,14 +108,8 @@ class PeakResult:
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-    spec: SweepSpec
-
-
-@dataclass(frozen=True)
 class FigureTable:
-    """Long-format table of figure data with a parameter snapshot."""
+    """Long-format table with a parameter snapshot: a figure's panel set or a sweep."""
 
     name: str
     meta: dict
@@ -293,9 +287,12 @@ def _grid(lo: float, hi: float, points: int) -> list[float]:
     return values
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the metric on the uniform grid of the spec.
+def run_sweep(spec: SweepSpec) -> FigureTable:
+    """Evaluate the metric on the uniform grid of the spec, as its table.
 
+    The table is named "sweep": one curve of spec.points SweepRows under the
+    columns (variable, metric, *SweepRow._fields[2:]), its meta the fixed
+    operating point and the spec (g_s and delta where set).
     Grid points where the metric is undefined (SNR and fidelity at
     t = 0) are kept as rows with a NaN metric and the skipped flag set,
     so grids may start at zero time.  Each point is one call of the
@@ -309,7 +306,29 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         skipped = value is None
         metric_value = math.nan if skipped else value
         rows.append(make((x, metric_value, a_coef, b_coef, big_f, big_g, vp, vm, skipped)))
-    return SweepResult(rows=tuple(rows), spec=spec)
+    params, probe = spec.fixed.params, spec.fixed.probe
+    meta = {
+        "alpha": probe.alpha,
+        "chi_s": params.chi_s,
+        "kappa": params.kappa,
+        "lo_phase": spec.fixed.phi,
+        "r": probe.r,
+        "t1_intrinsic": params.t1_intrinsic,
+        "theta_alpha": probe.theta_alpha,
+        "theta_xi": probe.theta_xi,
+        "vacuum_weight": params.vacuum_weight,
+        "t": spec.fixed.t,
+        "variable": spec.variable,
+        "metric": spec.metric,
+        "lo": spec.lo,
+        "hi": spec.hi,
+        "points": spec.points,
+    }
+    for name in ("g_s", "delta"):
+        if getattr(params, name) is not None:
+            meta[name] = getattr(params, name)
+    columns = (spec.variable, spec.metric, *SweepRow._fields[2:])
+    return FigureTable("sweep", meta, columns, tuple(rows))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -431,36 +450,6 @@ def _csv_body(spellings, rows: int) -> str:
 def _csv_head(meta: dict, columns: tuple[str, ...]) -> str:
     """The header of a table's CSV: its meta lines by key, then the column names."""
     return _lines(((key, meta[key]) for key in sorted(meta)), "# ") + ",".join(columns) + "\n"
-
-
-def render_sweep_csv(result: SweepResult) -> str:
-    spec = result.spec
-    params, probe = spec.fixed.params, spec.fixed.probe
-    meta = {
-        "alpha": probe.alpha,
-        "chi_s": params.chi_s,
-        "kappa": params.kappa,
-        "lo_phase": spec.fixed.phi,
-        "r": probe.r,
-        "t1_intrinsic": params.t1_intrinsic,
-        "theta_alpha": probe.theta_alpha,
-        "theta_xi": probe.theta_xi,
-        "vacuum_weight": params.vacuum_weight,
-        "t": spec.fixed.t,
-        "variable": spec.variable,
-        "metric": spec.metric,
-        "lo": spec.lo,
-        "hi": spec.hi,
-        "points": spec.points,
-    }
-    for name in ("g_s", "delta"):
-        if getattr(params, name) is not None:
-            meta[name] = getattr(params, name)
-    # a SweepRow's fields in order, headed by the variable and metric names
-    columns = (spec.variable, spec.metric, *SweepRow._fields[2:])
-    # one curve of spec.points rows
-    table = FigureTable("sweep", meta, columns, result.rows)
-    return render_figure_csv(table)
 
 
 def _same(column, other) -> bool:

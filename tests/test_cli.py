@@ -15,7 +15,6 @@ from squeezed_readout import (
     from_experimental,
     readout_point,
     render_figure_csv,
-    render_sweep_csv,
     reproduce_figure3,
     run_sweep,
     snr,
@@ -876,7 +875,7 @@ def test_sweep_to_stdout_is_the_library_csv(tmp_path, capsys, variable, extra):
         variable=variable, lo=0.0, hi=2.0, points=11, fixed=fixed, metric="fidelity"
     )
     out = capsys.readouterr().out
-    assert out == render_sweep_csv(run_sweep(spec))
+    assert out == render_figure_csv(run_sweep(spec))
     assert f"# variable = {variable}\n" in out
     # the back-action couplings reach the header only when they are set
     assert ("# g_s = 0.01\n" in out) is bool(extra)

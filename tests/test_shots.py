@@ -490,6 +490,17 @@ def test_one_shot_batch_samples_but_does_not_classify(
     assert math.isfinite(classify(pair).empirical_snr)
 
 
+@pytest.mark.parametrize("side", ["outcomes_plus", "outcomes_minus"])
+@pytest.mark.parametrize("short", [[1.0], []], ids=["one", "none"])
+def test_a_side_of_fewer_than_two_shots_is_rejected(side, short):
+    # a batch's size is its arrays': either side short of 2 shots is refused,
+    # the other side's 100 shots notwithstanding
+    batch = sample_shots(100, 0.67, ProbeState(alpha=3.0, r=0.5), SystemParams(), 1.2, 1)
+    rebuilt = dataclasses.replace(batch, **{side: np.array(short)})
+    with pytest.raises(ValidationError, match=f"batch of {len(short)} shot"):
+        classify(rebuilt)
+
+
 @pytest.mark.parametrize("r", [0.0, 0.74, 10.0, 50.0, 300.0])
 @pytest.mark.parametrize("theta_xi", [2.0 * PHI_DEFAULT, 1.1], ids=["aligned", "tilted"])
 def test_moments_match_closed_forms_at_any_squeezing(r, theta_xi, t_matched, params_k2):

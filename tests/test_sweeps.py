@@ -6,6 +6,7 @@ import pytest
 from conftest import PHI_DEFAULT, R_MATCHED
 
 from squeezed_readout import (
+    FigureTable,
     NumericalError,
     ProbeState,
     SweepFixed,
@@ -16,7 +17,6 @@ from squeezed_readout import (
     find_peak,
     optimal_squeezing,
     render_figure_csv,
-    render_sweep_csv,
     reproduce_figure2,
     reproduce_figure3,
     readout_point,
@@ -198,8 +198,8 @@ def test_sweep_csv_round_trip(fixed, tmp_path):
         variable="r", lo=0.0, hi=1.5, points=7, fixed=fixed, metric="snr"
     )
     result = run_sweep(spec)
-    text = render_sweep_csv(result)
-    assert text == render_sweep_csv(run_sweep(spec))
+    text = render_figure_csv(result)
+    assert text == render_figure_csv(run_sweep(spec))
     assert "\r" not in text
     assert text.endswith("\n")
 
@@ -218,8 +218,22 @@ def test_sweep_csv_round_trip(fixed, tmp_path):
     )
 
     path = tmp_path / "sweep.csv"
-    path.write_text(render_sweep_csv(result), encoding="utf-8", newline="\n")
+    path.write_text(render_figure_csv(result), encoding="utf-8", newline="\n")
     assert path.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("variable", sweeps.SWEEP_VARIABLES)
+def test_a_sweep_is_its_table(fixed, variable):
+    lo, hi = (0.5, 2.0) if variable != "delta_theta" else (-1.0, 1.0)
+    spec = SweepSpec(variable=variable, lo=lo, hi=hi, points=9, fixed=fixed, metric="fidelity")
+    table = run_sweep(spec)
+    assert type(table) is FigureTable
+    assert table.name == "sweep"
+    assert table.meta["points"] == spec.points
+    assert (table.meta["variable"], table.meta["metric"]) == (variable, "fidelity")
+    assert table.columns == (variable, "fidelity", *SweepRow._fields[2:])
+    assert len(table.rows) == spec.points
+    assert all(type(row) is SweepRow for row in table.rows)
 
 
 def test_figure2_structure_and_values():
@@ -299,9 +313,9 @@ def test_numpy_floats_render_like_plain_floats(fixed):
     spec = dataclasses.replace(
         plain, lo=np.float64(0.0), hi=np.float64(2.0), fixed=numpy_fixed
     )
-    text = render_sweep_csv(run_sweep(spec))
+    text = render_figure_csv(run_sweep(spec))
     assert "np." not in text
-    assert text == render_sweep_csv(run_sweep(plain))
+    assert text == render_figure_csv(run_sweep(plain))
 
 
 @pytest.mark.parametrize(
@@ -341,7 +355,7 @@ def test_int_range_ends_are_stored_as_floats(fixed):
     spec = SweepSpec(variable="r", lo=0, hi=2, points=3, fixed=fixed, metric="snr")
     assert (type(spec.lo), type(spec.hi)) == (float, float)
     assert [row.value for row in run_sweep(spec).rows] == [0.0, 1.0, 2.0]
-    assert render_sweep_csv(run_sweep(spec)).splitlines()[-1].startswith("2.0,")
+    assert render_figure_csv(run_sweep(spec)).splitlines()[-1].startswith("2.0,")
     assert spec == dataclasses.replace(spec, lo=0.0, hi=2.0)
     flat = find_peak("contrast", "r", (0, 2), fixed)
     assert type(flat.location) is float
