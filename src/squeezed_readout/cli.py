@@ -32,7 +32,7 @@ from .metrics import (
 )
 from .params import UnitContext, from_experimental
 from .probe import ProbeState
-from .shots import _POLICIES, _POLICY_NAMES, _sample, classify
+from .shots import GENERATOR_ID, _POLICIES, _POLICY_NAMES, _sample, classify
 from .sweeps import (
     SweepFixed,
     SweepSpec,
@@ -247,7 +247,7 @@ def _select_t1(config: RunConfig) -> tuple[float, str]:
     return config.params.t1_intrinsic, "intrinsic"
 
 
-def _cmd_snr(config: RunConfig) -> int:
+def _cmd_snr(config: RunConfig, args: argparse.Namespace) -> None:
     ti = _require_t(config)
     point = readout_point(ti, config.probe, config.params, config.phi)
     _emit_block(
@@ -262,10 +262,9 @@ def _cmd_snr(config: RunConfig) -> int:
             ("snr", point.snr),
         ],
     )
-    return 0
 
 
-def _cmd_fidelity(config: RunConfig) -> int:
+def _cmd_fidelity(config: RunConfig, args: argparse.Namespace) -> None:
     ti = _require_t(config)
     t1_internal, t1_source = _select_t1(config)
     point = readout_point(
@@ -283,10 +282,9 @@ def _cmd_fidelity(config: RunConfig) -> int:
             ("fidelity", point.fidelity),
         ],
     )
-    return 0
 
 
-def _cmd_backaction(config: RunConfig) -> int:
+def _cmd_backaction(config: RunConfig, args: argparse.Namespace) -> None:
     if not config.params.has_backaction:
         raise ValidationError(
             "backaction requires gs_over_delta in the config (sets g_s and delta)"
@@ -309,14 +307,14 @@ def _cmd_backaction(config: RunConfig) -> int:
             ("t1_total_us", config.units.to_physical_time(t1_total_internal)),
         ],
     )
-    return 0
 
 
-def _cmd_optimize(config: RunConfig) -> int:
+def _cmd_optimize(config: RunConfig, args: argparse.Namespace) -> None:
     ti = _require_t(config)
     fixed = SweepFixed(params=config.params, probe=config.probe, phi=config.phi, t=ti)
-    peak = find_peak("snr", "r", (0.0, 2.0), fixed)
+    # r* first: at t = 0 its error names the time, where the search's names an r bound
     r_star = optimal_squeezing(ti, config.params)
+    peak = find_peak("snr", "r", (0.0, 2.0), fixed)
     snr_at_r_star = None
     if r_star is not None and r_star >= 0.0:
         snr_at_r_star = snr(
@@ -347,10 +345,9 @@ def _cmd_optimize(config: RunConfig) -> int:
             ("phase_matched", matched),
         ],
     )
-    return 0
 
 
-def _cmd_shots(config: RunConfig) -> int:
+def _cmd_shots(config: RunConfig, args: argparse.Namespace) -> None:
     ti = _require_t(config)
     t1_internal, t1_source = _select_t1(config)
     # the closed form fails first where the model does, before any sampling;
@@ -363,7 +360,7 @@ def _cmd_shots(config: RunConfig) -> int:
     )
     result = classify(batch, config.threshold_policy, t1=t1_internal)
     if config.out:
-        head = _snapshot_header(config) + _lines([("generator_id", batch.generator_id)], "# ")
+        head = _snapshot_header(config) + _lines([("generator_id", GENERATOR_ID)], "# ")
         # one eigenstate's outcomes at a time as Python floats, spelled and written
         # before the next; the state, one object, is spelled once into every line
         body = (
@@ -376,7 +373,7 @@ def _cmd_shots(config: RunConfig) -> int:
         ("t_us", config.t_us),
         ("n_shots", config.n_shots),
         ("seed", config.seed),
-        ("generator_id", batch.generator_id),
+        ("generator_id", GENERATOR_ID),
         ("threshold_policy", config.threshold_policy),
         ("threshold", result.threshold),
         ("error_plus", result.error_plus),
@@ -388,10 +385,9 @@ def _cmd_shots(config: RunConfig) -> int:
         ("t1_source", t1_source),
     ]
     sys.stdout.write(_lines(block))
-    return 0
 
 
-def _cmd_sweep(config: RunConfig) -> int:
+def _cmd_sweep(config: RunConfig, args: argparse.Namespace) -> None:
     if config.sweep_variable is None or config.sweep_lo is None or config.sweep_hi is None:
         raise ValidationError(
             "sweep requires sweep_variable, sweep_lo and sweep_hi in the config"
@@ -431,7 +427,6 @@ def _cmd_sweep(config: RunConfig) -> int:
         )
     else:
         sys.stdout.write(csv_text)
-    return 0
 
 
 def _figure_out_path(base: str, name: str, multiple: bool) -> str:
@@ -441,16 +436,16 @@ def _figure_out_path(base: str, name: str, multiple: bool) -> str:
     return f"{stem}.{name}{ext or '.csv'}"
 
 
-def _cmd_figures(config: RunConfig, which: str, variant: str) -> int:
+def _cmd_figures(config: RunConfig, args: argparse.Namespace) -> None:
     if config.params.vacuum_weight != 0.25:
         raise ValidationError(
             "figure tables are defined at the calibrated vacuum_weight = 0.25; "
             "use the sweep subcommand to explore other weights"
         )
-    if which == "fig3":
+    if args.which == "fig3":
         tables = [reproduce_figure3()]
     else:  # argparse admits only fig2 and fig3
-        variants = ("panel_ab", "panel_cd") if variant == "both" else (variant,)
+        variants = ("panel_ab", "panel_cd") if args.variant == "both" else (args.variant,)
         tables = [reproduce_figure2(v, r_values=config.fig2_r_values) for v in variants]
     for table in tables:
         text = render_figure_csv(table)
@@ -460,16 +455,17 @@ def _cmd_figures(config: RunConfig, which: str, variant: str) -> int:
             sys.stdout.write(_lines([("wrote", path)]))
         else:
             sys.stdout.write(text)
-    return 0
 
 
+# subcommand -> (runner of the config and the parsed arguments, help text), in --help order
 _COMMANDS = {
-    "snr": _cmd_snr,
-    "fidelity": _cmd_fidelity,
-    "sweep": _cmd_sweep,
-    "shots": _cmd_shots,
-    "backaction": _cmd_backaction,
-    "optimize": _cmd_optimize,
+    "snr": (_cmd_snr, "analytic contrast, variances and SNR at t_us"),
+    "fidelity": (_cmd_fidelity, "analytic SNR and readout fidelity at t_us"),
+    "sweep": (_cmd_sweep, "metric on a uniform grid of one variable, CSV output"),
+    "shots": (_cmd_shots, "Monte Carlo single-shot sampling and classification"),
+    "backaction": (_cmd_backaction, "probe-induced relaxation and validity checks"),
+    "optimize": (_cmd_optimize, "optimal squeezing/time and phase-matching residuals"),
+    "figures": (_cmd_figures, "reference figure tables as CSV"),
 }
 
 
@@ -505,18 +501,9 @@ def _build_parser() -> _Parser:
         "--vacuum-weight", type=float, help="override the vacuum-noise weight u"
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name, text in (
-        ("snr", "analytic contrast, variances and SNR at t_us"),
-        ("fidelity", "analytic SNR and readout fidelity at t_us"),
-        ("sweep", "metric on a uniform grid of one variable, CSV output"),
-        ("shots", "Monte Carlo single-shot sampling and classification"),
-        ("backaction", "probe-induced relaxation and validity checks"),
-        ("optimize", "optimal squeezing/time and phase-matching residuals"),
-    ):
+    for name, (_, text) in _COMMANDS.items():
         subparsers.add_parser(name, parents=[common], help=text)
-    figures = subparsers.add_parser(
-        "figures", parents=[common], help="reference figure tables as CSV"
-    )
+    figures = subparsers.choices["figures"]
     figures.add_argument("which", choices=("fig2", "fig3"))
     figures.add_argument(
         "--variant",
@@ -555,10 +542,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.subcommand == "figures":
-            return _cmd_figures(config, args.which, args.variant)
-        return _COMMANDS[args.subcommand](config)
+        _COMMANDS[args.subcommand][0](_config_from_args(args), args)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -337,7 +337,7 @@ def readout_point(
     point = _snr_evaluation("fidelity", t, probe, params, phi, t1_total)
     mean_plus, mean_minus = _means(point)
     return ReadoutPoint(
-        t=t,
+        t=float(t),  # the checked t as the float params._real makes of it
         lo_phase=wrap_angle(phi),
         mean_plus=mean_plus,
         mean_minus=mean_minus,

@@ -11,8 +11,9 @@ microseconds to internal time and back.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 from .errors import NumericalError, ValidationError
 
@@ -79,6 +80,13 @@ def _real(name: str, value, rule: str | None = "finite") -> float:
     if rule is None or (math.isfinite(x) and _RULES[rule](x)):
         return x
     raise ValidationError(f"{name} must be {rule}, got {value!r}")
+
+
+def _integer(value) -> int | None:
+    """value, an integer (numpy's too, not a bool), as a Python int; else None."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        return None
+    return operator.index(value)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .errors import NumericalError, ValidationError
 from .metrics import _evaluate, _fields, _means
-from .params import SystemParams, _real
+from .params import SystemParams, _integer, _real
 from .probe import ProbeState
 
 BLOCK_SIZE = 8192
@@ -68,7 +68,6 @@ class ShotBatch:
     outcomes_plus: np.ndarray
     outcomes_minus: np.ndarray
     seed: int
-    generator_id: str
     t: float
     phi: float
     probe: ProbeState
@@ -151,29 +150,30 @@ def _sample(n, t, probe, params, phi, seed, model=None) -> ShotBatch:
     """sample_shots from the law of model, an evaluation or a ReadoutPoint there,
     or from one evaluation after the checks."""
     import numpy as np
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    count, key = _integer(n), _integer(seed)
+    if count is None or count < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
-    if n > MAX_SHOTS:
+    if count > MAX_SHOTS:
         raise ValidationError(
             f"n must be at most MAX_SHOTS = {MAX_SHOTS} per eigenstate, got {n!r}"
         )
     t, phi = _real("t", t, "positive and finite"), _real("phi", phi)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**128:
+    if key is None or not 0 <= key < 2**128:
         raise ValidationError(f"seed must be an integer in [0, 2^128), got {seed!r}")
 
     if model is None:
         model = _evaluate("variance", _fields(t, probe, params, phi))
     law = _shot_map(model)
-    outcomes = {sigma: np.empty(n) for sigma in (+1, -1)}
+    outcomes = {sigma: np.empty(count) for sigma in (+1, -1)}
     tasks = [
-        (sigma, block) for sigma in (+1, -1) for block in range(-(-n // BLOCK_SIZE))
+        (sigma, block) for sigma in (+1, -1) for block in range(-(-count // BLOCK_SIZE))
     ]
     # two tasks of at most one block each cost less than starting threads
-    workers = 1 if n <= BLOCK_SIZE else min(os.cpu_count() or 1, len(tasks))
+    workers = 1 if count <= BLOCK_SIZE else min(os.cpu_count() or 1, len(tasks))
 
     def run(worker: int) -> None:
         # one generator per worker, reset to each of its blocks' sub-streams
-        bit_generator = np.random.Philox(key=seed)
+        bit_generator = np.random.Philox(key=key)
         rng, fresh = np.random.Generator(bit_generator), bit_generator.state
         for sigma, block in tasks[worker::workers]:
             _fill_block(outcomes[sigma], sigma, block, rng, fresh, *law[sigma])
@@ -190,8 +190,7 @@ def _sample(n, t, probe, params, phi, seed, model=None) -> ShotBatch:
     return ShotBatch(
         outcomes_plus=outcomes[+1],
         outcomes_minus=outcomes[-1],
-        seed=seed,
-        generator_id=GENERATOR_ID,
+        seed=key,
         t=t,
         phi=phi,
         probe=probe,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -23,7 +23,8 @@ from .dynamics import _response
 from .errors import NumericalError, ReadoutError, ValidationError
 from .metrics import _check_metric, _evaluate, _fields, _internal_time
 from .metrics import _projections, _row, _separation, _variances
-from .params import SystemParams, UnitContext, _real, _rescaled, from_experimental, wrap_angle
+from .params import SystemParams, UnitContext, _integer, _real, _rescaled, from_experimental
+from .params import wrap_angle
 from .probe import ProbeState, _lo_angle, _squeeze_factors
 
 SWEEP_VARIABLES = ("t", "r", "delta_theta", "alpha", "kappa")
@@ -75,7 +76,7 @@ class SweepSpec:
                 f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}"
             )
         _check_metric(self.metric)
-        _check_points(self.points)
+        object.__setattr__(self, "points", _check_points(self.points))
         lo, hi = _check_range("range", (self.lo, self.hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -251,12 +252,14 @@ def _kernel(metric: str, fixed: SweepFixed, variable: str):
     return at
 
 
-def _check_points(points) -> None:
-    """points is an integer grid size in [2, _MAX_POINTS], as _grid needs it."""
-    if not isinstance(points, int) or not 2 <= points <= _MAX_POINTS:
+def _check_points(points) -> int:
+    """points, an integer grid size in [2, _MAX_POINTS] as _grid needs it, as a Python int."""
+    size = _integer(points)
+    if size is None or not 2 <= size <= _MAX_POINTS:
         raise ValidationError(
             f"points must be an integer in [2, {_MAX_POINTS}], got {points!r}"
         )
+    return size
 
 
 def _check_range(name: str, bounds) -> tuple[float, float]:
@@ -291,8 +294,9 @@ def run_sweep(spec: SweepSpec) -> FigureTable:
     """Evaluate the metric on the uniform grid of the spec, as its table.
 
     The table is named "sweep": one curve of spec.points SweepRows under the
-    columns (variable, metric, *SweepRow._fields[2:]), its meta the fixed
-    operating point and the spec (g_s and delta where set).
+    columns (variable, metric, *SweepRow._fields[2:]), its meta every set
+    field of the fixed params and probe (g_s and delta may be None), its
+    lo_phase and t, and the spec's variable, metric, lo, hi and points.
     Grid points where the metric is undefined (SNR and fidelity at
     t = 0) are kept as rows with a NaN metric and the skipped flag set,
     so grids may start at zero time.  Each point is one call of the
@@ -306,27 +310,11 @@ def run_sweep(spec: SweepSpec) -> FigureTable:
         skipped = value is None
         metric_value = math.nan if skipped else value
         rows.append(make((x, metric_value, a_coef, b_coef, big_f, big_g, vp, vm, skipped)))
-    params, probe = spec.fixed.params, spec.fixed.probe
-    meta = {
-        "alpha": probe.alpha,
-        "chi_s": params.chi_s,
-        "kappa": params.kappa,
-        "lo_phase": spec.fixed.phi,
-        "r": probe.r,
-        "t1_intrinsic": params.t1_intrinsic,
-        "theta_alpha": probe.theta_alpha,
-        "theta_xi": probe.theta_xi,
-        "vacuum_weight": params.vacuum_weight,
-        "t": spec.fixed.t,
-        "variable": spec.variable,
-        "metric": spec.metric,
-        "lo": spec.lo,
-        "hi": spec.hi,
-        "points": spec.points,
-    }
-    for name in ("g_s", "delta"):
-        if getattr(params, name) is not None:
-            meta[name] = getattr(params, name)
+    fixed = spec.fixed
+    point = {**asdict(fixed.params), **asdict(fixed.probe), "lo_phase": fixed.phi, "t": fixed.t}
+    meta = {name: value for name, value in point.items() if value is not None}
+    for name in ("variable", "metric", "lo", "hi", "points"):
+        meta[name] = getattr(spec, name)
     columns = (spec.variable, spec.metric, *SweepRow._fields[2:])
     return FigureTable("sweep", meta, columns, tuple(rows))
 
@@ -501,7 +489,7 @@ def reproduce_figure2(
         raise ValidationError(
             f"params_variant must be 'panel_ab' or 'panel_cd', got {params_variant!r}"
         )
-    _check_points(points)
+    points = _check_points(points)
     if r_values is None:
         r_values = FIG2_DEFAULT_R_VALUES
     r_values = [_real("r values", r, "nonnegative and finite") for r in r_values]
@@ -561,7 +549,7 @@ def reproduce_figure3(points: int = _FIGURE_POINTS) -> FigureTable:
     carry the coherent (r = 0) baseline alongside, at kappa = 2 chi_s,
     alpha = 10, t = 0.714 us.
     """
-    _check_points(points)
+    points = _check_points(points)
     params = from_experimental(_FIG_CHI_OVER_2PI_MHZ, 2.0, _FIG_T1_MS)
     units = UnitContext(_FIG_CHI_OVER_2PI_MHZ * 1e6)
     phi = 0.5 * math.pi

@@ -147,6 +147,48 @@ def test_error_exit_codes(config_path, tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("subcommand", "function"),
+    [("snr", "snr"), ("fidelity", "snr"), ("shots", "snr"), ("optimize", "optimal_squeezing")],
+)
+def test_zero_time_exits_2_naming_the_time(tmp_path, capsys, subcommand, function):
+    # the message names t = 0, not the r bound that a search over r meets first
+    path = tmp_path / "zero_t.cfg"
+    path.write_text(MATCHED_CONFIG.replace("t_us = 0.714", "t_us = 0.0"), encoding="utf-8")
+    assert main([subcommand, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical error: {function} is undefined at t=0.0; requires t > 0\n"
+
+
+# the subcommands and their help texts, in the order --help lists them
+_SUBCOMMANDS = {
+    "snr": "analytic contrast, variances and SNR at t_us",
+    "fidelity": "analytic SNR and readout fidelity at t_us",
+    "sweep": "metric on a uniform grid of one variable, CSV output",
+    "shots": "Monte Carlo single-shot sampling and classification",
+    "backaction": "probe-induced relaxation and validity checks",
+    "optimize": "optimal squeezing/time and phase-matching residuals",
+    "figures": "reference figure tables as CSV",
+}
+
+
+def test_help_lists_every_subcommand_with_its_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per subcommand
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    rows = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+    listed = [(row[0], row[1].strip()) for row in rows if len(row) == 2 and row[0] in _SUBCOMMANDS]
+    assert listed == list(_SUBCOMMANDS.items())
+    with pytest.raises(SystemExit) as exit_info:
+        main(["figures", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for word in ("fig2", "fig3", "--variant", "panel_ab", "panel_cd"):
+        assert word in out
+
+
 def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
     """The CLI as its own process, so a traceback would reach stderr."""
     src = str(Path(squeezed_readout.__file__).resolve().parents[1])

@@ -6,6 +6,7 @@ The pinned digests were taken from the cell-by-cell formatter, so they
 hold any change of the formatter to the bytes it used to write.
 """
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -319,6 +320,44 @@ def test_sweeps_keep_their_bytes(variable, metric):
     lo, hi = _SWEEP_BOUNDS[variable]
     spec = SweepSpec(variable=variable, lo=lo, hi=hi, points=400, fixed=fixed, metric=metric)
     assert _sha256(render_figure_csv(run_sweep(spec))) == _SWEEP_SHA256[(variable, metric)]
+
+
+_SWEEP_HEAD = [
+    "# alpha = 10.0",
+    "# chi_s = 1.0",
+    "# hi = 2.0",
+    "# kappa = 2.0",
+    "# lo = 0.0",
+    "# lo_phase = 1.5707963267948966",
+    "# metric = snr",
+    "# points = 3",
+    "# r = 0.74",
+    "# t = 0.6729291463989336",
+    "# t1_intrinsic = 2827.4333882308138",
+    "# theta_alpha = 0.0",
+    "# theta_xi = 3.141592653589793",
+    "# vacuum_weight = 0.25",
+    "# variable = r",
+]
+
+
+@pytest.mark.parametrize(
+    ("coupling", "lines"),
+    [(None, []), ((0.01, 1.0), ["# delta = 1.0", "# g_s = 0.01"])],
+    ids=["intrinsic", "backaction"],
+)
+def test_a_sweep_header_is_its_operating_point(coupling, lines):
+    # every set field of the params and probe, by key among the spec's; the
+    # digests above hold no g_s or delta line
+    params = from_experimental(0.15, 2.0, 3.0)
+    if coupling is not None:
+        params = dataclasses.replace(params, g_s=coupling[0], delta=coupling[1])
+    probe = ProbeState(alpha=10.0, theta_alpha=0.0, r=0.74, theta_xi=math.pi)
+    t = UnitContext(0.15e6).to_internal_time(0.714)
+    fixed = SweepFixed(params=params, probe=probe, phi=0.5 * math.pi, t=t)
+    spec = SweepSpec(variable="r", lo=0.0, hi=2.0, points=3, fixed=fixed, metric="snr")
+    head = render_figure_csv(run_sweep(spec)).splitlines()[: len(_SWEEP_HEAD) + len(lines)]
+    assert head == sorted(_SWEEP_HEAD + lines)
 
 
 def test_shot_file_keeps_its_bytes(tmp_path):

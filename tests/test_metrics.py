@@ -147,6 +147,14 @@ def test_means_match_50_digit_arithmetic(phi, theta_alpha, params_k2):
             assert abs(mean - exact) <= bound, (mean, exact)
 
 
+@pytest.mark.parametrize("t", [1, np.float64(1.0), np.int64(1), Fraction(1)], ids=repr)
+def test_readout_point_holds_the_checked_float(t, probe_matched, params_k2):
+    # as ShotBatch.t and SweepFixed.t do: an int or a numpy time is its float
+    point = readout_point(t, probe_matched, params_k2, PHI_DEFAULT)
+    assert type(point.t) is float
+    assert point == readout_point(1.0, probe_matched, params_k2, PHI_DEFAULT)
+
+
 def test_variance_frozen_values(t_matched, probe_matched, params_k2):
     matched = readout_point(t_matched, probe_matched, params_k2, PHI_DEFAULT)
     assert matched.variance_plus == pytest.approx(VAR_MATCHED_REF, rel=1e-12)

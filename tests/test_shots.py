@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import re
 import sys
 import tracemalloc
 import weakref
@@ -24,7 +25,6 @@ from hypothesis import strategies as st
 
 from squeezed_readout import (
     BLOCK_SIZE,
-    GENERATOR_ID,
     MAX_SHOTS,
     NumericalError,
     ProbeState,
@@ -53,7 +53,6 @@ def test_batches_are_deterministic(t_matched, probe_matched, params_k2):
     c = sample_shots(5000, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED + 1)
     assert not np.array_equal(a.outcomes_plus, c.outcomes_plus)
     assert not np.array_equal(a.outcomes_plus, a.outcomes_minus)
-    assert a.generator_id == GENERATOR_ID
 
 
 def test_block_layout_makes_prefixes_stable(t_matched, probe_matched, params_k2):
@@ -623,6 +622,24 @@ def test_sample_shots_validation(t_matched, probe_matched, params_k2):
         sample_shots(100, t_matched, probe_matched, params_k2, PHI_DEFAULT * math.nan, SEED)
 
 
+@pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32])
+def test_numpy_integers_are_integers(integer, t_matched, probe_matched, params_k2):
+    # numpy's integers count shots and seed the stream as the equal Python ints do
+    batch = sample_shots(
+        integer(1000), t_matched, probe_matched, params_k2, PHI_DEFAULT, integer(1)
+    )
+    plain = sample_shots(1000, t_matched, probe_matched, params_k2, PHI_DEFAULT, 1)
+    assert type(batch.seed) is int and batch.seed == 1
+    assert np.array_equal(batch.outcomes_plus, plain.outcomes_plus)
+    assert np.array_equal(batch.outcomes_minus, plain.outcomes_minus)
+    with pytest.raises(ValidationError, match=re.escape(f"integer, got {integer(0)!r}")):
+        sample_shots(integer(0), t_matched, probe_matched, params_k2, PHI_DEFAULT, 1)
+    with pytest.raises(ValidationError, match="n must be a positive integer, got True"):
+        sample_shots(True, t_matched, probe_matched, params_k2, PHI_DEFAULT, 1)
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        sample_shots(1000, t_matched, probe_matched, params_k2, PHI_DEFAULT, np.float64(1.0))
+
+
 def test_vacuum_probe_outcomes_are_symmetric(t_matched, params_k2):
     # with no displacement and no squeezing the two eigenvalues produce
     # identically distributed outcomes
@@ -911,6 +928,32 @@ def test_classify_moments_in_128_element_leaves_are_as_accurate_as_numpys(values
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(shots, "_LEAF", 128)
         _moments_are_as_accurate_as_numpys(np.array(values))
+
+
+@pytest.mark.parametrize(
+    "plus",
+    [
+        # the last leaf's mean lies 1.8e308 from the mean before it: _ratio is inf
+        [-1.4e306] * 128 + [1.7976e308],
+        # each leaf's squares are finite and their sum is not: math.fsum overflows
+        [1e153, -1e153] * 128,
+    ],
+    ids=["leaf-gap", "square-sum"],
+)
+def test_moments_that_overflow_between_leaves_are_a_numerical_error(plus, monkeypatch):
+    # every outcome and every leaf sum is finite; only the merge of the leaves
+    # passes the double range, as np.std's own sum does
+    monkeypatch.setattr(shots, "_LEAF", 128)
+    x = np.array(plus)
+    # under classify's errstate: a leaf's squares about its rounded mean overflow
+    # once before the leaf re-centres
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd, _ = shots._side(x, np.less, {})
+        assert np.std(x, ddof=1) == math.inf
+    assert math.isfinite(mean) and sd == math.inf
+    batch = sample_shots(x.size, 0.67, ProbeState(alpha=3.0, r=0.5), SystemParams(), 1.2, 1)
+    with pytest.raises(NumericalError, match="batch means or standard deviations overflow"):
+        classify(dataclasses.replace(batch, outcomes_plus=x))
 
 
 _LEAF_SIZES = [shots._LEAF - 1, shots._LEAF, shots._LEAF + 1, 2 * shots._LEAF + 7, 1_000_003]

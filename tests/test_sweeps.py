@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +317,23 @@ def test_numpy_floats_render_like_plain_floats(fixed):
     text = render_figure_csv(run_sweep(spec))
     assert "np." not in text
     assert text == render_figure_csv(run_sweep(plain))
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+def test_numpy_integer_points_are_stored_as_ints(fixed, integer):
+    # render_figure_csv splits a table into curves on an int meta["points"] only
+    spec = SweepSpec(variable="r", lo=0.0, hi=2.0, points=integer(5), fixed=fixed, metric="snr")
+    plain = dataclasses.replace(spec, points=5)
+    assert type(spec.points) is int and spec == plain
+    assert render_figure_csv(run_sweep(spec)) == render_figure_csv(run_sweep(plain))
+    figure3 = reproduce_figure3(points=integer(5))
+    assert type(figure3.meta["points"]) is int
+    assert render_figure_csv(figure3) == render_figure_csv(reproduce_figure3(points=5))
+    figure2 = reproduce_figure2("panel_ab", points=integer(5))
+    assert render_figure_csv(figure2) == render_figure_csv(reproduce_figure2("panel_ab", points=5))
+    for bad in (True, 5.0, np.float64(5.0), integer(1)):
+        with pytest.raises(ValidationError, match=f"got {re.escape(repr(bad))}$"):
+            SweepSpec(variable="r", lo=0.0, hi=2.0, points=bad, fixed=fixed, metric="snr")
 
 
 @pytest.mark.parametrize(
