@@ -248,6 +248,7 @@ def optimal_time_estimate(r: float, params: SystemParams) -> float:
     return _finite(
         lambda: math.exp(-r) * math.sqrt(6.0 / (params.kappa * params.chi_s)),
         "kappa*chi_s is too small: optimal time estimate",
+        f"r = {r!r} or kappa*chi_s is too large: optimal time estimate",
     )
 
 

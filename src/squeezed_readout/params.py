@@ -28,14 +28,18 @@ def wrap_angle(x: float) -> float:
     return y
 
 
-def _finite(compute, label: str) -> float:
-    """compute(); a NumericalError '{label} overflows' where it is not finite."""
+def _finite(compute, label: str, tiny: str | None = None) -> float:
+    """compute(); a NumericalError '{label} overflows' where it is not finite,
+    and '{tiny} underflows to 0' where it is 0 and tiny is given, for a
+    result that is positive unless it rounds to 0."""
     try:
         value = compute()
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
         raise NumericalError(f"{label} overflows")
+    if value == 0.0 and tiny is not None:
+        raise NumericalError(f"{tiny} underflows to 0")
     return value
 
 
@@ -177,16 +181,20 @@ class UnitContext:
     def to_internal_time(self, t_us: float) -> float:
         """Internal time chi_s*t for a duration given in microseconds."""
         t_us = _real("t_us", t_us, "nonnegative and finite")
+        chi = f"chi_over_2pi_hz = {self.chi_over_2pi_hz!r}"
         return _finite(
             lambda: self.chi_rad_per_us * t_us,
-            f"chi_over_2pi_hz = {self.chi_over_2pi_hz!r} is too large for t_us = {t_us!r}: "
-            "internal time",
+            f"{chi} is too large for t_us = {t_us!r}: internal time",
+            f"{chi} is too small for t_us = {t_us!r}: internal time" if t_us else None,
         )
 
     def to_physical_time(self, t_internal: float) -> float:
         """Duration in microseconds for an internal time chi_s*t."""
         t_internal = _real("t_internal", t_internal, "nonnegative and finite")
+        chi = f"chi_over_2pi_hz = {self.chi_over_2pi_hz!r}"
+        tiny = f"{chi} is too large for t_internal = {t_internal!r}: time in us"
         return _finite(
             lambda: t_internal / self.chi_rad_per_us,
-            f"chi_over_2pi_hz = {self.chi_over_2pi_hz!r} is too small: time in us",
+            f"{chi} is too small: time in us",
+            tiny if t_internal else None,
         )

@@ -17,18 +17,18 @@ batch for every later call.
 Randomness comes from numpy's counter-based Philox generator.  Shots
 are produced in fixed blocks of 8192; block j for σ = +1 uses the
 sub-stream jumped(2j) of the master seed and σ = −1 uses jumped(2j+1),
-so batches are reproducible bit for bit.  The 2·⌈n/8192⌉ blocks of a
-batch run on up to os.cpu_count() threads, worker k taking blocks k,
-k + W, ...; each block fills its own slice of the output from its own
-sub-stream, so the output does not depend on how many threads ran it.
+so batches are reproducible bit for bit.  The 2·⌈n/8192⌉ sub-streams
+of a batch run on up to os.cpu_count() threads, worker k taking streams
+k, k + W, ...; stream s alone fills block s // 2 of side s % 2 (σ = +1,
+then −1), so the output does not depend on how many threads ran it.
 A batch of one block per eigenstate runs on the calling thread.
 
 Philox is counter-based, so a sub-stream is a counter value:
 Philox(key=seed).jumped(k) is the key's generator at counter (0, 0, k, 0)
 with an empty buffer.  Each worker builds one Philox(key=seed) and one
-Generator per batch and, before each block, sets the counter to its
-sub-stream and empties the buffer; that state is jumped(k)'s, so the
-draws are its draws, without a new generator per block.
+Generator per batch and, before each stream, sets the counter to it
+and empties the buffer; that state is jumped(k)'s, so the draws are its
+draws, without a new generator per stream.
 """
 
 from __future__ import annotations
@@ -109,31 +109,6 @@ def _seek(bit_generator: np.random.Philox, fresh: dict, stream: int) -> None:
     }
 
 
-def _fill_block(
-    out: np.ndarray,
-    sigma: int,
-    block: int,
-    rng: np.random.Generator,
-    fresh: dict,
-    sd: float,
-    offset: float,
-) -> None:
-    """Draw one block of eigenvalue sigma's outcomes into its slice of out.
-
-    rng draws from a Philox(key=seed) whose state on construction was
-    fresh; the block seeks it to its own sub-stream before drawing.  May
-    run on a worker thread, so it calls numpy only: numpy releases the GIL
-    while it draws, scales and shifts.  The in-place z *= sd, z += offset
-    rounds exactly like z * sd + offset, without a temporary.
-    """
-    lo = block * BLOCK_SIZE
-    view = out[lo : lo + BLOCK_SIZE]
-    _seek(rng.bit_generator, fresh, 2 * block + (0 if sigma == 1 else 1))
-    rng.standard_normal(out=view)
-    view *= sd
-    view += offset
-
-
 def sample_shots(
     n: int,
     t: float,
@@ -164,19 +139,27 @@ def _sample(n, t, probe, params, phi, seed, model=None) -> ShotBatch:
     if model is None:
         model = _evaluate("variance", _fields(t, probe, params, phi))
     law = _shot_map(model)
-    outcomes = {sigma: np.empty(count) for sigma in (+1, -1)}
-    tasks = [
-        (sigma, block) for sigma in (+1, -1) for block in range(-(-count // BLOCK_SIZE))
-    ]
-    # two tasks of at most one block each cost less than starting threads
-    workers = 1 if count <= BLOCK_SIZE else min(os.cpu_count() or 1, len(tasks))
+    # sub-stream s fills block s // 2 of side s % 2: σ = +1, then σ = −1
+    outcomes, laws = (np.empty(count), np.empty(count)), (law[1], law[-1])
+    streams = 2 * -(-count // BLOCK_SIZE)
+    # two streams of at most one block each cost less than starting threads
+    workers = 1 if count <= BLOCK_SIZE else min(os.cpu_count() or 1, streams)
 
     def run(worker: int) -> None:
-        # one generator per worker, reset to each of its blocks' sub-streams
+        # one generator per worker, reset to each of its sub-streams
         bit_generator = np.random.Philox(key=key)
         rng, fresh = np.random.Generator(bit_generator), bit_generator.state
-        for sigma, block in tasks[worker::workers]:
-            _fill_block(outcomes[sigma], sigma, block, rng, fresh, *law[sigma])
+        for stream in range(worker, streams, workers):
+            block, side = divmod(stream, 2)
+            lo = block * BLOCK_SIZE
+            view = outcomes[side][lo : lo + BLOCK_SIZE]
+            sd, offset = laws[side]
+            _seek(bit_generator, fresh, stream)
+            # numpy releases the GIL while it draws, scales and shifts; the
+            # in-place z *= sd, z += offset rounds like z * sd + offset
+            rng.standard_normal(out=view)
+            view *= sd
+            view += offset
 
     if workers == 1:
         run(0)
@@ -185,11 +168,11 @@ def _sample(n, t, probe, params, phi, seed, model=None) -> ShotBatch:
 
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(run, range(workers)))  # re-raises a worker's exception
-    for x in outcomes.values():
+    for x in outcomes:
         x.flags.writeable = False
     return ShotBatch(
-        outcomes_plus=outcomes[+1],
-        outcomes_minus=outcomes[-1],
+        outcomes_plus=outcomes[0],
+        outcomes_minus=outcomes[1],
         seed=key,
         t=t,
         phi=phi,

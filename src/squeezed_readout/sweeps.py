@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -311,7 +311,7 @@ def run_sweep(spec: SweepSpec) -> FigureTable:
         metric_value = math.nan if skipped else value
         rows.append(make((x, metric_value, a_coef, b_coef, big_f, big_g, vp, vm, skipped)))
     fixed = spec.fixed
-    point = {**asdict(fixed.params), **asdict(fixed.probe), "lo_phase": fixed.phi, "t": fixed.t}
+    point = {**vars(fixed.params), **vars(fixed.probe), "lo_phase": fixed.phi, "t": fixed.t}
     meta = {name: value for name, value in point.items() if value is not None}
     for name in ("variable", "metric", "lo", "hi", "points"):
         meta[name] = getattr(spec, name)

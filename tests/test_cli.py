@@ -1013,8 +1013,30 @@ def test_relaxation_rate_that_overflows_exits_2_without_a_traceback(
             "chi_over_2pi_hz = 1e+306 is too large for t_us = 10000000000.0: "
             "internal time overflows\n",
         ),
+        # chi_s·t in internal time underflows to 0, a time the config never gave
+        (
+            "snr",
+            [("chi_over_2pi_mhz = 0.15", "chi_over_2pi_mhz = 1e-300"),
+             ("t_us = 0.714", "t_us = 1e-26")],
+            "chi_over_2pi_hz = 1e-294 is too small for t_us = 1e-26: "
+            "internal time underflows to 0\n",
+        ),
+        # e^-r·√(6/(kappa·chi_s)) underflows to 0
+        (
+            "optimize",
+            [("r = 0.74", "r = 800")],
+            "r = 800.0 or kappa*chi_s is too large: optimal time estimate underflows to 0\n",
+        ),
     ],
-    ids=["optimize-r-star", "optimize-b-underflows", "backaction-t1-underflow", "snr-kappa-1e200", "snr-chi-t-overflows"],
+    ids=[
+        "optimize-r-star",
+        "optimize-b-underflows",
+        "backaction-t1-underflow",
+        "snr-kappa-1e200",
+        "snr-chi-t-overflows",
+        "snr-chi-t-underflows",
+        "optimize-t-opt-underflows",
+    ],
 )
 def test_numerical_failure_is_not_reported_as_an_input_error(
     tmp_path, subcommand, edits, message

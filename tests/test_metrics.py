@@ -625,14 +625,28 @@ def test_readout_point_mean_that_overflows_is_a_numerical_error():
     assert str(error.value) == "outcome mean overflows: got inf and inf"
 
 
+_TOO_SMALL = "kappa*chi_s is too small: optimal time estimate overflows"
+_TOO_LARGE = "r = {} or kappa*chi_s is too large: optimal time estimate underflows to 0"
+
+
 @pytest.mark.parametrize(
-    "chi_s,kappa", [(1e-300, 1e-300), (1.0, 1e-320)], ids=["underflow", "overflow"]
+    "r,chi_s,kappa,message",
+    [
+        (0.0, 1e-300, 1e-300, _TOO_SMALL),
+        (0.0, 1.0, 1e-320, _TOO_SMALL),
+        (800.0, 1.0, 2.0, _TOO_LARGE.format(800.0)),
+        (0.5, 1e200, 1e200, _TOO_LARGE.format(0.5)),
+    ],
+    ids=["underflow", "overflow", "exp-r-underflows", "product-overflows"],
 )
-def test_optimal_time_estimate_past_the_double_range_is_a_numerical_error(chi_s, kappa):
-    # kappa*chi_s underflows to 0, or 6/(kappa*chi_s) overflows to inf
+def test_optimal_time_estimate_past_the_double_range_is_a_numerical_error(
+    r, chi_s, kappa, message
+):
+    # kappa*chi_s underflows to 0, or 6/(kappa*chi_s) overflows to inf; the
+    # estimate underflows to 0 at e^-800, or where kappa*chi_s is inf
     with pytest.raises(NumericalError) as excinfo:
-        optimal_time_estimate(0.0, SystemParams(chi_s=chi_s, kappa=kappa))
-    assert str(excinfo.value) == "kappa*chi_s is too small: optimal time estimate overflows"
+        optimal_time_estimate(r, SystemParams(chi_s=chi_s, kappa=kappa))
+    assert str(excinfo.value) == message
 
 
 # every double a field accepts, from the smallest subnormal to the top of the range

@@ -253,6 +253,33 @@ def test_internal_time_past_the_double_range_is_a_numerical_error():
 
 
 @pytest.mark.parametrize(
+    ("convert", "time", "message"),
+    [
+        (
+            UnitContext(1e-294).to_internal_time,
+            1e-26,
+            "chi_over_2pi_hz = 1e-294 is too small for t_us = 1e-26: "
+            "internal time underflows to 0",
+        ),
+        (
+            UnitContext(1e300).to_physical_time,
+            5e-324,
+            "chi_over_2pi_hz = 1e+300 is too large for t_internal = 5e-324: "
+            "time in us underflows to 0",
+        ),
+    ],
+    ids=["internal", "physical"],
+)
+def test_a_positive_time_that_underflows_is_a_numerical_error(convert, time, message):
+    # the product or quotient rounds to 0, a time the caller never gave;
+    # a time of 0 converts to 0
+    assert convert(0.0) == 0.0
+    with pytest.raises(NumericalError) as excinfo:
+        convert(time)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
     ("chi_over_2pi_mhz", "t1_ms", "fault"),
     [(1e-320, 1e-315, "underflows to 0"), (1e300, 1e300, "overflows")],
     ids=["underflow", "overflow"],

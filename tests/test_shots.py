@@ -756,18 +756,18 @@ def test_more_workers_than_cores_under_frequent_switches(
 def test_block_task_exception_reaches_the_caller(
     cpus, monkeypatch, t_matched, probe_matched, params_k2
 ):
-    # the failing block is the last of six tasks, which is not worker 0's
-    # when there are two or three workers
-    fill = shots._fill_block
+    # stream 5, block 2 of σ = −1, is the last of six streams, which is not
+    # worker 0's when there are two or three workers
+    seek = shots._seek
 
-    def failing(out, sigma, block, *rest):
-        if (sigma, block) == (-1, 2):
-            raise RuntimeError("block (-1, 2) failed")
-        fill(out, sigma, block, *rest)
+    def failing(bit_generator, fresh, stream):
+        if stream == 5:
+            raise RuntimeError("stream 5 failed")
+        seek(bit_generator, fresh, stream)
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(shots, "_fill_block", failing)
-    with pytest.raises(RuntimeError, match=r"block \(-1, 2\) failed"):
+    monkeypatch.setattr(shots, "_seek", failing)
+    with pytest.raises(RuntimeError, match="stream 5 failed"):
         sample_shots(3 * 8192, t_matched, probe_matched, params_k2, PHI_DEFAULT, SEED)
 
 

@@ -25,6 +25,7 @@ from squeezed_readout import (
     snr,
 )
 from squeezed_readout import sweeps
+from squeezed_readout.metrics import METRICS
 
 SNR_MATCHED_REF = 3.580922280271772
 
@@ -235,6 +236,32 @@ def test_a_sweep_is_its_table(fixed, variable):
     assert table.columns == (variable, "fidelity", *SweepRow._fields[2:])
     assert len(table.rows) == spec.points
     assert all(type(row) is SweepRow for row in table.rows)
+
+
+_COEFFICIENTS = {"a_coef", "b_coef", "big_f", "big_g"}
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize(
+    ("variable", "lo", "hi", "alone"),
+    [
+        ("alpha", 0.0, 5.0, _COEFFICIENTS | {"variance_plus", "variance_minus"}),
+        ("r", 0.0, 1.5, _COEFFICIENTS),
+        ("delta_theta", -1.0, 1.0, _COEFFICIENTS),
+    ],
+)
+def test_a_column_the_variable_leaves_alone_holds_one_object(
+    fixed, metric, variable, lo, hi, alone
+):
+    # the kernel computes such a column once per sweep, and the CSV spells
+    # a column of one object once (_spelling)
+    if metric == "contrast" and variable != "alpha":
+        alone = alone | {"contrast"}
+    spec = SweepSpec(variable=variable, lo=lo, hi=hi, points=7, fixed=fixed, metric=metric)
+    table = run_sweep(spec)
+    for name, column in zip(table.columns, zip(*table.rows)):
+        if name in alone:
+            assert all(cell is column[0] for cell in column), name
 
 
 def test_figure2_structure_and_values():
